@@ -1,0 +1,10 @@
+"""Make the checkout's program importable for the benchmark's own tests
+(``python3 -m pytest perfbench``)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
