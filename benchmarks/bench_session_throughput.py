@@ -7,17 +7,13 @@ the full-interaction workload at each tracing level:
 * ``gated`` — category-gated, non-retaining log feeding the streaming
   metric folds (the fleet default: constant memory per session).
 
-Each level is measured twice: scalar (batch 1, one session at a time)
-and batched (all seeds advanced in lockstep on one
-:class:`~repro.sim.batch.BatchRunner` frontier — the ``fleet --batch``
-execution mode, byte-identical results by the differential suite's
-guarantee).
-
 The checked-in ``BENCH_session_throughput.json`` at the repo root also
-records the pre-PR baseline — the same workload measured on the scan
-path before indexed/gated tracing, streaming folds, the demand-driven
-VSync source, tuple heap entries, and power memoization landed — which
-is what the headline speedup is quoted against.
+records two historical blocks: ``pre_pr_baseline`` — the same workload
+measured on the scan path before indexed/gated tracing, streaming
+folds, the demand-driven VSync source, tuple heap entries, and power
+memoization landed — which is what the headline speedup is quoted
+against, and ``sessions_per_s_batched``, the last measurement of the
+since-deleted lockstep engine (no gain over one session at a time).
 
 Usage::
 
@@ -45,7 +41,6 @@ import sys
 import time
 
 from repro.core.qos import UsageScenario
-from repro.evaluation.batch import run_workload_jobs_batched
 from repro.evaluation.runner import run_workload
 
 APP = "cnet"
@@ -63,20 +58,6 @@ def run_sessions(trace_level: str, seeds: int) -> None:
             seed=seed,
             trace_level=trace_level,
         )
-
-
-def run_sessions_batched(trace_level: str, seeds: int) -> None:
-    run_workload_jobs_batched([
-        {
-            "app": APP,
-            "governor": GOVERNOR,
-            "scenario": "imperceptible",
-            "trace_kind": TRACE_KIND,
-            "seed": seed,
-            "trace_level": trace_level,
-        }
-        for seed in range(seeds)
-    ])
 
 
 def measure(run, trace_level: str, seeds: int, rounds: int) -> float:
@@ -114,16 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     run_sessions("gated", 1)
 
     results = {}
-    batched = {}
     for level in ("full", "gated"):
         rate = measure(run_sessions, level, seeds, rounds)
         results[level] = rate
         print(f"trace_level={level:6s} {rate:7.2f} sessions/s "
-              f"({seeds} sessions x {rounds} rounds, best, batch=1)")
-        batched_rate = measure(run_sessions_batched, level, seeds, rounds)
-        batched[level] = batched_rate
-        print(f"trace_level={level:6s} {batched_rate:7.2f} sessions/s "
-              f"({seeds} sessions x {rounds} rounds, best, batch={seeds})")
+              f"({seeds} sessions x {rounds} rounds, best)")
 
     payload = {
         "benchmark": "session_throughput",
@@ -136,10 +112,6 @@ def main(argv: list[str] | None = None) -> int:
             "smoke": args.smoke,
         },
         "sessions_per_s": {level: round(rate, 2) for level, rate in results.items()},
-        "sessions_per_s_batched": {
-            "batch": seeds,
-            **{level: round(rate, 2) for level, rate in batched.items()},
-        },
     }
     if args.json_out:
         with open(args.json_out, "w") as handle:

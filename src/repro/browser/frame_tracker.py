@@ -17,9 +17,9 @@ Implements the paper's Fig. 8 algorithm and Sec. 6.4 association:
 The per-frame history is retained struct-of-arrays style
 (:class:`FrameColumns`): displayed frames append one value to each
 parallel column instead of keeping the transient :class:`FrameRecord`
-objects alive.  At batch scale (many sessions per process) this is what
-keeps the frame pipeline's retained footprint a handful of flat lists
-per session rather than thousands of per-frame objects.
+objects alive.  At fleet scale (many sessions per worker process) this
+is what keeps the frame pipeline's retained footprint a handful of flat
+lists per session rather than thousands of per-frame objects.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class InputRecord:
 
     A ``__slots__`` class (not a dataclass): records sit on the
     per-input hot path and the generated dataclass ``__init__`` plus
-    ``__dict__`` storage measurably cost at batch scale.
+    ``__dict__`` storage measurably cost at fleet scale.
     """
 
     __slots__ = ("msg", "frame_latencies_us", "outstanding", "completed", "complete_us")
@@ -129,7 +129,7 @@ class FrameColumns:
     the i-th displayed frame.  Appending five scalars to flat lists is
     both cheaper and denser than retaining a :class:`FrameRecord` (plus
     its contributor list and latency dict) per frame, which matters
-    when a batch process carries many sessions' histories at once.
+    when one process carries many sessions' histories at once.
     """
 
     __slots__ = ("seq", "vsync_us", "display_us", "contributor_count", "max_latency_us")

@@ -285,7 +285,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         result = Fleet(
             spec,
             jobs=args.jobs,
-            batch=args.batch,
             checkpoint=args.checkpoint,
             resume=args.resume,
             on_shard=progress.on_shard if progress else None,
@@ -295,10 +294,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             progress.clear()
     aggregate = result.aggregate
 
-    batch_note = f", batch {result.batch}" if result.batch > 1 else ""
     print(f"fleet:       {result.sessions} sessions, seed {result.seed}, "
           f"{result.shards_total} shards x <= {result.shard_size}, "
-          f"{result.jobs} job(s){batch_note}")
+          f"{result.jobs} job(s)")
     if result.resumed_shards:
         print(f"resumed:     {result.resumed_shards} shard(s) reloaded from "
               f"{args.checkpoint}")
@@ -478,13 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes (default: 1)"
-    )
-    fleet_parser.add_argument(
-        "--batch", type=int, default=1,
-        help="lockstep width: advance this many sessions of a shard "
-        "together on one batch frontier (default: 1 = scalar). "
-        "Byte-identical results either way; checkpoints resume "
-        "interchangeably across modes",
     )
     fleet_parser.add_argument("--seed", type=int, default=0, help="root seed")
     fleet_parser.add_argument(

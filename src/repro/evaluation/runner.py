@@ -46,20 +46,14 @@ GOVERNORS: tuple[str, ...] = (
 )
 
 
-def resolve_spec(
-    governor: "PolicySpec | str", runtime_kwargs: Optional[dict] = None
-) -> PolicySpec:
+def resolve_spec(governor: "PolicySpec | str") -> PolicySpec:
     """Validate a governor spec (string or :class:`PolicySpec`) against
-    the registry, merging legacy ``runtime_kwargs`` as spec parameters.
+    the registry.
 
     Raises :class:`EvaluationError` for unknown policy names, unknown
-    parameters (including ``runtime_kwargs`` a policy does not take),
-    and type mismatches.
+    parameters, and type mismatches.
     """
-    spec = POLICIES.normalize(governor)
-    if runtime_kwargs:
-        spec = POLICIES.normalize(spec.with_params(**runtime_kwargs))
-    return spec
+    return POLICIES.normalize(governor)
 
 
 class _ActiveWindowAccountant:
@@ -163,7 +157,6 @@ def make_policy(
     platform,
     registry: AnnotationRegistry,
     scenario: "UsageScenario | Scenario",
-    runtime_kwargs: Optional[dict] = None,
 ) -> BrowserPolicy:
     """Instantiate a governor policy from a spec (string or parsed).
 
@@ -172,7 +165,7 @@ def make_policy(
     :class:`~repro.scenarios.base.Scenario`
     (:func:`repro.scenarios.build_live_scenario` builds one for
     hand-assembled stacks)."""
-    spec = resolve_spec(governor, runtime_kwargs)
+    spec = resolve_spec(governor)
     return POLICIES.build(spec, platform, registry, scenario)
 
 
@@ -216,7 +209,6 @@ def run_workload(
     trace_kind: str = "full",
     seed: int = 0,
     settle_s: float = 4.0,
-    runtime_kwargs: Optional[dict] = None,
     trace_level: str = "full",
 ) -> RunResult:
     """Run one experiment cell and return its measurements.
@@ -238,8 +230,6 @@ def run_workload(
         trace_kind: ``"micro"`` or ``"full"``.
         seed: workload seed.
         settle_s: wall-clock tail after the last input.
-        runtime_kwargs: extra policy parameters merged into the spec
-            (legacy ablation-knob path; unknown parameters raise).
         trace_level: :data:`repro.sim.tracing.TRACE_LEVELS` member.
             Every metric in the returned :class:`RunResult` is fed by
             streaming folds over the ``input``/``config`` categories
@@ -248,7 +238,7 @@ def run_workload(
             the records.  ``"off"`` disables tracing entirely and
             zeroes the trace-derived fields (active energy, residency).
     """
-    spec = resolve_spec(governor, runtime_kwargs)
+    spec = resolve_spec(governor)
     scenario_spec = SCENARIOS.normalize(scenario)
     entry = POLICIES.get(spec.name)
     if entry.posthoc is not None:
@@ -276,19 +266,13 @@ def run_workload(
 
 
 class SessionExecution:
-    """One prepared measurement world, split so the scalar and batched
-    engines share every byte of setup and collection code.
+    """One prepared measurement world: the single session builder.
 
-    ``__init__`` builds everything :func:`execute_run` used to build
-    before advancing the clock; :meth:`run_scalar` replays the window on
-    this session's own kernel; :meth:`finish` collects the
-    :class:`RunResult`.  The batched path
-    (:func:`repro.evaluation.batch.run_workload_jobs_batched`) skips
-    :meth:`run_scalar` and instead hands ``platform.kernel`` plus
-    ``window_us`` to a :class:`~repro.sim.batch.BatchRunner`, then calls
-    :meth:`finish` — the only difference is *which loop* advances the
-    kernel, which is why results are byte-identical (and why the
-    differential suite exists to keep them that way).
+    ``__init__`` builds the platform, live scenario, policy, browser and
+    folds and schedules the trace; :meth:`run` advances the session's
+    own kernel through the fixed measurement window; :meth:`finish`
+    collects the :class:`RunResult`.  :func:`execute_run` is the usual
+    caller and runs the three steps back to back.
     """
 
     def __init__(
@@ -350,13 +334,14 @@ class SessionExecution:
         #: the fixed measurement window (trace duration + settle tail)
         self.window_us = trace.duration_us + s_to_us(settle_s)
 
-    def run_scalar(self) -> None:
-        """Advance this session's own kernel through the window."""
+    def run(self) -> None:
+        """Advance this session's kernel through the measurement window
+        (``Kernel.run_until`` to ``window_us``)."""
         self.platform.run_for(self.window_us)
 
     def finish(self) -> RunResult:
-        """Collect metrics after the window has been executed (by either
-        engine); the kernel clock must already be at the deadline."""
+        """Collect metrics after :meth:`run`; the kernel clock must
+        already be at the window's deadline."""
         platform = self.platform
         browser = self.browser
         platform.meter.finalize(platform.kernel.now_us)
@@ -442,7 +427,7 @@ def execute_run(
         app, governor_label, scenario, trace_kind, seed, settle_s, trace_level,
         policy_factory,
     )
-    execution.run_scalar()
+    execution.run()
     return execution.finish()
 
 
@@ -490,7 +475,7 @@ def run_workload_job(spec: dict) -> dict:
     argument and the return value are built from picklable primitives
     only.  Recognised keys (all but ``app`` optional): ``app``,
     ``governor``, ``scenario``, ``trace_kind``, ``seed``, ``settle_s``,
-    ``runtime_kwargs``, ``trace_level``.
+    ``trace_level``.
     """
     result = run_workload(
         spec["app"],
@@ -499,7 +484,6 @@ def run_workload_job(spec: dict) -> dict:
         trace_kind=spec.get("trace_kind", "full"),
         seed=int(spec.get("seed", 0)),
         settle_s=float(spec.get("settle_s", 4.0)),
-        runtime_kwargs=spec.get("runtime_kwargs"),
         trace_level=spec.get("trace_level", "full"),
     )
     return run_result_to_dict(result)

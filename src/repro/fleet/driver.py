@@ -74,10 +74,6 @@ class FleetResult:
     sessions: int
     seed: int
     jobs: int
-    #: lockstep width sessions advanced at (1 = scalar).  Execution
-    #: fact only, like ``jobs`` — never serialised: batched and scalar
-    #: runs are byte-identical.
-    batch: int
     shard_size: int
     shards_total: int
     sessions_completed: int
@@ -170,23 +166,13 @@ class Fleet:
         pool: Optional[WorkerPool] = None,
         on_shard: Optional[ShardCallback] = None,
         stop: Optional[threading.Event] = None,
-        batch: int = 1,
     ) -> None:
         if jobs <= 0:
             raise EvaluationError(f"fleet needs >= 1 job, got {jobs}")
-        if batch <= 0:
-            raise EvaluationError(f"fleet batch width must be >= 1, got {batch}")
         if resume and checkpoint is None:
             raise EvaluationError("resume requires a checkpoint path")
         self.spec = spec
         self.jobs = jobs
-        #: lockstep width per worker: consecutive groups of this many
-        #: sessions of a shard advance together on one batch frontier
-        #: (see :mod:`repro.evaluation.batch`).  Byte-identical to the
-        #: scalar path, so — like ``jobs`` — it is an execution knob
-        #: that never enters the spec fingerprint: checkpoints written
-        #: in either mode resume interchangeably in the other.
-        self.batch = batch
         self.checkpoint = checkpoint
         self.resume = resume
         self.pool = pool
@@ -259,7 +245,6 @@ class Fleet:
             sessions=self.spec.sessions,
             seed=self.spec.seed,
             jobs=self.jobs,
-            batch=self.batch,
             shard_size=self.spec.shard_size,
             shards_total=len(shards),
             sessions_completed=sessions_completed,
@@ -293,8 +278,6 @@ class Fleet:
                 for spec in shard.sessions
             ],
         }
-        if self.batch > 1:
-            payload["batch"] = self.batch
         if self.spec.inject_crash is not None:
             payload["inject_crash"] = self.spec.inject_crash
         return payload

@@ -15,7 +15,6 @@ from __future__ import annotations
 import signal
 import time
 
-from repro.evaluation.batch import run_workload_jobs_batched
 from repro.evaluation.runner import run_workload_job
 from repro.fleet.aggregate import FleetAggregate
 
@@ -75,26 +74,13 @@ def run_shard_job(payload: dict) -> dict:
 
     Payload keys: ``shard`` (index), ``sessions`` (list of
     ``run_workload_job`` argument dicts, population order), ``attempt``
-    (0-based retry counter, driver-provided), ``batch`` (lockstep
-    width; consecutive groups of this many sessions advance together
-    through :func:`repro.evaluation.batch.run_workload_jobs_batched` —
-    byte-identical to the scalar path, so it never enters the spec
-    fingerprint), and the optional test-only ``inject_crash``.
+    (0-based retry counter, driver-provided), and the optional
+    test-only ``inject_crash``.
     """
     _maybe_inject_crash(payload)
     aggregate = FleetAggregate()
-    sessions = payload["sessions"]
-    batch = payload.get("batch", 1)
-    if batch > 1:
-        # Population order is preserved: chunks are consecutive and the
-        # batched runner returns results in input order, so aggregate
-        # float accumulation order matches the scalar loop exactly.
-        for start in range(0, len(sessions), batch):
-            for result in run_workload_jobs_batched(sessions[start : start + batch]):
-                aggregate.add_run(result)
-    else:
-        for job in sessions:
-            aggregate.add_run(run_workload_job(job))
+    for job in payload["sessions"]:
+        aggregate.add_run(run_workload_job(job))
     return {
         "shard": payload["shard"],
         "sessions": len(payload["sessions"]),

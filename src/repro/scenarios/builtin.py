@@ -18,9 +18,8 @@ the optimal policy *mid-session*):
   cycles on its own context (power draw + governor-visible load).
 
 All dynamics are driven off virtual time and the session's forked
-``"scenario"`` RNG lane, so runs are deterministic and identical
-between the scalar and batched engines (see :mod:`repro.scenarios.base`
-for the contract).
+``"scenario"`` RNG lane, so runs are deterministic (see
+:mod:`repro.scenarios.base` for the contract).
 """
 
 from __future__ import annotations

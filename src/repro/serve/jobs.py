@@ -48,8 +48,11 @@ CANCELLED = "cancelled"
 #: statuses that survive restarts as-is (everything else re-runs)
 SETTLED = (DONE, FAILED, CANCELLED)
 
+#: the SSE event that ends a job's stream, per terminal status
+TERMINAL_EVENT = {DONE: "result", FAILED: "failed", CANCELLED: "cancelled"}
+
 #: SSE event names that end a job's stream
-TERMINAL_EVENTS = ("result", "failed", "cancelled")
+TERMINAL_EVENTS = tuple(TERMINAL_EVENT.values())
 
 #: per-job replay window: events older than this are summarised by a
 #: ``snapshot`` on reconnect instead of replayed one by one
@@ -71,10 +74,11 @@ class QueueFull(EvaluationError):
 def merge_partials(partials: dict[int, dict]) -> FleetAggregate:
     """Merge shard partials in shard-index order.
 
-    Index order is the one fixed order the batch driver uses, so a
+    Index order is the one fixed order the fleet driver merges in, so a
     prefix aggregate streamed after shard ``k`` lands is byte-identical
-    to what a batch run over exactly that shard subset would report —
-    regardless of the (nondeterministic) order shards completed in.
+    to what a ``repro fleet`` run over exactly that shard subset would
+    report — regardless of the (nondeterministic) order shards
+    completed in.
     """
     aggregate = FleetAggregate()
     for index in sorted(partials):
@@ -128,6 +132,8 @@ class Job:
 
     # -- event log -----------------------------------------------------
     def publish(self, name: str, data: str) -> int:
+        # ``cond`` wraps an RLock, so settling code may publish its
+        # terminal event while still holding the lock.
         with self.cond:
             self.seq += 1
             self.events.append((self.seq, name, data))
@@ -305,6 +311,16 @@ class JobStore:
                     job.settled_at = os.path.getmtime(result_path)
             elif job.status not in SETTLED:
                 job.status = QUEUED
+            # A settled job's event stream must still end with its
+            # terminal event after a restart, not with a bare snapshot.
+            if job.status == DONE:
+                job.publish("result", job.result_text)
+            elif job.status == FAILED:
+                job.publish("failed", json.dumps({"id": job.id, "error": job.error}))
+            elif job.status == CANCELLED:
+                job.publish(
+                    "cancelled", json.dumps({"id": job.id, "status": CANCELLED})
+                )
             recovered.append(job)
         # The admission bound deliberately does not apply here:
         # persisted jobs are never dropped, however many were queued
@@ -378,20 +394,31 @@ class JobStore:
                     job.status = CANCELLED
                     job.settled_at = time.time()
                     self._persist(job)
+                    job.publish(
+                        "cancelled", json.dumps({"id": job.id, "status": CANCELLED})
+                    )
                 else:
                     job.stop.set()
-        if job.status == CANCELLED:
-            job.publish("cancelled", json.dumps({"id": job.id, "status": CANCELLED}))
         return job
 
-    def settle(self, job: Job, status: str, *, error: Optional[str] = None) -> None:
-        """Move a job to a terminal status and persist it."""
-        with job.cond:
+    def settle(
+        self, job: Job, status: str, *, data: str, error: Optional[str] = None
+    ) -> None:
+        """Move a job to a terminal status, persist it, and publish its
+        terminal event (``data`` is the event body).
+
+        The status change and the event land under one ``job.cond``
+        hold: an SSE loop that observes the settled status therefore
+        always finds the terminal event in the log as well, and never
+        closes a stream without it.  Locks are taken store first, job
+        second, the same order as :meth:`cancel`.
+        """
+        with self._lock, job.cond:
             job.status = status
             job.error = error
             job.settled_at = time.time()
-        with self._lock:
             self._persist(job)
+            job.publish(TERMINAL_EVENT[status], data)
 
     def prune(
         self,
@@ -527,9 +554,12 @@ class _JobLane(threading.Thread):
             )
             result = fleet.run()
         except Exception as exc:  # noqa: BLE001 - one job must not kill the daemon
-            store.settle(job, FAILED, error=f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
             metrics.job_settled(FAILED, wall_s())
-            job.publish("failed", json.dumps({"id": job.id, "error": job.error}))
+            store.settle(
+                job, FAILED, error=error,
+                data=json.dumps({"id": job.id, "error": error}),
+            )
             self.scheduler.gc()
             return
 
@@ -538,11 +568,10 @@ class _JobLane(threading.Thread):
 
         if result.stopped:
             if job.cancel_requested:
-                store.settle(job, CANCELLED)
                 metrics.job_settled(CANCELLED, wall_s())
-                job.publish(
-                    "cancelled",
-                    json.dumps(
+                store.settle(
+                    job, CANCELLED,
+                    data=json.dumps(
                         {"id": job.id, "status": CANCELLED,
                          "shards_done": job.shards_done}
                     ),
@@ -558,9 +587,10 @@ class _JobLane(threading.Thread):
         with job.cond:
             job.result_text = result_text
             job.ok = not result.failures
-        store.settle(job, DONE)
+        # Count the settle before the terminal event becomes visible, so
+        # a client that scrapes /metrics after its result sees it.
         metrics.job_settled(DONE, wall_s())
-        job.publish("result", result_text)
+        store.settle(job, DONE, data=result_text)
         self.scheduler.gc()
 
 

@@ -17,8 +17,6 @@ For custom pages (your own DOM, callbacks, and annotations) use
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.browser.engine import Browser, BrowserPolicy
 from repro.browser.page import Page
 from repro.core.annotations import AnnotationRegistry
@@ -46,23 +44,21 @@ class Session:
         governor: str = "greenweb",
         scenario: "UsageScenario | ScenarioSpec | str" = UsageScenario.IMPERCEPTIBLE,
         seed: int = 0,
-        runtime_kwargs: Optional[dict] = None,
         trace_level: str = "full",
     ) -> None:
-        # Registry-backed validation: bad names and bad (spec or
-        # runtime_kwargs) parameters fail here, not mid-run; the stored
-        # governor is the canonical spec string so two sessions with
-        # equal parameterizations serialise identically.
-        resolve_spec(governor, runtime_kwargs)
+        # Registry-backed validation: bad names and bad spec parameters
+        # fail here, not mid-run; the stored governor is the canonical
+        # spec string so two sessions with equal parameterizations
+        # serialise identically.
+        spec = resolve_spec(governor)
         if trace_level not in TRACE_LEVELS:
             raise EvaluationError(
                 f"unknown trace level {trace_level!r}; known: {list(TRACE_LEVELS)}"
             )
         self.app_name = app_name
-        self.governor = resolve_spec(governor).canonical()
+        self.governor = spec.canonical()
         self.scenario = _coerce_scenario(scenario)
         self.seed = seed
-        self.runtime_kwargs = runtime_kwargs
         self.trace_level = trace_level
 
     # ------------------------------------------------------------------
@@ -118,7 +114,6 @@ class Session:
             trace_kind="micro",
             seed=self.seed,
             settle_s=settle_s,
-            runtime_kwargs=self.runtime_kwargs,
             trace_level=self.trace_level,
         )
 
@@ -131,7 +126,6 @@ class Session:
             trace_kind="full",
             seed=self.seed,
             settle_s=settle_s,
-            runtime_kwargs=self.runtime_kwargs,
             trace_level=self.trace_level,
         )
 
@@ -144,7 +138,7 @@ class Session:
         form process pools, :mod:`repro.fleet` shards, and future RPC
         backends consume.
         """
-        job = {
+        return {
             "app": self.app_name,
             "governor": self.governor,
             "scenario": self.scenario.canonical(),
@@ -153,9 +147,6 @@ class Session:
             "settle_s": settle_s,
             "trace_level": self.trace_level,
         }
-        if self.runtime_kwargs:
-            job["runtime_kwargs"] = dict(self.runtime_kwargs)
-        return job
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,13 +24,11 @@ from repro.sim.clock import (
     us_to_ms,
     us_to_s,
 )
-from repro.sim.batch import BatchRunner
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.random import RngStreams
 from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
-    "BatchRunner",
     "Kernel",
     "ScheduledEvent",
     "TraceLog",

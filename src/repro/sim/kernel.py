@@ -198,83 +198,6 @@ class Kernel:
         """Run the simulation forward by ``duration_us`` microseconds."""
         self.run_until(self._now_us + duration_us)
 
-    # ------------------------------------------------------------------
-    # Frontier primitives (used by :class:`repro.sim.batch.BatchRunner`)
-    # ------------------------------------------------------------------
-    def next_event_time_us(self) -> int | None:
-        """Timestamp of the next live event, or ``None`` if the queue is
-        empty.  Tombstoned (cancelled) heap heads are pruned as a side
-        effect, so repeated peeks stay O(1) amortized."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2]._cancelled:
-                heapq.heappop(heap)
-                continue
-            return head[0]
-        return None
-
-    def drain_until(self, limit_us: int) -> int | None:
-        """Fire every event with timestamp <= ``limit_us`` in exactly the
-        order :meth:`run_until` would, but leave the clock at the last
-        fired event instead of advancing it to ``limit_us``.
-
-        This is the building block for batched lockstep execution: the
-        batch frontier repeatedly drains one kernel up to the next other
-        kernel's event horizon.  Per-kernel fire order is identical to a
-        scalar :meth:`run_until` because both walk the same heap with the
-        same (time, seq) ordering.
-
-        Returns:
-            The timestamp of the next live event past ``limit_us``, or
-            ``None`` if the queue is empty.
-        """
-        if self._running:
-            raise SchedulingError("kernel is not reentrant: drain_until called from an action")
-        self._running = True
-        try:
-            heap = self._heap
-            heappop = heapq.heappop
-            while heap:
-                head = heap[0]
-                if head[0] > limit_us:
-                    if head[2]._cancelled:
-                        heappop(heap)
-                        continue
-                    return head[0]
-                time_us, _seq, event = heappop(heap)
-                if event._cancelled:
-                    continue
-                self._now_us = time_us
-                event._fired = True
-                self._events_fired += 1
-                event.action()
-            return None
-        finally:
-            self._running = False
-
-    def advance_clock(self, time_us: int) -> None:
-        """Advance the clock to ``time_us`` without firing anything.
-
-        Used by the batch frontier to finalize a window after
-        :meth:`drain_until` has consumed every event inside it — the
-        combination is equivalent to ``run_until(time_us)``.
-
-        Raises:
-            SchedulingError: if ``time_us`` is in the past or a live
-                event is still pending at or before it.
-        """
-        if time_us < self._now_us:
-            raise SchedulingError(
-                f"cannot rewind clock to {time_us}us from {self._now_us}us"
-            )
-        pending = self.next_event_time_us()
-        if pending is not None and pending <= time_us:
-            raise SchedulingError(
-                f"cannot advance clock past pending event at {pending}us"
-            )
-        self._now_us = time_us
-
     def drain(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue is empty.
 

@@ -1,13 +1,13 @@
-"""Differential parity: scalar vs batched execution, cell by cell.
+"""Differential parity: every cell against its checked-in golden.
 
-The contract: :func:`repro.evaluation.batch.run_workload_jobs_batched`
-must produce **byte-identical** results to running each job through
-:func:`repro.evaluation.runner.run_workload_job` — for every
-application, every builtin governor, and both retained trace levels —
-and both must reproduce the checked-in golden fingerprints
+The contract: :func:`repro.evaluation.runner.run_workload_job` must
+reproduce the checked-in golden fingerprints
 (``tests/data/batch_parity_fingerprints.json``, regenerated only by
 ``scripts/gen_parity_fingerprints.py`` after an intentional
-result-affecting change).
+result-affecting change) byte for byte — for every application, every
+builtin governor, and both retained trace levels.  CI runs this suite
+with numpy and again under ``REPRO_NO_NUMPY=1``, so the goldens also
+pin numpy-on/off determinism.
 
 The full 144-cell sweep is marked ``slow``; a quick cross-section runs
 with the default suite.
@@ -18,9 +18,7 @@ import json
 
 import pytest
 
-from repro.evaluation.batch import run_workload_jobs_batched
 from repro.evaluation.runner import GOVERNORS, run_workload_job
-from repro.fleet import FleetAggregate
 from repro.workloads.registry import APP_NAMES
 
 TRACE_LEVELS = ("full", "gated")
@@ -58,61 +56,19 @@ def make_job(base: dict, app: str, governor: str, level: str) -> dict:
 
 
 class TestQuickCrossSection:
-    def test_scalar_and_batched_match_goldens(self, parity_goldens):
+    def test_cells_match_goldens(self, parity_goldens):
         base = parity_goldens["workload"]
-        jobs = [make_job(base, *cell) for cell in QUICK_CELLS]
-        batched = run_workload_jobs_batched(jobs)
-        for (app, governor, level), job, batched_result in zip(
-            QUICK_CELLS, jobs, batched
-        ):
-            scalar_result = run_workload_job(dict(job))
+        for app, governor, level in QUICK_CELLS:
+            result = run_workload_job(make_job(base, app, governor, level))
             golden = parity_goldens["cells"][f"{app}:{governor}:{level}"]
-            assert canonical(scalar_result) == canonical(batched_result)
-            assert fingerprint(scalar_result) == golden
-
-    def test_oracle_posthoc_falls_back_inside_batch(self, parity_goldens):
-        """The oracle is post-hoc: the batched entry point must run it
-        through the scalar path transparently, in input order."""
-        base = parity_goldens["workload"]
-        jobs = [
-            make_job(base, "todo", "greenweb", "gated"),
-            make_job(base, "craigslist", "oracle", "gated"),
-            make_job(base, "cnet", "perf", "gated"),
-        ]
-        batched = run_workload_jobs_batched(jobs)
-        for job, batched_result in zip(jobs, batched):
-            assert canonical(run_workload_job(dict(job))) == canonical(batched_result)
-
-    def test_aggregates_identical_across_modes(self, parity_goldens):
-        base = parity_goldens["workload"]
-        jobs = [make_job(base, *cell) for cell in QUICK_CELLS]
-        scalar_aggregate = FleetAggregate()
-        for job in jobs:
-            scalar_aggregate.add_run(run_workload_job(dict(job)))
-        batched_aggregate = FleetAggregate()
-        for result in run_workload_jobs_batched(jobs):
-            batched_aggregate.add_run(result)
-        assert scalar_aggregate.to_dict() == batched_aggregate.to_dict()
-
-    def test_batch_width_does_not_change_bytes(self, parity_goldens):
-        """Splitting the same jobs across different frontier widths (and
-        quanta) cannot change a single byte."""
-        base = parity_goldens["workload"]
-        jobs = [make_job(base, *cell) for cell in QUICK_CELLS[:4]]
-        whole = run_workload_jobs_batched(jobs)
-        halves = run_workload_jobs_batched(jobs[:2]) + run_workload_jobs_batched(
-            jobs[2:]
-        )
-        tiny_quantum = run_workload_jobs_batched(jobs, quantum_us=1)
-        assert list(map(canonical, whole)) == list(map(canonical, halves))
-        assert list(map(canonical, whole)) == list(map(canonical, tiny_quantum))
+            assert fingerprint(result) == golden
 
 
 @pytest.mark.slow
 class TestFullSweep:
-    def test_every_cell_scalar_and_batched(self, parity_goldens):
-        """All 12 apps x 6 builtin governors x 2 trace levels: scalar
-        bytes == batched bytes == checked-in golden."""
+    def test_every_cell_matches_golden(self, parity_goldens):
+        """All 12 apps x 6 builtin governors x 2 trace levels reproduce
+        their checked-in goldens."""
         base = parity_goldens["workload"]
         cells = [
             (app, governor, level)
@@ -121,18 +77,10 @@ class TestFullSweep:
             for level in TRACE_LEVELS
         ]
         assert len(cells) == len(parity_goldens["cells"])
-        jobs = [make_job(base, *cell) for cell in cells]
-        # Batch in app-sized groups (12 lanes) — wide enough to exercise
-        # real frontier interleaving, small enough to bound memory.
-        batched: list[dict] = []
-        for start in range(0, len(jobs), 12):
-            batched.extend(run_workload_jobs_batched(jobs[start : start + 12]))
         mismatches = []
-        for (app, governor, level), job, batched_result in zip(cells, jobs, batched):
+        for app, governor, level in cells:
             key = f"{app}:{governor}:{level}"
-            scalar_result = run_workload_job(dict(job))
-            if canonical(scalar_result) != canonical(batched_result):
-                mismatches.append(f"{key}: scalar != batched")
-            elif fingerprint(scalar_result) != parity_goldens["cells"][key]:
+            result = run_workload_job(make_job(base, app, governor, level))
+            if fingerprint(result) != parity_goldens["cells"][key]:
                 mismatches.append(f"{key}: does not match golden")
         assert not mismatches, "\n".join(mismatches)

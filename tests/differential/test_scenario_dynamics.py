@@ -1,7 +1,7 @@
 """Differential parity for *dynamic* scenarios.
 
-Static scenarios only pick a constant QoS column, so the original
-parity sweep could never catch a batching bug in time-varying state.
+Static scenarios only pick a constant QoS column, so the static
+parity sweep could never catch a regression in time-varying state.
 These cells exercise the two stateful scenario families end-to-end:
 
 * ``thermal(...)`` — platform-coupled feedback (utilization integral →
@@ -10,9 +10,9 @@ These cells exercise the two stateful scenario families end-to-end:
 * ``battery(...)`` — virtual-time-driven target relaxation crossing
   its threshold inside the measurement window.
 
-The contract is the same as ``test_batch_parity.py``: scalar bytes ==
-batched bytes == the checked-in ``dynamic_cells`` goldens, and the
-gated trace level changes nothing.  On top of that, the fleet
+The contract is the same as ``test_batch_parity.py``: result bytes ==
+the checked-in ``dynamic_cells`` goldens, and the gated trace level
+changes nothing.  On top of that, the fleet
 fingerprint must treat two parameterizations of one scenario as
 *different populations* (resume refuses), and the oracle's replay
 sweep must experience the same thermal cap a live policy does.
@@ -24,7 +24,6 @@ import json
 import pytest
 
 from repro.errors import EvaluationError
-from repro.evaluation.batch import run_workload_jobs_batched
 from repro.evaluation.runner import run_workload, run_workload_job
 from repro.fleet import Fleet, FleetSpec, parse_mix
 from repro.scenarios import SCENARIOS
@@ -61,25 +60,18 @@ def make_job(base: dict, app: str, governor: str, scenario: str, level: str) -> 
 
 
 class TestDynamicCellParity:
-    def test_scalar_and_batched_match_goldens(self, parity_goldens):
+    def test_cells_match_goldens(self, parity_goldens):
         base = parity_goldens["workload"]
-        cells = [
-            (app, governor, scenario, level)
-            for app, governor, scenario in DYNAMIC_CELLS
-            for level in ("full", "gated")
-        ]
-        jobs = [make_job(base, *cell) for cell in cells]
-        batched = run_workload_jobs_batched(jobs)
-        for (app, governor, scenario, level), job, batched_result in zip(
-            cells, jobs, batched
-        ):
+        for app, governor, scenario in DYNAMIC_CELLS:
             scenario_key = SCENARIOS.normalize(scenario).canonical()
-            golden = parity_goldens["dynamic_cells"][
-                f"{app}:{governor}:{scenario_key}:{level}"
-            ]
-            scalar_result = run_workload_job(dict(job))
-            assert canonical(scalar_result) == canonical(batched_result)
-            assert fingerprint(scalar_result) == golden
+            for level in ("full", "gated"):
+                result = run_workload_job(
+                    make_job(base, app, governor, scenario, level)
+                )
+                golden = parity_goldens["dynamic_cells"][
+                    f"{app}:{governor}:{scenario_key}:{level}"
+                ]
+                assert fingerprint(result) == golden
 
     def test_full_and_gated_identical(self, parity_goldens):
         """Scenario trace events are informational: dropping them under

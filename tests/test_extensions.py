@@ -172,8 +172,8 @@ class TestTargetHeadroom:
         from repro.evaluation.runner import run_workload
 
         tight = run_workload(
-            "w3schools", "greenweb", UsageScenario.USABLE, "micro",
-            runtime_kwargs={"target_headroom": 0.5},
+            "w3schools", "greenweb(target_headroom=0.5)", UsageScenario.USABLE,
+            "micro",
         )
         none = run_workload("w3schools", "greenweb", UsageScenario.USABLE, "micro")
         assert tight.mean_violation_pct <= none.mean_violation_pct

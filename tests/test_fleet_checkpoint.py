@@ -274,6 +274,31 @@ class TestResumeByteIdentity:
 
 
 # ----------------------------------------------------------------------
+# Raw journal bytes
+# ----------------------------------------------------------------------
+class TestJournalBytes:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_journal_byte_identical_across_job_counts(self, tmp_path, jobs):
+        """A complete run's raw checkpoint journal — header and every
+        shard record — carries the same bytes at any job count.  Pooled
+        workers may finish shards out of order, so the records are
+        compared as a multiset of lines."""
+        reference_path = str(tmp_path / "reference.jsonl")
+        Fleet(FleetSpec(**SPEC), jobs=1, checkpoint=reference_path).run()
+        path = str(tmp_path / f"jobs-{jobs}.jsonl")
+        assert Fleet(FleetSpec(**SPEC), jobs=jobs, checkpoint=path).run().ok
+        with open(reference_path, "rb") as handle:
+            reference = handle.read().splitlines(keepends=True)
+        with open(path, "rb") as handle:
+            journal = handle.read().splitlines(keepends=True)
+        assert journal[0] == reference[0]
+        assert sorted(journal[1:]) == sorted(reference[1:])
+        header, completed, _ = scan_checkpoint(path)
+        assert header["fingerprint"] == FleetSpec(**SPEC).fingerprint()
+        assert sorted(completed) == [0, 1, 2]
+
+
+# ----------------------------------------------------------------------
 # Through the CLI
 # ----------------------------------------------------------------------
 class TestCheckpointCli:

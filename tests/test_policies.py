@@ -134,24 +134,22 @@ class TestRegistry:
         with pytest.raises(EvaluationError, match="post-hoc"):
             POLICIES.build("oracle", platform, registry, UsageScenario.IMPERCEPTIBLE)
 
-    def test_make_policy_rejects_unknown_runtime_kwargs(self):
+    def test_make_policy_rejects_unknown_spec_parameters(self):
         platform = odroid_xu_e(record_power_intervals=False)
         registry = AnnotationRegistry()
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="unknown parameter 'not_a_knob'"):
             make_policy(
-                "greenweb",
+                "greenweb(not_a_knob=1)",
                 platform,
                 registry,
                 UsageScenario.IMPERCEPTIBLE,
-                runtime_kwargs={"not_a_knob": 1},
             )
         with pytest.raises(EvaluationError, match="accepts no parameters"):
             make_policy(
-                "perf",
+                "perf(anything=1)",
                 platform,
                 registry,
                 UsageScenario.IMPERCEPTIBLE,
-                runtime_kwargs={"anything": 1},
             )
 
     def test_describe_covers_every_policy(self):

@@ -214,8 +214,7 @@ class TestFourRunProfiling:
         from repro.evaluation.runner import run_workload
 
         result = run_workload(
-            "craigslist", "greenweb", I, "micro",
-            runtime_kwargs={"profile_both_clusters": True},
+            "craigslist", "greenweb(profile_both_clusters=true)", I, "micro"
         )
         # 4 phases x 3 frames (continuous key) = 12 profiling frames
         # for the scroll key, plus the touchstart key's bookkeeping.

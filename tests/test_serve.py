@@ -272,6 +272,9 @@ class TestJobStore:
         assert recovered.status == "done"
         assert recovered.ok is True
         assert recovered.result_text == result_text
+        # Replayable, so a stream opened after the restart still ends
+        # with the result.
+        assert list(recovered.events) == [(1, "result", result_text)]
         assert fresh.claim_next() is None
 
     def test_recover_keeps_settled_status(self, tmp_path):
@@ -281,6 +284,7 @@ class TestJobStore:
         fresh = JobStore(str(tmp_path))
         (recovered,) = fresh.recover()
         assert recovered.status == "cancelled"
+        assert [name for _, name, _ in recovered.events] == ["cancelled"]
         assert fresh.claim_next() is None
 
     def test_claim_order_respects_priority_then_admission(self, tmp_path):
@@ -311,6 +315,77 @@ class TestJobStore:
         fresh = JobStore(str(tmp_path), max_queued=1)
         assert len(fresh.recover()) == 3
         assert fresh.queue_depth() == 3
+
+
+class TestTerminalEvent:
+    """The settled status and the terminal SSE event become visible
+    together.  Regression: the lane published the event only after
+    ``settle`` had released ``job.cond``, and an SSE loop running in
+    that window saw a settled job with nothing left to send, so it
+    closed the stream without a terminal event.  The same held for a
+    settled job recovered after a restart, whose log was empty."""
+
+    @pytest.mark.parametrize(
+        "status, name",
+        [("done", "result"), ("failed", "failed"), ("cancelled", "cancelled")],
+    )
+    def test_settle_logs_terminal_event(self, tmp_path, status, name):
+        store = JobStore(str(tmp_path))
+        job = store.submit(dict(FAST_JOB))
+        store.claim_next()
+        store.settle(job, status, data='{"id": "x"}')
+        assert job.status == status
+        assert job.events[-1] == (job.seq, name, '{"id": "x"}')
+
+    def test_lane_settle_returns_with_terminal_event_logged(
+        self, tmp_path, monkeypatch
+    ):
+        observed = []
+        settle = JobStore.settle
+
+        def checked_settle(store, job, *args, **kwargs):
+            settle(store, job, *args, **kwargs)
+            with job.cond:
+                observed.append((job.status, job.seq, job.events[-1]))
+
+        monkeypatch.setattr(JobStore, "settle", checked_settle)
+        app = ServeApp(
+            host="127.0.0.1", port=0, state_dir=str(tmp_path / "state"),
+            workers=1, quiet=True,
+        ).start()
+        try:
+            _, detail = http_json("POST", app.url + "/jobs", FAST_JOB)
+            events = sse_until_terminal(app.url + f"/jobs/{detail['id']}/events")
+            assert events[-1].event == "result"
+        finally:
+            app.stop()
+        ((status, seq, (last_seq, name, data)),) = observed
+        assert (status, name, last_seq) == ("done", "result", seq)
+        assert data == batch_json(FAST_JOB)
+
+    def test_restarted_daemon_streams_settled_result(self, tmp_path):
+        state_dir = str(tmp_path / "state")
+
+        def start():
+            return ServeApp(
+                host="127.0.0.1", port=0, state_dir=state_dir, workers=1,
+                quiet=True,
+            ).start()
+
+        first = start()
+        try:
+            _, detail = http_json("POST", first.url + "/jobs", FAST_JOB)
+            sse_until_terminal(first.url + f"/jobs/{detail['id']}/events")
+        finally:
+            first.stop()
+        # The second life only recovers the settled job from disk.
+        second = start()
+        try:
+            events = sse_until_terminal(second.url + f"/jobs/{detail['id']}/events")
+        finally:
+            second.stop()
+        assert events[-1].event == "result"
+        assert events[-1].data == batch_json(FAST_JOB)
 
 
 # ----------------------------------------------------------------------
