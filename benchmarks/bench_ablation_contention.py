@@ -16,22 +16,20 @@ from conftest import run_once
 
 from repro.browser.engine import Browser
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.policies import POLICIES
 from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
 from repro.hardware.platform import odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.workloads.background import BackgroundApplication
 from repro.workloads.interactions import InteractionDriver
 from repro.workloads.registry import build_app
 
-I = UsageScenario.IMPERCEPTIBLE
-
-
 def _run(with_background: bool):
     bundle = build_app("cnet")
     platform = odroid_xu_e(record_power_intervals=False)
+    scenario = build_live_scenario("imperceptible", platform)
     registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, I)
+    runtime = POLICIES.build("greenweb", platform, registry, scenario)
     browser = Browser(platform, bundle.page, policy=runtime)
     background = None
     if with_background:
@@ -47,7 +45,7 @@ def _run(with_background: bool):
         target = bundle.page.document.get_element_by_id(scripted.target_id)
         spec = registry.lookup(target, scripted.event_type)
         if spec is not None:
-            violations.append(event_violation_pct(record, spec, I))
+            violations.append(event_violation_pct(record, spec, scenario))
     return {
         "energy_j": platform.meter.total_j,
         "violations_pct": mean_violation_pct(violations),

@@ -13,10 +13,9 @@ quantifies the two failure modes on the apps where they bite:
 
 from conftest import run_once
 
-from repro.core.qos import UsageScenario
 from repro.evaluation.runner import run_workload
 
-I = UsageScenario.IMPERCEPTIBLE
+I = "imperceptible"
 APPS = ("cnet", "msn", "lzma_js", "camanjs")
 
 

@@ -16,9 +16,9 @@ from conftest import run_once
 
 from repro.browser.engine import Browser
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.policies import POLICIES
 from repro.hardware.platform import odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.workloads.interactions import InteractionDriver
 from repro.workloads.registry import build_app
 
@@ -29,7 +29,8 @@ def _run(fast_vr: bool):
         record_power_intervals=False, fast_voltage_regulators=fast_vr
     )
     registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, UsageScenario.IMPERCEPTIBLE)
+    scenario = build_live_scenario("imperceptible", platform)
+    runtime = POLICIES.build("greenweb", platform, registry, scenario)
     browser = Browser(platform, bundle.page, policy=runtime)
     driver = InteractionDriver(browser)
     driver.schedule(bundle.micro_trace)

@@ -11,10 +11,10 @@ from conftest import run_once
 
 from repro.browser.engine import Browser
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.policies import POLICIES
 from repro.evaluation.analysis import prediction_accuracy
 from repro.hardware.platform import odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.workloads.interactions import InteractionDriver
 from repro.workloads.registry import build_app
 
@@ -25,7 +25,8 @@ def _accuracy_for(app: str):
     bundle = build_app(app)
     platform = odroid_xu_e(record_power_intervals=False)
     registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, UsageScenario.USABLE)
+    scenario = build_live_scenario("usable", platform)
+    runtime = POLICIES.build("greenweb", platform, registry, scenario)
     browser = Browser(platform, bundle.page, policy=runtime)
     InteractionDriver(browser).schedule(bundle.micro_trace)
     platform.run_for(bundle.micro_trace.duration_us + 4_000_000)

@@ -18,11 +18,10 @@ Knobs exercised:
 
 from conftest import run_once
 
-from repro.core.qos import UsageScenario
 from repro.evaluation.runner import run_workload
 
-U = UsageScenario.USABLE
-I = UsageScenario.IMPERCEPTIBLE
+U = "usable"
+I = "imperceptible"
 
 
 def _ewma_ablation():

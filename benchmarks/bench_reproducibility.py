@@ -11,7 +11,6 @@ energy spread stays small enough not to affect conclusions.
 
 from conftest import run_once
 
-from repro.core.qos import UsageScenario
 from repro.evaluation.runner import run_workload
 from repro.evaluation.sweeps import seed_variation
 
@@ -35,8 +34,8 @@ def test_reproducibility(benchmark, record_figure):
     record_figure("reproducibility", "\n".join(lines))
 
     # (a) determinism: identical seeds, identical joules.
-    first = run_workload("cnet", "greenweb", UsageScenario.IMPERCEPTIBLE, "micro", seed=0)
-    second = run_workload("cnet", "greenweb", UsageScenario.IMPERCEPTIBLE, "micro", seed=0)
+    first = run_workload("cnet", "greenweb", "imperceptible", "micro", seed=0)
+    second = run_workload("cnet", "greenweb", "imperceptible", "micro", seed=0)
     assert first.energy_j == second.energy_j
     assert first.event_violations_pct == second.event_violations_pct
 
@@ -48,6 +47,6 @@ def test_reproducibility(benchmark, record_figure):
     # GreenWeb still beats Perf under every seed (conclusions stable).
     for app in APPS:
         for seed in (0, 1, 2):
-            perf = run_workload(app, "perf", UsageScenario.IMPERCEPTIBLE, "micro", seed)
-            green = run_workload(app, "greenweb", UsageScenario.IMPERCEPTIBLE, "micro", seed)
+            perf = run_workload(app, "perf", "imperceptible", "micro", seed)
+            green = run_workload(app, "greenweb", "imperceptible", "micro", seed)
             assert green.active_energy_j < perf.active_energy_j

@@ -40,7 +40,6 @@ import json
 import sys
 import time
 
-from repro.core.qos import UsageScenario
 from repro.evaluation.runner import run_workload
 
 APP = "cnet"
@@ -53,7 +52,7 @@ def run_sessions(trace_level: str, seeds: int) -> None:
         run_workload(
             APP,
             GOVERNOR,
-            UsageScenario.IMPERCEPTIBLE,
+            "imperceptible",
             trace_kind=TRACE_KIND,
             seed=seed,
             trace_level=trace_level,

@@ -14,8 +14,8 @@ from repro.core.qos import (
     SINGLE_SHORT_DEFAULT,
     QoSTarget,
     QoSType,
-    UsageScenario,
 )
+from repro.scenarios import SCENARIOS
 from repro.web import Document
 from repro.web.css.parser import parse_stylesheet
 
@@ -76,5 +76,5 @@ def test_table2_api_specification(benchmark, record_figure):
     assert SINGLE_SHORT_DEFAULT.imperceptible_ms == 100  # the other keyword
     # Form 3: explicit TI/TU in milliseconds, scenario-selected.
     assert explicit_spec.target == QoSTarget(20, 100)
-    assert explicit_spec.target_ms(UsageScenario.IMPERCEPTIBLE) == 20
-    assert explicit_spec.target_ms(UsageScenario.USABLE) == 100
+    assert SCENARIOS.build("imperceptible").operative_target_ms(explicit_spec.target) == 20
+    assert SCENARIOS.build("usable").operative_target_ms(explicit_spec.target) == 100

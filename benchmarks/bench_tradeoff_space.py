@@ -9,7 +9,6 @@ runtime's dynamic choices land on or near the static Pareto frontier.
 
 from conftest import run_once
 
-from repro.core.qos import UsageScenario
 from repro.evaluation.analysis import pareto_frontier, run_tradeoff_space
 from repro.evaluation.runner import run_workload
 
@@ -33,7 +32,7 @@ def test_tradeoff_space(benchmark, record_figure):
             f"{point.active_energy_j*1000:12.1f} {point.mean_violation_pct:7.2f} "
             f"{'*' if point.label in frontier_labels else '':>7s}"
         )
-    green = run_workload("cnet", "greenweb", UsageScenario.IMPERCEPTIBLE, "micro")
+    green = run_workload("cnet", "greenweb", "imperceptible", "micro")
     lines.append(
         f"{'greenweb-I':14s} {'(dynamic)':>13s} {green.active_energy_j*1000:12.1f} "
         f"{green.mean_violation_pct:7.2f}"

@@ -11,17 +11,16 @@ the two annotation states under the GreenWeb runtime.
 from repro.autogreen import AutoGreen, generate_annotations
 from repro.autogreen.generate import annotate_page, registry_for_page
 from repro.browser.engine import Browser
-from repro.core.qos import UsageScenario
 from repro.core.runtime import GreenWebRuntime
 from repro.hardware.platform import odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.workloads import InteractionDriver, build_app
 
 
 def run_annotated(bundle, label):
     platform = odroid_xu_e(record_power_intervals=False)
-    runtime = GreenWebRuntime(
-        platform, registry_for_page(bundle.page), UsageScenario.IMPERCEPTIBLE
-    )
+    scenario = build_live_scenario("imperceptible", platform)
+    runtime = GreenWebRuntime(platform, registry_for_page(bundle.page), scenario)
     browser = Browser(platform, bundle.page, policy=runtime)
     driver = InteractionDriver(browser)
     driver.run(bundle.micro_trace)

@@ -10,11 +10,11 @@ behaviour on it against the paper's Exynos-5410-class platform.
 
 from repro.browser.engine import Browser
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.core.runtime import GreenWebRuntime
 from repro.hardware.core import ClusterSpec
 from repro.hardware.frequency import OperatingPoint, OppTable
 from repro.hardware.platform import MobilePlatform, odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.workloads import InteractionDriver, build_app
 
 
@@ -55,7 +55,8 @@ def next_gen_platform() -> MobilePlatform:
 def run_on(platform, label):
     bundle = build_app("w3schools")
     registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = GreenWebRuntime(platform, registry, UsageScenario.IMPERCEPTIBLE)
+    scenario = build_live_scenario("imperceptible", platform)
+    runtime = GreenWebRuntime(platform, registry, scenario)
     browser = Browser(platform, bundle.page, policy=runtime)
     driver = InteractionDriver(browser)
     driver.schedule(bundle.micro_trace)

@@ -19,7 +19,6 @@ compared to the paper's annotation-driven runtime.
 import sys
 
 from repro.browser.engine import BrowserPolicy
-from repro.core.qos import UsageScenario
 from repro.evaluation.runner import run_workload
 from repro.policies import POLICIES, register
 from repro.workloads import APP_NAMES
@@ -75,7 +74,7 @@ def main() -> None:
     print(f"{'policy':28s} {'energy (mJ)':>12s} {'violations':>11s}")
     print("-" * 54)
     for spec in ("perf", "two_gear", "two_gear(busy_mhz=1600)", "greenweb"):
-        result = run_workload(app, spec, UsageScenario.IMPERCEPTIBLE, "micro", 0)
+        result = run_workload(app, spec, "imperceptible", "micro", 0)
         print(
             f"{result.governor:28s} {result.active_energy_j * 1000:12.1f} "
             f"{result.mean_violation_pct:10.2f}%"

@@ -10,9 +10,9 @@ category default.
 from repro.browser.engine import Browser
 from repro.browser.page import Page
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.core.uai import UaiGreenWebRuntime
 from repro.hardware.platform import odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
 
 HOSTILE_MARKUP = """
@@ -36,7 +36,7 @@ def run(budget_j, label):
     runtime = UaiGreenWebRuntime(
         platform,
         AnnotationRegistry.from_stylesheet(sheet),
-        UsageScenario.IMPERCEPTIBLE,
+        build_live_scenario("imperceptible", platform),
         energy_budget_j=budget_j,
     )
     browser = Browser(platform, page, policy=runtime)

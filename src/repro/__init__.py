@@ -40,7 +40,6 @@ from repro.core.qos import (
     QoSTarget,
     QoSType,
     ResponseExpectation,
-    UsageScenario,
 )
 from repro.core.runtime import GreenWebRuntime
 from repro.fleet import Fleet, FleetSpec
@@ -59,7 +58,6 @@ __all__ = [
     "QoSTarget",
     "QoSSpec",
     "ResponseExpectation",
-    "UsageScenario",
     "GreenWebAnnotation",
     "extract_annotations",
     "AnnotationRegistry",

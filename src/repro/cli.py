@@ -36,7 +36,7 @@ from repro.errors import ReproError
 from repro.evaluation.runner import run_workload
 from repro.ioutil import probe_writable, write_file_atomic
 from repro.policies import POLICIES
-from repro.scenarios import SCENARIOS, build_live_scenario
+from repro.scenarios import SCENARIOS
 from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES, build_app, table3_specs
 
@@ -91,29 +91,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _prepared_session(args: argparse.Namespace):
+    """The ``APP --governor --scenario --trace --seed`` cell as a
+    :class:`~repro.evaluation.runner.SessionExecution` that retains its
+    whole trace, ready to ``run()``."""
+    from repro.evaluation.runner import SessionExecution
+
+    spec = POLICIES.normalize(args.governor)
+    return SessionExecution(
+        build_app(args.app, args.seed), spec.label(), args.scenario, args.trace,
+        args.seed, 4.0, "full",
+        lambda platform, registry, scenario: POLICIES.build(
+            spec, platform, registry, scenario
+        ),
+    )
+
+
 def _export_trace(args: argparse.Namespace) -> int:
     """Re-run with trace retention and export a Chrome-trace JSON."""
-    from repro.browser.engine import Browser
-    from repro.core.annotations import AnnotationRegistry
-    from repro.evaluation.runner import make_policy
-    from repro.hardware.platform import odroid_xu_e
-    from repro.sim.clock import s_to_us
     from repro.sim.trace_export import export_chrome_trace
-    from repro.workloads.interactions import InteractionDriver
 
-    bundle = build_app(args.app, args.seed)
-    trace_obj = bundle.micro_trace if args.trace == "micro" else bundle.full_trace
-    platform = odroid_xu_e(record_power_intervals=False)
-    platform.record_task_spans = True  # per-thread timeline tracks
-    scenario = build_live_scenario(args.scenario, platform, seed=args.seed)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    policy = make_policy(args.governor, platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=policy)
-    scenario.attach(browser)
-    driver = InteractionDriver(browser)
-    driver.schedule(trace_obj)
-    platform.run_for(trace_obj.duration_us + s_to_us(4))
-    return export_chrome_trace(platform.trace, args.export_trace)
+    execution = _prepared_session(args)
+    execution.platform.record_task_spans = True  # per-thread timeline tracks
+    execution.run()
+    return export_chrome_trace(execution.platform.trace, args.export_trace)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -162,25 +163,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Frame-timeline analysis of one run (p50/p95/p99, FPS, jank)."""
-    from repro.browser.engine import Browser
-    from repro.core.annotations import AnnotationRegistry
     from repro.evaluation.analysis import fps_over_time, frame_timeline_stats
     from repro.evaluation.report import ascii_bars
-    from repro.evaluation.runner import make_policy
-    from repro.hardware.platform import odroid_xu_e
-    from repro.sim.clock import s_to_us
-    from repro.workloads.interactions import InteractionDriver
 
-    bundle = build_app(args.app, args.seed)
-    trace_obj = bundle.micro_trace if args.trace == "micro" else bundle.full_trace
-    platform = odroid_xu_e(record_power_intervals=False)
-    scenario = build_live_scenario(args.scenario, platform, seed=args.seed)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    policy = make_policy(args.governor, platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=policy)
-    scenario.attach(browser)
-    InteractionDriver(browser).schedule(trace_obj)
-    platform.run_for(trace_obj.duration_us + s_to_us(4))
+    execution = _prepared_session(args)
+    execution.run()
+    platform = execution.platform
 
     stats = frame_timeline_stats(platform.trace)
     print(f"frame timeline for {args.app} / {args.governor} / {args.scenario}:")

@@ -41,7 +41,6 @@ from repro.core.qos import (
     QoSTarget,
     QoSType,
     ResponseExpectation,
-    UsageScenario,
     TABLE1_CATEGORIES,
 )
 from repro.core.runtime import GreenWebRuntime
@@ -52,7 +51,6 @@ __all__ = [
     "QoSTarget",
     "QoSSpec",
     "ResponseExpectation",
-    "UsageScenario",
     "CONTINUOUS_DEFAULT",
     "SINGLE_SHORT_DEFAULT",
     "SINGLE_LONG_DEFAULT",

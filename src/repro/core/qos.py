@@ -51,18 +51,6 @@ class ResponseExpectation(enum.Enum):
         return self.value
 
 
-class UsageScenario(enum.Enum):
-    """The two evaluation scenarios (paper Sec. 7.1): *imperceptible*
-    when battery is plentiful (target TI), *usable* when it is tight
-    (target TU)."""
-
-    IMPERCEPTIBLE = "imperceptible"
-    USABLE = "usable"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 @dataclass(frozen=True)
 class QoSTarget:
     """An (imperceptible, usable) frame-latency pair in milliseconds."""
@@ -78,29 +66,6 @@ class QoSTarget:
                 f"imperceptible target ({self.imperceptible_ms} ms) must not exceed "
                 f"usable target ({self.usable_ms} ms)"
             )
-
-    def for_scenario(self, scenario) -> float:
-        """The operative per-frame latency target (ms) for a scenario.
-
-        ``scenario`` is either a static :class:`UsageScenario` or a
-        live :class:`repro.scenarios.base.Scenario` object, whose
-        operative target may vary with virtual time (evaluated at the
-        scenario platform's current instant).  Duck-typed on purpose:
-        the core QoS layer never imports the scenario engine.
-        """
-        if scenario is UsageScenario.IMPERCEPTIBLE:
-            return self.imperceptible_ms
-        if scenario is UsageScenario.USABLE:
-            return self.usable_ms
-        return scenario.operative_target_ms(self)
-
-    def for_scenario_at(self, scenario, at_us: int) -> float:
-        """Like :meth:`for_scenario`, evaluated at virtual time
-        ``at_us`` (violation accounting samples the operative target at
-        an event's *dispatch* time, not at collection time)."""
-        if isinstance(scenario, UsageScenario):
-            return self.for_scenario(scenario)
-        return scenario.operative_target_ms(self, at_us=at_us)
 
     def __str__(self) -> str:
         return f"(TI={self.imperceptible_ms}ms, TU={self.usable_ms}ms)"
@@ -129,16 +94,6 @@ class QoSSpec:
     def __post_init__(self) -> None:
         if self.qos_type is QoSType.CONTINUOUS and self.expectation is not None:
             raise QosError("continuous QoS has no short/long expectation")
-
-    def target_ms(self, scenario) -> float:
-        """Operative frame-latency target for the scenario (a
-        :class:`UsageScenario` or a live scenario object; see
-        :meth:`QoSTarget.for_scenario`)."""
-        return self.target.for_scenario(scenario)
-
-    def target_ms_at(self, scenario, at_us: int) -> float:
-        """Operative target evaluated at virtual time ``at_us``."""
-        return self.target.for_scenario_at(scenario, at_us)
 
     @classmethod
     def continuous(cls, target: Optional[QoSTarget] = None) -> "QoSSpec":

@@ -37,7 +37,7 @@ keep their entry points.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.browser.engine import BrowserPolicy
 from repro.browser.frame_tracker import FrameRecord, InputRecord
@@ -46,12 +46,15 @@ from repro.core.annotations import AnnotationRegistry
 from repro.core.components import DvfsProfiler, FeedbackController, IdleManager
 from repro.core.energy_model import PowerTable
 from repro.core.predictor import ConfigPredictor
-from repro.core.qos import QoSSpec, QoSType, UsageScenario
+from repro.core.qos import QoSSpec, QoSType
 from repro.core.runtime_state import RuntimeStats, _KeyState, _Phase
 from repro.errors import RuntimeModelError
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import MobilePlatform
 from repro.web.events import Event
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.base import Scenario
 
 __all__ = [
     "GreenWebRuntime",
@@ -68,10 +71,10 @@ class GreenWebRuntime(BrowserPolicy):
         self,
         platform: MobilePlatform,
         registry: AnnotationRegistry,
-        # A UsageScenario or a live repro.scenarios.Scenario — QoSSpec
-        # duck-dispatches either when resolving targets, so the runtime
-        # transparently follows time-varying scenario dynamics.
-        scenario: "UsageScenario | object" = UsageScenario.IMPERCEPTIBLE,
+        # The live bound scenario: every target is read through its
+        # operative_target_ms, so the runtime follows time-varying
+        # scenario dynamics.
+        scenario: "Scenario",
         fallback_spec: Optional[QoSSpec] = None,
         idle_config: Optional[CpuConfig] = None,
         misprediction_tolerance: float = 0.30,
@@ -244,7 +247,7 @@ class GreenWebRuntime(BrowserPolicy):
         spec, key = governing
         state = self._key_state(key)
         observed_us = float(frame.max_latency_us)
-        target_us = spec.target_ms(self.scenario) * 1_000.0
+        target_us = self.scenario.operative_target_ms(spec.target) * 1_000.0
 
         if self.platform.trace.wants("greenweb"):
             self.platform.trace.emit(
@@ -303,7 +306,8 @@ class GreenWebRuntime(BrowserPolicy):
             self.stats.profiling_frames += 1
             return profiling_config
         prediction = self.predictor.predict(
-            state.models, spec.target_ms(self.scenario) * self.target_headroom
+            state.models,
+            self.scenario.operative_target_ms(spec.target) * self.target_headroom,
         )
         state.last_prediction = prediction
         self.stats.predictions += 1
@@ -316,7 +320,7 @@ class GreenWebRuntime(BrowserPolicy):
                 "greenweb",
                 "predict",
                 key=key,
-                target_ms=spec.target_ms(self.scenario),
+                target_ms=self.scenario.operative_target_ms(spec.target),
                 config=str(requested),
                 predicted_us=round(predicted_at_requested, 1),
                 predicted_energy_j=round(prediction.energy_j, 9),
@@ -342,7 +346,7 @@ class GreenWebRuntime(BrowserPolicy):
             entry = self.input_specs.get(msg.uid)
             if entry is None:
                 continue
-            target = entry[0].target_ms(self.scenario)
+            target = self.scenario.operative_target_ms(entry[0].target)
             if target < best_target:
                 best = entry
                 best_target = target

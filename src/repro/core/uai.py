@@ -20,6 +20,7 @@ is reported for diagnostics.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 
 from repro.browser.messages import InputMsg
 from repro.core.annotations import AnnotationRegistry
@@ -28,12 +29,14 @@ from repro.core.qos import (
     QoSSpec,
     QoSType,
     ResponseExpectation,
-    UsageScenario,
 )
 from repro.core.runtime import GreenWebRuntime
 from repro.errors import QosError
 from repro.hardware.platform import MobilePlatform
 from repro.web.events import Event
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.base import Scenario
 
 
 def default_target_for(spec: QoSSpec) -> QoSSpec:
@@ -77,7 +80,7 @@ class UaiGreenWebRuntime(GreenWebRuntime):
         self,
         platform: MobilePlatform,
         registry: AnnotationRegistry,
-        scenario: UsageScenario = UsageScenario.IMPERCEPTIBLE,
+        scenario: "Scenario",
         energy_budget_j: float = float("inf"),
         **kwargs,
     ) -> None:

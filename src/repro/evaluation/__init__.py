@@ -3,9 +3,10 @@
 Reproduces the paper's Sec. 7 methodology:
 
 * :mod:`repro.evaluation.metrics` — QoS violation (per-frame percentage
-  over target; geometric mean across a continuous event's frames),
-  architecture-configuration residency (Fig. 11), and configuration
-  switching frequency (Fig. 12).
+  over target; geometric mean across a continuous event's frames) and
+  configuration switching frequency (Fig. 12).
+* :mod:`repro.evaluation.folds` — streaming trace consumers, including
+  architecture-configuration residency (Fig. 11).
 * :mod:`repro.evaluation.runner` — run one (application, governor,
   scenario, trace) combination on a fresh platform + browser stack.
 * :mod:`repro.evaluation.experiments` — the figure/table experiment
@@ -15,7 +16,6 @@ Reproduces the paper's Sec. 7 methodology:
 """
 
 from repro.evaluation.metrics import (
-    config_residency,
     event_violation_pct,
     geo_mean_violation_pct,
     violation_pct,
@@ -41,7 +41,6 @@ __all__ = [
     "violation_pct",
     "geo_mean_violation_pct",
     "event_violation_pct",
-    "config_residency",
     "RunResult",
     "run_workload",
     "GOVERNORS",

@@ -203,7 +203,7 @@ def pareto_frontier(points: Sequence[TradeoffPoint]) -> list[TradeoffPoint]:
 
 
 def run_tradeoff_space(
-    app: str = "cnet", seed: int = 0, scenario=None
+    app: str = "cnet", seed: int = 0, scenario: str = "imperceptible"
 ) -> list[TradeoffPoint]:
     """Run ``app``'s micro trace pinned at every static configuration.
 
@@ -211,11 +211,13 @@ def run_tradeoff_space(
     points show big-max as the latency extreme, little-min as the
     energy extreme, and the frontier in between (paper Sec. 2: ACMP is
     "long known to provide a wide performance-energy trade-off space").
+    Violations are judged under ``scenario`` (a scenario spec), built
+    fresh for each pinned run.
     """
     from repro.browser.engine import Browser
-    from repro.core.qos import UsageScenario
     from repro.evaluation.runner import _ActiveWindowAccountant
     from repro.hardware.platform import odroid_xu_e
+    from repro.scenarios import build_live_scenario
     from repro.sim.clock import s_to_us
     from repro.workloads.interactions import InteractionDriver
     from repro.workloads.registry import build_app
@@ -227,7 +229,9 @@ def run_tradeoff_space(
         platform = odroid_xu_e(
             record_power_intervals=False, initial_config=config
         )
+        live = build_live_scenario(scenario, platform, seed=seed)
         browser = Browser(platform, bundle.page)  # no-op policy: pinned config
+        live.attach(browser)
         accountant = _ActiveWindowAccountant(platform)
         driver = InteractionDriver(browser)
         driver.schedule(bundle.micro_trace)
@@ -239,7 +243,6 @@ def run_tradeoff_space(
         from repro.core.annotations import AnnotationRegistry
         from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
 
-        sc = scenario if scenario is not None else UsageScenario.IMPERCEPTIBLE
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         violations = []
         for scripted, record in zip(
@@ -252,7 +255,7 @@ def run_tradeoff_space(
             )
             spec = registry.lookup(target, scripted.event_type)
             violations.append(
-                event_violation_pct(record, spec, sc) if spec else None
+                event_violation_pct(record, spec, live) if spec else None
             )
         points.append(
             TradeoffPoint(

@@ -14,15 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.qos import QoSType, UsageScenario
+from repro.core.qos import QoSType
 from repro.evaluation.metrics import cluster_residency, switching_per_frame_pct
 from repro.evaluation.runner import RunResult, run_workload
 from repro.fleet.pool import parallel_map
 from repro.hardware.dvfs import CpuConfig
 from repro.workloads.registry import APP_NAMES, app_spec
 
-I = UsageScenario.IMPERCEPTIBLE
-U = UsageScenario.USABLE
+#: the paper's two usage scenarios (Sec. 7.1), as scenario spec strings
+I = "imperceptible"
+U = "usable"
 
 
 def _run_cell(cell: tuple) -> RunResult:
@@ -33,7 +34,7 @@ def _run_cell(cell: tuple) -> RunResult:
 
 def _run_matrix(
     apps: list[str],
-    variants: list[tuple[str, UsageScenario]],
+    variants: list[tuple[str, str]],
     trace_kind: str,
     seed: int,
     jobs: int,

@@ -6,10 +6,13 @@ and fleet workers no longer need the full trace retained in memory:
 with a gated, non-retaining log the per-session footprint is constant
 no matter how long the session runs.
 
-Every fold reproduces the corresponding post-hoc scan **exactly** —
-same algorithm, same float association order — which is what keeps
-figure and fleet-aggregate JSON byte-identical across trace levels
-(asserted by tests).  Each fold declares the trace categories it
+Configuration residency (Figs. 11 and the target sweep) exists only as
+:class:`ConfigTimelineFold`.  The other folds reproduce their post-hoc
+scans in :mod:`repro.evaluation.analysis` **exactly** — same algorithm,
+same float association order — and every fold gives the same answer
+attached live or :meth:`~TraceFold.replay`-ed over a retained log, which
+is what keeps figure and fleet-aggregate JSON byte-identical across
+trace levels (asserted by tests).  Each fold declares the trace categories it
 consumes in ``categories``; a gated log's allowlist must cover the
 union of its attached folds' categories (see
 :func:`gated_categories_for`).
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.errors import EvaluationError
 from repro.hardware.dvfs import CpuConfig
 from repro.sim.tracing import TraceLog, TraceRecord
 
@@ -77,20 +81,60 @@ class ConfigTimelineFold(TraceFold):
     def residency(
         self, start_us: int, end_us: int, initial: CpuConfig
     ) -> dict[CpuConfig, float]:
-        """Identical to :func:`repro.evaluation.metrics.config_residency`
-        on the same run's trace."""
-        from repro.evaluation.metrics import residency_from_applied
+        """Fraction of wall time spent in each <cluster, frequency>
+        configuration over [start_us, end_us] (Fig. 11's distribution);
+        ``initial`` is the configuration in force at ``start_us``."""
+        if end_us <= start_us:
+            raise EvaluationError("empty residency window")
+        timeline: list[tuple[int, CpuConfig]] = [(start_us, initial)]
+        for time_us, config in self.applied:
+            if time_us <= start_us:
+                timeline[0] = (start_us, config)
+            elif time_us <= end_us:
+                timeline.append((time_us, config))
+        timeline.append((end_us, timeline[-1][1]))
 
-        return residency_from_applied(self.applied, start_us, end_us, initial)
+        residency: dict[CpuConfig, float] = {}
+        total = end_us - start_us
+        for (t0, config), (t1, _next_config) in zip(timeline, timeline[1:]):
+            dt = t1 - t0
+            if dt > 0:
+                residency[config] = residency.get(config, 0.0) + dt / total
+        return residency
 
     def windowed(
         self, windows: Sequence[tuple[int, int]], initial: CpuConfig
     ) -> dict[CpuConfig, float]:
-        """Identical to
-        :func:`repro.evaluation.metrics.windowed_config_residency`."""
-        from repro.evaluation.metrics import windowed_residency_from_applied
-
-        return windowed_residency_from_applied(self.applied, windows, initial)
+        """Config residency restricted to the union of time windows —
+        the per-interaction view of Fig. 11 (idle gaps between
+        interactions would otherwise swamp the distribution)."""
+        applied = [(0, initial)] + self.applied
+        weights: dict[CpuConfig, float] = {}
+        total = 0
+        for start, end in windows:
+            if end <= start:
+                continue
+            total += end - start
+            # Config in force at window start:
+            index = 0
+            for i, (t, _cfg) in enumerate(applied):
+                if t <= start:
+                    index = i
+                else:
+                    break
+            t0 = start
+            current = applied[index][1]
+            for t, config in applied[index + 1 :]:
+                if t >= end:
+                    break
+                if t > t0:
+                    weights[current] = weights.get(current, 0.0) + (t - t0)
+                    t0 = t
+                current = config
+            weights[current] = weights.get(current, 0.0) + (end - t0)
+        if total <= 0:
+            return {}
+        return {config: weight / total for config, weight in weights.items()}
 
 
 class SwitchingCountsFold(TraceFold):

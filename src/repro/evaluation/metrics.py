@@ -13,13 +13,15 @@ mean would collapse to zero) — then mapped back to a percentage.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.browser.frame_tracker import InputRecord
-from repro.core.qos import QoSSpec, QoSType, UsageScenario
+from repro.core.qos import QoSSpec, QoSType
 from repro.errors import EvaluationError
 from repro.hardware.dvfs import CpuConfig
-from repro.sim.tracing import TraceLog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.base import Scenario
 
 
 def violation_pct(latency_us: float, target_us: float) -> float:
@@ -40,21 +42,20 @@ def geo_mean_violation_pct(latencies_us: Sequence[float], target_us: float) -> f
 
 
 def event_violation_pct(
-    record: InputRecord, spec: QoSSpec, scenario: "UsageScenario | object"
+    record: InputRecord, spec: QoSSpec, scenario: "Scenario"
 ) -> Optional[float]:
     """The QoS violation of one input event under its spec.
 
-    ``scenario`` is a :class:`UsageScenario` or a live scenario object
-    (:mod:`repro.scenarios`); for dynamic scenarios the operative
-    target is sampled at the event's *dispatch* time — the target the
-    user held the interaction to when they issued it — so accounting
-    does not depend on when metrics are collected.
+    ``scenario`` is the session's live :mod:`repro.scenarios` object;
+    the operative target is sampled at the event's *dispatch* time —
+    the target the user held the interaction to when they issued it —
+    so accounting does not depend on when metrics are collected.
 
     Returns None for events that produced no frames (nothing to judge).
     """
     if record.frame_count == 0:
         return None
-    target_us = spec.target_ms_at(scenario, record.msg.start_us) * 1_000.0
+    target_us = scenario.operative_target_ms(spec.target, at_us=record.msg.start_us) * 1_000.0
     if spec.qos_type is QoSType.SINGLE:
         return violation_pct(float(record.first_frame_latency_us), target_us)
     return geo_mean_violation_pct([float(l) for l in record.frame_latencies_us], target_us)
@@ -64,107 +65,6 @@ def mean_violation_pct(violations: Sequence[Optional[float]]) -> float:
     """Mean over the events that had something to judge (0 if none)."""
     values = [v for v in violations if v is not None]
     return sum(values) / len(values) if values else 0.0
-
-
-def applied_configs(trace: TraceLog) -> list[tuple[int, CpuConfig]]:
-    """The run's ``config/applied`` events as an ordered
-    ``(time_us, config)`` list — the compact form both the post-hoc
-    scans below and the streaming
-    :class:`~repro.evaluation.folds.ConfigTimelineFold` operate on."""
-    return [
-        (record.time_us, CpuConfig(record["cluster"], record["freq_mhz"]))
-        for record in trace.filter(category="config", name="applied")
-    ]
-
-
-def residency_from_applied(
-    applied: Sequence[tuple[int, CpuConfig]],
-    start_us: int,
-    end_us: int,
-    initial: CpuConfig,
-) -> dict[CpuConfig, float]:
-    """Shared residency computation over an applied-config timeline.
-
-    Both :func:`config_residency` (post-hoc scan) and the streaming
-    fold call this, so the two paths associate floats in the same order
-    and agree bit for bit.
-    """
-    if end_us <= start_us:
-        raise EvaluationError("empty residency window")
-    timeline: list[tuple[int, CpuConfig]] = [(start_us, initial)]
-    for time_us, config in applied:
-        if time_us <= start_us:
-            timeline[0] = (start_us, config)
-        elif time_us <= end_us:
-            timeline.append((time_us, config))
-    timeline.append((end_us, timeline[-1][1]))
-
-    residency: dict[CpuConfig, float] = {}
-    total = end_us - start_us
-    for (t0, config), (t1, _next_config) in zip(timeline, timeline[1:]):
-        dt = t1 - t0
-        if dt > 0:
-            residency[config] = residency.get(config, 0.0) + dt / total
-    return residency
-
-
-def config_residency(
-    trace: TraceLog, start_us: int, end_us: int, initial: CpuConfig
-) -> dict[CpuConfig, float]:
-    """Fraction of wall time spent in each <cluster, frequency>
-    configuration over [start_us, end_us] (Fig. 11's distribution).
-
-    Reads the platform's ``config/applied`` trace records; ``initial``
-    is the configuration in force at ``start_us``.
-    """
-    return residency_from_applied(applied_configs(trace), start_us, end_us, initial)
-
-
-def windowed_residency_from_applied(
-    applied: Sequence[tuple[int, CpuConfig]],
-    windows: Sequence[tuple[int, int]],
-    initial: CpuConfig,
-) -> dict[CpuConfig, float]:
-    """Shared windowed-residency computation (see
-    :func:`residency_from_applied` for why it is factored out)."""
-    applied = [(0, initial)] + list(applied)
-    weights: dict[CpuConfig, float] = {}
-    total = 0
-    for start, end in windows:
-        if end <= start:
-            continue
-        total += end - start
-        # Config in force at window start:
-        index = 0
-        for i, (t, _cfg) in enumerate(applied):
-            if t <= start:
-                index = i
-            else:
-                break
-        t0 = start
-        current = applied[index][1]
-        for t, config in applied[index + 1 :]:
-            if t >= end:
-                break
-            if t > t0:
-                weights[current] = weights.get(current, 0.0) + (t - t0)
-                t0 = t
-            current = config
-        weights[current] = weights.get(current, 0.0) + (end - t0)
-    if total <= 0:
-        return {}
-    return {config: weight / total for config, weight in weights.items()}
-
-
-def windowed_config_residency(
-    trace: TraceLog,
-    windows: Sequence[tuple[int, int]],
-    initial: CpuConfig,
-) -> dict[CpuConfig, float]:
-    """Config residency restricted to the union of time windows —
-    the per-interaction view of Fig. 11 (idle gaps between interactions
-    would otherwise swamp the distribution)."""
-    return windowed_residency_from_applied(applied_configs(trace), windows, initial)
 
 
 def cluster_residency(residency: dict[CpuConfig, float]) -> dict[str, float]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.browser.engine import Browser, BrowserPolicy, target_key
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import QoSSpec, UsageScenario
+from repro.core.qos import QoSSpec
 from repro.core.runtime import GreenWebRuntime
 from repro.errors import EvaluationError
 from repro.evaluation.folds import ConfigTimelineFold
@@ -29,6 +29,7 @@ from repro.scenarios import SCENARIOS, Scenario, ScenarioSpec
 from repro.sim.clock import s_to_us
 from repro.sim.random import RngStreams
 from repro.sim.tracing import TraceLog
+from repro.workloads.base import AppBundle
 from repro.workloads.interactions import InteractionDriver
 from repro.workloads.registry import build_app
 
@@ -156,15 +157,14 @@ def make_policy(
     governor: "PolicySpec | str",
     platform,
     registry: AnnotationRegistry,
-    scenario: "UsageScenario | Scenario",
+    scenario: Scenario,
 ) -> BrowserPolicy:
     """Instantiate a governor policy from a spec (string or parsed).
 
-    ``scenario`` is what the policy will read targets through: a static
-    :class:`UsageScenario` or a live bound
-    :class:`~repro.scenarios.base.Scenario`
-    (:func:`repro.scenarios.build_live_scenario` builds one for
-    hand-assembled stacks)."""
+    ``scenario`` is the live bound
+    :class:`~repro.scenarios.base.Scenario` the policy reads its
+    targets through (:func:`repro.scenarios.build_live_scenario` builds
+    one for hand-assembled stacks)."""
     spec = resolve_spec(governor)
     return POLICIES.build(spec, platform, registry, scenario)
 
@@ -205,7 +205,7 @@ def trace_event_keys(app: str, seed: int, trace_kind: str) -> list[str]:
 def run_workload(
     app: str,
     governor: "PolicySpec | str",
-    scenario: "UsageScenario | ScenarioSpec | str" = UsageScenario.IMPERCEPTIBLE,
+    scenario: "ScenarioSpec | str" = "imperceptible",
     trace_kind: str = "full",
     seed: int = 0,
     settle_s: float = 4.0,
@@ -220,13 +220,12 @@ def run_workload(
             ``"greenweb(ewma_alpha=0.25)"``, or a :class:`PolicySpec`.
         scenario: the usage scenario — a registered name or
             parameterized spec like ``"thermal(cap_mhz=1100)"`` (see
-            ``SCENARIOS.names()``), a :class:`ScenarioSpec`, or a
-            legacy :class:`UsageScenario` value.  The static pair is
-            GreenWeb's QoS target choice (Perf and Interactive "behave
-            the same independently of the usage scenario", Sec. 7.1 —
-            only their violation accounting changes); dynamic scenarios
-            additionally act on the simulation (thermal caps, injected
-            work).
+            ``SCENARIOS.names()``) or a :class:`ScenarioSpec`.  The
+            static pair is GreenWeb's QoS target choice (Perf and
+            Interactive "behave the same independently of the usage
+            scenario", Sec. 7.1 — only their violation accounting
+            changes); dynamic scenarios additionally act on the
+            simulation (thermal caps, injected work).
         trace_kind: ``"micro"`` or ``"full"``.
         seed: workload seed.
         settle_s: wall-clock tail after the last input.
@@ -268,30 +267,31 @@ def run_workload(
 class SessionExecution:
     """One prepared measurement world: the single session builder.
 
-    ``__init__`` builds the platform, live scenario, policy, browser and
-    folds and schedules the trace; :meth:`run` advances the session's
-    own kernel through the fixed measurement window; :meth:`finish`
-    collects the :class:`RunResult`.  :func:`execute_run` is the usual
-    caller and runs the three steps back to back.
+    ``__init__`` takes a built :class:`~repro.workloads.base.AppBundle`
+    (so callers may re-annotate its stylesheet first), builds the
+    platform, live scenario, policy, browser and folds, and schedules
+    the trace; :meth:`run` advances the session's own kernel through
+    the fixed measurement window; :meth:`finish` collects the
+    :class:`RunResult`.  :func:`execute_run` is the usual caller and
+    runs the three steps back to back.
     """
 
     def __init__(
         self,
-        app: str,
+        bundle: AppBundle,
         governor_label: str,
-        scenario: "UsageScenario | ScenarioSpec | str",
+        scenario: "ScenarioSpec | str",
         trace_kind: str,
         seed: int,
         settle_s: float,
         trace_level: str,
         policy_factory,
     ) -> None:
-        self.app = app
+        self.app = bundle.spec.name
         self.governor_label = governor_label
         self.scenario_spec = SCENARIOS.normalize(scenario)
         self.trace_kind = trace_kind
 
-        bundle = build_app(app, seed)
         trace = _resolve_trace(bundle, trace_kind)
 
         self.platform = odroid_xu_e(
@@ -407,7 +407,7 @@ class SessionExecution:
 def execute_run(
     app: str,
     governor_label: str,
-    scenario: "UsageScenario | ScenarioSpec | str",
+    scenario: "ScenarioSpec | str",
     trace_kind: str,
     seed: int,
     settle_s: float,
@@ -424,8 +424,8 @@ def execute_run(
     replays.
     """
     execution = SessionExecution(
-        app, governor_label, scenario, trace_kind, seed, settle_s, trace_level,
-        policy_factory,
+        build_app(app, seed), governor_label, scenario, trace_kind, seed, settle_s,
+        trace_level, policy_factory,
     )
     execution.run()
     return execution.finish()

@@ -18,10 +18,10 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
 from repro.evaluation.runner import RunResult, run_workload
 from repro.policies import POLICIES
+from repro.scenarios import SCENARIOS, ScenarioSpec
 from repro.workloads.registry import APP_NAMES
 
 
@@ -31,10 +31,7 @@ class SweepSpec:
 
     apps: tuple[str, ...] = APP_NAMES
     governors: tuple[str, ...] = ("perf", "interactive", "greenweb")
-    scenarios: tuple[UsageScenario, ...] = (
-        UsageScenario.IMPERCEPTIBLE,
-        UsageScenario.USABLE,
-    )
+    scenarios: tuple[str, ...] = ("imperceptible", "usable")
     trace_kind: str = "micro"
     seeds: tuple[int, ...] = (0,)
 
@@ -49,6 +46,13 @@ class SweepSpec:
             self,
             "governors",
             tuple(POLICIES.normalize(governor).canonical() for governor in self.governors),
+        )
+        # Likewise scenarios: a typo fails here, not partway through
+        # run_sweep.
+        object.__setattr__(
+            self,
+            "scenarios",
+            tuple(SCENARIOS.normalize(scenario).canonical() for scenario in self.scenarios),
         )
 
     @property
@@ -149,7 +153,7 @@ class SeedVariation:
 def seed_variation(
     app: str,
     governor: str = "greenweb",
-    scenario: UsageScenario = UsageScenario.IMPERCEPTIBLE,
+    scenario: "ScenarioSpec | str" = "imperceptible",
     trace_kind: str = "micro",
     seeds: Sequence[int] = (0, 1, 2),
 ) -> SeedVariation:

@@ -16,20 +16,16 @@ paper's imperceptible default is 16.6 ms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
-from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
-from repro.evaluation.runner import _ActiveWindowAccountant
+from repro.evaluation.metrics import cluster_residency
+from repro.evaluation.runner import SessionExecution
 from repro.policies import POLICIES
-from repro.hardware.platform import odroid_xu_e
-from repro.sim.clock import s_to_us
 from repro.web.css.parser import parse_stylesheet
-from repro.workloads.interactions import InteractionDriver
 from repro.workloads.registry import build_app
 
 
@@ -52,6 +48,13 @@ SWEEPABLE = {
 }
 
 
+def _css_number(value: float) -> str:
+    """``value`` as a plain CSS number that parses back to exactly the
+    same float (shortest round-trip digits, never exponent notation,
+    which the CSS tokenizer does not read)."""
+    return format(Decimal(repr(float(value))), "f")
+
+
 def run_target_sweep(
     app: str = "cnet",
     targets_ms: Sequence[float] = (8.0, 12.0, 16.6, 25.0, 33.3, 50.0, 80.0),
@@ -62,59 +65,41 @@ def run_target_sweep(
     explicit per-frame target (TI = TU = target, imperceptible scenario,
     so the annotated value is the operative one).  ``governor`` is any
     registered policy spec — sweeping an ablation variant is just e.g.
-    ``governor="greenweb(ewma_model_update=false)"``."""
+    ``governor="greenweb(ewma_model_update=false)"``.
+
+    Every target must be finite and positive; all are checked before
+    the first point runs."""
     governor_spec = POLICIES.normalize(governor)
     if app not in SWEEPABLE:
         raise EvaluationError(
             f"target sweep supports {sorted(SWEEPABLE)}, not {app!r}"
         )
+    for target_ms in targets_ms:
+        if not (math.isfinite(target_ms) and target_ms > 0):
+            raise EvaluationError(f"sweep targets must be finite and > 0, got {target_ms!r}")
     selector, prop = SWEEPABLE[app]
     points = []
     for target_ms in targets_ms:
-        if target_ms <= 0:
-            raise EvaluationError(f"non-positive target {target_ms}")
         bundle = build_app(app, seed, with_manual_annotations=False)
-        css = (
-            f"{selector}:QoS {{ {prop}-qos: continuous, "
-            f"{target_ms:g}, {target_ms:g}; }}"
+        value = _css_number(target_ms)
+        bundle.page.stylesheet.extend(parse_stylesheet(
+            f"{selector}:QoS {{ {prop}-qos: continuous, {value}, {value}; }}"
+        ))
+        execution = SessionExecution(
+            bundle, governor_spec.label(), "imperceptible", "micro", seed, 4.0, "gated",
+            lambda platform, registry, scenario: POLICIES.build(
+                governor_spec, platform, registry, scenario
+            ),
         )
-        bundle.page.stylesheet.extend(parse_stylesheet(css))
-        registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-
-        platform = odroid_xu_e(record_power_intervals=False)
-        runtime = POLICIES.build(
-            governor_spec, platform, registry, UsageScenario.IMPERCEPTIBLE
-        )
-        browser = Browser(platform, bundle.page, policy=runtime)
-        accountant = _ActiveWindowAccountant(platform)
-        driver = InteractionDriver(browser)
-        driver.schedule(bundle.micro_trace)
-        platform.run_for(bundle.micro_trace.duration_us + s_to_us(4))
-
-        violations = []
-        for scripted, record in zip(
-            bundle.micro_trace.sorted_events(), browser.tracker.records
-        ):
-            target = bundle.page.document.get_element_by_id(scripted.target_id)
-            spec = registry.lookup(target, scripted.event_type)
-            if spec is not None:
-                violations.append(
-                    event_violation_pct(record, spec, UsageScenario.IMPERCEPTIBLE)
-                )
-
-        from repro.evaluation.metrics import cluster_residency, windowed_config_residency
-        from repro.hardware.dvfs import CpuConfig
-
-        residency = windowed_config_residency(
-            platform.trace, accountant.windows, initial=CpuConfig("big", 1800)
-        )
+        execution.run()
+        result = execution.finish()
         points.append(
             TargetSweepPoint(
                 target_ms=target_ms,
-                active_energy_j=accountant.active_energy_j,
-                mean_violation_pct=mean_violation_pct(violations),
-                frames=browser.stats.frames,
-                big_share=cluster_residency(residency).get("big", 0.0),
+                active_energy_j=result.active_energy_j,
+                mean_violation_pct=result.mean_violation_pct,
+                frames=result.frames,
+                big_share=cluster_residency(result.active_config_residency).get("big", 0.0),
             )
         )
     return points

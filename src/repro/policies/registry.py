@@ -285,18 +285,17 @@ class PolicyRegistry:
             platform: the :class:`~repro.hardware.platform.MobilePlatform`.
             registry: the page's
                 :class:`~repro.core.annotations.AnnotationRegistry`.
-            scenario: the usage scenario — a
-                :class:`~repro.core.qos.UsageScenario` or a live bound
-                :class:`~repro.scenarios.Scenario` (dynamic scenarios
-                expose time-varying targets through the same
-                ``QoSSpec.target_ms`` dispatch).
+            scenario: the live bound :class:`~repro.scenarios.Scenario`
+                the policy reads its (possibly time-varying) targets
+                through.
 
         Returns:
             A bound-ready :class:`~repro.browser.engine.BrowserPolicy`.
 
         Raises:
-            EvaluationError: unknown name/params, or a post-hoc policy
-                (those cannot drive a live browser).
+            EvaluationError: unknown name/params, a post-hoc policy
+                (those cannot drive a live browser), or a ``scenario``
+                that is not a live scenario object.
         """
         spec = self.normalize(spec)
         entry = self.get(spec.name)
@@ -305,6 +304,14 @@ class PolicyRegistry:
                 f"policy {spec.name!r} is post-hoc: it replays whole runs "
                 "and cannot drive a live browser; use "
                 "repro.evaluation.runner.run_workload instead"
+            )
+        from repro.scenarios.base import Scenario  # scenarios import this module
+
+        if not isinstance(scenario, Scenario):
+            raise EvaluationError(
+                "policies read their targets through a live scenario "
+                "(SCENARIOS.build(...) or build_live_scenario(...)), not "
+                f"{type(scenario).__name__} {scenario!r}"
             )
         return entry.factory(platform, registry, scenario, **spec.params_dict)
 

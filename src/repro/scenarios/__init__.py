@@ -12,7 +12,7 @@ See :mod:`repro.scenarios.base` for the determinism contract and
 :mod:`repro.scenarios.builtin` for the shipped scenarios.
 """
 
-from repro.scenarios.base import Scenario, ScenarioView, interpolate_target_ms
+from repro.scenarios.base import Scenario, interpolate_target_ms
 from repro.scenarios.registry import SCENARIOS, ScenarioEntry, ScenarioRegistry
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios import builtin as _builtin  # noqa: F401  registers builtins
@@ -39,7 +39,6 @@ __all__ = [
     "ScenarioEntry",
     "ScenarioRegistry",
     "ScenarioSpec",
-    "ScenarioView",
     "build_live_scenario",
     "interpolate_target_ms",
     "register",

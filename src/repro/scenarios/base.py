@@ -1,19 +1,18 @@
 """Scenario objects: the environment as a simulation actor.
 
 The paper evaluates under two *static* usage scenarios — battery
-plentiful (target TI) or tight (target TU), Sec. 7.1 — which the
-original code modelled as a two-value enum.  A :class:`Scenario`
-generalises that label into an object that lives inside the session's
-simulation: it binds to the platform, may schedule kernel events and
-submit background work, and exposes a per-instant view of the
-environment:
+plentiful (target TI) or tight (target TU), Sec. 7.1 — registered here
+as the ``imperceptible`` and ``usable`` builtins.  A :class:`Scenario`
+is an object that lives inside the session's simulation: it binds to
+the platform, may schedule kernel events and submit background work,
+and exposes the environment at each instant:
 
-* ``operative_target_ms`` — where between TI and TU the QoS target
-  currently sits (``relax`` in [0, 1]);
-* ``f_max_cap_mhz`` — per-cluster frequency ceilings currently imposed
+* ``relax_at`` — where between TI (0.0) and TU (1.0) the QoS target
+  sits, read by everyone through ``operative_target_ms``;
+* ``caps_at`` — per-cluster frequency ceilings currently imposed
   (thermal throttling), enforced by the DVFS controller;
-* ``extra_work_us`` — cumulative environment-injected work (network
-  bursts, background load).
+* ``extra_work_done_us`` — cumulative environment-injected work
+  (network bursts, background load).
 
 Determinism contract
 --------------------
@@ -34,7 +33,6 @@ a fresh instance per session via ``SCENARIOS.build(spec)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core.qos import QoSTarget
@@ -51,9 +49,9 @@ def interpolate_target_ms(target: QoSTarget, relax: float) -> float:
     """The operative target for a relaxation factor in [0, 1].
 
     ``relax <= 0`` returns TI and ``relax >= 1`` returns TU *exactly*
-    (no arithmetic): the static builtin scenarios must reproduce the
-    enum path byte-for-byte, and ``TI + 1.0 * (TU - TI)`` is not always
-    ``TU`` in floats.
+    (no arithmetic): the static ``imperceptible``/``usable`` scenarios
+    must hand out the annotated values unchanged, and
+    ``TI + 1.0 * (TU - TI)`` is not always ``TU`` in floats.
     """
     if relax <= 0.0:
         return target.imperceptible_ms
@@ -62,22 +60,6 @@ def interpolate_target_ms(target: QoSTarget, relax: float) -> float:
     return target.imperceptible_ms + relax * (
         target.usable_ms - target.imperceptible_ms
     )
-
-
-@dataclass(frozen=True)
-class ScenarioView:
-    """The environment at one instant, as seen by a frame."""
-
-    #: where the operative target sits between TI (0.0) and TU (1.0)
-    relax: float
-    #: cluster name -> f_max ceiling in MHz, or None when uncapped
-    f_max_cap_mhz: Optional[Mapping[str, int]]
-    #: cumulative environment-injected work so far, in nominal us
-    extra_work_us: float
-
-    def operative_target_ms(self, target: QoSTarget) -> float:
-        """The frame-latency target (ms) this view imposes."""
-        return interpolate_target_ms(target, self.relax)
 
 
 class Scenario:
@@ -134,7 +116,7 @@ class Scenario:
         threads.  Default no-op."""
 
     # ------------------------------------------------------------------
-    # Environment state (the per-frame view)
+    # Environment state
     # ------------------------------------------------------------------
     def relax_at(self, now_us: int) -> float:
         """Target relaxation in [0, 1] at virtual time ``now_us``."""
@@ -148,31 +130,16 @@ class Scenario:
         """Cumulative nominal injected work so far."""
         return 0.0
 
-    def _resolve_now(self, at_us: Optional[int]) -> int:
-        if at_us is not None:
-            return at_us
-        if self.platform is not None:
-            return self.platform.kernel.now_us
-        return 0
-
-    def view(self, at_us: Optional[int] = None) -> ScenarioView:
-        """The :class:`ScenarioView` at ``at_us`` (default: now)."""
-        now = self._resolve_now(at_us)
-        return ScenarioView(
-            relax=self.relax_at(now),
-            f_max_cap_mhz=self.caps_at(now),
-            extra_work_us=self.extra_work_done_us(),
-        )
-
     def operative_target_ms(
         self, target: QoSTarget, at_us: Optional[int] = None
     ) -> float:
-        """The operative frame-latency target (ms) at ``at_us``.
-
-        This is what :meth:`repro.core.qos.QoSTarget.for_scenario`
-        dispatches to for live scenario objects.
-        """
-        return interpolate_target_ms(target, self.relax_at(self._resolve_now(at_us)))
+        """The operative frame-latency target (ms) at ``at_us`` (default:
+        now, or 0 while unbound).  The runtime reads every target
+        through this; violation accounting passes the event's dispatch
+        time."""
+        if at_us is None:
+            at_us = self.platform.kernel.now_us if self.platform is not None else 0
+        return interpolate_target_ms(target, self.relax_at(at_us))
 
     def __str__(self) -> str:
         spec = getattr(self, "spec", None)

@@ -1,6 +1,6 @@
 """The built-in usage scenarios.
 
-Static (the paper's Sec. 7.1 pair, byte-identical to the old enum):
+Static (the paper's Sec. 7.1 pair; targets handed out unchanged):
 
 * ``imperceptible`` — battery plentiful, target TI.
 * ``usable`` — battery tight, target TU.

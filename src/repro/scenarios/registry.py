@@ -2,10 +2,10 @@
 
 Mirrors :class:`repro.policies.registry.PolicyRegistry`: every usage
 scenario — the paper's two static ones, the dynamic builtins, and
-third-party extensions — registers here once, and every layer that used
-to hard-code the two enum values (the CLI's ``--scenario``, fleet mix
-validation, the session facade) validates and builds through the
-registry instead, so they can never disagree about the vocabulary.
+third-party extensions — registers here once, and every layer (the
+CLI's ``--scenario``, fleet mix validation, the session facade, the
+runner) validates and builds through the registry, so they can never
+disagree about the vocabulary.
 
 Registering a scenario::
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
 from repro.policies.registry import (
     ParamInfo,
@@ -143,16 +142,11 @@ class ScenarioRegistry:
     # ------------------------------------------------------------------
     # Validation / construction
     # ------------------------------------------------------------------
-    def normalize(
-        self, spec: "ScenarioSpec | str | UsageScenario"
-    ) -> ScenarioSpec:
+    def normalize(self, spec: "ScenarioSpec | str") -> ScenarioSpec:
         """Validate a spec against its scenario's schema and return the
         canonical form: aliases resolved, values type-coerced, params
-        sorted.  Accepts the legacy :class:`UsageScenario` enum values
-        for back-compat.  Raises :class:`EvaluationError` on unknown
-        scenario names, unknown parameters, or type mismatches."""
-        if isinstance(spec, UsageScenario):
-            spec = spec.value
+        sorted.  Raises :class:`EvaluationError` on unknown scenario
+        names, unknown parameters, or type mismatches."""
         spec = ScenarioSpec.coerce(spec)
         entry = self.get(spec.name)
         resolved: dict[str, object] = {}
@@ -178,7 +172,7 @@ class ScenarioRegistry:
             )
         return ScenarioSpec(spec.name, tuple(resolved.items()))
 
-    def build(self, spec: "ScenarioSpec | str | UsageScenario") -> Scenario:
+    def build(self, spec: "ScenarioSpec | str") -> Scenario:
         """Instantiate the (unbound) live scenario a spec describes.
 
         The caller binds it to a session with

@@ -20,19 +20,12 @@ from __future__ import annotations
 from repro.browser.engine import Browser, BrowserPolicy
 from repro.browser.page import Page
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
 from repro.evaluation.runner import RunResult, make_policy, resolve_spec, run_workload
 from repro.hardware.platform import MobilePlatform, odroid_xu_e
 from repro.scenarios import SCENARIOS, ScenarioSpec, build_live_scenario
 from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES
-
-
-def _coerce_scenario(scenario: "UsageScenario | ScenarioSpec | str") -> ScenarioSpec:
-    """Validate and canonicalise through the scenario registry (one
-    vocabulary for the CLI, fleet mixes, and this facade)."""
-    return SCENARIOS.normalize(scenario)
 
 
 class Session:
@@ -42,7 +35,7 @@ class Session:
         self,
         app_name: str,
         governor: str = "greenweb",
-        scenario: "UsageScenario | ScenarioSpec | str" = UsageScenario.IMPERCEPTIBLE,
+        scenario: "ScenarioSpec | str" = "imperceptible",
         seed: int = 0,
         trace_level: str = "full",
     ) -> None:
@@ -57,7 +50,7 @@ class Session:
             )
         self.app_name = app_name
         self.governor = spec.canonical()
-        self.scenario = _coerce_scenario(scenario)
+        self.scenario = SCENARIOS.normalize(scenario)
         self.seed = seed
         self.trace_level = trace_level
 
@@ -69,7 +62,7 @@ class Session:
         cls,
         app_name: str,
         governor: str = "greenweb",
-        scenario: "UsageScenario | ScenarioSpec | str" = UsageScenario.IMPERCEPTIBLE,
+        scenario: "ScenarioSpec | str" = "imperceptible",
         seed: int = 0,
     ) -> "Session":
         """A session over one of the paper's twelve applications
@@ -85,7 +78,7 @@ class Session:
         cls,
         page: Page,
         governor: str = "greenweb",
-        scenario: "UsageScenario | ScenarioSpec | str" = UsageScenario.IMPERCEPTIBLE,
+        scenario: "ScenarioSpec | str" = "imperceptible",
         seed: int = 0,
     ) -> tuple[MobilePlatform, Browser, BrowserPolicy]:
         """Assemble a live (platform, browser, policy) stack for a
@@ -93,9 +86,8 @@ class Session:
         ``browser.dispatch_event`` or an
         :class:`~repro.workloads.InteractionDriver`.  ``seed`` feeds
         the scenario's RNG lane (dynamic scenarios only)."""
-        spec = _coerce_scenario(scenario)
         platform = odroid_xu_e()
-        live = build_live_scenario(spec, platform, seed=seed)
+        live = build_live_scenario(scenario, platform, seed=seed)
         registry = AnnotationRegistry.from_stylesheet(page.stylesheet)
         policy = make_policy(governor, platform, registry, live)
         browser = Browser(platform, page, policy=policy)

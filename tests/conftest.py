@@ -19,9 +19,10 @@ import os
 import pytest
 
 from repro.browser import Browser, Page
-from repro.core import AnnotationRegistry, GreenWebRuntime, UsageScenario
+from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.fleet import parse_mix
 from repro.hardware import odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
 
 #: A page with one single/short-annotated button and one
@@ -45,13 +46,14 @@ PARITY_GOLDENS_PATH = os.path.join(
 )
 
 
-def build(policy_factory, scenario=UsageScenario.IMPERCEPTIBLE, markup=MARKUP):
+def build(policy_factory, scenario="imperceptible", markup=MARKUP):
     """Assemble (browser, platform, policy) for one session over
-    ``markup`` with the policy produced by ``policy_factory``."""
+    ``markup`` with the policy produced by ``policy_factory``, under a
+    fresh live ``scenario`` (a scenario spec)."""
     platform = odroid_xu_e()
     document, sheet = parse_html(markup)
     page = Page(name="t", document=document, stylesheet=sheet)
-    policy = policy_factory(platform, sheet, scenario)
+    policy = policy_factory(platform, sheet, build_live_scenario(scenario, platform))
     browser = Browser(platform, page, policy=policy)
     return browser, platform, policy
 

@@ -138,6 +138,7 @@ class TestTradeoffSpace:
         # internals (runner drops the trace, so drive a browser here).
         from repro.browser.engine import Browser
         from repro.hardware.platform import odroid_xu_e
+        from repro.scenarios import build_live_scenario
         from repro.workloads.interactions import InteractionDriver
         from repro.workloads.registry import build_app
 
@@ -178,17 +179,17 @@ class TestPredictionAccuracy:
         """On a steady animation the fitted model tracks reality well."""
         from repro.browser.engine import Browser
         from repro.core.annotations import AnnotationRegistry
-        from repro.core.qos import UsageScenario
         from repro.core.runtime import GreenWebRuntime
         from repro.evaluation.analysis import prediction_accuracy
         from repro.hardware.platform import odroid_xu_e
+        from repro.scenarios import build_live_scenario
         from repro.workloads.interactions import InteractionDriver
         from repro.workloads.registry import build_app
 
         bundle = build_app("craigslist")  # low-variance scroll frames
         platform = odroid_xu_e(record_power_intervals=False)
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-        runtime = GreenWebRuntime(platform, registry, UsageScenario.USABLE)
+        runtime = GreenWebRuntime(platform, registry, build_live_scenario("usable", platform))
         browser = Browser(platform, bundle.page, policy=runtime)
         InteractionDriver(browser).schedule(bundle.micro_trace)
         platform.run_for(bundle.micro_trace.duration_us + 4_000_000)

@@ -1,5 +1,6 @@
 """Tests for the CLI and the Chrome-trace exporter."""
 
+import hashlib
 import json
 import os
 
@@ -101,6 +102,15 @@ class TestCli:
         assert main(["run", "todo", "--export-trace", str(path)]) == 0
         data = json.loads(path.read_text())
         assert data["traceEvents"]
+
+    def test_export_trace_bytes_pinned(self, tmp_path, capsys):
+        """The exported timeline of one thermal-scenario cell, pinned by
+        digest so the export's session wiring cannot drift silently."""
+        path = tmp_path / "out.json"
+        argv = ["run", "cnet", "--scenario", "thermal(cap_mhz=1100)", "--export-trace", str(path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "1d11e4f9f92728dad0bd020ae5b6763b1841564b6e15d9f5c0b25cbc51a5165d"
 
     def test_run_export_trace_unwritable_fails_fast(self, monkeypatch, capsys):
         # The path is probed before the simulation runs: a typo'd export

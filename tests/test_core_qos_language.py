@@ -14,7 +14,6 @@ from repro.core import (
     QoSTarget,
     QoSType,
     ResponseExpectation,
-    UsageScenario,
     extract_annotations,
 )
 from repro.core.language import (
@@ -23,6 +22,7 @@ from repro.core.language import (
     is_qos_property,
     parse_qos_declaration,
 )
+from repro.scenarios import SCENARIOS
 from repro.web import Document
 from repro.web.css.parser import parse_stylesheet
 from repro.web.events import EventType
@@ -35,8 +35,10 @@ class TestQoSTarget:
         assert SINGLE_LONG_DEFAULT == QoSTarget(1000, 10_000)
 
     def test_scenario_selection(self):
-        assert CONTINUOUS_DEFAULT.for_scenario(UsageScenario.IMPERCEPTIBLE) == 16.6
-        assert CONTINUOUS_DEFAULT.for_scenario(UsageScenario.USABLE) == 33.3
+        imperceptible = SCENARIOS.build("imperceptible")
+        usable = SCENARIOS.build("usable")
+        assert imperceptible.operative_target_ms(CONTINUOUS_DEFAULT) == 16.6
+        assert usable.operative_target_ms(CONTINUOUS_DEFAULT) == 33.3
 
     def test_invalid_targets(self):
         with pytest.raises(QosError):
@@ -71,8 +73,8 @@ class TestQoSSpec:
 
     def test_target_ms(self):
         spec = QoSSpec.single(ResponseExpectation.LONG)
-        assert spec.target_ms(UsageScenario.IMPERCEPTIBLE) == 1000
-        assert spec.target_ms(UsageScenario.USABLE) == 10_000
+        assert SCENARIOS.build("imperceptible").operative_target_ms(spec.target) == 1000
+        assert SCENARIOS.build("usable").operative_target_ms(spec.target) == 10_000
 
 
 class TestQosProperty:

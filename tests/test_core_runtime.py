@@ -7,7 +7,6 @@ from repro.core import (
     OndemandGovernor,
     PerfGovernor,
     PowersaveGovernor,
-    UsageScenario,
 )
 from repro.hardware import CpuConfig
 from repro.web import Callback
@@ -89,7 +88,7 @@ class TestGreenWebContinuousEvents:
         return browser, platform, runtime, msg
 
     def test_animation_frames_get_per_frame_predictions(self):
-        browser, platform, runtime, msg = self.drive_animation(UsageScenario.IMPERCEPTIBLE)
+        browser, platform, runtime, msg = self.drive_animation("imperceptible")
         record = browser.tracker.record(msg.uid)
         assert record.frame_count > 20
         # Profiling used 6 frames (3 per phase for continuous events);
@@ -97,20 +96,20 @@ class TestGreenWebContinuousEvents:
         assert runtime.stats.predictions >= record.frame_count - 7
 
     def test_usable_scenario_uses_lower_performance_than_imperceptible(self):
-        _, _, runtime_i, _ = self.drive_animation(UsageScenario.IMPERCEPTIBLE)
-        _, _, runtime_u, _ = self.drive_animation(UsageScenario.USABLE)
+        _, _, runtime_i, _ = self.drive_animation("imperceptible")
+        _, _, runtime_u, _ = self.drive_animation("usable")
         pred_i = runtime_i._keys["#anim@touchstart"].last_prediction
         pred_u = runtime_u._keys["#anim@touchstart"].last_prediction
         cap = lambda p: (0 if p.config.cluster == "little" else 1, p.config.freq_mhz)
         assert cap(pred_u) <= cap(pred_i)
 
     def test_usable_run_consumes_less_energy(self):
-        b_i, p_i, _, _ = self.drive_animation(UsageScenario.IMPERCEPTIBLE)
-        b_u, p_u, _, _ = self.drive_animation(UsageScenario.USABLE)
+        b_i, p_i, _, _ = self.drive_animation("imperceptible")
+        b_u, p_u, _, _ = self.drive_animation("usable")
         assert p_u.meter.total_j < p_i.meter.total_j
 
     def test_conserves_after_animation_completes(self):
-        browser, platform, runtime, msg = self.drive_animation(UsageScenario.USABLE)
+        browser, platform, runtime, msg = self.drive_animation("usable")
         platform.run_for(200_000)
         # Post-event the runtime conserves: either the idle config, or
         # it parks on the little cluster it already reached (staying
@@ -123,7 +122,7 @@ class TestFeedback:
         """A sudden frame-complexity increase mid-animation causes a
         violation, which the runtime answers by stepping up (Sec. 6.2)."""
         browser, platform, runtime = build(
-            greenweb_factory(), scenario=UsageScenario.USABLE
+            greenweb_factory(), scenario="usable"
         )
         anim = browser.page.document.get_element_by_id("anim")
 
@@ -146,7 +145,7 @@ class TestFeedback:
 
     def test_persistent_shift_triggers_recalibration(self):
         browser, platform, runtime = build(
-            greenweb_factory(recalibration_threshold=2), scenario=UsageScenario.USABLE
+            greenweb_factory(recalibration_threshold=2), scenario="usable"
         )
         anim = browser.page.document.get_element_by_id("anim")
 
@@ -238,7 +237,7 @@ class TestBaselineGovernors:
 
 
 class TestEnergyComparison:
-    def run_with(self, policy_factory, scenario=UsageScenario.IMPERCEPTIBLE):
+    def run_with(self, policy_factory, scenario="imperceptible"):
         browser, platform, _ = build(policy_factory, scenario=scenario)
         btn = browser.page.document.get_element_by_id("btn")
         btn.add_event_listener("click", light_tap_callback())
@@ -257,6 +256,6 @@ class TestEnergyComparison:
         assert greenweb < 0.75 * perf
 
     def test_greenweb_usable_saves_more_than_imperceptible(self):
-        g_i = self.run_with(greenweb_factory(), UsageScenario.IMPERCEPTIBLE)
-        g_u = self.run_with(greenweb_factory(), UsageScenario.USABLE)
+        g_i = self.run_with(greenweb_factory(), "imperceptible")
+        g_u = self.run_with(greenweb_factory(), "usable")
         assert g_u <= g_i * 1.02

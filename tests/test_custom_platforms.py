@@ -5,15 +5,14 @@ DVFS-capable cluster)."""
 import pytest
 
 from repro.browser import Browser, Page
-from repro.core import AnnotationRegistry, GreenWebRuntime, UsageScenario
+from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.core.runtime import _Phase
 from repro.errors import RuntimeModelError
 from repro.hardware import CpuConfig, MobilePlatform
 from repro.hardware.core import ClusterSpec, big_cluster_spec, little_cluster_spec
 from repro.hardware.frequency import OperatingPoint, OppTable
+from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
-
-I = UsageScenario.IMPERCEPTIBLE
 
 MARKUP = "<style>#btn:QoS { onclick-qos: single, short; }</style><div id='btn'></div>"
 
@@ -42,7 +41,9 @@ def run_taps(platform, count=4):
     document, sheet = parse_html(MARKUP)
     page = Page(name="t", document=document, stylesheet=sheet)
     runtime = GreenWebRuntime(
-        platform, AnnotationRegistry.from_stylesheet(sheet), I
+        platform,
+        AnnotationRegistry.from_stylesheet(sheet),
+        build_live_scenario("imperceptible", platform),
     )
     browser = Browser(platform, page, policy=runtime)
     btn = document.get_element_by_id("btn")
@@ -80,14 +81,19 @@ class TestSingleClusterPlatform:
         platform = single_cluster_platform()
         with pytest.raises(RuntimeModelError):
             GreenWebRuntime(
-                platform, AnnotationRegistry(), I, profile_both_clusters=True
+                platform,
+                AnnotationRegistry(),
+                build_live_scenario("imperceptible", platform),
+                profile_both_clusters=True,
             )
 
 
 class TestTriClusterPlatform:
     def test_profile_cluster_is_fastest(self):
         platform = tri_cluster_platform()
-        runtime = GreenWebRuntime(platform, AnnotationRegistry(), I)
+        runtime = GreenWebRuntime(
+            platform, AnnotationRegistry(), build_live_scenario("imperceptible", platform)
+        )
         assert runtime._profile_cluster == "prime"  # 1.4 * 2500 > 1.0 * 1800
         assert set(runtime._cycle_factors) == {"big", "little"}
 
@@ -114,5 +120,8 @@ class TestTriClusterPlatform:
         platform = tri_cluster_platform()
         with pytest.raises(RuntimeModelError):
             GreenWebRuntime(
-                platform, AnnotationRegistry(), I, profile_both_clusters=True
+                platform,
+                AnnotationRegistry(),
+                build_live_scenario("imperceptible", platform),
+                profile_both_clusters=True,
             )

@@ -60,7 +60,7 @@ class TestLanguageDocExamples:
         assert str(spec.qos_type) == "continuous"
 
     def test_fig5_explicit_targets(self):
-        from repro import AnnotationRegistry, UsageScenario
+        from repro import SCENARIOS, AnnotationRegistry
         from repro.web import Document
         from repro.web.css.parser import parse_stylesheet
 
@@ -71,8 +71,8 @@ class TestLanguageDocExamples:
         doc = Document()
         canvas = doc.create_element("div", element_id="canvas")
         spec = registry.lookup(canvas, "touchmove")
-        assert spec.target_ms(UsageScenario.IMPERCEPTIBLE) == 20
-        assert spec.target_ms(UsageScenario.USABLE) == 100
+        assert SCENARIOS.build("imperceptible").operative_target_ms(spec.target) == 20
+        assert SCENARIOS.build("usable").operative_target_ms(spec.target) == 100
 
     def test_cascade_example(self):
         from repro import AnnotationRegistry

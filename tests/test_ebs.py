@@ -4,13 +4,12 @@ import pytest
 
 from repro.browser import Browser, Page
 from repro.core.ebs import EbsGovernor
-from repro.core.qos import UsageScenario
 from repro.errors import RuntimeModelError
 from repro.evaluation.runner import run_workload
 from repro.hardware import odroid_xu_e
 from repro.web import Callback, parse_html
 
-I = UsageScenario.IMPERCEPTIBLE
+I = "imperceptible"
 
 
 def build(markup="<div id='btn'></div>", **kwargs):

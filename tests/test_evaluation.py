@@ -8,24 +8,24 @@ from hypothesis import given, strategies as st
 from repro import Session
 from repro.browser.frame_tracker import InputRecord
 from repro.browser.messages import InputMsg
-from repro.core.qos import QoSSpec, UsageScenario
+from repro.core.qos import QoSSpec
 from repro.errors import EvaluationError
 from repro.evaluation.metrics import (
-    config_residency,
     event_violation_pct,
     geo_mean_violation_pct,
     mean_violation_pct,
     switching_per_frame_pct,
     violation_pct,
-    windowed_config_residency,
 )
+from repro.evaluation.folds import ConfigTimelineFold
 from repro.evaluation.runner import GOVERNORS, run_workload
 from repro.hardware.dvfs import CpuConfig
+from repro.scenarios import SCENARIOS
 from repro.sim.tracing import TraceLog
 from repro.web.events import EventType
 
-I = UsageScenario.IMPERCEPTIBLE
-U = UsageScenario.USABLE
+I = "imperceptible"
+U = "usable"
 
 
 class TestViolationMetrics:
@@ -63,20 +63,20 @@ class TestViolationMetrics:
         msg = InputMsg(1, 0, EventType.CLICK)
         record = InputRecord(msg=msg, frame_latencies_us=[150_000, 500_000])
         spec = QoSSpec.single()  # (100, 300) ms
-        assert event_violation_pct(record, spec, I) == pytest.approx(50.0)
-        assert event_violation_pct(record, spec, U) == 0.0
+        assert event_violation_pct(record, spec, SCENARIOS.build(I)) == pytest.approx(50.0)
+        assert event_violation_pct(record, spec, SCENARIOS.build(U)) == 0.0
 
     def test_event_violation_continuous_uses_geo_mean(self):
         msg = InputMsg(1, 0, EventType.TOUCHMOVE)
         record = InputRecord(msg=msg, frame_latencies_us=[16_600, 33_200])
         spec = QoSSpec.continuous()
-        value = event_violation_pct(record, spec, I)
+        value = event_violation_pct(record, spec, SCENARIOS.build(I))
         assert 0 < value < 100
 
     def test_event_violation_no_frames_is_none(self):
         msg = InputMsg(1, 0, EventType.CLICK)
         record = InputRecord(msg=msg)
-        assert event_violation_pct(record, QoSSpec.single(), I) is None
+        assert event_violation_pct(record, QoSSpec.single(), SCENARIOS.build(I)) is None
 
     def test_mean_skips_none(self):
         assert mean_violation_pct([None, 10.0, 20.0, None]) == 15.0
@@ -90,10 +90,12 @@ class TestResidency:
         trace.emit(750, "config", "applied", cluster="big", freq_mhz=800)
         return trace
 
+    def fold(self, trace=None):
+        """The residency fold fed ``trace`` (default: ``make_trace()``)."""
+        return ConfigTimelineFold().replay(trace if trace is not None else self.make_trace())
+
     def test_config_residency_fractions(self):
-        residency = config_residency(
-            self.make_trace(), 0, 1000, initial=CpuConfig("big", 1800)
-        )
+        residency = self.fold().residency(0, 1000, initial=CpuConfig("big", 1800))
         assert residency[CpuConfig("big", 1800)] == pytest.approx(0.25)
         assert residency[CpuConfig("little", 600)] == pytest.approx(0.50)
         assert residency[CpuConfig("big", 800)] == pytest.approx(0.25)
@@ -101,11 +103,11 @@ class TestResidency:
 
     def test_empty_window_rejected(self):
         with pytest.raises(EvaluationError):
-            config_residency(TraceLog(), 10, 10, CpuConfig("big", 1800))
+            self.fold(TraceLog()).residency(10, 10, CpuConfig("big", 1800))
 
     def test_windowed_residency(self):
-        residency = windowed_config_residency(
-            self.make_trace(), [(0, 100), (700, 800)], initial=CpuConfig("big", 1800)
+        residency = self.fold().windowed(
+            [(0, 100), (700, 800)], initial=CpuConfig("big", 1800)
         )
         # window 1 (0-100): big@1800; window 2: 700-750 little, 750-800 big@800
         assert residency[CpuConfig("big", 1800)] == pytest.approx(0.5)
@@ -113,30 +115,24 @@ class TestResidency:
         assert residency[CpuConfig("big", 800)] == pytest.approx(0.25)
 
     def test_windowed_residency_no_windows(self):
-        assert windowed_config_residency(TraceLog(), [], CpuConfig("big", 1800)) == {}
+        assert self.fold(TraceLog()).windowed([], CpuConfig("big", 1800)) == {}
 
     def test_windowed_switch_exactly_on_window_start(self):
         # The 750 -> big@800 switch lands exactly on the window start:
         # the new config owns the whole window.
-        residency = windowed_config_residency(
-            self.make_trace(), [(750, 850)], initial=CpuConfig("big", 1800)
-        )
+        residency = self.fold().windowed([(750, 850)], initial=CpuConfig("big", 1800))
         assert residency == {CpuConfig("big", 800): pytest.approx(1.0)}
 
     def test_windowed_switch_exactly_on_window_end(self):
         # The 750 switch on the window *end* boundary contributes zero
         # time: the window is owned entirely by the prior config.
-        residency = windowed_config_residency(
-            self.make_trace(), [(650, 750)], initial=CpuConfig("big", 1800)
-        )
+        residency = self.fold().windowed([(650, 750)], initial=CpuConfig("big", 1800))
         assert residency == {CpuConfig("little", 600): pytest.approx(1.0)}
 
     def test_windowed_multiple_switches_before_first_window(self):
         # Both switches predate the window: only the latest one counts,
         # and earlier configs must not leak into the result.
-        residency = windowed_config_residency(
-            self.make_trace(), [(900, 1000)], initial=CpuConfig("big", 1800)
-        )
+        residency = self.fold().windowed([(900, 1000)], initial=CpuConfig("big", 1800))
         assert residency == {CpuConfig("big", 800): pytest.approx(1.0)}
 
     def test_switching_pct(self):
@@ -230,11 +226,11 @@ class TestSession:
         assert result.governor == "greenweb"
 
     def test_scenario_strings(self):
-        # Strings and the legacy enum both normalize to the canonical
+        # Strings and parsed specs both normalize to the canonical
         # registry spec.
         session = Session.for_application("todo", scenario="usable")
         assert session.scenario.canonical() == "usable"
-        assert Session("todo", scenario=U).scenario == session.scenario
+        assert Session("todo", scenario=SCENARIOS.normalize(U)).scenario == session.scenario
 
     def test_unknown_app_rejected(self):
         with pytest.raises(EvaluationError):

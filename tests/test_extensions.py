@@ -4,15 +4,14 @@ contention, target headroom, and the fast-IVR platform variant."""
 import pytest
 
 from repro.browser import Browser, Page
-from repro.core import AnnotationRegistry, GreenWebRuntime, UsageScenario
+from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.core.qos import QoSSpec, QoSTarget, QoSType, ResponseExpectation
 from repro.core.uai import UaiGreenWebRuntime, default_target_for, is_aggressive
 from repro.errors import QosError, RuntimeModelError, WorkloadError
 from repro.hardware import CpuConfig, odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
 from repro.workloads.background import BackgroundApplication
-
-I = UsageScenario.IMPERCEPTIBLE
 
 AGGRESSIVE_MARKUP = """
 <style>
@@ -36,7 +35,9 @@ def build_uai(budget_j, markup=AGGRESSIVE_MARKUP):
     document, sheet = parse_html(markup)
     page = Page(name="uai", document=document, stylesheet=sheet)
     registry = AnnotationRegistry.from_stylesheet(sheet)
-    runtime = UaiGreenWebRuntime(platform, registry, I, energy_budget_j=budget_j)
+    runtime = UaiGreenWebRuntime(
+        platform, registry, build_live_scenario("imperceptible", platform), energy_budget_j=budget_j
+    )
     browser = Browser(platform, page, policy=runtime)
     return browser, platform, runtime
 
@@ -64,7 +65,9 @@ class TestUaiRuntime:
     def test_budget_must_be_positive(self):
         platform = odroid_xu_e()
         with pytest.raises(QosError):
-            UaiGreenWebRuntime(platform, AnnotationRegistry(), I, energy_budget_j=0)
+            UaiGreenWebRuntime(
+                platform, AnnotationRegistry(), build_live_scenario("imperceptible", platform), energy_budget_j=0
+            )
 
     def test_within_budget_annotations_honoured(self):
         browser, platform, runtime = build_uai(budget_j=1e9)
@@ -132,7 +135,7 @@ class TestBackgroundContention:
         document, sheet = parse_html(markup)
         page = Page(name="contended", document=document, stylesheet=sheet)
         registry = AnnotationRegistry.from_stylesheet(sheet)
-        runtime = GreenWebRuntime(platform, registry, I)
+        runtime = GreenWebRuntime(platform, registry, build_live_scenario("imperceptible", platform))
         browser = Browser(platform, page, policy=runtime)
         background = BackgroundApplication(platform, period_ms=20, burst_mcycles=3.0)
         background.start()
@@ -164,18 +167,22 @@ class TestTargetHeadroom:
     def test_validation(self):
         platform = odroid_xu_e()
         with pytest.raises(RuntimeModelError):
-            GreenWebRuntime(platform, AnnotationRegistry(), I, target_headroom=0)
+            GreenWebRuntime(
+                platform, AnnotationRegistry(), build_live_scenario("imperceptible", platform), target_headroom=0
+            )
         with pytest.raises(RuntimeModelError):
-            GreenWebRuntime(platform, AnnotationRegistry(), I, target_headroom=1.5)
+            GreenWebRuntime(
+                platform, AnnotationRegistry(), build_live_scenario("imperceptible", platform), target_headroom=1.5
+            )
 
     def test_headroom_reduces_violations_at_energy_cost(self):
         from repro.evaluation.runner import run_workload
 
         tight = run_workload(
-            "w3schools", "greenweb(target_headroom=0.5)", UsageScenario.USABLE,
+            "w3schools", "greenweb(target_headroom=0.5)", "usable",
             "micro",
         )
-        none = run_workload("w3schools", "greenweb", UsageScenario.USABLE, "micro")
+        none = run_workload("w3schools", "greenweb", "usable", "micro")
         assert tight.mean_violation_pct <= none.mean_violation_pct
         assert tight.active_energy_j >= none.active_energy_j
 

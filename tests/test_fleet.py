@@ -282,12 +282,11 @@ class TestRunWorkloadJob:
         assert "@" in next(iter(out["config_residency"]))
 
     def test_matches_run_workload_defaults(self):
-        from repro.core.qos import UsageScenario
         from repro.evaluation.runner import run_workload
 
         via_job = run_workload_job({"app": "todo", "trace_kind": "micro", "seed": 2})
         direct = run_workload(
-            "todo", "greenweb", UsageScenario.IMPERCEPTIBLE, "micro", seed=2
+            "todo", "greenweb", "imperceptible", "micro", seed=2
         )
         assert via_job["energy_j"] == direct.energy_j
         assert via_job["mean_violation_pct"] == direct.mean_violation_pct

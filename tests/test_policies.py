@@ -12,11 +12,11 @@ import pathlib
 import pytest
 
 from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
 from repro.evaluation.runner import GOVERNORS, make_policy, run_workload
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
+from repro.scenarios import build_live_scenario
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "governor_parity.json"
 
@@ -123,7 +123,7 @@ class TestRegistry:
             "greenweb(ewma=0.25,surge_aware=true)",
             platform,
             registry,
-            UsageScenario.IMPERCEPTIBLE,
+            build_live_scenario("imperceptible", platform),
         )
         assert policy.ewma_alpha == 0.25
         assert policy.surge_aware is True
@@ -132,7 +132,19 @@ class TestRegistry:
         platform = odroid_xu_e(record_power_intervals=False)
         registry = AnnotationRegistry()
         with pytest.raises(EvaluationError, match="post-hoc"):
-            POLICIES.build("oracle", platform, registry, UsageScenario.IMPERCEPTIBLE)
+            POLICIES.build(
+                "oracle", platform, registry, build_live_scenario("imperceptible", platform)
+            )
+
+    @pytest.mark.parametrize("scenario", ["usable", None, 0.5])
+    def test_build_rejects_a_non_scenario(self, scenario):
+        """A policy reads every target through a live scenario; anything
+        else must fail at build time, not on the first annotated input."""
+        platform = odroid_xu_e(record_power_intervals=False)
+        with pytest.raises(EvaluationError, match="live scenario"):
+            make_policy("greenweb", platform, AnnotationRegistry(), scenario)
+        with pytest.raises(EvaluationError, match="live scenario"):
+            POLICIES.build("perf", platform, AnnotationRegistry(), scenario)
 
     def test_make_policy_rejects_unknown_spec_parameters(self):
         platform = odroid_xu_e(record_power_intervals=False)
@@ -142,14 +154,14 @@ class TestRegistry:
                 "greenweb(not_a_knob=1)",
                 platform,
                 registry,
-                UsageScenario.IMPERCEPTIBLE,
+                build_live_scenario("imperceptible", platform),
             )
         with pytest.raises(EvaluationError, match="accepts no parameters"):
             make_policy(
                 "perf(anything=1)",
                 platform,
                 registry,
-                UsageScenario.IMPERCEPTIBLE,
+                build_live_scenario("imperceptible", platform),
             )
 
     def test_describe_covers_every_policy(self):
@@ -165,16 +177,16 @@ class TestRegistry:
 class TestSpecRuns:
     def test_parameterized_run_labels_canonically(self):
         result = run_workload(
-            "todo", "greenweb(ewma=0.25)", UsageScenario.IMPERCEPTIBLE, "micro", 0
+            "todo", "greenweb(ewma=0.25)", "imperceptible", "micro", 0
         )
         assert result.governor == "greenweb(ewma_alpha=0.25)"
 
     def test_default_params_match_bare_name(self):
-        bare = run_workload("todo", "greenweb", UsageScenario.IMPERCEPTIBLE, "micro", 0)
+        bare = run_workload("todo", "greenweb", "imperceptible", "micro", 0)
         explicit = run_workload(
             "todo",
             "greenweb(ewma_alpha=0.3,recalibration_threshold=3)",
-            UsageScenario.IMPERCEPTIBLE,
+            "imperceptible",
             "micro",
             0,
         )
@@ -188,10 +200,10 @@ class TestSpecRuns:
 class TestOracle:
     def test_oracle_energy_lower_bounds_greenweb(self):
         oracle = run_workload(
-            "todo", "oracle", UsageScenario.IMPERCEPTIBLE, "micro", 3
+            "todo", "oracle", "imperceptible", "micro", 3
         )
         greenweb = run_workload(
-            "todo", "greenweb", UsageScenario.IMPERCEPTIBLE, "micro", 3
+            "todo", "greenweb", "imperceptible", "micro", 3
         )
         # The oracle is a post-hoc minimum: no worse than any live policy.
         assert oracle.active_energy_j <= greenweb.active_energy_j + 1e-12
@@ -222,6 +234,6 @@ class TestGovernorParity:
     def test_bare_names_byte_identical(self, governor):
         golden = json.loads(GOLDEN_PATH.read_text())
         result = run_workload(
-            "todo", governor, UsageScenario.IMPERCEPTIBLE, "micro", 3
+            "todo", governor, "imperceptible", "micro", 3
         )
         assert json.loads(json.dumps(result.to_dict())) == golden[governor]

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.browser import Browser, Page
 from repro.browser.frame_tracker import FrameTracker
 from repro.browser.messages import InputMsg
-from repro.core import AnnotationRegistry, GreenWebRuntime, UsageScenario
+from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.core.governors import InteractiveGovernor, PerfGovernor
 from repro.errors import BrowserError, ReproError
 from repro.hardware import CpuConfig, WorkUnit, odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
 from repro.web.css.parser import parse_stylesheet
 from repro.web.events import EventType
@@ -245,7 +246,8 @@ class TestWholeStackFuzz:
         platform = odroid_xu_e(record_power_intervals=False)
         if policy_kind == "greenweb":
             registry = AnnotationRegistry.from_stylesheet(page.stylesheet)
-            policy = GreenWebRuntime(platform, registry, UsageScenario.IMPERCEPTIBLE)
+            scenario = build_live_scenario("imperceptible", platform)
+            policy = GreenWebRuntime(platform, registry, scenario)
         elif policy_kind == "perf":
             policy = PerfGovernor(platform)
         else:

@@ -108,6 +108,27 @@ class TestRenderers:
         assert "38.3" in text and "38.5" in text
 
 
+#: ``repro analyze todo --scenario netdelay --seed 3``, byte for byte.
+ANALYZE_TODO_NETDELAY_SEED3 = """\
+frame timeline for todo / greenweb / netdelay:
+  frames:      6 over 10.0 s (0.5 fps mean)
+  latency:     p50=55.8 ms  p95=89.1 ms  p99=89.1 ms  max=89.1 ms
+  jank:        4 frames >= 2 vsync periods (66.7%)
+
+fps over time (1 s buckets):
+    0s |#                                       |    1.0 fps
+    1s |                                        |    0.0 fps
+    2s |#                                       |    1.0 fps
+    3s |                                        |    0.0 fps
+    4s |#                                       |    1.0 fps
+    5s |                                        |    0.0 fps
+    6s |#                                       |    1.0 fps
+    7s |                                        |    0.0 fps
+    8s |#                                       |    1.0 fps
+    9s |                                        |    0.0 fps
+   10s |#                                       |    1.0 fps
+"""
+
 class TestAnalyzeCommand:
     def test_analyze_runs(self, capsys):
         assert main(["analyze", "todo", "--governor", "perf"]) == 0
@@ -115,3 +136,9 @@ class TestAnalyzeCommand:
         assert "frame timeline" in out
         assert "p50=" in out
         assert "jank" in out
+
+    def test_analyze_output_pinned(self, capsys):
+        """The exact report for one dynamic-scenario cell, pinned so the
+        command's session wiring cannot drift silently."""
+        assert main(["analyze", "todo", "--scenario", "netdelay", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == ANALYZE_TODO_NETDELAY_SEED3

@@ -6,15 +6,14 @@ import pytest
 
 from repro.browser import Browser, Page
 from repro.browser.messages import InputMsg
-from repro.core import AnnotationRegistry, GreenWebRuntime, UsageScenario
+from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.core.perf_model import PerfModelCoefficients
 from repro.core.qos import QoSSpec, ResponseExpectation
 from repro.core.runtime import _KeyState, _Phase
 from repro.hardware import CpuConfig, odroid_xu_e
+from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
 from repro.web.events import EventType
-
-I = UsageScenario.IMPERCEPTIBLE
 
 
 def make_runtime(css="", **kwargs):
@@ -26,7 +25,8 @@ def make_runtime(css="", **kwargs):
         if css
         else AnnotationRegistry()
     )
-    return GreenWebRuntime(platform, registry, I, **kwargs), platform
+    runtime = GreenWebRuntime(platform, registry, build_live_scenario("imperceptible", platform), **kwargs)
+    return runtime, platform
 
 
 class TestGoverningSpec:
@@ -174,7 +174,9 @@ class TestDecisionTrace:
         document, sheet = parse_html(markup)
         page = Page(name="t", document=document, stylesheet=sheet)
         runtime = GreenWebRuntime(
-            platform, AnnotationRegistry.from_stylesheet(sheet), I
+            platform,
+            AnnotationRegistry.from_stylesheet(sheet),
+            build_live_scenario("imperceptible", platform),
         )
         browser = Browser(platform, page, policy=runtime)
         b = document.get_element_by_id("b")
@@ -214,7 +216,7 @@ class TestFourRunProfiling:
         from repro.evaluation.runner import run_workload
 
         result = run_workload(
-            "craigslist", "greenweb(profile_both_clusters=true)", I, "micro"
+            "craigslist", "greenweb(profile_both_clusters=true)", "imperceptible", "micro"
         )
         # 4 phases x 3 frames (continuous key) = 12 profiling frames
         # for the scroll key, plus the touchstart key's bookkeeping.

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.core.qos import QoSTarget, UsageScenario
+from repro.core.qos import QoSTarget
 from repro.errors import EvaluationError
 from repro.evaluation.runner import run_workload_job
 from repro.fleet import FleetSpec, parse_mix
@@ -46,9 +46,6 @@ class TestSpecGrammar:
         canonical = spec.canonical()
         assert canonical == "thermal(cap_mhz=900,trip_ms=2000.0)"
         assert SCENARIOS.normalize(canonical) == spec
-
-    def test_enum_accepted_for_back_compat(self):
-        assert SCENARIOS.normalize(UsageScenario.USABLE).canonical() == "usable"
 
     def test_unknown_scenario_lists_vocabulary(self):
         with pytest.raises(EvaluationError, match="known scenarios"):
@@ -178,7 +175,7 @@ class TestThermal:
         # Over-cap requests clamp while engaged.
         platform.set_config(CpuConfig("big", 1800))
         assert platform.config.freq_mhz <= 1100
-        assert scenario.view().f_max_cap_mhz == {"big": 1100}
+        assert scenario.caps_at(platform.kernel.now_us) == {"big": 1100}
         # The load drains; enough consecutive cool windows lift the cap.
         platform.run_for(2_000_000)
         assert not scenario.engaged

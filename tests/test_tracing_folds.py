@@ -7,7 +7,6 @@ metrics to a full retained trace scanned post hoc.
 
 import pytest
 
-from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError, SimulationError
 from repro.evaluation.analysis import frame_timeline_stats, prediction_accuracy
 from repro.evaluation.folds import (
@@ -17,7 +16,6 @@ from repro.evaluation.folds import (
     SwitchingCountsFold,
     gated_categories_for,
 )
-from repro.evaluation.metrics import config_residency, windowed_config_residency
 from repro.fleet import Fleet, FleetSpec, parse_mix
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
@@ -25,9 +23,10 @@ from repro.sim.kernel import Kernel
 from repro.sim.tracing import GATED_CATEGORIES, TRACE_LEVELS, TraceLog
 from repro.sim.trace_export import to_chrome_trace
 from repro.browser.vsync import VsyncSource
-from repro.evaluation.runner import run_workload
+from repro.evaluation.runner import SessionExecution, make_policy, run_workload
+from repro.workloads.registry import build_app
 
-I = UsageScenario.IMPERCEPTIBLE
+I = "imperceptible"
 BIG = CpuConfig("big", 1800)
 
 
@@ -139,30 +138,22 @@ class TestIndexedFilters:
 
 
 # ----------------------------------------------------------------------
-# Streaming folds: parity with the post-hoc scans
+# Streaming folds: live vs replayed, and parity with the post-hoc scans
 # ----------------------------------------------------------------------
 class TestFoldParity:
-    def run_traced(self, governor="greenweb"):
-        """One real run with a retained trace to scan and replay."""
-        platform_trace = {}
-
-        # run_workload does not expose the platform; re-run the stack at
-        # the lower level instead, via a full-level session.
-        from repro.browser.engine import Browser
-        from repro.core.annotations import AnnotationRegistry
-        from repro.evaluation.runner import make_policy
-        from repro.sim.clock import s_to_us
-        from repro.workloads.interactions import InteractionDriver
-        from repro.workloads.registry import build_app
-
-        bundle = build_app("todo", seed=0)
-        platform = odroid_xu_e(record_power_intervals=False)
-        registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-        policy = make_policy(governor, platform, registry, I)
-        browser = Browser(platform, bundle.page, policy=policy)
-        InteractionDriver(browser).schedule(bundle.micro_trace)
-        platform.run_for(bundle.micro_trace.duration_us + s_to_us(2.0))
-        return platform.trace
+    def run_traced(self, governor="greenweb", *live_folds):
+        """One real session with a retained trace to scan and replay;
+        ``live_folds`` are attached to it before it runs."""
+        execution = SessionExecution(
+            build_app("todo", seed=0), governor, I, "micro", 0, 2.0, "full",
+            lambda platform, registry, scenario: make_policy(
+                governor, platform, registry, scenario
+            ),
+        )
+        for fold in live_folds:
+            fold.attach(execution.platform.trace)
+        execution.run()
+        return execution.platform.trace
 
     def test_config_fold_attached_matches_scan(self):
         trace = TraceLog()
@@ -170,19 +161,21 @@ class TestFoldParity:
         trace.emit(250, "config", "applied", cluster="little", freq_mhz=600)
         trace.emit(750, "config", "applied", cluster="big", freq_mhz=800)
         trace.emit(800, "config", "other", cluster="big", freq_mhz=800)
-        assert fold.residency(0, 1000, BIG) == config_residency(trace, 0, 1000, BIG)
+        replayed = ConfigTimelineFold().replay(trace)
+        assert fold.applied == replayed.applied == [
+            (250, CpuConfig("little", 600)), (750, CpuConfig("big", 800))
+        ]
+        assert fold.residency(0, 1000, BIG) == replayed.residency(0, 1000, BIG)
         windows = [(0, 100), (600, 900)]
-        assert fold.windowed(windows, BIG) == windowed_config_residency(
-            trace, windows, BIG
-        )
+        assert fold.windowed(windows, BIG) == replayed.windowed(windows, BIG)
 
     def test_replay_equals_attach(self):
-        trace = self.run_traced()
+        attached = ConfigTimelineFold()
+        trace = self.run_traced("greenweb", attached)
         end = trace.records[-1].time_us if trace.records else 1
         replayed = ConfigTimelineFold().replay(trace)
-        assert replayed.residency(0, end, BIG) == config_residency(
-            trace, 0, end, BIG
-        )
+        assert attached.applied and replayed.applied == attached.applied
+        assert replayed.residency(0, end, BIG) == attached.residency(0, end, BIG)
 
     def test_frame_fold_matches_scan_on_real_trace(self):
         trace = self.run_traced()
