@@ -40,7 +40,8 @@ class ScheduledEvent:
 
     Attributes:
         time_us: absolute firing time in microseconds.
-        label: optional human-readable tag (shows up in kernel stats).
+        label: optional human-readable tag, shown in the handle's repr
+            (a debugging aid; the kernel keeps no per-label counts).
     """
 
     __slots__ = ("time_us", "action", "label", "_cancelled", "_fired")
@@ -151,17 +152,17 @@ class Kernel:
 
         Returns:
             True if an event fired, False if the queue was empty.
+
+        Raises:
+            SchedulingError: if called from an action.
         """
-        while self._heap:
-            time_us, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now_us = time_us
-            event._fired = True
-            self._events_fired += 1
-            event.action()
-            return True
-        return False
+        if self._running:
+            raise SchedulingError("kernel is not reentrant: step called from an action")
+        self._running = True
+        try:
+            return self._fire_next()
+        finally:
+            self._running = False
 
     def run_until(self, deadline_us: int) -> None:
         """Run all events with timestamp <= ``deadline_us``, then advance
@@ -216,9 +217,7 @@ class Kernel:
         fired = 0
         self._running = True
         try:
-            while self.stepping_allowed():
-                if not self._step_unlocked():
-                    break
+            while self._fire_next():
                 fired += 1
                 if fired > max_events:
                     raise SchedulingError(f"drain exceeded {max_events} events; runaway loop?")
@@ -226,11 +225,9 @@ class Kernel:
             self._running = False
         return fired
 
-    def stepping_allowed(self) -> bool:
-        """Hook point for subclasses; default always allows stepping."""
-        return True
-
-    def _step_unlocked(self) -> bool:
+    def _fire_next(self) -> bool:
+        """Pop and fire the next live event (the caller holds the
+        re-entrancy guard)."""
         while self._heap:
             time_us, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:

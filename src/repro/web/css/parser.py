@@ -15,9 +15,16 @@ property, whose frame-generation behaviour is modelled directly).
 
 Component values keep their tokens so the GreenWeb language layer and
 the transition parser can interpret them without re-tokenizing.
+
+Each distinct CSS text is parsed once per process: the rules are
+frozen values (tuples and frozensets all the way down), so one parsed
+tuple is shared, and every call gets its own mutable :class:`Stylesheet`
+over it.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.errors import CssSyntaxError
 from repro.web.css.selectors import Selector, parse_selector_from_tokens
@@ -28,12 +35,28 @@ from repro.web.css.tokenizer import CssToken, CssTokenType, tokenize
 def parse_stylesheet(text: str) -> Stylesheet:
     """Parse CSS text into a :class:`Stylesheet`.
 
+    Returns a new stylesheet on every call; the rules in it are
+    immutable and shared with every other parse of the same text.
+
     Raises:
         CssSyntaxError: on malformed rules (with source position).
         SelectorError: on malformed selectors.
     """
+    return Stylesheet(_parse_rules(text))
+
+
+#: Distinct CSS texts kept parsed: the twelve apps' page and annotation
+#: CSS with room for AutoGreen output and ad-hoc sheets, bounded so that
+#: a stream of generated CSS cannot grow memory without limit.
+_PARSED_TEXTS = 512
+
+
+@functools.lru_cache(maxsize=_PARSED_TEXTS)
+def _parse_rules(text: str) -> tuple[StyleRule, ...]:
+    """The rules of ``text``, parsed once per process (a failed parse
+    raises and is not cached)."""
     tokens = tokenize(text, keep_whitespace=True)
-    sheet = Stylesheet()
+    rules: list[StyleRule] = []
     index = 0
     while True:
         index = _skip_ws(tokens, index)
@@ -43,8 +66,8 @@ def parse_stylesheet(text: str) -> Stylesheet:
             index = _skip_at_rule(tokens, index)
             continue
         rule, index = _parse_rule(tokens, index)
-        sheet.append(rule)
-    return sheet
+        rules.append(rule)
+    return tuple(rules)
 
 
 def _skip_at_rule(tokens: list[CssToken], index: int) -> int:

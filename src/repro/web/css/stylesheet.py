@@ -10,7 +10,7 @@ conflicting GreenWeb QoS rules deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.web.css.selectors import Selector
 from repro.web.css.tokenizer import CssToken
@@ -83,7 +83,7 @@ class StyleRule:
 class Stylesheet:
     """An ordered collection of style rules with cascade resolution."""
 
-    def __init__(self, rules: Optional[list[StyleRule]] = None) -> None:
+    def __init__(self, rules: Optional[Iterable[StyleRule]] = None) -> None:
         self._rules: list[StyleRule] = list(rules) if rules else []
 
     def append(self, rule: StyleRule) -> None:

@@ -29,7 +29,13 @@ class ClassSet(set):
     def __init__(self, names: Iterable[str] = ()) -> None:
         super().__init__()
         self._order: list[str] = []
-        if isinstance(names, (set, frozenset)) and not isinstance(names, ClassSet):
+        if not names:
+            return
+        if isinstance(names, ClassSet):
+            set.update(self, names)
+            self._order.extend(names._order)
+            return
+        if isinstance(names, (set, frozenset)):
             # A plain set has no meaningful order (and its iteration
             # order is hash-seed dependent): sort for determinism.
             names = sorted(names)
@@ -225,6 +231,21 @@ class Document:
                 raise DomError(f"duplicate element id {element.id!r}")
             self._by_id[element.id] = element
 
+    def clone(self) -> "Document":
+        """A structural copy: new elements in the same tree shape, with
+        each element's id, classes (in source order), attributes and
+        inline style copied, indexed by id.  Listeners are not copied."""
+        copy = Document()
+        root = copy.root
+        root.id = self.root.id
+        root.classes = ClassSet(self.root.classes)
+        root.attributes = dict(self.root.attributes)
+        root.style = dict(self.root.style)
+        if root.id:
+            copy._by_id[root.id] = root
+        _clone_children(self.root, root, copy)
+        return copy
+
     def get_element_by_id(self, element_id: str) -> Optional[Element]:
         """Look up an attached element by id (None if absent)."""
         element = self._by_id.get(element_id)
@@ -252,3 +273,17 @@ class Document:
     def element_count(self) -> int:
         """Number of attached elements (including the root)."""
         return sum(1 for _ in self.all_elements())
+
+
+def _clone_children(source: Element, parent: Element, document: Document) -> None:
+    # Direct wiring: the source tree is already validated (acyclic, ids
+    # unique), so append_child's ancestor walk and re-adoption are moot.
+    for child in source.children:
+        copy = Element(child.tag, child.id, child.classes, child.attributes)
+        copy.style = dict(child.style)
+        copy.parent = parent
+        copy._document = document
+        parent.children.append(copy)
+        if copy.id:
+            document._by_id[copy.id] = copy
+        _clone_children(child, copy, document)

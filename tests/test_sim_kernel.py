@@ -159,6 +159,39 @@ class TestRunControl:
         kernel.run_until(10)
         assert len(errors) == 1
 
+    def test_step_not_reentrant(self):
+        """An action that calls step() must not fire a later event
+        inside itself and resume with the clock moved under it."""
+        kernel = Kernel()
+        errors = []
+        seen = []
+
+        def bad():
+            try:
+                kernel.step()
+            except SchedulingError as exc:
+                errors.append(exc)
+            seen.append(kernel.now_us)
+
+        kernel.schedule_at(10, bad)
+        kernel.schedule_at(20, lambda: seen.append(("late", kernel.now_us)))
+        kernel.run_until(15)
+        assert len(errors) == 1
+        assert seen == [10]
+        assert kernel.pending_count == 1
+        assert kernel.step() is True
+        assert seen == [10, ("late", 20)]
+
+    def test_drain_and_step_release_the_guard(self):
+        kernel = Kernel()
+        kernel.schedule_at(5, lambda: None)
+        kernel.schedule_at(6, lambda: None)
+        assert kernel.step() is True
+        assert kernel.drain() == 1
+        kernel.schedule_at(7, lambda: None)
+        kernel.run_until(10)
+        assert kernel.events_fired == 3
+
     def test_events_beyond_deadline_stay_queued(self):
         kernel = Kernel()
         fired = []

@@ -199,6 +199,26 @@ class TestParser:
     def test_empty_sheet(self):
         assert len(parse_stylesheet("   /* nothing */  ")) == 0
 
+    def test_each_parse_returns_a_fresh_stylesheet(self):
+        text = "div#a { width: 1px; } .b:QoS { onclick-qos: single, short; }"
+        first = parse_stylesheet(text)
+        second = parse_stylesheet(text)
+        assert first is not second
+        assert first.rules is not second.rules
+        assert first.rules == second.rules
+        first.append(parse_stylesheet("p { color: red; }").rules[0])
+        first.extend(parse_stylesheet("q { color: blue; }"))
+        assert len(first) == 4
+        assert len(second) == 2
+        assert len(parse_stylesheet(text)) == 2
+        assert str(parse_stylesheet(text)) == str(second)
+
+    @pytest.mark.parametrize("text", ["div { width: 1px", "div { width: ; }", "a { b: 1; } {"])
+    def test_malformed_css_raises_on_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises((CssSyntaxError, SelectorError)):
+                parse_stylesheet(text)
+
 
 class TestCascade:
     def test_specificity_beats_order(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BrowserError, DomError
+from repro.errors import BrowserError, DomError, HtmlParseError
 from repro.web import (
     Callback,
     Document,
@@ -64,6 +64,53 @@ class TestHtmlParser:
         doc, sheet = parse_html(markup)
         assert len(sheet.greenweb_rules()) == 1
         assert doc.get_element_by_id("ex") is not None
+
+    def test_each_parse_returns_a_fresh_document(self):
+        markup = """
+        <html class='page'>
+        <style>#a { width: 1px; } #a:QoS { onclick-qos: single, short; }</style>
+        <div id='a' class='zeta alpha' data-k='v' style='width: 2px'>
+          <span id='b'></span>
+        </div>
+        </html>
+        """
+        first, first_sheet = parse_html(markup)
+        second, second_sheet = parse_html(markup)
+        assert first is not second and first_sheet is not second_sheet
+        a1, a2 = first.get_element_by_id("a"), second.get_element_by_id("a")
+        assert a1 is not a2
+        assert list(a2.classes) == ["zeta", "alpha"]
+        assert a2.class_attr == "zeta alpha"
+        assert a2.matches("[class^=zeta]")
+        assert a2.document is second
+        assert a2.parent.document is second
+
+        a1.classes.add("extra")
+        a1.style["color"] = "red"
+        a1.attributes["data-k"] = "changed"
+        a1.add_event_listener("click", Callback(lambda ctx: None, "cb"))
+        a1.append_child(first.create_element("p", "new"))
+        a1.remove_child(first.get_element_by_id("b"))
+        first.root.classes.discard("page")
+        first_sheet.append(first_sheet.rules[0])
+
+        for doc, sheet in ((second, second_sheet), parse_html(markup)):
+            a = doc.get_element_by_id("a")
+            assert list(a.classes) == ["zeta", "alpha"]
+            assert a.style == {"width": "2px"}
+            assert a.attributes == {"data-k": "v"}
+            assert a.listened_event_types == []
+            assert [c.id for c in a.children] == ["b"]
+            assert doc.get_element_by_id("new") is None
+            assert doc.get_element_by_id("b").parent is a
+            assert "page" in doc.root.classes
+            assert len(sheet) == 2
+
+    def test_duplicate_id_raises_on_every_call(self):
+        markup = "<div id='dup'></div><span id='dup'></span>"
+        for _ in range(3):
+            with pytest.raises(HtmlParseError):
+                parse_html(markup)
 
 
 class TestEvents:

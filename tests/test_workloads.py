@@ -7,6 +7,7 @@ from repro.core import AnnotationRegistry
 from repro.core.qos import QoSType as QT
 from repro.errors import WorkloadError
 from repro.hardware import odroid_xu_e
+from repro.web import Callback
 from repro.web.events import EventType, InteractionKind
 from repro.workloads import (
     APP_NAMES,
@@ -164,6 +165,55 @@ class TestRegistryApi:
         assert list(a.page.rng.integers(0, 1000, 5)) == list(
             b.page.rng.integers(0, 1000, 5)
         )
+
+
+def page_snapshot(bundle):
+    """Everything a session can observe of a built page, as plain data."""
+    return (
+        [
+            (e.tag, e.id, list(e.classes), dict(e.attributes), dict(e.style),
+             e.listened_event_types, [c.tag for c in e.children])
+            for e in bundle.page.document.all_elements()
+        ],
+        str(bundle.page.stylesheet),
+    )
+
+
+class TestSharedParseCaches:
+    def test_builds_share_no_mutable_state(self):
+        first, second = build_app("todo", 3), build_app("todo", 3)
+        pristine = page_snapshot(second)
+        assert first.page.document is not second.page.document
+        assert first.page.stylesheet is not second.page.stylesheet
+
+        doc = first.page.document
+        button = doc.get_element_by_id("add-btn")
+        button.classes.add("pressed")
+        button.classes.discard("button")
+        button.style["height"] = "9px"
+        button.attributes["aria-pressed"] = "true"
+        button.add_event_listener("touchstart", Callback(lambda ctx: None, "extra"))
+        button.append_child(doc.create_element("span", "badge"))
+        doc.get_element_by_id("item-toggle").parent.remove_child(
+            doc.get_element_by_id("item-toggle")
+        )
+        first.page.stylesheet.append(first.page.stylesheet.rules[0])
+        first.page.stylesheet.extend(first.page.stylesheet)
+        assert page_snapshot(first) != pristine
+
+        assert page_snapshot(second) == pristine
+        third = build_app("todo", 3)
+        assert page_snapshot(third) == pristine
+        assert third.page.document.get_element_by_id("badge") is None
+        assert third.page.document.get_element_by_id("item-toggle") is not None
+
+    def test_manual_annotations_fresh_per_build(self):
+        bundle = build_app("todo", with_manual_annotations=False)
+        base = len(bundle.page.stylesheet)
+        bundle.apply_manual_annotations()
+        bundle.apply_manual_annotations()
+        assert len(bundle.page.stylesheet) == base + 2
+        assert len(build_app("todo").page.stylesheet) == base + 1
 
 
 class TestDriver:
