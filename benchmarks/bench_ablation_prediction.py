@@ -12,7 +12,7 @@ from conftest import run_once
 from repro.browser.engine import Browser
 from repro.core.annotations import AnnotationRegistry
 from repro.policies import POLICIES
-from repro.evaluation.analysis import prediction_accuracy
+from repro.evaluation.folds import PredictionAccuracyFold
 from repro.hardware.platform import odroid_xu_e
 from repro.scenarios import build_live_scenario
 from repro.workloads.interactions import InteractionDriver
@@ -30,7 +30,7 @@ def _accuracy_for(app: str):
     browser = Browser(platform, bundle.page, policy=runtime)
     InteractionDriver(browser).schedule(bundle.micro_trace)
     platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
-    return prediction_accuracy(platform.trace)
+    return PredictionAccuracyFold().replay(platform.trace).result()
 
 
 def _matrix():

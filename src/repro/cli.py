@@ -118,9 +118,12 @@ def _export_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.errors import EvaluationError
     from repro.evaluation import experiments
     from repro.evaluation import report
 
+    if args.jobs < 1:
+        raise EvaluationError(f"figures need >= 1 job, got {args.jobs}")
     which = set(args.only) if args.only else {
         "table1", "fig9", "fig10", "fig11", "fig12", "table3"
     }
@@ -163,14 +166,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Frame-timeline analysis of one run (p50/p95/p99, FPS, jank)."""
-    from repro.evaluation.analysis import fps_over_time, frame_timeline_stats
+    from repro.evaluation.analysis import fps_over_time
+    from repro.evaluation.folds import FrameTimelineFold
     from repro.evaluation.report import ascii_bars
 
     execution = _prepared_session(args)
     execution.run()
     platform = execution.platform
 
-    stats = frame_timeline_stats(platform.trace)
+    stats = FrameTimelineFold().replay(platform.trace).stats()
     print(f"frame timeline for {args.app} / {args.governor} / {args.scenario}:")
     print(f"  frames:      {stats.frame_count} over {stats.duration_s:.1f} s "
           f"({stats.mean_fps:.1f} fps mean)")

@@ -18,8 +18,9 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.runtime` — the GreenWeb runtime (Sec. 6): per-frame
   operation, profiling, feedback adaptation, and energy conservation
   after the associated frames of an event are produced.
-* :mod:`repro.core.governors` — the baselines (Sec. 7.1): Perf and the
-  Android-style Interactive governor (plus extra reference policies).
+* :mod:`repro.core.governors` — the baselines (Sec. 7.1): the pinned
+  static configuration (Perf) and the Android-style Interactive
+  governor (plus extra reference policies).
 """
 
 from repro.core.annotations import AnnotationRegistry
@@ -27,8 +28,7 @@ from repro.core.ebs import EbsGovernor
 from repro.core.governors import (
     InteractiveGovernor,
     OndemandGovernor,
-    PerfGovernor,
-    PowersaveGovernor,
+    PinnedGovernor,
 )
 from repro.core.language import GreenWebAnnotation, extract_annotations
 from repro.core.perf_model import PerfModelCoefficients, fit_dvfs_model
@@ -64,8 +64,7 @@ __all__ = [
     "GreenWebRuntime",
     "UaiGreenWebRuntime",
     "EbsGovernor",
-    "PerfGovernor",
+    "PinnedGovernor",
     "InteractiveGovernor",
-    "PowersaveGovernor",
     "OndemandGovernor",
 ]

@@ -1,7 +1,11 @@
 """Baseline CPU governors (paper Sec. 7.1).
 
-* :class:`PerfGovernor` — "always runs the system at the peak
-  performance, i.e. highest frequency in the big core".
+* :class:`PinnedGovernor` — one static configuration, always.  The
+  paper's *Perf* baseline "always runs the system at the peak
+  performance, i.e. highest frequency in the big core"; the registry's
+  ``perf`` and ``powersave`` (the energy floor, slowest little
+  configuration) pin big-max and little-min, and the Sec. 2 trade-off
+  sweep pins every configuration in turn.
 * :class:`InteractiveGovernor` — a faithful model of Android's
   ``interactive`` cpufreq governor: it "maximizes performance when the
   CPU recovers from the idle state, and then dynamically changes CPU
@@ -9,9 +13,8 @@
   governor's knobs: idle-exit boost to ``hispeed``, ``go_hispeed_load``,
   ``min_sample_time`` hysteresis, ``target_load`` proportional scaling
   on a periodic timer.
-* :class:`PowersaveGovernor` / :class:`OndemandGovernor` — extra
-  reference policies (energy floor and the classic step-down governor)
-  used by the ablation benchmarks.
+* :class:`OndemandGovernor` — the classic step-down governor, an extra
+  reference policy used by the ablation benchmarks.
 
 All governors rank the 17 platform configurations by *capacity*
 (effective IPC x frequency), which makes "step down one level" and
@@ -38,33 +41,16 @@ def config_capacity(platform: MobilePlatform, config: CpuConfig) -> float:
     return spec.ipc_factor * config.freq_mhz
 
 
-class PerfGovernor(BrowserPolicy):
-    """Peak performance, always (the paper's *Perf* baseline)."""
+class PinnedGovernor(BrowserPolicy):
+    """One static configuration, applied at bind and never changed."""
 
-    def __init__(self, platform: MobilePlatform) -> None:
+    def __init__(self, platform: MobilePlatform, config: CpuConfig) -> None:
         self.platform = platform
-        big = platform.cluster("big").spec
-        self._peak = CpuConfig("big", big.opps.max.freq_mhz)
+        self.config = config
 
     def bind(self, browser) -> None:
         super().bind(browser)
-        self.platform.set_config(self._peak)
-
-
-class PowersaveGovernor(BrowserPolicy):
-    """Minimum-energy floor: the slowest little configuration, always.
-
-    Not a paper baseline; used by tests and ablations as the energy
-    lower bound (with correspondingly terrible QoS)."""
-
-    def __init__(self, platform: MobilePlatform) -> None:
-        self.platform = platform
-        little = platform.cluster("little").spec
-        self._floor = CpuConfig("little", little.opps.min.freq_mhz)
-
-    def bind(self, browser) -> None:
-        super().bind(browser)
-        self.platform.set_config(self._floor)
+        self.platform.set_config(self.config)
 
 
 class InteractiveGovernor(BrowserPolicy):

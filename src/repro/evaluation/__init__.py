@@ -5,8 +5,9 @@ Reproduces the paper's Sec. 7 methodology:
 * :mod:`repro.evaluation.metrics` — QoS violation (per-frame percentage
   over target; geometric mean across a continuous event's frames) and
   configuration switching frequency (Fig. 12).
-* :mod:`repro.evaluation.folds` — streaming trace consumers, including
-  architecture-configuration residency (Fig. 11).
+* :mod:`repro.evaluation.folds` — streaming trace consumers, the only
+  metric path for architecture-configuration residency (Fig. 11),
+  frame-timeline statistics and prediction accuracy.
 * :mod:`repro.evaluation.runner` — run one (application, governor,
   scenario, trace) combination on a fresh platform + browser stack.
 * :mod:`repro.evaluation.experiments` — the figure/table experiment
@@ -22,12 +23,11 @@ from repro.evaluation.metrics import (
 )
 from repro.evaluation.runner import GOVERNORS, RunResult, run_workload
 from repro.evaluation.analysis import (
-    frame_timeline_stats,
     fps_over_time,
     pareto_frontier,
-    prediction_accuracy,
     run_tradeoff_space,
 )
+from repro.evaluation.folds import FrameTimelineFold, PredictionAccuracyFold
 from repro.evaluation.experiments import (
     run_fig9_microbenchmarks,
     run_fig10_full_interactions,
@@ -49,9 +49,9 @@ __all__ = [
     "run_fig11_distribution",
     "run_fig12_switching",
     "run_table3_characteristics",
-    "frame_timeline_stats",
+    "FrameTimelineFold",
     "fps_over_time",
-    "prediction_accuracy",
+    "PredictionAccuracyFold",
     "run_tradeoff_space",
     "pareto_frontier",
     "SweepSpec",

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.qos import QoSType
+from repro.errors import EvaluationError
 from repro.evaluation.metrics import cluster_residency, switching_per_frame_pct
 from repro.evaluation.runner import RunResult, run_workload
-from repro.fleet.pool import parallel_map
+from repro.fleet.pool import WorkerPool
 from repro.hardware.dvfs import CpuConfig
 from repro.workloads.registry import APP_NAMES, app_spec
 
@@ -39,14 +40,25 @@ def _run_matrix(
     seed: int,
     jobs: int,
 ) -> dict[str, list[RunResult]]:
-    """Run apps x variants, optionally fanned out over worker processes,
-    and return the per-app result rows in variant order."""
+    """Run apps x variants, inline for one job or on a
+    :class:`~repro.fleet.pool.WorkerPool` of ``jobs`` processes, and
+    return the per-app result rows in variant order."""
+    if jobs < 1:
+        raise EvaluationError(f"figures need >= 1 job, got {jobs}")
     cells = [
         (app, governor, scenario, trace_kind, seed)
         for app in apps
         for governor, scenario in variants
     ]
-    results = parallel_map(_run_cell, cells, jobs)
+    if jobs == 1:
+        results = [_run_cell(cell) for cell in cells]
+    else:
+        pool = WorkerPool(min(jobs, len(cells)))
+        try:
+            futures = [pool.submit(_run_cell, cell) for cell in cells]
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown()
     stride = len(variants)
     return {
         app: results[index * stride : (index + 1) * stride]

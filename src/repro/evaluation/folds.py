@@ -6,15 +6,14 @@ and fleet workers no longer need the full trace retained in memory:
 with a gated, non-retaining log the per-session footprint is constant
 no matter how long the session runs.
 
-Configuration residency (Figs. 11 and the target sweep) exists only as
-:class:`ConfigTimelineFold`.  The other folds reproduce their post-hoc
-scans in :mod:`repro.evaluation.analysis` **exactly** — same algorithm,
-same float association order — and every fold gives the same answer
-attached live or :meth:`~TraceFold.replay`-ed over a retained log, which
-is what keeps figure and fleet-aggregate JSON byte-identical across
-trace levels (asserted by tests).  Each fold declares the trace categories it
-consumes in ``categories``; a gated log's allowlist must cover the
-union of its attached folds' categories (see
+Folds are the only metric path: configuration residency (Figs. 11 and
+the target sweep), frame-timeline statistics and prediction accuracy
+exist only here.  Every fold gives the same answer attached live or
+:meth:`~TraceFold.replay`-ed over a retained log (the post-hoc path),
+which is what keeps figure and fleet-aggregate JSON byte-identical
+across trace levels (asserted by tests).  Each fold declares the trace
+categories it consumes in ``categories``; a gated log's allowlist must
+cover the union of its attached folds' categories (see
 :func:`gated_categories_for`).
 """
 
@@ -22,7 +21,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.browser.vsync import VSYNC_PERIOD_US
 from repro.errors import EvaluationError
+from repro.evaluation.analysis import FrameTimelineStats, PredictionAccuracy, percentile
 from repro.hardware.dvfs import CpuConfig
 from repro.sim.tracing import TraceLog, TraceRecord
 
@@ -158,9 +159,7 @@ class SwitchingCountsFold(TraceFold):
 class FrameTimelineFold(TraceFold):
     """Accumulates displayed-frame latencies for timeline statistics.
 
-    Memory is O(frames) floats instead of O(records) objects; the
-    resulting :class:`~repro.evaluation.analysis.FrameTimelineStats`
-    matches the post-hoc scan bit for bit.
+    Memory is O(frames) floats instead of O(records) objects.
     """
 
     categories = frozenset({"frame"})
@@ -177,17 +176,23 @@ class FrameTimelineFold(TraceFold):
                 self.first_us = record.time_us
             self.last_us = record.time_us
 
-    def stats(self, vsync_period_us: Optional[int] = None):
-        """Identical to
-        :func:`repro.evaluation.analysis.frame_timeline_stats`."""
-        from repro.browser.vsync import VSYNC_PERIOD_US
-        from repro.evaluation.analysis import timeline_stats_from_latencies
-
-        return timeline_stats_from_latencies(
-            self.latencies_us,
-            self.first_us or 0,
-            self.last_us or 0,
-            vsync_period_us if vsync_period_us is not None else VSYNC_PERIOD_US,
+    def stats(self, vsync_period_us: int = VSYNC_PERIOD_US) -> FrameTimelineStats:
+        """Timeline statistics over the displayed frames seen so far;
+        jank is a latency of at least two ``vsync_period_us``."""
+        latencies = self.latencies_us
+        if not latencies:
+            return FrameTimelineStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        span_us = max(self.last_us - self.first_us, 1)
+        jank = sum(1 for latency in latencies if latency >= 2 * vsync_period_us)
+        return FrameTimelineStats(
+            frame_count=len(latencies),
+            duration_s=span_us / 1e6,
+            latency_p50_us=percentile(latencies, 0.50),
+            latency_p95_us=percentile(latencies, 0.95),
+            latency_p99_us=percentile(latencies, 0.99),
+            latency_max_us=max(latencies),
+            mean_fps=(len(latencies) - 1) / (span_us / 1e6) if len(latencies) > 1 else 0.0,
+            jank_count=jank,
         )
 
 
@@ -216,11 +221,10 @@ class PredictionAccuracyFold(TraceFold):
             if observed > predicted:
                 self.under_predictions += 1
 
-    def result(self):
-        """Identical to
-        :func:`repro.evaluation.analysis.prediction_accuracy`."""
-        from repro.evaluation.analysis import PredictionAccuracy, percentile
-
+    def result(self) -> PredictionAccuracy:
+        """Summary of the relative errors paired so far: a prediction
+        is matched with the first later stable-phase observation for
+        its key; profiling observations are not judged."""
         if not self.errors:
             return PredictionAccuracy(0, 0.0, 0.0, 0)
         return PredictionAccuracy(

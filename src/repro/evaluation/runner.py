@@ -30,7 +30,8 @@ from repro.sim.clock import s_to_us
 from repro.sim.random import RngStreams
 from repro.sim.tracing import TraceLog
 from repro.workloads.base import AppBundle
-from repro.workloads.interactions import InteractionDriver
+from repro.web.dom import Element
+from repro.workloads.interactions import InteractionDriver, InteractionTrace, ScriptedEvent
 from repro.workloads.registry import build_app
 
 #: The paper's governor set (Sec. 7.1's bake-off plus the ablation
@@ -177,6 +178,28 @@ def _resolve_trace(bundle, trace_kind: str):
     raise EvaluationError(f"unknown trace kind {trace_kind!r}")
 
 
+def _resolve_targets(
+    bundle: AppBundle, trace: InteractionTrace
+) -> list[tuple[ScriptedEvent, Element]]:
+    """Each scripted event of ``trace``, in trace order, paired with its
+    target element (the document root when it names none); a missing
+    element is an :class:`EvaluationError`."""
+    document = bundle.page.document
+    pairs = []
+    for scripted in trace.sorted_events():
+        target = (
+            document.get_element_by_id(scripted.target_id)
+            if scripted.target_id
+            else document.root
+        )
+        if target is None:
+            raise EvaluationError(
+                f"trace {trace.name!r} targets missing element #{scripted.target_id}"
+            )
+        pairs.append((scripted, target))
+    return pairs
+
+
 def trace_event_keys(app: str, seed: int, trace_kind: str) -> list[str]:
     """The policy event key of every trace event, in trace order.
 
@@ -187,19 +210,10 @@ def trace_event_keys(app: str, seed: int, trace_kind: str) -> list[str]:
     """
     bundle = build_app(app, seed)
     trace = _resolve_trace(bundle, trace_kind)
-    keys = []
-    for scripted in trace.sorted_events():
-        target = (
-            bundle.page.document.get_element_by_id(scripted.target_id)
-            if scripted.target_id
-            else bundle.page.document.root
-        )
-        if target is None:
-            raise EvaluationError(
-                f"trace {trace.name!r} targets missing element #{scripted.target_id}"
-            )
-        keys.append(f"{target_key(target)}@{scripted.event_type}")
-    return keys
+    return [
+        f"{target_key(target)}@{scripted.event_type}"
+        for scripted, target in _resolve_targets(bundle, trace)
+    ]
 
 
 def run_workload(
@@ -315,20 +329,10 @@ class SessionExecution:
         # Pre-resolve each trace event's QoS spec (annotation state is
         # static); used for violation accounting under EVERY governor so
         # comparisons judge identical targets.
-        self._ordered = trace.sorted_events()
-        specs: list[Optional[QoSSpec]] = []
-        for scripted in self._ordered:
-            target = (
-                bundle.page.document.get_element_by_id(scripted.target_id)
-                if scripted.target_id
-                else bundle.page.document.root
-            )
-            if target is None:
-                raise EvaluationError(
-                    f"trace {trace.name!r} targets missing element #{scripted.target_id}"
-                )
-            specs.append(registry.lookup(target, scripted.event_type))
-        self._specs = specs
+        self._specs: list[Optional[QoSSpec]] = [
+            registry.lookup(target, scripted.event_type)
+            for scripted, target in _resolve_targets(bundle, trace)
+        ]
 
         driver.schedule(trace)
         #: the fixed measurement window (trace duration + settle tail)
@@ -347,9 +351,9 @@ class SessionExecution:
         platform.meter.finalize(platform.kernel.now_us)
 
         records = browser.tracker.records
-        if len(records) != len(self._ordered):
+        if len(records) != len(self._specs):
             raise EvaluationError(
-                f"dispatched {len(records)} inputs but trace has {len(self._ordered)}"
+                f"dispatched {len(records)} inputs but trace has {len(self._specs)}"
             )
         violations: list[Optional[float]] = []
         for record, spec in zip(records, self._specs):

@@ -45,7 +45,7 @@ from repro.fleet.aggregate import (
 )
 from repro.fleet.checkpoint import CHECKPOINT_VERSION, CheckpointStore, scan_checkpoint
 from repro.fleet.driver import Fleet, FleetResult, ShardFailure
-from repro.fleet.pool import WorkerPool, parallel_map
+from repro.fleet.pool import WorkerPool
 from repro.fleet.spec import (
     DEFAULT_SHARD_SIZE,
     FINGERPRINT_VERSION,
@@ -77,7 +77,6 @@ __all__ = [
     "WorkerPool",
     "cell_key",
     "default_mix",
-    "parallel_map",
     "parse_mix",
     "run_shard_job",
     "scan_checkpoint",

@@ -1,28 +1,22 @@
-"""Worker-process pooling: parallel map and the shareable WorkerPool.
+"""Worker-process pooling: the shareable WorkerPool.
 
-Two layers live here:
-
-* :func:`parallel_map` — the light-weight sibling of the fleet driver:
-  no sharding, retries, or deadlines — just "run this picklable
-  function over these items on N processes and give me the results in
-  order".  Figure regeneration (``python -m repro figures --jobs N``)
-  and other embarrassingly parallel experiment matrices use this.
-* :class:`WorkerPool` — a rebuildable ``ProcessPoolExecutor`` wrapper
-  that can *outlive a single fleet run*.  The fleet driver uses a
-  private one per run by default; the ``repro serve`` daemon owns one
-  and hands it to every job's :class:`repro.fleet.Fleet`, so warm
-  worker processes persist across jobs.
+:class:`WorkerPool` is a rebuildable ``ProcessPoolExecutor`` wrapper
+that can *outlive a single fleet run*, and the repo's only process
+pool.  The fleet driver uses a private one per run by default; the
+``repro serve`` daemon owns one and hands it to every job's
+:class:`repro.fleet.Fleet`, so warm worker processes persist across
+jobs; figure regeneration (``python -m repro figures --jobs N``) maps
+its experiment cells over a private one.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from repro.errors import EvaluationError
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -123,17 +117,3 @@ class WorkerPool:
             terminate_executor(self._executor)
             self._executor = None
 
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:
-    """Map ``fn`` over ``items``, preserving input order.
-
-    ``jobs <= 1`` runs inline (no processes, exact same results), so
-    callers can thread a ``--jobs`` flag straight through.  ``fn`` must
-    be a module-level callable and items/results picklable when
-    ``jobs > 1``.
-    """
-    work: Sequence[T] = list(items)
-    if jobs <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-        return list(pool.map(fn, work, chunksize=1))

@@ -17,17 +17,18 @@ from repro.core.ebs import EbsGovernor
 from repro.core.governors import (
     InteractiveGovernor,
     OndemandGovernor,
-    PerfGovernor,
-    PowersaveGovernor,
+    PinnedGovernor,
 )
 from repro.core.runtime import GreenWebRuntime
+from repro.hardware.dvfs import CpuConfig
 from repro.policies.oracle import run_oracle
 from repro.policies.registry import POLICIES
 
 
 @POLICIES.register("perf", description="peak performance, always (paper baseline)")
 def _build_perf(platform, registry, scenario):
-    return PerfGovernor(platform)
+    big = platform.cluster("big").spec
+    return PinnedGovernor(platform, CpuConfig("big", big.opps.max.freq_mhz))
 
 
 @POLICIES.register(
@@ -43,7 +44,8 @@ def _build_interactive(platform, registry, scenario, **params):
     "powersave", description="slowest little configuration, always (energy floor)"
 )
 def _build_powersave(platform, registry, scenario):
-    return PowersaveGovernor(platform)
+    little = platform.cluster("little").spec
+    return PinnedGovernor(platform, CpuConfig("little", little.opps.min.freq_mhz))
 
 
 @POLICIES.register(

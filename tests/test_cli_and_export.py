@@ -162,6 +162,13 @@ class TestCli:
         assert "Fig. 9" in out
         assert "todo" in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_figures_rejects_fewer_than_one_job(self, jobs, capsys):
+        assert main(["figures", "--only", "table1", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: figures need >= 1 job, got {jobs}")
+        assert captured.out == ""
+
     def test_run_seed_reproducible(self, capsys):
         assert main(["run", "todo", "--seed", "5"]) == 0
         first = capsys.readouterr().out

@@ -2,13 +2,18 @@
 the full browser + platform stack."""
 
 
+import pytest
+
 from repro.core import (
+    AnnotationRegistry,
     InteractiveGovernor,
     OndemandGovernor,
-    PerfGovernor,
-    PowersaveGovernor,
+    PinnedGovernor,
 )
 from repro.hardware import CpuConfig
+from repro.hardware.platform import odroid_xu_e
+from repro.policies import POLICIES
+from repro.scenarios import build_live_scenario
 from repro.web import Callback
 
 from tests.conftest import build, greenweb_factory, light_tap_callback
@@ -165,9 +170,13 @@ class TestFeedback:
         assert runtime.stats.recalibrations >= 1
 
 
+BIG_MAX = CpuConfig("big", 1800)
+LITTLE_MIN = CpuConfig("little", 350)
+
+
 class TestBaselineGovernors:
     def test_perf_pins_big_max(self):
-        browser, platform, _ = build(lambda p, s, sc: PerfGovernor(p))
+        browser, platform, _ = build(lambda p, s, sc: PinnedGovernor(p, BIG_MAX))
         btn = browser.page.document.get_element_by_id("btn")
         btn.add_event_listener("click", light_tap_callback())
         browser.dispatch_event("click", btn)
@@ -176,9 +185,19 @@ class TestBaselineGovernors:
         assert platform.dvfs.switch_count <= 1  # initial pin only
 
     def test_powersave_pins_little_min(self):
-        browser, platform, _ = build(lambda p, s, sc: PowersaveGovernor(p))
+        browser, platform, _ = build(lambda p, s, sc: PinnedGovernor(p, LITTLE_MIN))
         platform.run_for(1_000)
         assert platform.config == CpuConfig("little", 350)
+
+    @pytest.mark.parametrize("name, config", [("perf", BIG_MAX), ("powersave", LITTLE_MIN)])
+    def test_registry_pins_read_the_platform(self, name, config):
+        platform = odroid_xu_e(record_power_intervals=False)
+        policy = POLICIES.build(
+            name, platform, AnnotationRegistry(),
+            build_live_scenario("imperceptible", platform),
+        )
+        assert isinstance(policy, PinnedGovernor)
+        assert policy.config == config
 
     def test_interactive_boosts_on_input(self):
         browser, platform, gov = build(lambda p, s, sc: InteractiveGovernor(p))
@@ -251,7 +270,7 @@ class TestEnergyComparison:
     def test_greenweb_beats_perf_on_light_taps(self):
         """The Fig. 9a 'Todo-like' case: light single frames against a
         loose target make Perf waste most of its energy."""
-        perf = self.run_with(lambda p, s, sc: PerfGovernor(p))
+        perf = self.run_with(lambda p, s, sc: PinnedGovernor(p, BIG_MAX))
         greenweb = self.run_with(greenweb_factory())
         assert greenweb < 0.75 * perf
 

@@ -435,8 +435,9 @@ class TestParallelFigures:
         pooled = run_fig9_microbenchmarks(apps=["todo"], jobs=2)
         assert serial == pooled
 
-    def test_parallel_map_preserves_order(self):
-        from repro.fleet.pool import parallel_map
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_matrix_rejects_fewer_than_one_job(self, jobs):
+        from repro.evaluation.experiments import run_fig9_microbenchmarks
 
-        assert parallel_map(abs, [-3, 1, -2], jobs=1) == [3, 1, 2]
-        assert parallel_map(abs, [-3, 1, -2], jobs=2) == [3, 1, 2]
+        with pytest.raises(EvaluationError, match=">= 1 job"):
+            run_fig9_microbenchmarks(apps=["todo"], jobs=jobs)

@@ -13,7 +13,7 @@ from repro.browser import Browser, Page
 from repro.browser.frame_tracker import FrameTracker
 from repro.browser.messages import InputMsg
 from repro.core import AnnotationRegistry, GreenWebRuntime
-from repro.core.governors import InteractiveGovernor, PerfGovernor
+from repro.core.governors import InteractiveGovernor, PinnedGovernor
 from repro.errors import BrowserError, ReproError
 from repro.hardware import CpuConfig, WorkUnit, odroid_xu_e
 from repro.scenarios import build_live_scenario
@@ -249,7 +249,7 @@ class TestWholeStackFuzz:
             scenario = build_live_scenario("imperceptible", platform)
             policy = GreenWebRuntime(platform, registry, scenario)
         elif policy_kind == "perf":
-            policy = PerfGovernor(platform)
+            policy = PinnedGovernor(platform, CpuConfig("big", 1800))
         else:
             policy = InteractiveGovernor(platform)
         browser = Browser(platform, page, policy=policy)
