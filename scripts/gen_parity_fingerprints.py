@@ -5,7 +5,7 @@ the dynamic-scenario cells, and records a SHA-256 over the canonical
 JSON of the :func:`repro.evaluation.runner.run_workload_job` result.
 The differential suite (``tests/differential/test_batch_parity.py``
 and ``test_scenario_dynamics.py``) asserts every cell reproduces these
-bytes, with numpy and under ``REPRO_NO_NUMPY=1``.
+bytes.
 
 Run from the repo root after any intentional result-affecting change::
 

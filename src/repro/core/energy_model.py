@@ -27,7 +27,7 @@ class SweepTable:
 
     Parallel tuples, one entry per configuration in table order, so the
     sweep never touches a dict or ``CpuConfig`` attribute in its hot
-    loop (and the vectorized path can mirror them as numpy arrays).
+    loop.
     """
 
     configs: tuple[CpuConfig, ...]

@@ -168,6 +168,7 @@ class OndemandGovernor(BrowserPolicy):
         self._configs = sorted(
             platform.all_configs(), key=lambda c: config_capacity(platform, c)
         )
+        self._index = {config: i for i, config in enumerate(self._configs)}
         self._last_any_busy_us = 0.0
         self._last_sample_us = 0
 
@@ -189,10 +190,7 @@ class OndemandGovernor(BrowserPolicy):
         self._last_sample_us = now
         self._last_any_busy_us = any_busy
 
-        current = self.platform.config
-        index = next(
-            (i for i, c in enumerate(self._configs) if c == current), len(self._configs) - 1
-        )
+        index = self._index.get(self.platform.config, len(self._configs) - 1)
         if utilization >= self.up_threshold:
             self.platform.set_config(self._configs[-1])
         elif utilization <= self.down_threshold and index > 0:

@@ -11,24 +11,24 @@ same conservative bias AutoGreen applies to its annotations (Sec. 5).
 Implementation notes
 --------------------
 The sweep runs on every prediction, so it is the runtime's hottest
-model code.  Three layers keep it cheap without changing a single
-result bit (the differential suite pins this):
+model code.  Two layers keep it cheap without changing a single result
+bit (the differential suite pins this):
 
 * the per-platform configuration table is precomputed
-  (:meth:`repro.core.energy_model.PowerTable.sweep_table`);
-* the sweep itself is vectorized with numpy when available, falling
-  back to a pure-Python loop with identical float semantics — set
-  ``REPRO_NO_NUMPY=1`` to force the fallback (elementwise float64
-  arithmetic is IEEE-identical either way, and ``argmin`` picks the
-  first minimum exactly like the loop's strict-``<`` comparisons);
+  (:meth:`repro.core.energy_model.PowerTable.sweep_table`), so the loop
+  reads parallel tuples instead of dicts and ``CpuConfig`` attributes;
 * predictions are memoized on ``(model uid, model version, target)``,
   which changes precisely when the inputs may have (see
   :class:`~repro.core.perf_model.ClusterModelSet`).
+
+The sweep is a plain loop on purpose.  At 17 configurations a numpy
+version spends its time building arrays and converting scalars, not
+computing: over the real sweeps of a w3schools session it took two to
+three times as long as the loop, for identical results.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,14 +36,6 @@ from repro.errors import RuntimeModelError
 from repro.core.energy_model import PowerTable
 from repro.core.perf_model import ClusterModelSet
 from repro.hardware.dvfs import CpuConfig
-
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - image always has numpy
-        _np = None
 
 #: memo entries kept per predictor before the table resets (predictors
 #: are per-session; this only bounds pathological target churn)
@@ -71,17 +63,6 @@ class ConfigPredictor:
         self._cluster_index = table.cluster_index
         self._freqs_mhz = table.freqs_mhz
         self._busy_power_w = table.busy_power_w
-        # Legacy attribute: the pre-paired (config, busy power) sweep a
-        # few ablation tests introspect.
-        self._sweep: list[tuple[CpuConfig, float]] = list(
-            zip(table.configs, table.busy_power_w)
-        )
-        if _np is not None:
-            self._np_freqs = _np.asarray(table.freqs_mhz, dtype=_np.float64)
-            self._np_busy = _np.asarray(table.busy_power_w, dtype=_np.float64)
-            self._np_cluster_index = _np.asarray(table.cluster_index, dtype=_np.intp)
-        else:
-            self._np_freqs = None
         self._memo: dict = {}
 
     def predict(
@@ -111,42 +92,12 @@ class ConfigPredictor:
 
         target_us = target_ms * 1_000.0
         coeffs = [models.get_or_none(name) for name in self._cluster_names]
-        if self._np_freqs is not None and None not in coeffs:
-            prediction = self._predict_numpy(coeffs, target_us)
-        else:
-            prediction = self._predict_python(coeffs, target_us)
+        prediction = self._predict_python(coeffs, target_us)
 
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
         memo[key] = prediction
         return prediction
-
-    def _predict_numpy(self, coeffs: list, target_us: float) -> Prediction:
-        """Vectorized sweep; float semantics identical to the loop (see
-        module docstring)."""
-        index = self._np_cluster_index
-        t_independent = _np.asarray(
-            [c.t_independent_us for c in coeffs], dtype=_np.float64
-        )[index]
-        n_cycles = _np.asarray(
-            [c.n_cycles for c in coeffs], dtype=_np.float64
-        )[index]
-        # Same arithmetic (and float association order) as
-        # ClusterModelSet.predict_us / PowerTable.frame_energy_j.
-        latency = t_independent + n_cycles / self._np_freqs
-        energy = self._np_busy * latency * 1e-6
-        meets = latency <= target_us
-        if meets.any():
-            chosen = int(_np.where(meets, energy, _np.inf).argmin())
-            return Prediction(
-                self._configs[chosen], float(latency[chosen]),
-                float(energy[chosen]), True,
-            )
-        chosen = int(latency.argmin())
-        return Prediction(
-            self._configs[chosen], float(latency[chosen]),
-            float(energy[chosen]), False,
-        )
 
     def _predict_python(self, coeffs: list, target_us: float) -> Prediction:
         configs = self._configs

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.core.qos import QoSType
 from repro.errors import EvaluationError
 from repro.evaluation.metrics import cluster_residency, switching_per_frame_pct
-from repro.evaluation.runner import RunResult, run_workload
+from repro.evaluation.runner import RunResult, _resolve_targets, run_workload
 from repro.fleet.pool import WorkerPool
 from repro.hardware.dvfs import CpuConfig
 from repro.workloads.registry import APP_NAMES, app_spec
@@ -353,15 +353,10 @@ def run_table3_characteristics(seed: int = 0) -> list[Table3Row]:
         bundle = build_app(app, seed)
         spec = bundle.spec
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-        annotated = 0
-        for scripted in bundle.full_trace.events:
-            target = (
-                bundle.page.document.get_element_by_id(scripted.target_id)
-                if scripted.target_id
-                else bundle.page.document.root
-            )
-            if registry.lookup(target, scripted.event_type) is not None:
-                annotated += 1
+        annotated = sum(
+            registry.lookup(target, scripted.event_type) is not None
+            for scripted, target in _resolve_targets(bundle, bundle.full_trace)
+        )
         rows.append(
             Table3Row(
                 app=app,

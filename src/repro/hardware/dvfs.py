@@ -102,6 +102,12 @@ class DvfsController:
             FrequencyError: for a frequency not in the cluster's table.
         """
         platform = self._platform
+        if config == platform._config and self._apply_event is None:
+            # Already applied, no switch in flight: unless a cap now sits
+            # below it, the full path below would also return False.
+            cap = platform._freq_caps.get(config.cluster)
+            if cap is None or config.freq_mhz <= cap:
+                return False
         cluster = platform.cluster(config.cluster)
         cluster.spec.opps.at(config.freq_mhz)  # validate frequency early
         config = self.clamp(config)

@@ -66,15 +66,17 @@ class MobilePlatform:
         if initial_config.cluster not in self._clusters:
             raise HardwareError(f"unknown cluster {initial_config.cluster!r}")
 
+        #: applied config -> platform power by busy-context count,
+        #: filled on first use; only the active cluster is powered, so
+        #: (config, busy count) fully keys the instantaneous power.
+        self._power_rows: dict[CpuConfig, list[Optional[PowerBreakdown]]] = {}
+        self._row_length = max(c.spec.core_count for c in self._clusters.values()) + 1
         self._active_name = initial_config.cluster
         active = self._clusters[self._active_name]
         active.power_on()
         active.set_frequency(initial_config.freq_mhz)
         self._active_cluster = active
-        #: bumped on every applied configuration; all cluster state
-        #: changes flow through __init__/_apply_config, so this (with
-        #: the busy count) fully keys the instantaneous power state.
-        self._power_state_version = 0
+        self._set_applied_config()
 
         #: cluster name -> f_max ceiling (MHz) currently imposed by the
         #: environment (thermal throttling); empty = uncapped.  The
@@ -83,7 +85,6 @@ class MobilePlatform:
 
         self._contexts: list[ExecutionContext] = []
         self._busy: set[ExecutionContext] = set()
-        self._power_cache: dict = {}
         self._paused_depth = 0
         self._busy_observers: list = []
         #: opt-in: emit a "task/span" trace record for every completed
@@ -147,8 +148,7 @@ class MobilePlatform:
     @property
     def config(self) -> CpuConfig:
         """The current <cluster, frequency> execution configuration."""
-        active = self.active_cluster
-        return CpuConfig(active.name, active.freq_mhz)
+        return self._config
 
     def all_configs(self) -> list[CpuConfig]:
         """Every <cluster, frequency> combination the platform offers,
@@ -197,6 +197,16 @@ class MobilePlatform:
             self._freq_caps[cluster] = int(cap_mhz)
         self.dvfs.enforce_caps()
 
+    def _set_applied_config(self) -> None:
+        """Record the active cluster's configuration and pick its power
+        row; the only two cluster-state writers, ``__init__`` and
+        :meth:`_apply_config`, call this after every change."""
+        active = self._active_cluster
+        self._config = CpuConfig(active.name, active.freq_mhz)
+        self._power_row = self._power_rows.setdefault(
+            self._config, [None] * self._row_length
+        )
+
     def _apply_config(self, config: CpuConfig) -> None:
         """Immediately apply a configuration (called by the DVFS
         controller after the switching overhead)."""
@@ -206,7 +216,7 @@ class MobilePlatform:
             self._active_cluster = self._clusters[config.cluster]
             self._active_cluster.power_on()
         self._active_cluster.set_frequency(config.freq_mhz)
-        self._power_state_version += 1
+        self._set_applied_config()
         self.trace.emit(
             self.kernel._now_us,
             "config",
@@ -299,19 +309,20 @@ class MobilePlatform:
     def current_power(self) -> PowerBreakdown:
         """Instantaneous platform power for the current state.
 
-        Memoized: power depends only on (applied configuration, busy
-        count) — keyed by the configuration version counter, a state
-        space of a few dozen points the busy/idle churn revisits
-        constantly — so the hot path is one dict probe on an int pair.
+        Memoized: power depends only on the applied configuration and
+        the busy count, because only the active cluster is powered.
+        Each applied configuration owns one row indexed by busy count
+        (at most 17 x 5 entries on the default platform), picked once
+        per apply, so the busy/idle churn costs one list index.
         """
-        key = (self._power_state_version, len(self._busy))
-        cached = self._power_cache.get(key)
+        busy_count = len(self._busy)
+        cached = self._power_row[busy_count]
         if cached is None:
             rows = []
             for name, cluster in self._clusters.items():
-                busy = len(self._busy) if name == self._active_name else 0
+                busy = busy_count if name == self._active_name else 0
                 rows.append((cluster.spec, cluster.opp, busy, cluster.powered))
-            cached = self._power_cache[key] = self.power_model.breakdown(rows)
+            cached = self._power_row[busy_count] = self.power_model.breakdown(rows)
         return cached
 
     def _notify_power_change(self) -> None:

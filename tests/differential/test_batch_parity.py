@@ -5,9 +5,8 @@ reproduce the checked-in golden fingerprints
 (``tests/data/batch_parity_fingerprints.json``, regenerated only by
 ``scripts/gen_parity_fingerprints.py`` after an intentional
 result-affecting change) byte for byte — for every application, every
-builtin governor, and both retained trace levels.  CI runs this suite
-with numpy and again under ``REPRO_NO_NUMPY=1``, so the goldens also
-pin numpy-on/off determinism.
+builtin governor, and both retained trace levels.  CI runs this
+directory once, slow sweep included.
 
 The full 144-cell sweep is marked ``slow``; a quick cross-section runs
 with the default suite.

@@ -6,8 +6,7 @@ A session must therefore produce the same result bytes whether it is
 the first thing a fresh interpreter runs (cold caches) or runs after
 every application has been built (warm caches), and neither may depend
 on the hash seed.  Each probe runs in its own interpreter so the cold
-case really is cold; ``REPRO_NO_NUMPY`` passes through, so the CI job
-that reruns this directory without numpy covers the fallback too.
+case really is cold.
 """
 
 import os

@@ -178,6 +178,26 @@ class TestRunner:
         result = run_workload("todo", governor, I, "micro")
         assert result.frames >= 1
 
+    def test_table3_rejects_trace_naming_missing_element(self, monkeypatch):
+        from repro.evaluation.experiments import run_table3_characteristics
+        from repro.workloads import registry
+        from repro.workloads.interactions import InteractionTrace, ScriptedEvent
+
+        real_build_app = registry.build_app
+
+        def build_with_dangling_target(name, seed=0):
+            bundle = real_build_app(name, seed)
+            bundle.full_trace = InteractionTrace(
+                bundle.full_trace.name,
+                bundle.full_trace.events
+                + [ScriptedEvent(0, EventType.CLICK, "no-such-element")],
+            )
+            return bundle
+
+        monkeypatch.setattr(registry, "build_app", build_with_dangling_target)
+        with pytest.raises(EvaluationError, match="no-such-element"):
+            run_table3_characteristics()
+
 
 class TestHeadlineShapes:
     """The paper's qualitative results must hold (DESIGN.md Sec. 4)."""

@@ -1,5 +1,7 @@
 """Tests for the work model, power model, execution, DVFS, and energy."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -352,3 +354,81 @@ class TestUtilization:
         busy_ctx_us, any_busy_us = platform.utilization_snapshot()
         assert busy_ctx_us == pytest.approx(2000, abs=2)
         assert any_busy_us == pytest.approx(1000, abs=1)
+
+
+def _reference_request(platform, config):
+    """``(returned, in flight after, pending target after)`` for
+    ``DvfsController.request(config)`` when it validates, clamps and
+    compares with no shortcut: the reference the no-op early return
+    must agree with."""
+    dvfs = platform.dvfs
+    clamped = dvfs.clamp(config)
+    if dvfs.in_flight:
+        cancels = clamped == platform.config and dvfs._pending_target != clamped
+    else:
+        cancels = clamped == platform.config
+    return (False, False, None) if cancels else (True, True, clamped)
+
+
+class TestStoredControlState:
+    """The applied config, the power memo and the no-op DVFS shortcut
+    work from stored state; a seeded random walk over requests, caps
+    and busy/idle churn checks each against an independent recomputation."""
+
+    def _check_state(self, platform):
+        active = platform.active_cluster
+        assert platform.config == CpuConfig(active.name, active.freq_mhz)
+        rows = []
+        for name in platform.cluster_names:
+            cluster = platform.cluster(name)
+            busy = platform.busy_context_count if name == active.name else 0
+            rows.append((cluster.spec, cluster.opp, busy, cluster.powered))
+        expected = platform.power_model.breakdown(rows)
+        assert platform.current_power() == expected
+        assert platform.meter.current_power_w == expected.total_w
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_walk_matches_recomputation(self, seed):
+        rng = random.Random(seed)
+        platform = odroid_xu_e()
+        configs = platform.all_configs()
+        contexts = [platform.create_context(f"ctx{i}") for i in range(4)]
+        platform.add_busy_observer(lambda busy, previous: self._check_state(platform))
+        same_config_checks = {"in_flight": 0, "over_cap": 0}
+
+        for _ in range(600):
+            step = rng.randrange(7)
+            if step == 0:
+                platform.set_config(rng.choice(configs))
+            elif step == 1:
+                cluster = rng.choice(platform.cluster_names)
+                frequencies = platform.cluster(cluster).spec.opps.frequencies
+                cap = rng.choice([None, rng.choice(frequencies), min(frequencies) - 1])
+                platform.set_frequency_cap(cluster, cap)
+            elif step == 2:
+                # A cap that lands without its down-switch: the applied
+                # config sits above it with no switch in flight.
+                current = platform.config
+                lower = [f for f in platform.cluster(current.cluster).spec.opps.frequencies
+                         if f < current.freq_mhz]
+                if lower:
+                    platform._freq_caps[current.cluster] = rng.choice(lower)
+            elif step in (3, 4):
+                rng.choice(contexts).submit(WorkUnit(cycles=rng.randrange(0, 400_000)))
+            elif step == 5:
+                platform.run_for(rng.randrange(0, 250))
+            if step in (2, 6) or rng.random() < 0.3:
+                current = platform.config
+                cap = platform.frequency_cap(current.cluster)
+                in_flight = platform.dvfs.in_flight
+                same_config_checks["in_flight"] += in_flight
+                same_config_checks["over_cap"] += (
+                    not in_flight and cap is not None and cap < current.freq_mhz
+                )
+                expected = _reference_request(platform, current)
+                returned = platform.set_config(current)
+                dvfs = platform.dvfs
+                assert (returned, dvfs.in_flight, dvfs._pending_target) == expected
+            self._check_state(platform)
+
+        assert min(same_config_checks.values()) > 0
