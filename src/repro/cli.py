@@ -32,7 +32,7 @@ import signal
 import sys
 import time
 
-from repro.errors import ReproError
+from repro.errors import EvaluationError, ReproError
 from repro.evaluation.runner import run_workload
 from repro.ioutil import probe_writable, write_file_atomic
 from repro.policies import POLICIES
@@ -58,14 +58,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Validate the output path before the simulation, not after:
         # a typo'd path must fail in milliseconds, not minutes.
         probe_writable(args.export_trace, "--export-trace")
-    result = run_workload(
-        args.app,
-        args.governor,
-        args.scenario,
-        trace_kind=args.trace,
-        seed=args.seed,
-        trace_level=args.trace_level,
-    )
+        if args.trace_level == "off":
+            raise EvaluationError("--export-trace needs the trace; drop --trace-level off")
+        execution = _prepared_session(args, "--export-trace")
+        execution.platform.record_task_spans = True  # per-thread timeline tracks
+        execution.run()
+        result = execution.finish()
+    else:
+        result = run_workload(
+            args.app,
+            args.governor,
+            args.scenario,
+            trace_kind=args.trace,
+            seed=args.seed,
+            trace_level=args.trace_level,
+        )
     print(f"app:            {result.app} ({result.trace_kind} trace, seed {args.seed})")
     print(f"governor:       {result.governor} / {result.scenario}")
     print(f"duration:       {result.duration_s:.1f} s simulated")
@@ -86,18 +93,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"runtime:        {result.runtime_stats}")
 
     if args.export_trace:
-        count = _export_trace(args)
+        from repro.sim.trace_export import export_chrome_trace
+
+        count = export_chrome_trace(execution.platform.trace, args.export_trace)
         print(f"chrome trace:   {args.export_trace} ({count} events)")
     return 0
 
 
-def _prepared_session(args: argparse.Namespace):
+def _prepared_session(args: argparse.Namespace, command: str):
     """The ``APP --governor --scenario --trace --seed`` cell as a
     :class:`~repro.evaluation.runner.SessionExecution` that retains its
-    whole trace, ready to ``run()``."""
+    whole trace, ready to ``run()``; ``command`` names the caller in the
+    error a post-hoc policy (which has no live session) raises."""
     from repro.evaluation.runner import SessionExecution
 
     spec = POLICIES.normalize(args.governor)
+    if POLICIES.get(spec.name).posthoc is not None:
+        raise EvaluationError(
+            f"{command} needs a live policy; {spec.name!r} is post-hoc "
+            "(it replays whole runs)"
+        )
     return SessionExecution(
         build_app(args.app, args.seed), spec.label(), args.scenario, args.trace,
         args.seed, 4.0, "full",
@@ -107,18 +122,7 @@ def _prepared_session(args: argparse.Namespace):
     )
 
 
-def _export_trace(args: argparse.Namespace) -> int:
-    """Re-run with trace retention and export a Chrome-trace JSON."""
-    from repro.sim.trace_export import export_chrome_trace
-
-    execution = _prepared_session(args)
-    execution.platform.record_task_spans = True  # per-thread timeline tracks
-    execution.run()
-    return export_chrome_trace(execution.platform.trace, args.export_trace)
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.errors import EvaluationError
     from repro.evaluation import experiments
     from repro.evaluation import report
 
@@ -170,7 +174,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.evaluation.folds import FrameTimelineFold
     from repro.evaluation.report import ascii_bars
 
-    execution = _prepared_session(args)
+    execution = _prepared_session(args, "analyze")
     execution.run()
     platform = execution.platform
 
@@ -242,7 +246,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     checkpoint fingerprint mismatch), and 128+signum (130 for SIGINT,
     143 for SIGTERM) when a signal stopped the run gracefully.
     """
-    from repro.errors import EvaluationError
     from repro.fleet import Fleet, FleetSpec, default_mix, parse_mix
 
     if args.resume and not args.checkpoint:
@@ -356,7 +359,6 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     that is expected damage a resume repairs), 2 when the file is
     missing or not a checkpoint at all.
     """
-    from repro.errors import EvaluationError
     from repro.fleet.checkpoint import CHECKPOINT_VERSION, scan_checkpoint
 
     size = os.path.getsize(args.journal)  # OSError -> exit 2 via main()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.browser.engine import Browser, BrowserPolicy, target_key
+from repro.browser.engine import Browser, target_key
 from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import QoSSpec
 from repro.core.runtime import GreenWebRuntime
@@ -25,9 +25,8 @@ from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
-from repro.scenarios import SCENARIOS, Scenario, ScenarioSpec
+from repro.scenarios import SCENARIOS, Scenario, ScenarioSpec, build_live_scenario
 from repro.sim.clock import s_to_us
-from repro.sim.random import RngStreams
 from repro.sim.tracing import TraceLog
 from repro.workloads.base import AppBundle
 from repro.web.dom import Element
@@ -46,16 +45,6 @@ GOVERNORS: tuple[str, ...] = (
     "greenweb",
     "ebs",
 )
-
-
-def resolve_spec(governor: "PolicySpec | str") -> PolicySpec:
-    """Validate a governor spec (string or :class:`PolicySpec`) against
-    the registry.
-
-    Raises :class:`EvaluationError` for unknown policy names, unknown
-    parameters, and type mismatches.
-    """
-    return POLICIES.normalize(governor)
 
 
 class _ActiveWindowAccountant:
@@ -154,22 +143,6 @@ class RunResult:
         return run_result_to_dict(self)
 
 
-def make_policy(
-    governor: "PolicySpec | str",
-    platform,
-    registry: AnnotationRegistry,
-    scenario: Scenario,
-) -> BrowserPolicy:
-    """Instantiate a governor policy from a spec (string or parsed).
-
-    ``scenario`` is the live bound
-    :class:`~repro.scenarios.base.Scenario` the policy reads its
-    targets through (:func:`repro.scenarios.build_live_scenario` builds
-    one for hand-assembled stacks)."""
-    spec = resolve_spec(governor)
-    return POLICIES.build(spec, platform, registry, scenario)
-
-
 def _resolve_trace(bundle, trace_kind: str):
     if trace_kind == "micro":
         return bundle.micro_trace
@@ -251,7 +224,7 @@ def run_workload(
             the records.  ``"off"`` disables tracing entirely and
             zeroes the trace-derived fields (active energy, residency).
     """
-    spec = resolve_spec(governor)
+    spec = POLICIES.normalize(governor)
     scenario_spec = SCENARIOS.normalize(scenario)
     entry = POLICIES.get(spec.name)
     if entry.posthoc is not None:
@@ -312,11 +285,10 @@ class SessionExecution:
             record_power_intervals=False, trace=TraceLog.for_level(trace_level)
         )
         # Each session gets a FRESH live scenario (instances carry run
-        # state) bound to its platform and a forked RNG lane, so
-        # scenario randomness never perturbs workload streams.  Bound
-        # before the policy so the policy can read its targets from it.
-        self.scenario: Scenario = SCENARIOS.build(self.scenario_spec).bind(
-            self.platform, RngStreams(seed).fork("scenario")
+        # state), bound before the policy so the policy can read its
+        # targets from it.
+        self.scenario: Scenario = build_live_scenario(
+            self.scenario_spec, self.platform, seed=seed
         )
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         self.policy = policy_factory(self.platform, registry, self.scenario)

@@ -12,6 +12,7 @@ the population identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -233,6 +234,12 @@ class FleetSpec:
             raise EvaluationError(f"shard size must be positive, got {self.shard_size}")
         if self.max_retries < 0:
             raise EvaluationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.settle_s) and self.settle_s >= 0):
+            raise EvaluationError(f"settle_s must be finite and >= 0, got {self.settle_s}")
+        if not (math.isfinite(self.shard_timeout_s) and self.shard_timeout_s > 0):
+            raise EvaluationError(
+                f"shard_timeout_s must be finite and > 0, got {self.shard_timeout_s}"
+            )
         if not self.mix:
             raise EvaluationError("fleet mix must not be empty")
         if self.trace_level not in TRACE_LEVELS:
@@ -243,6 +250,12 @@ class FleetSpec:
         # the fingerprint below must hash canonical strings, never the
         # caller's spelling.
         self.mix = [entry.validate() for entry in self.mix]
+        # Weights are positive, so a finite sum means finite weights too.
+        if not math.isfinite(sum(entry.weight for entry in self.mix)):
+            raise EvaluationError(
+                "mix weights must be finite with a finite sum, got "
+                f"{[entry.weight for entry in self.mix]}"
+            )
 
     def fingerprint(self) -> dict:
         """The result-determining identity of this population.

@@ -1,10 +1,13 @@
-"""The policy registry: one authoritative name -> policy mapping.
+"""The policy registry, and the registry code every spec kind shares.
 
 Every scheduling policy — the paper's baselines, the GreenWeb runtime,
 post-hoc oracles, third-party extensions — registers here once, and
 every layer that used to hard-code governor names (the runner, the
 session facade, fleet mix parsing, the CLI) validates and builds
-through the registry instead.
+through the registry instead.  :class:`SpecRegistry` holds the
+registration, lookup and validation code; :class:`PolicyRegistry` adds
+post-hoc registration and ``build``, and
+:class:`repro.scenarios.registry.ScenarioRegistry` adds only ``build``.
 
 Registering a policy::
 
@@ -17,8 +20,9 @@ Registering a policy::
 The factory's keyword parameters (after the three fixed positionals
 ``platform, registry, scenario``) define the policy's typed parameter
 schema: names are validated, string values from spec strings are
-coerced to the annotated type, and anything unknown raises
-:class:`~repro.errors.EvaluationError` with the valid parameter list.
+coerced to the annotated type (floats must be finite), and anything
+unknown raises :class:`~repro.errors.EvaluationError` with the valid
+parameter list.
 ``params_from=SomeClass`` introspects that class's ``__init__`` instead
 (for factories that just forward ``**params``).
 
@@ -30,7 +34,9 @@ their callable receives the full run context and returns a finished
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -38,14 +44,14 @@ from repro.errors import EvaluationError
 from repro.hardware.dvfs import CpuConfig
 from repro.policies.spec import PolicySpec
 
-#: Parameter names consumed by the build call itself, never part of a
-#: policy's parameter schema.
+#: Parameter names consumed by the build call itself, never part of an
+#: entry's parameter schema.
 _FIXED_PARAMS = frozenset({"self", "platform", "registry", "scenario"})
 
 
 @dataclass(frozen=True)
 class ParamInfo:
-    """One declared policy parameter: its annotation and default."""
+    """One declared parameter: its annotation and default."""
 
     name: str
     annotation: str
@@ -53,14 +59,16 @@ class ParamInfo:
 
 
 @dataclass(frozen=True)
-class PolicyEntry:
-    """One registered policy: factory, parameter schema, metadata."""
+class RegistryEntry:
+    """One registered policy or scenario: factory, schema, metadata."""
 
     name: str
+    #: builds the live object; None for a post-hoc policy
     factory: Optional[Callable]
     params: tuple[ParamInfo, ...]
     description: str = ""
     aliases: Mapping[str, str] = field(default_factory=dict)
+    #: a post-hoc policy's whole-run replayer (policies only)
     posthoc: Optional[Callable] = None
 
     @property
@@ -117,56 +125,55 @@ def _parse_cpu_config(value: str) -> CpuConfig:
     return CpuConfig(cluster, int(freq))
 
 
-def _coerce_param(
-    policy: str, info: ParamInfo, value: object, kind: str = "policy"
-) -> object:
+def _coerce_param(name: str, info: ParamInfo, value: object, kind: str) -> object:
     """Coerce a parsed spec value to the parameter's declared type."""
+
+    def mismatch(expected: str) -> EvaluationError:
+        return EvaluationError(
+            f"parameter {info.name!r} of {kind} {name!r} expects {expected}, "
+            f"got {value!r}"
+        )
+
     annotation = info.annotation
     if "CpuConfig" in annotation:
         if isinstance(value, CpuConfig) or value is None:
             return value
         if isinstance(value, str):
             return _parse_cpu_config(value)
-        raise EvaluationError(
-            f"parameter {info.name!r} of {kind} {policy!r} expects a CPU "
-            f"configuration (CLUSTER@MHZ), got {value!r}"
-        )
+        raise mismatch("a CPU configuration (CLUSTER@MHZ)")
     if "bool" in annotation or isinstance(info.default, bool):
         if isinstance(value, bool):
             return value
-        raise EvaluationError(
-            f"parameter {info.name!r} of {kind} {policy!r} expects a bool "
-            f"(true/false), got {value!r}"
-        )
+        raise mismatch("a bool (true/false)")
     if "float" in annotation or isinstance(info.default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise EvaluationError(
-                f"parameter {info.name!r} of {kind} {policy!r} expects a "
-                f"number, got {value!r}"
-            )
+            raise mismatch("a number")
+        # Rejects nan, +-inf and integers beyond float range alike.
+        if not abs(value) <= sys.float_info.max:
+            raise mismatch("a finite number")
         return float(value)
     if "int" in annotation or isinstance(info.default, int):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise EvaluationError(
-                f"parameter {info.name!r} of {kind} {policy!r} expects an "
-                f"integer, got {value!r}"
-            )
+            raise mismatch("an integer")
         return value
     if annotation == "str" or isinstance(info.default, str):
         if not isinstance(value, str):
-            raise EvaluationError(
-                f"parameter {info.name!r} of {kind} {policy!r} expects a "
-                f"string, got {value!r}"
-            )
+            raise mismatch("a string")
         return value
     return value
 
 
-class PolicyRegistry:
-    """A mutable name -> :class:`PolicyEntry` mapping with validation."""
+class SpecRegistry:
+    """A mutable name -> :class:`RegistryEntry` mapping with validation;
+    messages name the entry kind through ``spec_class.KIND``."""
+
+    #: the spec type :meth:`normalize` parses and returns
+    spec_class: type[PolicySpec]
+    #: the kind's plural, for the "known ..." list of unknown names
+    plural: str
 
     def __init__(self) -> None:
-        self._entries: dict[str, PolicyEntry] = {}
+        self._entries: dict[str, RegistryEntry] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -178,13 +185,13 @@ class PolicyRegistry:
         description: str = "",
         params_from: Optional[Callable] = None,
         aliases: Optional[Mapping[str, str]] = None,
-        posthoc: bool = False,
         replace: bool = False,
     ) -> Callable:
-        """Decorator registering a policy factory (or post-hoc runner).
+        """Decorator registering a factory (for scenarios, usually the
+        :class:`~repro.scenarios.Scenario` subclass itself).
 
         Args:
-            name: the policy's spec name.
+            name: the entry's spec name.
             description: one-line summary for listings.
             params_from: introspect this callable's signature for the
                 parameter schema instead of the decorated factory's
@@ -192,13 +199,12 @@ class PolicyRegistry:
             aliases: short parameter spellings, e.g.
                 ``{"ewma": "ewma_alpha"}`` — resolved during
                 normalisation so canonical specs always use full names.
-            posthoc: the callable is a post-hoc runner producing a
-                finished run result, not a live browser policy.
             replace: allow re-registering an existing name (tests,
                 interactive reloads); otherwise duplicates raise.
         """
+        kind = self.spec_class.KIND
         if not replace and name in self._entries:
-            raise EvaluationError(f"policy {name!r} is already registered")
+            raise EvaluationError(f"{kind} {name!r} is already registered")
 
         def decorator(fn: Callable) -> Callable:
             params = _introspect_params(params_from if params_from is not None else fn)
@@ -207,16 +213,15 @@ class PolicyRegistry:
             for short, full in alias_map.items():
                 if full not in known:
                     raise EvaluationError(
-                        f"alias {short!r} of policy {name!r} targets unknown "
+                        f"alias {short!r} of {kind} {name!r} targets unknown "
                         f"parameter {full!r}"
                     )
-            self._entries[name] = PolicyEntry(
+            self._entries[name] = RegistryEntry(
                 name=name,
-                factory=None if posthoc else fn,
+                factory=fn,
                 params=params,
                 description=description,
                 aliases=alias_map,
-                posthoc=fn if posthoc else None,
             )
             return fn
 
@@ -226,20 +231,21 @@ class PolicyRegistry:
     # Lookup
     # ------------------------------------------------------------------
     def names(self) -> tuple[str, ...]:
-        """All registered policy names, sorted."""
+        """All registered names, sorted."""
         return tuple(sorted(self._entries))
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def get(self, name: str) -> PolicyEntry:
-        """The entry for ``name``; the one unknown-policy error message
+    def get(self, name: str) -> RegistryEntry:
+        """The entry for ``name``; the one unknown-name error message
         every layer (runner, session, fleet mix, CLI) reports."""
         try:
             return self._entries[name]
         except KeyError:
             raise EvaluationError(
-                f"unknown policy {name!r}; known policies: {list(self.names())}"
+                f"unknown {self.spec_class.KIND} {name!r}; known "
+                f"{self.plural}: {list(self.names())}"
             ) from None
 
     def describe(self) -> dict[str, str]:
@@ -247,14 +253,15 @@ class PolicyRegistry:
         return {name: self._entries[name].description for name in self.names()}
 
     # ------------------------------------------------------------------
-    # Validation / construction
+    # Validation
     # ------------------------------------------------------------------
     def normalize(self, spec: "PolicySpec | str") -> PolicySpec:
-        """Validate a spec against its policy's schema and return the
+        """Validate a spec against its entry's schema and return the
         canonical form: aliases resolved, values type-coerced, params
-        sorted.  Raises :class:`EvaluationError` on unknown policy
-        names, unknown parameters, or type mismatches."""
-        spec = PolicySpec.coerce(spec)
+        sorted.  Raises :class:`EvaluationError` on unknown names,
+        unknown parameters, or type mismatches."""
+        kind = self.spec_class.KIND
+        spec = self.spec_class.coerce(spec)
         entry = self.get(spec.name)
         resolved: dict[str, object] = {}
         for key, value in spec.params:
@@ -262,20 +269,45 @@ class PolicyRegistry:
             if full not in {p.name for p in entry.params}:
                 if not entry.params:
                     raise EvaluationError(
-                        f"policy {spec.name!r} accepts no parameters "
+                        f"{kind} {spec.name!r} accepts no parameters "
                         f"(got {key!r})"
                     )
                 raise EvaluationError(
-                    f"unknown parameter {key!r} for policy {spec.name!r}; "
+                    f"unknown parameter {key!r} for {kind} {spec.name!r}; "
                     f"valid parameters: {entry.param_names}"
                 )
             if full in resolved:
                 raise EvaluationError(
-                    f"duplicate parameter {full!r} in policy {spec.name!r} "
+                    f"duplicate parameter {full!r} in {kind} {spec.name!r} "
                     "(alias and full name both given)"
                 )
-            resolved[full] = _coerce_param(spec.name, entry.param(full), value)
-        return PolicySpec(spec.name, tuple(resolved.items()))
+            resolved[full] = _coerce_param(spec.name, entry.param(full), value, kind)
+        return self.spec_class(spec.name, tuple(resolved.items()))
+
+
+class PolicyRegistry(SpecRegistry):
+    """The policy registry: adds post-hoc registration and ``build``."""
+
+    spec_class = PolicySpec
+    plural = "policies"
+
+    def register(self, name: str, *, posthoc: bool = False, **options) -> Callable:
+        """:meth:`SpecRegistry.register` (``description``,
+        ``params_from``, ``aliases``, ``replace``), plus ``posthoc``: the
+        decorated callable is a post-hoc runner producing a finished run
+        result, not a live browser policy factory."""
+        register = super().register(name, **options)
+        if not posthoc:
+            return register
+
+        def decorator(fn: Callable) -> Callable:
+            register(fn)
+            self._entries[name] = dataclasses.replace(
+                self._entries[name], factory=None, posthoc=fn
+            )
+            return fn
+
+        return decorator
 
     def build(self, spec, platform, registry, scenario):
         """Instantiate the live policy a spec describes.
@@ -315,6 +347,9 @@ class PolicyRegistry:
             )
         return entry.factory(platform, registry, scenario, **spec.params_dict)
 
+
+#: The entry type's policy-side name (``ScenarioEntry`` is the same class).
+PolicyEntry = RegistryEntry
 
 #: The process-wide default registry.  ``repro.policies`` registers the
 #: built-in policies on import; third parties add theirs via

@@ -23,12 +23,14 @@ register = SCENARIOS.register
 
 
 def build_live_scenario(spec, platform, seed: int = 0) -> Scenario:
-    """Build and bind a fresh scenario for a hand-assembled session.
+    """Build a fresh scenario and bind it to ``platform`` on the
+    session's forked ``"scenario"`` RNG lane, so scenario randomness
+    never perturbs workload streams.
 
-    Convenience for code that wires platform/browser/policy manually
-    (the CLI's trace export, :meth:`repro.session.Session.for_page`);
-    the measurement runner does the equivalent internally.  Remember to
-    call ``scenario.attach(browser)`` once the browser exists.
+    Every session builder binds through here: the measurement runner's
+    :class:`~repro.evaluation.runner.SessionExecution` and
+    :meth:`repro.session.Session.for_page`.  Remember to call
+    ``scenario.attach(browser)`` once the browser exists.
     """
     return SCENARIOS.build(spec).bind(platform, RngStreams(seed).fork("scenario"))
 

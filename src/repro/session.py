@@ -21,8 +21,9 @@ from repro.browser.engine import Browser, BrowserPolicy
 from repro.browser.page import Page
 from repro.core.annotations import AnnotationRegistry
 from repro.errors import EvaluationError
-from repro.evaluation.runner import RunResult, make_policy, resolve_spec, run_workload
+from repro.evaluation.runner import RunResult, run_workload
 from repro.hardware.platform import MobilePlatform, odroid_xu_e
+from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS, ScenarioSpec, build_live_scenario
 from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES
@@ -43,7 +44,11 @@ class Session:
         # fail here, not mid-run; the stored governor is the canonical
         # spec string so two sessions with equal parameterizations
         # serialise identically.
-        spec = resolve_spec(governor)
+        if app_name not in APP_NAMES:
+            raise EvaluationError(
+                f"unknown application {app_name!r}; known: {list(APP_NAMES)}"
+            )
+        spec = POLICIES.normalize(governor)
         if trace_level not in TRACE_LEVELS:
             raise EvaluationError(
                 f"unknown trace level {trace_level!r}; known: {list(TRACE_LEVELS)}"
@@ -67,10 +72,6 @@ class Session:
     ) -> "Session":
         """A session over one of the paper's twelve applications
         (:data:`repro.workloads.APP_NAMES`)."""
-        if app_name not in APP_NAMES:
-            raise EvaluationError(
-                f"unknown application {app_name!r}; known: {list(APP_NAMES)}"
-            )
         return cls(app_name, governor, scenario, seed)
 
     @classmethod
@@ -89,7 +90,7 @@ class Session:
         platform = odroid_xu_e()
         live = build_live_scenario(scenario, platform, seed=seed)
         registry = AnnotationRegistry.from_stylesheet(page.stylesheet)
-        policy = make_policy(governor, platform, registry, live)
+        policy = POLICIES.build(governor, platform, registry, live)
         browser = Browser(platform, page, policy=policy)
         live.attach(browser)
         return platform, browser, policy

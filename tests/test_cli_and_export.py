@@ -12,6 +12,23 @@ from repro.sim.trace_export import export_chrome_trace, to_chrome_trace
 from repro.sim.tracing import TraceLog
 
 
+#: ``run cnet --scenario thermal(cap_mhz=1100)``'s stdout; with
+#: ``--export-trace`` a ``chrome trace:`` line follows it.
+EXPORT_SCORECARD = """\
+app:            cnet (micro trace, seed 0)
+governor:       greenweb / thermal(cap_mhz=1100)
+duration:       19.0 s simulated
+inputs/frames:  6 / 214 (9 skipped vsyncs)
+energy:         1.681 J total, 1408.1 mJ in interaction windows
+QoS violations: 0.33% mean over 6 annotated events
+switching:      16 frequency, 14 migrations
+residency:      little@350MHz=75%, big@1100MHz=9%, big@1000MHz=7%, big@800MHz=4%
+runtime:        {'inputs_seen': 6, 'unannotated_inputs': 0, 'predictions': 201, \
+'profiling_frames': 19, 'violations_fed_back': 9, 'boosts_up': 9, 'boosts_down': 1, \
+'recalibrations': 2, 'idle_drops': 6}
+"""
+
+
 class TestTraceExport:
     def make_trace(self):
         trace = TraceLog()
@@ -104,13 +121,35 @@ class TestCli:
         assert data["traceEvents"]
 
     def test_export_trace_bytes_pinned(self, tmp_path, capsys):
-        """The exported timeline of one thermal-scenario cell, pinned by
-        digest so the export's session wiring cannot drift silently."""
+        """The exported timeline of one thermal-scenario cell, and the
+        scorecard printed from the same session, pinned so the export's
+        session wiring cannot drift silently."""
         path = tmp_path / "out.json"
         argv = ["run", "cnet", "--scenario", "thermal(cap_mhz=1100)", "--export-trace", str(path)]
         assert main(argv) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "1d11e4f9f92728dad0bd020ae5b6763b1841564b6e15d9f5c0b25cbc51a5165d"
+        out = capsys.readouterr().out
+        assert out == EXPORT_SCORECARD + f"chrome trace:   {path} (1580 events)\n"
+        assert main(argv[:-2]) == 0
+        assert capsys.readouterr().out == EXPORT_SCORECARD
+
+    def test_export_trace_refusals_come_before_simulating(self, monkeypatch, tmp_path, capsys):
+        def explode(*_args, **_kwargs):
+            raise AssertionError("simulation ran for a post-hoc policy")
+
+        monkeypatch.setattr("repro.cli.run_workload", explode)
+        monkeypatch.setattr("repro.evaluation.runner.SessionExecution.run", explode)
+        path = tmp_path / "out.json"
+        argv = ["run", "todo", "--governor", "oracle", "--export-trace", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --export-trace needs a live policy")
+        assert "'oracle' is post-hoc" in err
+        argv = ["run", "todo", "--trace-level", "off", "--export-trace", str(path)]
+        assert main(argv) == 2
+        assert "drop --trace-level off" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_run_export_trace_unwritable_fails_fast(self, monkeypatch, capsys):
         # The path is probed before the simulation runs: a typo'd export
@@ -119,6 +158,7 @@ class TestCli:
             raise AssertionError("simulation ran despite unwritable path")
 
         monkeypatch.setattr("repro.cli.run_workload", explode)
+        monkeypatch.setattr("repro.evaluation.runner.SessionExecution.run", explode)
         assert main([
             "run", "todo", "--export-trace", "/nosuchdir/trace.json",
         ]) == 2

@@ -255,6 +255,9 @@ class TestSession:
     def test_unknown_app_rejected(self):
         with pytest.raises(EvaluationError):
             Session.for_application("netscape")
+        # The constructor validates too, not only the named builder.
+        with pytest.raises(EvaluationError, match="unknown application 'nope'"):
+            Session("nope")
 
     def test_unknown_governor_rejected(self):
         with pytest.raises(EvaluationError):

@@ -106,7 +106,13 @@ class TestExpansion:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(sessions=0), dict(sessions=4, shard_size=0),
-         dict(sessions=4, max_retries=-1), dict(sessions=4, mix=[])],
+         dict(sessions=4, max_retries=-1), dict(sessions=4, mix=[]),
+         dict(sessions=4, settle_s=float("nan")), dict(sessions=4, settle_s=-5.0),
+         dict(sessions=4, settle_s=float("inf")),
+         dict(sessions=4, shard_timeout_s=-1.0), dict(sessions=4, shard_timeout_s=0.0),
+         dict(sessions=4, shard_timeout_s=float("nan")),
+         dict(sessions=4, mix=[MixEntry("todo", weight=float("inf"))]),
+         dict(sessions=4, mix=[MixEntry("todo", weight=1e308), MixEntry("cnet", weight=1e308)])],
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(EvaluationError):

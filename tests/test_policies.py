@@ -13,12 +13,21 @@ import pytest
 
 from repro.core.annotations import AnnotationRegistry
 from repro.errors import EvaluationError
-from repro.evaluation.runner import GOVERNORS, make_policy, run_workload
+from repro.evaluation.runner import GOVERNORS, run_workload
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
-from repro.scenarios import build_live_scenario
+from repro.scenarios import SCENARIOS, build_live_scenario
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "governor_parity.json"
+
+#: Every float-typed parameter of every registered policy and scenario.
+FLOAT_PARAMS = [
+    pytest.param(registry, name, info.name, id=f"{name}.{info.name}")
+    for registry in (POLICIES, SCENARIOS)
+    for name in registry.names()
+    for info in registry.get(name).params
+    if info.annotation == "float"
+]
 
 
 # ----------------------------------------------------------------------
@@ -95,14 +104,28 @@ class TestRegistry:
     def test_unknown_name_lists_known_policies(self):
         with pytest.raises(EvaluationError, match="known policies"):
             POLICIES.normalize("warp_drive")
+        with pytest.raises(
+            EvaluationError, match=r"^unknown scenario 'warp_drive'; known scenarios: \["
+        ):
+            SCENARIOS.normalize("warp_drive")
 
     def test_unknown_param_lists_valid_params(self):
         with pytest.raises(EvaluationError, match="valid parameters"):
             POLICIES.normalize("greenweb(flux_capacitor=1)")
+        with pytest.raises(
+            EvaluationError,
+            match=r"^unknown parameter 'flux_capacitor' for scenario 'thermal'; "
+            r"valid parameters: \['cap_mhz', ",
+        ):
+            SCENARIOS.normalize("thermal(flux_capacitor=1)")
 
     def test_param_free_policy_rejects_params(self):
         with pytest.raises(EvaluationError, match="accepts no parameters"):
             POLICIES.normalize("perf(speed=11)")
+        with pytest.raises(
+            EvaluationError, match=r"^scenario 'usable' accepts no parameters \(got 'speed'\)$"
+        ):
+            SCENARIOS.normalize("usable(speed=11)")
 
     def test_bad_param_type_rejected(self):
         with pytest.raises(EvaluationError):
@@ -111,6 +134,18 @@ class TestRegistry:
     def test_alias_resolves_to_canonical_param(self):
         spec = POLICIES.normalize("greenweb(ewma=0.25)")
         assert spec.canonical() == "greenweb(ewma_alpha=0.25)"
+        # An alias aimed at an unknown parameter is refused at
+        # registration, by either registry, and registers nothing.
+        for registry, kind in ((POLICIES, "policy"), (SCENARIOS, "scenario")):
+            with pytest.raises(
+                EvaluationError,
+                match=rf"^alias 'fast' of {kind} 'aliased' targets unknown "
+                r"parameter 'speed'$",
+            ):
+                registry.register("aliased", aliases={"fast": "speed"})(
+                    lambda rate=1.0: None
+                )
+            assert "aliased" not in registry
 
     def test_normalized_params_are_coerced(self):
         spec = POLICIES.normalize("greenweb(recalibration_threshold=5)")
@@ -142,27 +177,40 @@ class TestRegistry:
         else must fail at build time, not on the first annotated input."""
         platform = odroid_xu_e(record_power_intervals=False)
         with pytest.raises(EvaluationError, match="live scenario"):
-            make_policy("greenweb", platform, AnnotationRegistry(), scenario)
+            POLICIES.build("greenweb", platform, AnnotationRegistry(), scenario)
         with pytest.raises(EvaluationError, match="live scenario"):
             POLICIES.build("perf", platform, AnnotationRegistry(), scenario)
 
-    def test_make_policy_rejects_unknown_spec_parameters(self):
+    def test_build_rejects_unknown_spec_parameters(self):
         platform = odroid_xu_e(record_power_intervals=False)
         registry = AnnotationRegistry()
         with pytest.raises(EvaluationError, match="unknown parameter 'not_a_knob'"):
-            make_policy(
+            POLICIES.build(
                 "greenweb(not_a_knob=1)",
                 platform,
                 registry,
                 build_live_scenario("imperceptible", platform),
             )
         with pytest.raises(EvaluationError, match="accepts no parameters"):
-            make_policy(
+            POLICIES.build(
                 "perf(anything=1)",
                 platform,
                 registry,
                 build_live_scenario("imperceptible", platform),
             )
+
+    @pytest.mark.parametrize("registry, name, param", FLOAT_PARAMS)
+    def test_non_finite_floats_rejected(self, registry, name, param):
+        """nan, infinities and integers beyond float range fail at
+        normalisation, naming the parameter and the kind, instead of
+        crashing (or silently running) a session later."""
+        kind = registry.spec_class.KIND
+        for value in ("nan", "inf", "-inf", "1e999", "1" + "0" * 400):
+            with pytest.raises(
+                EvaluationError,
+                match=rf"^parameter '{param}' of {kind} '{name}' expects a finite number",
+            ):
+                registry.normalize(f"{name}({param}={value})")
 
     def test_describe_covers_every_policy(self):
         described = POLICIES.describe()

@@ -17,6 +17,7 @@ from repro.fleet import FleetSpec, parse_mix
 from repro.fleet.aggregate import cell_key, split_cell_key
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
+from repro.policies import POLICIES
 from repro.policies.spec import PolicySpec
 from repro.scenarios import (
     SCENARIOS,
@@ -50,14 +51,28 @@ class TestSpecGrammar:
     def test_unknown_scenario_lists_vocabulary(self):
         with pytest.raises(EvaluationError, match="known scenarios"):
             SCENARIOS.normalize("ludicrous")
+        with pytest.raises(
+            EvaluationError, match=r"^unknown policy 'ludicrous'; known policies: \["
+        ):
+            POLICIES.normalize("ludicrous")
 
     def test_unknown_parameter_lists_valid_ones(self):
         with pytest.raises(EvaluationError, match="valid parameters"):
             SCENARIOS.normalize("thermal(cap_ghz=1)")
+        with pytest.raises(
+            EvaluationError,
+            match=r"^unknown parameter 'cap_ghz' for policy 'ondemand'; "
+            r"valid parameters: \['timer_rate_ms', 'up_threshold', 'down_threshold'\]$",
+        ):
+            POLICIES.normalize("ondemand(cap_ghz=1)")
 
     def test_static_scenarios_accept_no_parameters(self):
         with pytest.raises(EvaluationError, match="accepts no parameters"):
             SCENARIOS.normalize("usable(relax=0.5)")
+        with pytest.raises(
+            EvaluationError, match=r"^policy 'perf' accepts no parameters \(got 'relax'\)$"
+        ):
+            POLICIES.normalize("perf(relax=0.5)")
 
     def test_typed_coercion(self):
         spec = SCENARIOS.normalize("thermal(cap_mhz=900,hot_load=0.3)")
@@ -153,6 +168,10 @@ class TestRegistry:
     def test_duplicate_registration_refused(self):
         with pytest.raises(EvaluationError, match="already registered"):
             SCENARIOS.register("thermal")
+        with pytest.raises(EvaluationError, match=r"^policy 'greenweb' is already registered$"):
+            POLICIES.register("greenweb")
+        with pytest.raises(EvaluationError, match=r"^policy 'oracle' is already registered$"):
+            POLICIES.register("oracle", posthoc=True)
 
 
 # ----------------------------------------------------------------------

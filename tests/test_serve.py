@@ -141,6 +141,23 @@ class TestNormalizePayload:
     def test_bad_mix_fails_at_submit(self):
         with pytest.raises(EvaluationError):
             normalize_job_payload({"mix": "no-such-app"})
+        for mix in ("todo=inf", "todo:ondemand(timer_rate_ms=nan)",
+                    "todo:greenweb(ewma_alpha=inf)", "todo:perf:netdelay(work_ms=nan)"):
+            with pytest.raises(EvaluationError):
+                normalize_job_payload({"mix": mix})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"settle_s": float("nan")},
+            {"settle_s": -5},
+            {"shard_timeout_s": -1},
+            {"shard_timeout_s": float("inf")},
+        ],
+    )
+    def test_out_of_range_durations_fail_at_submit(self, fields):
+        with pytest.raises(EvaluationError):
+            normalize_job_payload(fields)
 
     def test_bad_trace_level(self):
         with pytest.raises(EvaluationError, match="trace_level"):
@@ -575,6 +592,12 @@ class TestServeHTTP:
     def test_validation_and_routing_errors(self, app):
         status, body = http_json("POST", app.url + "/jobs", {"nope": 1})
         assert status == 400 and "unknown job field" in body["error"]
+        status, body = http_json(
+            "POST", app.url + "/jobs", {"mix": "todo:ondemand(timer_rate_ms=nan)"}
+        )
+        assert status == 400 and "expects a finite number" in body["error"]
+        status, body = http_json("POST", app.url + "/jobs", {"settle_s": float("nan")})
+        assert status == 400 and "settle_s" in body["error"]
         status, _ = http_json("GET", app.url + "/jobs/job-9999")
         assert status == 404
         status, _ = http_json("DELETE", app.url + "/jobs/job-9999")

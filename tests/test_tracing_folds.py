@@ -19,11 +19,12 @@ from repro.evaluation.folds import (
 from repro.fleet import Fleet, FleetSpec, parse_mix
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
+from repro.policies import POLICIES
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import GATED_CATEGORIES, TRACE_LEVELS, TraceLog
 from repro.sim.trace_export import to_chrome_trace
 from repro.browser.vsync import VsyncSource
-from repro.evaluation.runner import SessionExecution, make_policy, run_workload
+from repro.evaluation.runner import SessionExecution, run_workload
 from repro.workloads.registry import build_app
 
 I = "imperceptible"
@@ -146,7 +147,7 @@ class TestFoldParity:
         ``live_folds`` are attached to it before it runs."""
         execution = SessionExecution(
             build_app("todo", seed=0), governor, I, "micro", 0, 2.0, "full",
-            lambda platform, registry, scenario: make_policy(
+            lambda platform, registry, scenario: POLICIES.build(
                 governor, platform, registry, scenario
             ),
         )
