@@ -10,6 +10,7 @@ runtime's dynamic choices land on or near the static Pareto frontier.
 from conftest import run_once
 
 from repro.evaluation.analysis import pareto_frontier, run_tradeoff_space
+from repro.evaluation.report import render_tradeoff_space
 from repro.evaluation.runner import run_workload
 
 
@@ -20,24 +21,8 @@ def _sweep():
 def test_tradeoff_space(benchmark, record_figure):
     points = run_once(benchmark, _sweep)
     frontier = pareto_frontier(points)
-    frontier_labels = {p.label for p in frontier}
-
-    lines = [
-        "ACMP static-configuration trade-off space (Cnet micro interaction)",
-        f"{'config':14s} {'latency (ms)':>13s} {'energy (mJ)':>12s} {'viol %':>7s} {'pareto':>7s}",
-    ]
-    for point in sorted(points, key=lambda p: p.mean_frame_latency_us):
-        lines.append(
-            f"{point.label:14s} {point.mean_frame_latency_us/1000:13.2f} "
-            f"{point.active_energy_j*1000:12.1f} {point.mean_violation_pct:7.2f} "
-            f"{'*' if point.label in frontier_labels else '':>7s}"
-        )
     green = run_workload("cnet", "greenweb", "imperceptible", "micro")
-    lines.append(
-        f"{'greenweb-I':14s} {'(dynamic)':>13s} {green.active_energy_j*1000:12.1f} "
-        f"{green.mean_violation_pct:7.2f}"
-    )
-    record_figure("tradeoff_space", "\n".join(lines))
+    record_figure("tradeoff_space", render_tradeoff_space(points, green))
 
     assert len(points) == 17
     # Wide space: >2x latency spread and measurable energy spread.

@@ -15,9 +15,20 @@ from typing import Iterable, Optional
 
 from repro.core.language import GreenWebAnnotation, extract_annotations
 from repro.core.qos import QoSSpec
-from repro.web.css.stylesheet import Stylesheet
+from repro.web.css.stylesheet import StyleRule, Stylesheet
 from repro.web.dom import Element
 from repro.web.events import EventType, coerce_event_type
+
+
+#: Annotations extracted per rule sequence, keyed by the rules' ids.
+#: Each entry keeps its rule objects alive, so no other object can
+#: take one of those ids while the entry exists.
+_EXTRACTED: dict[
+    tuple[int, ...], tuple[tuple[StyleRule, ...], tuple[GreenWebAnnotation, ...]]
+] = {}
+#: Bound on distinct sequences kept (the twelve apps' sheets with and
+#: without manual annotations, plus ad-hoc pages).
+_EXTRACTED_MAX = 256
 
 
 class AnnotationRegistry:
@@ -33,8 +44,22 @@ class AnnotationRegistry:
 
     @classmethod
     def from_stylesheet(cls, stylesheet: Stylesheet) -> "AnnotationRegistry":
-        """Build a registry from a page's (combined) stylesheet."""
-        return cls(extract_annotations(stylesheet))
+        """Build a registry from a page's (combined) stylesheet.
+
+        Extraction is a pure function of the rule sequence, so it runs
+        once per distinct sequence of rule objects: every session of an
+        application presents its template's shared rules.  Each
+        registry still gets its own list and element cache.
+        """
+        rules = stylesheet.rules
+        key = tuple(map(id, rules))
+        extracted = _EXTRACTED.get(key)
+        if extracted is None:
+            if len(_EXTRACTED) >= _EXTRACTED_MAX:
+                _EXTRACTED.clear()
+            extracted = (tuple(rules), tuple(extract_annotations(stylesheet)))
+            _EXTRACTED[key] = extracted
+        return cls(extracted[1])
 
     @property
     def annotations(self) -> list[GreenWebAnnotation]:

@@ -14,6 +14,7 @@ import html as _html
 from typing import Optional, Sequence
 
 from repro.core.qos import TABLE1_CATEGORIES
+from repro.evaluation.analysis import TradeoffPoint, pareto_frontier
 from repro.evaluation.experiments import (
     DistributionRow,
     FullInteractionRow,
@@ -22,6 +23,7 @@ from repro.evaluation.experiments import (
     Table3Row,
 )
 from repro.evaluation.metrics import cluster_residency
+from repro.evaluation.runner import RunResult
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -253,6 +255,28 @@ def render_table3(rows: list[Table3Row]) -> str:
                 widths,
             )
         )
+    return "\n".join(lines)
+
+
+def render_tradeoff_space(points: Sequence[TradeoffPoint], green: RunResult) -> str:
+    """The ACMP trade-off space: every static configuration's latency
+    and energy (Pareto-optimal ones starred), fastest first, then the
+    GreenWeb runtime's dynamic run on the same interaction."""
+    frontier_labels = {p.label for p in pareto_frontier(points)}
+    lines = [
+        "ACMP static-configuration trade-off space (Cnet micro interaction)",
+        f"{'config':14s} {'latency (ms)':>13s} {'energy (mJ)':>12s} {'viol %':>7s} {'pareto':>7s}",
+    ]
+    for point in sorted(points, key=lambda p: p.mean_frame_latency_us):
+        lines.append(
+            f"{point.label:14s} {point.mean_frame_latency_us/1000:13.2f} "
+            f"{point.active_energy_j*1000:12.1f} {point.mean_violation_pct:7.2f} "
+            f"{'*' if point.label in frontier_labels else '':>7s}"
+        )
+    lines.append(
+        f"{'greenweb-I':14s} {'(dynamic)':>13s} {green.active_energy_j*1000:12.1f} "
+        f"{green.mean_violation_pct:7.2f}"
+    )
     return "\n".join(lines)
 
 

@@ -22,6 +22,7 @@ Execution time at an operating point is therefore::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import HardwareError
@@ -158,8 +159,10 @@ class Cluster:
         return f"<Cluster {self.name} {self._opp} {state}>"
 
 
+@functools.cache
 def big_cluster_spec() -> ClusterSpec:
-    """The Exynos-5410-like big cluster (4x Cortex-A15)."""
+    """The Exynos-5410-like big cluster (4x Cortex-A15); one immutable
+    instance per process."""
     from repro.hardware.frequency import cortex_a15_opps
 
     return ClusterSpec(
@@ -173,8 +176,10 @@ def big_cluster_spec() -> ClusterSpec:
     )
 
 
+@functools.cache
 def little_cluster_spec() -> ClusterSpec:
-    """The Exynos-5410-like little cluster (4x Cortex-A7)."""
+    """The Exynos-5410-like little cluster (4x Cortex-A7); one immutable
+    instance per process."""
     from repro.hardware.frequency import cortex_a7_opps
 
     return ClusterSpec(

@@ -10,6 +10,7 @@ trade-off space (see DESIGN.md Sec. 2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -140,15 +141,17 @@ def _linear_voltage_curve(
     return points
 
 
+@functools.cache
 def cortex_a15_opps() -> OppTable:
     """OPP table for the big (Cortex-A15) cluster: 800-1800 MHz, 100 MHz
-    steps, 0.90 V to 1.23 V."""
+    steps, 0.90 V to 1.23 V (one shared immutable table per process)."""
     freqs = list(range(800, 1801, 100))
     return OppTable(_linear_voltage_curve(freqs, v_min=0.90, v_max=1.23))
 
 
+@functools.cache
 def cortex_a7_opps() -> OppTable:
     """OPP table for the little (Cortex-A7) cluster: 350-600 MHz, 50 MHz
-    steps, 0.90 V to 1.05 V."""
+    steps, 0.90 V to 1.05 V (one shared immutable table per process)."""
     freqs = list(range(350, 601, 50))
     return OppTable(_linear_voltage_curve(freqs, v_min=0.90, v_max=1.05))

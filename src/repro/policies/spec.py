@@ -232,3 +232,7 @@ class PolicySpec:
 
     def __str__(self) -> str:
         return self.label()
+
+    def __reduce__(self):
+        # Pickle and copy by value: fields only, never a registry's mark.
+        return type(self), (self.name, self.params)

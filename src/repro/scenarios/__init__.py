@@ -12,6 +12,8 @@ See :mod:`repro.scenarios.base` for the determinism contract and
 :mod:`repro.scenarios.builtin` for the shipped scenarios.
 """
 
+import functools
+
 from repro.scenarios.base import Scenario, interpolate_target_ms
 from repro.scenarios.registry import SCENARIOS, ScenarioEntry, ScenarioRegistry
 from repro.scenarios.spec import ScenarioSpec
@@ -25,14 +27,17 @@ register = SCENARIOS.register
 def build_live_scenario(spec, platform, seed: int = 0) -> Scenario:
     """Build a fresh scenario and bind it to ``platform`` on the
     session's forked ``"scenario"`` RNG lane, so scenario randomness
-    never perturbs workload streams.
+    never perturbs workload streams.  The lane is derived on first use,
+    so the static scenarios, which never draw, never derive it.
 
     Every session builder binds through here: the measurement runner's
     :class:`~repro.evaluation.runner.SessionExecution` and
     :meth:`repro.session.Session.for_page`.  Remember to call
     ``scenario.attach(browser)`` once the browser exists.
     """
-    return SCENARIOS.build(spec).bind(platform, RngStreams(seed).fork("scenario"))
+    return SCENARIOS.build(spec).bind(
+        platform, functools.partial(RngStreams(seed).fork, "scenario")
+    )
 
 
 __all__ = [

@@ -33,7 +33,7 @@ a fresh instance per session via ``SCENARIOS.build(spec)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from repro.core.qos import QoSTarget
 from repro.errors import EvaluationError
@@ -77,7 +77,20 @@ class Scenario:
 
     def __init__(self) -> None:
         self.platform: Optional["MobilePlatform"] = None
-        self.rng: Optional["RngStreams"] = None
+        self._rng: "RngStreams | Callable[[], RngStreams] | None" = None
+
+    @property
+    def rng(self) -> Optional["RngStreams"]:
+        """The session's ``"scenario"`` RNG lane (None while unbound).
+
+        A lane bound lazily is derived on first access, so a scenario
+        that never draws (the static pair) never pays for the
+        derivation; the derivation is pure, so the numbers drawn do not
+        depend on when it happens.
+        """
+        if callable(self._rng):
+            self._rng = self._rng()
+        return self._rng
 
     @property
     def name(self) -> str:
@@ -90,12 +103,15 @@ class Scenario:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def bind(self, platform: "MobilePlatform", rng: "RngStreams") -> "Scenario":
+    def bind(
+        self, platform: "MobilePlatform", rng: "RngStreams | Callable[[], RngStreams]"
+    ) -> "Scenario":
         """Attach this scenario to a session's platform (single use).
 
         ``rng`` is the session's forked ``"scenario"`` RNG lane, so
         scenario randomness never perturbs workload streams (and vice
-        versa).  Returns ``self`` for chaining.
+        versa), or a zero-argument callable that derives it on first
+        use of :attr:`rng`.  Returns ``self`` for chaining.
         """
         if self.platform is not None:
             raise EvaluationError(
@@ -103,7 +119,7 @@ class Scenario:
                 "instances carry run state — build a fresh one per session"
             )
         self.platform = platform
-        self.rng = rng
+        self._rng = rng
         self.on_bind()
         return self
 

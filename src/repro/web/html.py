@@ -5,20 +5,15 @@ with ``id``/``class``/other attributes, self-closing tags, ``<style>``
 blocks (collected and parsed as CSS), comments, and text (ignored —
 text nodes carry no QoS-relevant behaviour).  ``<html>`` in the markup
 is merged into the document's implicit root.
-
-Each distinct markup string is parsed and validated once per process
-into a private template; every :func:`parse_html` call returns a fresh
-structural clone of its DOM and a fresh stylesheet over its rules.
 """
 
 from __future__ import annotations
 
-import functools
 from html.parser import HTMLParser
 
 from repro.errors import HtmlParseError
 from repro.web.css.parser import parse_stylesheet
-from repro.web.css.stylesheet import StyleRule, Stylesheet
+from repro.web.css.stylesheet import Stylesheet
 from repro.web.dom import Document, Element
 
 _VOID_TAGS = frozenset(
@@ -103,26 +98,14 @@ def parse_html(markup: str) -> tuple[Document, Stylesheet]:
     all of its ``<style>`` blocks.
 
     Returns a new document and stylesheet on every call, so callers may
-    mutate them (attach listeners, add rules) freely.
+    mutate them (attach listeners, add rules) freely.  (The twelve
+    applications parse their markup once per process, into their
+    templates; see :mod:`repro.workloads.registry`.)
 
     Raises:
         HtmlParseError: on markup the builder cannot place (e.g. an id
             duplicated across elements).
     """
-    document, rules = _parse_template(markup)
-    return document.clone(), Stylesheet(rules)
-
-
-#: Distinct markup strings kept parsed (the twelve apps plus ad-hoc
-#: pages), bounded so that generated markup cannot grow memory without
-#: limit.
-_PARSED_DOCUMENTS = 128
-
-
-@functools.lru_cache(maxsize=_PARSED_DOCUMENTS)
-def _parse_template(markup: str) -> tuple[Document, tuple[StyleRule, ...]]:
-    """The parsed, validated template for ``markup``: never handed out,
-    only cloned (a failed parse raises and is not cached)."""
     builder = _DomBuilder()
     try:
         builder.feed(markup)
@@ -132,8 +115,8 @@ def _parse_template(markup: str) -> tuple[Document, tuple[StyleRule, ...]]:
     except Exception as exc:  # DomError and parser internals
         raise HtmlParseError(f"failed to parse markup: {exc}") from exc
     style_text = builder.style_text.strip()
-    rules = tuple(parse_stylesheet(style_text)) if style_text else ()
+    sheet = parse_stylesheet(style_text) if style_text else Stylesheet()
     # Re-index after full construction so late id assignments are found.
     for element in builder.document.all_elements():
         builder.document._index(element)
-    return builder.document, rules
+    return builder.document, sheet

@@ -1,9 +1,14 @@
 """The twelve applications of the paper's Table 3.
 
-Each builder returns an :class:`~repro.workloads.base.AppBundle`:
-a page (DOM + CSS + callbacks), the developer's manual GreenWeb
-annotation CSS (including the Sec. 7.3 long-latency corrections), and
-the micro / full interaction traces sized to Table 3.
+Each builder returns the application's
+:class:`~repro.workloads.base.AppTemplate`: its DOM (parsed from the
+app's markup, with the callbacks attached), its stylesheet rules, the
+developer's manual GreenWeb annotation CSS (including the Sec. 7.3
+long-latency corrections), and the micro / full interaction traces
+sized to Table 3.  Nothing here depends on the workload seed; the
+registry builds each template once per process and
+:meth:`~repro.workloads.base.AppTemplate.instantiate` adds the seeded
+per-session parts.
 
 Work magnitudes (reference big-core Mcycles) are calibrated so each
 application plays the role the paper reports for it — see the comments
@@ -12,21 +17,20 @@ on every builder and DESIGN.md Sec. 2 for the substitution argument.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.browser.page import Page
 from repro.browser.stages import RenderCostModel
 from repro.core.qos import QoSType
 from repro.sim.clock import s_to_us
-from repro.sim.random import RngStreams
-from repro.web.css.parser import parse_stylesheet
+from repro.web.css.stylesheet import StyleRule
+from repro.web.dom import Document
 from repro.web.html import parse_html
 from repro.workloads.markup import APP_MARKUP
 from repro.web.events import EventType, InteractionKind
 from repro.web.script import Callback
 from repro.workloads.base import (
-    AppBundle,
     ApplicationSpec,
+    AppTemplate,
     bimodal_mcycles,
     lognormal_mcycles,
     surge_complexity,
@@ -41,51 +45,35 @@ from repro.workloads.interactions import (
 )
 
 
-def _page(
-    name: str,
-    seed: int,
-    css: str = "",
-    render_cost: Optional[RenderCostModel] = None,
-    native_scroll_complexity: float = 0.0,
-) -> Page:
-    """Build an application page: its DOM and base stylesheet come from
-    the app's HTML document (:mod:`repro.workloads.markup`), parsed by
-    the library's own HTML/CSS engines."""
+def _markup(name: str) -> tuple[Document, tuple[StyleRule, ...]]:
+    """An application's DOM and base stylesheet rules, from its HTML
+    document (:mod:`repro.workloads.markup`) parsed by the library's
+    own HTML/CSS engines."""
     document, sheet = parse_html(APP_MARKUP[name]())
-    rng = RngStreams(seed).fork(name).stream("page")
-    page = Page(
-        name=name,
-        document=document,
-        render_cost=render_cost or RenderCostModel(),
-        rng=rng,
-        native_scroll_complexity=native_scroll_complexity,
-    )
-    page.stylesheet.extend(sheet)
-    if css:
-        page.stylesheet.extend(parse_stylesheet(css))
-    return page
+    return document, tuple(sheet.rules)
 
 
 def _spread(
-    trace: InteractionTrace,
     count: int,
     start_s: float,
     end_s: float,
     builder: Callable[[int], list[ScriptedEvent]],
-) -> None:
-    """Append ``count`` interactions evenly spread over [start, end]."""
+) -> list[ScriptedEvent]:
+    """``count`` interactions evenly spread over [start, end]."""
     if count <= 0:
-        return
+        return []
     span = s_to_us(end_s) - s_to_us(start_s)
     step = span // max(1, count - 1) if count > 1 else 0
+    events: list[ScriptedEvent] = []
     for index in range(count):
-        trace.extend(builder(s_to_us(start_s) + index * step))
+        events.extend(builder(s_to_us(start_s) + index * step))
+    return events
 
 
 # ======================================================================
 # Loading applications (single, long)
 # ======================================================================
-def build_bbc(seed: int = 0) -> AppBundle:
+def build_bbc() -> AppTemplate:
     """BBC: news front page.  Heavy load (~2.5 s at peak) whose first
     meaningful frame is the QoS frame; the minimum-frequency profiling
     run blows the 1 s imperceptible target — the paper's Fig. 9b BBC
@@ -97,12 +85,7 @@ def build_bbc(seed: int = 0) -> AppBundle:
         full_duration_s=86, full_events=60, annotation_pct=20.0,
         annotated_manually=True,
     )
-    page = _page("bbc", seed, render_cost=RenderCostModel(
-        style_cycles=1_200_000, layout_cycles=2_500_000,
-        paint_cycles=3_000_000, composite_cycles=800_000,
-        composite_fixed_us=2_500,
-    ))
-    doc = page.document
+    doc, rules = _markup("bbc")
 
     def on_load(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 820.0, sigma=0.06), fixed_us=120_000)
@@ -128,14 +111,22 @@ def build_bbc(seed: int = 0) -> AppBundle:
     """
     micro = repeat_interaction(load_interaction, repetitions=3,
                                spacing_us=s_to_us(28), name="bbc-micro-loading")
-    full = InteractionTrace("bbc-full")
-    full.extend(load_interaction(0))
-    _spread(full, 11, 6.0, 82.0, lambda t: tap(t, "story-link"))
-    _spread(full, 48, 7.0, 86.0, lambda t: tap(t, "misc-area"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("bbc-full", (
+        *load_interaction(0),
+        *_spread(11, 6.0, 82.0, lambda t: tap(t, "story-link")),
+        *_spread(48, 7.0, 86.0, lambda t: tap(t, "misc-area")),
+    ))
+    return AppTemplate(
+        spec, doc, rules, manual_css, micro, full,
+        render_cost=RenderCostModel(
+            style_cycles=1_200_000, layout_cycles=2_500_000,
+            paint_cycles=3_000_000, composite_cycles=800_000,
+            composite_fixed_us=2_500,
+        ),
+    )
 
 
-def build_google(seed: int = 0) -> AppBundle:
+def build_google() -> AppTemplate:
     """Google: search page.  Lighter load than BBC (fits the 1 s target
     even at modest configurations) plus instant-search suggestion taps."""
     spec = ApplicationSpec(
@@ -144,8 +135,7 @@ def build_google(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.SINGLE, micro_target_label="(1, 10) s",
         full_duration_s=31, full_events=26, annotation_pct=87.5,
     )
-    page = _page("google", seed)
-    doc = page.document
+    doc, rules = _markup("google")
 
     def on_load(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 600.0, sigma=0.08), fixed_us=60_000)
@@ -169,17 +159,18 @@ def build_google(seed: int = 0) -> AppBundle:
     """
     micro = repeat_interaction(load_interaction, repetitions=3,
                                spacing_us=s_to_us(12), name="google-micro-loading")
-    full = InteractionTrace("google-full")
-    full.extend(load_interaction(0))
-    _spread(full, 22, 3.0, 30.6, lambda t: tap(t, "search-box"))
-    _spread(full, 3, 5.0, 29.0, lambda t: tap(t, "footer"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("google-full", (
+        *load_interaction(0),
+        *_spread(22, 3.0, 30.6, lambda t: tap(t, "search-box")),
+        *_spread(3, 5.0, 29.0, lambda t: tap(t, "footer")),
+    ))
+    return AppTemplate(spec, doc, rules, manual_css, micro, full)
 
 
 # ======================================================================
 # Tapping applications, single QoS type
 # ======================================================================
-def build_camanjs(seed: int = 0) -> AppBundle:
+def build_camanjs() -> AppTemplate:
     """CamanJS: client-side image editing.  A filter tap is a heavy but
     little-core-feasible job against the (1, 10) s target — one of the
     three apps whose imperceptible-mode savings come from little-core
@@ -190,8 +181,7 @@ def build_camanjs(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.SINGLE, micro_target_label="(1, 10) s",
         full_duration_s=49, full_events=24, annotation_pct=100.0,
     )
-    page = _page("camanjs", seed)
-    doc = page.document
+    doc, rules = _markup("camanjs")
 
     def on_filter(ctx):
         # ~200 Mcycles: 0.11 s at big-max, ~0.8 s on little@600 —
@@ -204,12 +194,13 @@ def build_camanjs(seed: int = 0) -> AppBundle:
     manual_css = "div#filter-btn:QoS { onclick-qos: single, long; }\n"
     micro = repeat_interaction(lambda t: tap(t, "filter-btn"), repetitions=5,
                                spacing_us=s_to_us(8), name="camanjs-micro-tapping")
-    full = InteractionTrace("camanjs-full")
-    _spread(full, 24, 1.0, 48.5, lambda t: tap(t, "filter-btn"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("camanjs-full", (
+        *_spread(24, 1.0, 48.5, lambda t: tap(t, "filter-btn")),
+    ))
+    return AppTemplate(spec, doc, rules, manual_css, micro, full)
 
 
-def build_lzma_js(seed: int = 0) -> AppBundle:
+def build_lzma_js() -> AppTemplate:
     """LZMA-JS: in-browser compression.  Bimodal job sizes: most taps
     compress small buffers (little-core friendly) but occasional large
     buffers overshoot the 1 s imperceptible target at low frequencies —
@@ -220,8 +211,7 @@ def build_lzma_js(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.SINGLE, micro_target_label="(1, 10) s",
         full_duration_s=53, full_events=39, annotation_pct=100.0,
     )
-    page = _page("lzma_js", seed)
-    doc = page.document
+    doc, rules = _markup("lzma_js")
 
     def on_compress(ctx):
         ctx.do_work(bimodal_mcycles(ctx.rng, 240.0, 400.0, heavy_probability=0.10, sigma=0.08),
@@ -234,12 +224,13 @@ def build_lzma_js(seed: int = 0) -> AppBundle:
     manual_css = "div#compress-btn:QoS { onclick-qos: single, long; }\n"
     micro = repeat_interaction(lambda t: tap(t, "compress-btn"), repetitions=5,
                                spacing_us=s_to_us(8), name="lzma-micro-tapping")
-    full = InteractionTrace("lzma-full")
-    _spread(full, 39, 1.0, 52.5, lambda t: tap(t, "compress-btn"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("lzma-full", (
+        *_spread(39, 1.0, 52.5, lambda t: tap(t, "compress-btn")),
+    ))
+    return AppTemplate(spec, doc, rules, manual_css, micro, full)
 
 
-def build_msn(seed: int = 0) -> AppBundle:
+def build_msn() -> AppTemplate:
     """MSN: news portal.  Nav taps need near-peak performance to stay
     inside the 100 ms imperceptible target, so the minimum-frequency
     profiling run causes significant violations (Sec. 7.2)."""
@@ -249,12 +240,7 @@ def build_msn(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.SINGLE, micro_target_label="(100, 300) ms",
         full_duration_s=59, full_events=126, annotation_pct=51.2,
     )
-    page = _page("msn", seed, render_cost=RenderCostModel(
-        style_cycles=1_000_000, layout_cycles=2_000_000,
-        paint_cycles=2_500_000, composite_cycles=700_000,
-        composite_fixed_us=2_500,
-    ))
-    doc = page.document
+    doc, rules = _markup("msn")
 
     def on_nav(ctx):
         # ~100 Mcycles: ~60 ms at big-max (inside TI=100 ms), ~130 ms
@@ -278,13 +264,21 @@ def build_msn(seed: int = 0) -> AppBundle:
     """
     micro = repeat_interaction(lambda t: tap(t, "nav-item"), repetitions=6,
                                spacing_us=s_to_us(3), name="msn-micro-tapping")
-    full = InteractionTrace("msn-full")
-    _spread(full, 21, 1.0, 56.0, lambda t: tap(t, "nav-item", with_touch_envelope=True))
-    _spread(full, 21, 2.0, 58.0, lambda t: tap(t, "teaser", with_touch_envelope=True))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("msn-full", (
+        *_spread(21, 1.0, 56.0, lambda t: tap(t, "nav-item", with_touch_envelope=True)),
+        *_spread(21, 2.0, 58.0, lambda t: tap(t, "teaser", with_touch_envelope=True)),
+    ))
+    return AppTemplate(
+        spec, doc, rules, manual_css, micro, full,
+        render_cost=RenderCostModel(
+            style_cycles=1_000_000, layout_cycles=2_000_000,
+            paint_cycles=2_500_000, composite_cycles=700_000,
+            composite_fixed_us=2_500,
+        ),
+    )
 
 
-def build_todo(seed: int = 0) -> AppBundle:
+def build_todo() -> AppTemplate:
     """Todo: the classic TodoMVC app.  Very light taps against a 100 ms
     target — the poster child for little-core-only operation and the
     largest imperceptible-mode savings (Fig. 9a discussion)."""
@@ -294,12 +288,7 @@ def build_todo(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.SINGLE, micro_target_label="(100, 300) ms",
         full_duration_s=26, full_events=26, annotation_pct=38.3,
     )
-    page = _page("todo", seed, render_cost=RenderCostModel(
-        style_cycles=200_000, layout_cycles=400_000,
-        paint_cycles=600_000, composite_cycles=250_000,
-        composite_fixed_us=1_500,
-    ))
-    doc = page.document
+    doc, rules = _markup("todo")
 
     def on_add(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 8.0))
@@ -315,16 +304,24 @@ def build_todo(seed: int = 0) -> AppBundle:
     manual_css = "div#add-btn:QoS { onclick-qos: single, short; }\n"
     micro = repeat_interaction(lambda t: tap(t, "add-btn"), repetitions=6,
                                spacing_us=s_to_us(2), name="todo-micro-tapping")
-    full = InteractionTrace("todo-full")
-    _spread(full, 10, 0.5, 25.0, lambda t: tap(t, "add-btn"))
-    _spread(full, 16, 1.0, 26.0, lambda t: tap(t, "item-toggle"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("todo-full", (
+        *_spread(10, 0.5, 25.0, lambda t: tap(t, "add-btn")),
+        *_spread(16, 1.0, 26.0, lambda t: tap(t, "item-toggle")),
+    ))
+    return AppTemplate(
+        spec, doc, rules, manual_css, micro, full,
+        render_cost=RenderCostModel(
+            style_cycles=200_000, layout_cycles=400_000,
+            paint_cycles=600_000, composite_cycles=250_000,
+            composite_fixed_us=1_500,
+        ),
+    )
 
 
 # ======================================================================
 # Moving applications (continuous)
 # ======================================================================
-def build_amazon(seed: int = 0) -> AppBundle:
+def build_amazon() -> AppTemplate:
     """Amazon: product-feed scrolling.  Scroll frames carry moderate
     render complexity with occasional surges as product tiles land."""
     spec = ApplicationSpec(
@@ -334,13 +331,7 @@ def build_amazon(seed: int = 0) -> AppBundle:
         full_duration_s=36, full_events=101, annotation_pct=33.0,
         annotated_manually=True,
     )
-    page = _page("amazon", seed, native_scroll_complexity=0.4,
-                 render_cost=RenderCostModel(
-                     style_cycles=700_000, layout_cycles=1_400_000,
-                     paint_cycles=1_800_000, composite_cycles=600_000,
-                     composite_fixed_us=2_200,
-                 ))
-    doc = page.document
+    doc, rules = _markup("amazon")
 
     def scroll_handler(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 1.6, sigma=0.2))
@@ -367,16 +358,25 @@ def build_amazon(seed: int = 0) -> AppBundle:
     micro = repeat_interaction(
         lambda t: move_burst(t, "feed", move_count=60),
         repetitions=3, spacing_us=s_to_us(4), name="amazon-micro-moving")
-    full = InteractionTrace("amazon-full")
-    full.extend(move_burst(s_to_us(2), "feed", move_count=31))
-    full.extend(move_burst(s_to_us(14), "sidebar", move_count=31))
-    full.extend(move_burst(s_to_us(34.8), "reviews", move_count=31))
-    full.extend(tap(s_to_us(10), "buy-btn"))
-    full.extend(tap(s_to_us(30), "buy-btn"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("amazon-full", (
+        *move_burst(s_to_us(2), "feed", move_count=31),
+        *move_burst(s_to_us(14), "sidebar", move_count=31),
+        *move_burst(s_to_us(34.8), "reviews", move_count=31),
+        *tap(s_to_us(10), "buy-btn"),
+        *tap(s_to_us(30), "buy-btn"),
+    ))
+    return AppTemplate(
+        spec, doc, rules, manual_css, micro, full,
+        native_scroll_complexity=0.4,
+        render_cost=RenderCostModel(
+            style_cycles=700_000, layout_cycles=1_400_000,
+            paint_cycles=1_800_000, composite_cycles=600_000,
+            composite_fixed_us=2_200,
+        ),
+    )
 
 
-def build_craigslist(seed: int = 0) -> AppBundle:
+def build_craigslist() -> AppTemplate:
     """Craigslist: text-heavy listing scroll — light frames, so even
     tight continuous targets fit cheap configurations."""
     spec = ApplicationSpec(
@@ -385,13 +385,7 @@ def build_craigslist(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.CONTINUOUS, micro_target_label="(16.6, 33.3) ms",
         full_duration_s=25, full_events=22, annotation_pct=84.6,
     )
-    page = _page("craigslist", seed, native_scroll_complexity=0.3,
-                 render_cost=RenderCostModel(
-                     style_cycles=300_000, layout_cycles=600_000,
-                     paint_cycles=800_000, composite_cycles=300_000,
-                     composite_fixed_us=1_800,
-                 ))
-    doc = page.document
+    doc, rules = _markup("craigslist")
 
     def scroll_handler(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 0.9, sigma=0.2))
@@ -416,14 +410,23 @@ def build_craigslist(seed: int = 0) -> AppBundle:
     micro = repeat_interaction(
         lambda t: move_burst(t, "list", move_count=60),
         repetitions=3, spacing_us=s_to_us(4), name="craigslist-micro-moving")
-    full = InteractionTrace("craigslist-full")
-    full.extend(move_burst(s_to_us(2), "list", move_count=18))
-    full.extend(tap(s_to_us(15), "post-link"))
-    full.extend(tap(s_to_us(24), "post-link"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("craigslist-full", (
+        *move_burst(s_to_us(2), "list", move_count=18),
+        *tap(s_to_us(15), "post-link"),
+        *tap(s_to_us(24), "post-link"),
+    ))
+    return AppTemplate(
+        spec, doc, rules, manual_css, micro, full,
+        native_scroll_complexity=0.3,
+        render_cost=RenderCostModel(
+            style_cycles=300_000, layout_cycles=600_000,
+            paint_cycles=800_000, composite_cycles=300_000,
+            composite_fixed_us=1_800,
+        ),
+    )
 
 
-def build_paperjs(seed: int = 0) -> AppBundle:
+def build_paperjs() -> AppTemplate:
     """Paper.js: canvas drawing.  The paper's Fig. 5 idiom: touchmove
     handlers drive a rAF drawing loop; every frame pays real script
     work (path tessellation) plus canvas repaint."""
@@ -433,12 +436,7 @@ def build_paperjs(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.CONTINUOUS, micro_target_label="(16.6, 33.3) ms",
         full_duration_s=16, full_events=560, annotation_pct=100.0,
     )
-    page = _page("paperjs", seed, render_cost=RenderCostModel(
-        style_cycles=200_000, layout_cycles=300_000,
-        paint_cycles=2_200_000, composite_cycles=500_000,
-        composite_fixed_us=2_000,
-    ))
-    doc = page.document
+    doc, rules = _markup("paperjs")
 
     def draw_tick(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 3.0, sigma=0.15))
@@ -468,16 +466,24 @@ def build_paperjs(seed: int = 0) -> AppBundle:
     micro = repeat_interaction(
         lambda t: move_burst(t, "canvas", move_count=120),
         repetitions=2, spacing_us=s_to_us(5), name="paperjs-micro-moving")
-    full = InteractionTrace("paperjs-full")
-    full.extend(move_burst(s_to_us(1), "canvas", move_count=278))
-    full.extend(move_burst(s_to_us(10.9), "canvas", move_count=278))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("paperjs-full", (
+        *move_burst(s_to_us(1), "canvas", move_count=278),
+        *move_burst(s_to_us(10.9), "canvas", move_count=278),
+    ))
+    return AppTemplate(
+        spec, doc, rules, manual_css, micro, full,
+        render_cost=RenderCostModel(
+            style_cycles=200_000, layout_cycles=300_000,
+            paint_cycles=2_200_000, composite_cycles=500_000,
+            composite_fixed_us=2_000,
+        ),
+    )
 
 
 # ======================================================================
 # Tapping applications, continuous QoS type
 # ======================================================================
-def build_cnet(seed: int = 0) -> AppBundle:
+def build_cnet() -> AppTemplate:
     """Cnet: tapping expands a media-heavy panel with a library-driven
     animation whose frames occasionally surge in complexity — the
     usable-mode violation case of Sec. 7.2."""
@@ -487,8 +493,7 @@ def build_cnet(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.CONTINUOUS, micro_target_label="(16.6, 33.3) ms",
         full_duration_s=46, full_events=60, annotation_pct=55.3,
     )
-    page = _page("cnet", seed)
-    doc = page.document
+    doc, rules = _markup("cnet")
 
     def on_menu(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 10.0))
@@ -516,13 +521,14 @@ def build_cnet(seed: int = 0) -> AppBundle:
     """
     micro = repeat_interaction(lambda t: tap(t, "menu"), repetitions=6,
                                spacing_us=s_to_us(3), name="cnet-micro-tapping")
-    full = InteractionTrace("cnet-full")
-    _spread(full, 11, 1.0, 42.0, lambda t: tap(t, "menu", with_touch_envelope=True))
-    _spread(full, 9, 3.0, 45.0, lambda t: tap(t, "other", with_touch_envelope=True))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("cnet-full", (
+        *_spread(11, 1.0, 42.0, lambda t: tap(t, "menu", with_touch_envelope=True)),
+        *_spread(9, 3.0, 45.0, lambda t: tap(t, "other", with_touch_envelope=True)),
+    ))
+    return AppTemplate(spec, doc, rules, manual_css, micro, full)
 
 
-def build_goo_ne_jp(seed: int = 0) -> AppBundle:
+def build_goo_ne_jp() -> AppTemplate:
     """Goo.ne.jp: portal whose nav panels expand via a CSS transition —
     the paper's Fig. 4 annotation pattern verbatim."""
     spec = ApplicationSpec(
@@ -531,8 +537,7 @@ def build_goo_ne_jp(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.CONTINUOUS, micro_target_label="(16.6, 33.3) ms",
         full_duration_s=16, full_events=23, annotation_pct=51.8,
     )
-    page = _page("goo_ne_jp", seed)
-    doc = page.document
+    doc, rules = _markup("goo_ne_jp")
 
     def on_panel(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 8.0))
@@ -558,14 +563,17 @@ def build_goo_ne_jp(seed: int = 0) -> AppBundle:
     micro = repeat_interaction(
         lambda t: [ScriptedEvent(t, EventType.TOUCHSTART, "panel")],
         repetitions=6, spacing_us=s_to_us(2), name="goo-micro-tapping")
-    full = InteractionTrace("goo-full")
-    _spread(full, 4, 1.0, 13.0, lambda t: tap(t, "panel", with_touch_envelope=True))
-    _spread(full, 3, 2.5, 14.0, lambda t: tap(t, "link", with_touch_envelope=True))
-    _spread(full, 2, 6.0, 15.0, lambda t: tap(t, "link"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("goo-full", (
+        *_spread(4, 1.0, 13.0, lambda t: tap(t, "panel", with_touch_envelope=True)),
+        *_spread(3, 2.5, 14.0, lambda t: tap(t, "link", with_touch_envelope=True)),
+        *_spread(2, 6.0, 15.0, lambda t: tap(t, "link")),
+    ))
+    # The panel toggle writes the panel's inline width: every session
+    # needs its own copy of the document.
+    return AppTemplate(spec, doc, rules, manual_css, micro, full, writes_dom=True)
 
 
-def build_w3schools(seed: int = 0) -> AppBundle:
+def build_w3schools() -> AppTemplate:
     """W3Schools: try-it editor panes animate open; frame complexity
     surges (code highlighting batches) drive the usable-mode violations
     the paper singles out (Sec. 7.2)."""
@@ -575,8 +583,7 @@ def build_w3schools(seed: int = 0) -> AppBundle:
         micro_qos_type=QoSType.CONTINUOUS, micro_target_label="(16.6, 33.3) ms",
         full_duration_s=64, full_events=59, annotation_pct=100.0,
     )
-    page = _page("w3schools", seed)
-    doc = page.document
+    doc, rules = _markup("w3schools")
 
     def on_tryit(ctx):
         ctx.do_work(lognormal_mcycles(ctx.rng, 12.0))
@@ -605,14 +612,15 @@ def build_w3schools(seed: int = 0) -> AppBundle:
     """
     micro = repeat_interaction(lambda t: tap(t, "tryit"), repetitions=6,
                                spacing_us=s_to_us(3), name="w3schools-micro-tapping")
-    full = InteractionTrace("w3schools-full")
-    _spread(full, 19, 1.0, 63.5, lambda t: tap(t, "tryit", with_touch_envelope=True))
-    _spread(full, 2, 20.0, 50.0, lambda t: tap(t, "nav"))
-    return AppBundle(spec, page, manual_css, micro, full)
+    full = InteractionTrace("w3schools-full", (
+        *_spread(19, 1.0, 63.5, lambda t: tap(t, "tryit", with_touch_envelope=True)),
+        *_spread(2, 20.0, 50.0, lambda t: tap(t, "nav")),
+    ))
+    return AppTemplate(spec, doc, rules, manual_css, micro, full)
 
 
 #: name -> builder, in the paper's Table 3 order.
-APP_BUILDERS: dict[str, Callable[[int], AppBundle]] = {
+APP_BUILDERS: dict[str, Callable[[], AppTemplate]] = {
     "bbc": build_bbc,
     "google": build_google,
     "camanjs": build_camanjs,

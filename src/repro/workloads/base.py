@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.browser.page import Page
+from repro.browser.stages import RenderCostModel
 from repro.core.qos import QoSType
+from repro.sim.random import RngStreams
+from repro.web.css.stylesheet import StyleRule, Stylesheet
+from repro.web.dom import Document
 from repro.web.events import InteractionKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +46,12 @@ class ApplicationSpec:
 
 @dataclass
 class AppBundle:
-    """Everything needed to run one application in an experiment."""
+    """Everything needed to run one application in an experiment.
+
+    ``spec``, ``manual_annotation_css`` and both traces are the
+    application's :class:`AppTemplate` objects, shared by every bundle;
+    ``page`` belongs to this bundle (see :meth:`AppTemplate.instantiate`).
+    """
 
     spec: ApplicationSpec
     page: Page
@@ -58,6 +67,64 @@ class AppBundle:
 
         if self.manual_annotation_css.strip():
             self.page.stylesheet.extend(parse_stylesheet(self.manual_annotation_css))
+
+
+@dataclass(frozen=True)
+class AppTemplate:
+    """The seed-independent part of one application, built once per
+    process (:func:`repro.workloads.registry.app_template`) and shared
+    by every session of it.
+
+    Every field is immutable: the document is frozen
+    (:meth:`~repro.web.dom.Document.freeze`, listeners attached), the
+    rules and traces are tuples of frozen objects, and the callbacks
+    keep their state in the per-session ``Page.state``.
+    """
+
+    spec: ApplicationSpec
+    document: Document
+    #: the markup's ``<style>`` rules
+    rules: tuple[StyleRule, ...]
+    manual_annotation_css: str
+    micro_trace: "InteractionTrace"
+    full_trace: "InteractionTrace"
+    render_cost: RenderCostModel = RenderCostModel()
+    native_scroll_complexity: float = 0.0
+    #: the callbacks write the DOM (style writes, class mutations), so
+    #: every session of this app needs a private copy of the document
+    writes_dom: bool = False
+    #: ``rules`` followed by the parsed manual annotation CSS
+    annotated_rules: tuple[StyleRule, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        from repro.web.css.parser import parse_stylesheet
+
+        self.document.freeze()
+        manual = parse_stylesheet(self.manual_annotation_css).rules
+        object.__setattr__(self, "annotated_rules", self.rules + tuple(manual))
+
+    def instantiate(self, seed: int, with_manual_annotations: bool = True) -> AppBundle:
+        """One session's bundle: only the seed work happens here.
+
+        The page gets its own RNG stream, state dict and stylesheet
+        list.  It shares the frozen template document unless the app
+        writes its DOM or the caller means to edit the page (no manual
+        annotations: AutoGreen, target sweeps); then it gets a clone.
+        """
+        private = self.writes_dom or not with_manual_annotations
+        page = Page(
+            name=self.spec.name,
+            document=self.document.clone() if private else self.document,
+            stylesheet=Stylesheet(
+                self.annotated_rules if with_manual_annotations else self.rules
+            ),
+            render_cost=self.render_cost,
+            rng=RngStreams(seed).fork(self.spec.name).stream("page"),
+            native_scroll_complexity=self.native_scroll_complexity,
+        )
+        return AppBundle(
+            self.spec, page, self.manual_annotation_css, self.micro_trace, self.full_trace
+        )
 
 
 def lognormal_mcycles(

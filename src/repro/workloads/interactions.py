@@ -40,12 +40,24 @@ class ScriptedEvent:
             raise WorkloadError(f"negative event time {self.at_us}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionTrace:
-    """A deterministic sequence of user inputs."""
+    """A deterministic, immutable sequence of user inputs.
+
+    ``events`` is stored as a tuple of frozen :class:`ScriptedEvent`s,
+    so one trace can be shared by every session that replays it.
+    """
 
     name: str
-    events: list[ScriptedEvent] = field(default_factory=list)
+    events: tuple[ScriptedEvent, ...] = ()
+    _sorted: tuple[ScriptedEvent, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
+
+    def __post_init__(self) -> None:
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_sorted", tuple(sorted(events, key=lambda e: e.at_us)))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -53,17 +65,15 @@ class InteractionTrace:
     @property
     def duration_us(self) -> int:
         """Time of the last input (the run itself settles afterwards)."""
-        return max((e.at_us for e in self.events), default=0)
+        return self._sorted[-1].at_us if self._sorted else 0
 
     @property
     def duration_s(self) -> float:
         return self.duration_us / 1_000_000
 
-    def extend(self, events: list[ScriptedEvent]) -> None:
-        self.events.extend(events)
-
-    def sorted_events(self) -> list[ScriptedEvent]:
-        return sorted(self.events, key=lambda e: e.at_us)
+    def sorted_events(self) -> tuple[ScriptedEvent, ...]:
+        """The events in time order (stable for equal times)."""
+        return self._sorted
 
 
 # ----------------------------------------------------------------------
@@ -116,10 +126,10 @@ def repeat_interaction(
     """Repeat a single-interaction builder (``builder(at_us) -> events``)
     ``repetitions`` times at a fixed spacing — the micro-benchmark shape
     (Sec. 7.2 exercises one interaction repeatedly)."""
-    trace = InteractionTrace(name)
+    events: list[ScriptedEvent] = []
     for index in range(repetitions):
-        trace.extend(builder(index * spacing_us))
-    return trace
+        events.extend(builder(index * spacing_us))
+    return InteractionTrace(name, tuple(events))
 
 
 # ----------------------------------------------------------------------

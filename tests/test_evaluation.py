@@ -189,8 +189,8 @@ class TestRunner:
             bundle = real_build_app(name, seed)
             bundle.full_trace = InteractionTrace(
                 bundle.full_trace.name,
-                bundle.full_trace.events
-                + [ScriptedEvent(0, EventType.CLICK, "no-such-element")],
+                (*bundle.full_trace.events,
+                 ScriptedEvent(0, EventType.CLICK, "no-such-element")),
             )
             return bundle
 

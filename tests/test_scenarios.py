@@ -142,6 +142,34 @@ class TestRegistry:
         with pytest.raises(EvaluationError, match="already bound"):
             scenario.bind(platform, RngStreams(0).fork("scenario"))
 
+    @pytest.mark.parametrize(
+        "scenario, derived", [("imperceptible", False), ("usable", False), ("netdelay", True)]
+    )
+    def test_scenario_lane_derived_only_when_drawn(self, monkeypatch, scenario, derived):
+        forks = []
+        fork = RngStreams.fork
+
+        def spy(self, name):
+            forks.append(name)
+            return fork(self, name)
+
+        monkeypatch.setattr(RngStreams, "fork", spy)
+        run_workload_job({"app": "todo", "governor": "greenweb", "scenario": scenario,
+                          "trace_kind": "micro", "seed": 3})
+        assert "todo" in forks  # the page's workload lane
+        assert ("scenario" in forks) is derived
+
+    def test_lazy_lane_draws_the_eager_lanes_numbers(self):
+        platform = odroid_xu_e()
+        lazy = SCENARIOS.build("imperceptible").bind(
+            platform, lambda: RngStreams(7).fork("scenario")
+        )
+        eager = RngStreams(7).fork("scenario")
+        assert list(lazy.rng.stream("x").integers(0, 1 << 30, 4)) == list(
+            eager.stream("x").integers(0, 1 << 30, 4)
+        )
+        assert lazy.rng is lazy.rng
+
     def test_third_party_registration(self):
         @SCENARIOS.register(
             "halfway", description="constant 50% relaxation", replace=True

@@ -1,11 +1,13 @@
 """Tests for the workload applications and interaction traces."""
 
+import dataclasses
+
 import pytest
 
 from repro.browser import Browser
 from repro.core import AnnotationRegistry
 from repro.core.qos import QoSType as QT
-from repro.errors import WorkloadError
+from repro.errors import DomError, WorkloadError
 from repro.hardware import odroid_xu_e
 from repro.web import Callback
 from repro.web.events import EventType, InteractionKind
@@ -15,6 +17,7 @@ from repro.workloads import (
     build_app,
     table3_specs,
 )
+from repro.workloads.registry import app_template
 from repro.workloads.interactions import (
     InteractionTrace,
     ScriptedEvent,
@@ -179,29 +182,45 @@ def page_snapshot(bundle):
     )
 
 
+def mutate_todo_page(bundle):
+    """Every kind of DOM and stylesheet write a caller can make."""
+    doc = bundle.page.document
+    button = doc.get_element_by_id("add-btn")
+    yield lambda: button.classes.add("pressed")
+    yield lambda: button.classes.discard("button")
+    yield lambda: button.style.__setitem__("height", "9px")
+    yield lambda: button.attributes.__setitem__("aria-pressed", "true")
+    yield lambda: button.add_event_listener("touchstart", Callback(lambda ctx: None, "extra"))
+    yield lambda: button.append_child(doc.create_element("span", "badge"))
+    toggle = doc.get_element_by_id("item-toggle")
+    yield lambda: toggle.parent.remove_child(toggle)
+
+
 class TestSharedParseCaches:
     def test_builds_share_no_mutable_state(self):
+        # A default build shares the app's frozen template document:
+        # every write raises, so nothing can leak between builds.
         first, second = build_app("todo", 3), build_app("todo", 3)
         pristine = page_snapshot(second)
-        assert first.page.document is not second.page.document
+        assert first.page.document is second.page.document
         assert first.page.stylesheet is not second.page.stylesheet
-
-        doc = first.page.document
-        button = doc.get_element_by_id("add-btn")
-        button.classes.add("pressed")
-        button.classes.discard("button")
-        button.style["height"] = "9px"
-        button.attributes["aria-pressed"] = "true"
-        button.add_event_listener("touchstart", Callback(lambda ctx: None, "extra"))
-        button.append_child(doc.create_element("span", "badge"))
-        doc.get_element_by_id("item-toggle").parent.remove_child(
-            doc.get_element_by_id("item-toggle")
-        )
+        for write in mutate_todo_page(first):
+            with pytest.raises(DomError, match="frozen document"):
+                write()
         first.page.stylesheet.append(first.page.stylesheet.rules[0])
         first.page.stylesheet.extend(first.page.stylesheet)
         assert page_snapshot(first) != pristine
-
         assert page_snapshot(second) == pristine
+
+        # A build whose caller edits the page gets a private document.
+        private = build_app("todo", 3, with_manual_annotations=False)
+        private.apply_manual_annotations()
+        assert private.page.document is not first.page.document
+        assert page_snapshot(private) == pristine
+        for write in mutate_todo_page(private):
+            write()
+        assert page_snapshot(private) != pristine
+
         third = build_app("todo", 3)
         assert page_snapshot(third) == pristine
         assert third.page.document.get_element_by_id("badge") is None
@@ -214,6 +233,75 @@ class TestSharedParseCaches:
         bundle.apply_manual_annotations()
         assert len(bundle.page.stylesheet) == base + 2
         assert len(build_app("todo").page.stylesheet) == base + 1
+
+
+class TestAppTemplates:
+    def test_template_built_once_per_process(self):
+        assert app_template("todo") is app_template("todo")
+        assert build_app("todo", 1).micro_trace is build_app("todo", 2).micro_trace
+        with pytest.raises(WorkloadError, match="unknown application"):
+            app_template("netscape")
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_template_traces_cannot_be_mutated(self, name):
+        template = app_template(name)
+        for trace in (template.micro_trace, template.full_trace):
+            assert isinstance(trace.events, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trace.events = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trace.events[0].at_us = 0
+            assert not hasattr(trace, "extend")
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_shared_template_document_refuses_writes(self, name):
+        template = app_template(name)
+        bundle = build_app(name, 4)
+        assert (bundle.page.document is template.document) != template.writes_dom
+        root = template.document.root
+        element = next(template.document.root.descendants())
+        for write in (
+            lambda: element.style.__setitem__("width", "1px"),
+            lambda: element.classes.add("hot"),
+            lambda: element.attributes.update({"x": "1"}),
+            lambda: setattr(element, "id", "renamed"),
+            lambda: root.add_event_listener("click", Callback(lambda ctx: None)),
+            lambda: root.remove_child(element),
+            lambda: template.document.create_element("div"),
+        ):
+            with pytest.raises(DomError, match="frozen document"):
+                write()
+
+    def test_misclassified_app_fails_loudly(self):
+        # goo_ne_jp's panel toggle writes an inline style: served from
+        # the shared document, the session raises instead of leaking.
+        shared = dataclasses.replace(app_template("goo_ne_jp"), writes_dom=False)
+        with pytest.raises(DomError, match="frozen document"):
+            execute_bundle(shared.instantiate(0))
+
+    def test_goo_panel_width_stays_in_its_session(self):
+        first = build_app("goo_ne_jp", 0)
+        execute_bundle(first)
+        panel = first.page.document.get_element_by_id("panel")
+        assert panel.style.get("width") in ("100px", "500px")
+        for document in (build_app("goo_ne_jp", 0).page.document,
+                         app_template("goo_ne_jp").document):
+            assert "width" not in document.get_element_by_id("panel").style
+
+
+def execute_bundle(bundle):
+    """Run ``bundle``'s micro trace under greenweb/imperceptible."""
+    from repro.evaluation.runner import SessionExecution
+    from repro.policies import POLICIES
+
+    execution = SessionExecution(
+        bundle, "greenweb", "imperceptible", "micro", 0, 1.0, "gated",
+        lambda platform, registry, scenario: POLICIES.build(
+            "greenweb", platform, registry, scenario
+        ),
+    )
+    execution.run()
+    return execution.finish()
 
 
 class TestDriver:
