@@ -21,12 +21,16 @@ File format — line-oriented JSON (JSONL), append-only:
 
       {"kind": "shard", "shard": 3, "sessions": 8, "aggregate": {...}}
 
-Durability: each record is written as one line, flushed, and fsync'd
-before the driver moves on, so a crash loses at most the shard that was
-in flight.  A record torn by a crash mid-write (partial line, invalid
-JSON) is detected on resume, dropped together with anything after it,
-and the file is truncated back to the last intact record — the dropped
-shards simply rerun.  Because partials always merge in shard-index
+Durability: records are written as whole lines, flushed, and fsync'd
+before the driver accepts (or reports) any shard they carry, so a crash
+loses at most the shards that were in flight.  A fresh checkpoint's
+header is written with the first records, or earlier by
+:meth:`CheckpointStore.write_header` (the pooled driver calls it once
+its first wave of shards is running), never after them.  A record torn
+by a crash mid-write (partial line, invalid JSON) is detected on
+resume, dropped together with anything after it, and the file is
+truncated back to the last intact record — the dropped shards simply
+rerun.  Because partials always merge in shard-index
 order, a resumed run's aggregate is byte-identical to an uninterrupted
 one.
 """
@@ -109,19 +113,24 @@ class CheckpointStore:
         self.path = path
         self._handle: Optional[BinaryIO] = handle
         self.completed = completed
+        #: a fresh checkpoint's header until it is written
+        self._header: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
     def fresh(cls, path: str, fingerprint: dict) -> "CheckpointStore":
-        """Start a new checkpoint at ``path``, truncating any old one."""
-        handle = open(path, "wb")
-        store = cls(path, handle, completed={})
-        store._append(
-            {"kind": "header", "version": CHECKPOINT_VERSION,
-             "fingerprint": fingerprint}
-        )
+        """Start a new checkpoint at ``path``, truncating any old one.
+
+        The header is held back until :meth:`write_header`, the first
+        :meth:`record`, or :meth:`close`, so its fsync need not delay
+        the first shards.
+        """
+        store = cls(path, open(path, "wb"), completed={})
+        store._header = {
+            "kind": "header", "version": CHECKPOINT_VERSION, "fingerprint": fingerprint,
+        }
         return store
 
     @classmethod
@@ -169,27 +178,41 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
+    def _append(self, records: list[dict]) -> None:
+        """Write ``records`` (after a pending header) with one fsync."""
         if self._handle is None:
             raise EvaluationError(f"checkpoint {self.path} is closed")
-        self._handle.write(_encode(record))
+        if self._header is not None:
+            records = [self._header, *records]
+            self._header = None
+        self._handle.write(b"".join(map(_encode, records)))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def record(self, partial: dict) -> None:
-        """Durably append one accepted shard partial (the dict returned
-        by :func:`repro.fleet.worker.run_shard_job`)."""
+    def write_header(self) -> None:
+        """Durably write a fresh checkpoint's header (no-op once written)."""
+        if self._header is not None:
+            self._append([])
+
+    def record(self, *partials: dict) -> None:
+        """Durably append accepted shard partials (dicts returned by
+        :func:`repro.fleet.worker.run_shard_job`), one line each, with
+        one fsync for the batch."""
         self._append(
-            {
-                "kind": "shard",
-                "shard": partial["shard"],
-                "sessions": partial["sessions"],
-                "aggregate": partial["aggregate"],
-            }
+            [
+                {
+                    "kind": "shard",
+                    "shard": partial["shard"],
+                    "sessions": partial["sessions"],
+                    "aggregate": partial["aggregate"],
+                }
+                for partial in partials
+            ]
         )
 
     def close(self) -> None:
         if self._handle is not None:
+            self.write_header()
             self._handle.close()
             self._handle = None
 

@@ -4,19 +4,21 @@ Execution model:
 
 * the population is expanded and sharded deterministically by
   :class:`~repro.fleet.spec.FleetSpec` (never influenced by job count);
-* shards run on a ``ProcessPoolExecutor`` (``jobs > 1``) or inline
-  (``jobs == 1``) through the same
+* shards run on a :class:`~repro.fleet.pool.WorkerPool` (``jobs > 1``)
+  or inline (``jobs == 1``) through the same
   :func:`~repro.fleet.worker.run_shard_job` entry point;
-* at most ``jobs`` shards are in flight at once, so a shard's
-  wall-clock deadline starts when it begins executing, not when it
-  joins the queue; a crashed or hung shard is retried within a bounded
-  budget and then recorded in the result, never fatal;
+* each worker has at most one shard running and one queued behind it,
+  and a shard's wall-clock deadline starts when it reaches a worker,
+  not when it joins a queue; a crashed or hung shard is retried within
+  a bounded budget and then recorded in the result, never fatal;
 * partial aggregates merge in shard-index order, so the aggregate is
   bit-identical across job counts;
-* with a checkpoint attached, every accepted partial is durably
-  appended the moment it lands, and ``resume=True`` reloads completed
-  shards and skips them — an interrupted-then-resumed run serialises
-  byte-identically to an uninterrupted one;
+* with a checkpoint attached, every partial is durably appended
+  before it is accepted or reported (the pooled backend first refills
+  the pool, then journals what landed with one fsync, then accepts
+  it), and ``resume=True`` reloads completed shards and skips them —
+  an interrupted-then-resumed run serialises byte-identically to an
+  uninterrupted one;
 * SIGINT/SIGTERM during a pooled run triggers a graceful stop: no new
   shards are submitted, in-flight workers are terminated, the
   checkpoint is flushed, and the partial result reports which signal
@@ -30,6 +32,7 @@ Execution model:
 
 from __future__ import annotations
 
+import itertools
 import json
 import signal
 import threading
@@ -43,7 +46,7 @@ from typing import Callable, Optional
 from repro.errors import EvaluationError
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.checkpoint import CheckpointStore
-from repro.fleet.pool import WorkerPool
+from repro.fleet.pool import SiblingDied, WorkerPool
 from repro.fleet.spec import FleetSpec, Shard
 from repro.fleet.worker import run_shard_job
 
@@ -194,7 +197,9 @@ class Fleet:
         if self.checkpoint is not None:
             # Fingerprint validation happens here, before any shard (or
             # worker process) is started: a mismatched resume must fail
-            # without doing any work.
+            # without doing any work.  A fresh journal's header is only
+            # written once the first shards are running (see
+            # CheckpointStore.fresh), still before any shard record.
             if self.resume:
                 store = CheckpointStore.resume(
                     self.checkpoint, self.spec.fingerprint()
@@ -323,13 +328,24 @@ class Fleet:
     def _run_pooled(self, shards: list[Shard], store: Optional[CheckpointStore]):
         """Process-pool backend with per-shard deadlines and retry.
 
-        At most ``jobs`` shards are in flight at once, so every
-        submitted shard lands on a free worker and its deadline clocks
-        execution time, not queue wait — a fleet of any size can sit in
-        the ready queue indefinitely without timing out.  A shard that
-        does outlive its deadline cannot be interrupted through the
-        future API; the worker pool is killed and rebuilt instead, so a
-        hang frees its slot rather than silently shrinking capacity.
+        Each worker has at most one shard running and one queued behind
+        it in the pool, which hands a freed worker its queued shard
+        without waiting for this thread.  The pool runs shards in
+        submission order, so the oldest ``workers`` shards in flight are
+        the ones executing; a shard's deadline starts when it becomes
+        one of them, so it clocks execution time, not queue wait — a
+        fleet of any size can sit in the ready queue indefinitely
+        without timing out.  A shard that does outlive its deadline
+        cannot be interrupted through the future API; the worker pool is
+        killed and rebuilt instead, so a hang frees its slot rather than
+        silently shrinking capacity.
+
+        Each wake-up handles what landed in three steps: freed slots are
+        refilled first, so no worker idles through an fsync; then the
+        landed partials are journaled with one fsync; only then are they
+        accepted and reported through ``on_shard``.  A fresh
+        checkpoint's header is written right after the first wave is
+        handed out.
 
         SIGINT/SIGTERM get a graceful path: the first signal stops
         submission and breaks the loop — the shared ``finally``
@@ -339,7 +355,7 @@ class Fleet:
         signal exits immediately.
 
         With a caller-owned pool (``self.pool``), the same machinery
-        runs on borrowed workers: the in-flight cap is the pool's
+        runs on borrowed workers: the in-flight cap follows the pool's
         worker count, a hang still rebuilds the pool (the pool object
         survives, only its processes are replaced), and teardown never
         shuts the pool down — it only rebuilds it when an early exit
@@ -348,14 +364,17 @@ class Fleet:
         """
         owned = self.pool is None
         pool = self.pool if self.pool is not None else WorkerPool(self.jobs)
-        cap = pool.workers
+        cap = 2 * pool.workers
         by_index = {shard.index: shard for shard in shards}
         results: dict[int, dict] = {}
         failures: list[ShardFailure] = []
         retries = 0
         #: shards ready to run, as (shard_index, attempt)
         ready: deque[tuple[int, int]] = deque((shard.index, 0) for shard in shards)
-        running: dict[Future, tuple[int, int, float]] = {}
+        #: shards in the pool, in submission order, as (shard_index,
+        #: attempt, deadline); the deadline is None until the shard is
+        #: one of the oldest ``pool.workers``, i.e. on a worker
+        running: dict[Future, tuple[int, int, Optional[float]]] = {}
 
         interrupted: list[int] = []
         stopped = False
@@ -375,15 +394,28 @@ class Fleet:
 
         def submit_ready() -> None:
             while ready and len(running) < cap:
-                shard_index, attempt = ready.popleft()
-                future = pool.submit(
-                    run_shard_job, self._payload(by_index[shard_index], attempt)
-                )
-                running[future] = (
-                    shard_index,
-                    attempt,
-                    time.monotonic() + self.spec.shard_timeout_s,
-                )
+                shard_index, attempt = ready[0]
+                try:
+                    future = pool.submit(
+                        run_shard_job, self._payload(by_index[shard_index], attempt)
+                    )
+                except BrokenProcessPool:
+                    # A worker died since the last wake-up.  Shards still
+                    # in flight will report it; with none, nothing would,
+                    # so rebuild here.
+                    if running:
+                        return
+                    pool.rebuild()
+                    continue
+                ready.popleft()
+                running[future] = (shard_index, attempt, None)
+
+        def start_clocks() -> None:
+            deadline = time.monotonic() + self.spec.shard_timeout_s
+            for future in itertools.islice(running, pool.workers):
+                shard_index, attempt, started = running[future]
+                if started is None:
+                    running[future] = (shard_index, attempt, deadline)
 
         def reschedule(shard_index: int, attempt: int, error: str) -> None:
             nonlocal retries
@@ -406,41 +438,51 @@ class Fleet:
                     stopped = True
                     break
                 submit_ready()
+                start_clocks()
+                if store is not None:
+                    store.write_header()  # once, after the first wave
                 done, _ = wait(
                     set(running), timeout=_POLL_S, return_when=FIRST_COMPLETED
                 )
+                landed: list[dict] = []
                 broken = False
                 for future in done:
                     shard_index, attempt, _deadline = running.pop(future)
                     try:
                         partial = future.result()
-                    except BrokenProcessPool as exc:
-                        # A hard worker death poisons the whole pool and
-                        # every in-flight future.  Rebuild the pool,
-                        # charge a retry to the shard whose future broke,
-                        # and resubmit innocent bystanders free of charge.
-                        requeue_running()
-                        reschedule(shard_index, attempt, repr(exc))
-                        # Terminating the processes (not just shutting
-                        # down) is what actually returns a dead or hung
-                        # shard's slot to the pool.
-                        pool.rebuild()
+                    except SiblingDied:
+                        # Failed only because another worker died: rerun
+                        # free of charge.
+                        ready.appendleft((shard_index, attempt))
                         broken = True
-                        break  # remaining `done` futures died with the pool
+                    except BrokenProcessPool as exc:
+                        # This shard's own worker died: charge it a retry.
+                        reschedule(shard_index, attempt, repr(exc))
+                        broken = True
                     except Exception as exc:
                         reschedule(shard_index, attempt, repr(exc))
                     else:
-                        results[shard_index] = partial
-                        if store is not None:
-                            store.record(partial)
-                        self._notify(partial)
+                        landed.append(partial)
                 if broken:
-                    continue
+                    # A hard worker death poisons the whole pool: put
+                    # bystanders still in flight back, and terminate the
+                    # processes (not just shut down) — that is what
+                    # actually returns a dead or hung shard's slot.
+                    requeue_running()
+                    pool.rebuild()
+                else:
+                    submit_ready()
+                if landed:
+                    if store is not None:
+                        store.record(*landed)
+                    for partial in landed:
+                        results[partial["shard"]] = partial
+                        self._notify(partial)
                 now = time.monotonic()
                 expired = {
                     future: (shard_index, attempt)
                     for future, (shard_index, attempt, deadline) in running.items()
-                    if now > deadline
+                    if deadline is not None and now > deadline
                 }
                 if expired:
                     for future in expired:

@@ -223,7 +223,8 @@ class FleetSpec:
     trace_level: str = "gated"
     #: test-only fault injection, e.g. ``{"shard": 2, "attempts": 1}``
     #: (fail the first attempt of shard 2) with optional ``"mode"`` of
-    #: ``"raise"`` (default) or ``"sleep"`` (hang past the timeout);
+    #: ``"raise"`` (default), ``"sleep"`` (hang past the timeout) or
+    #: ``"exit"`` (the pool worker dies mid-shard);
     #: ``"shard"`` may be a list to target several shards at once.
     inject_crash: Optional[dict] = None
 

@@ -1,10 +1,11 @@
 """Shard execution: the module-level entry point worker processes run.
 
 :func:`run_shard_job` is deliberately boring — plain dict in, plain
-dict out, importable without side effects — so a ``ProcessPoolExecutor``
-can pickle it by reference and a future RPC backend could call it over
-the wire unchanged.  Each shard runs its sessions sequentially in
-population order and folds them into one partial
+dict out, importable without side effects — so a
+:class:`~repro.fleet.pool.WorkerPool` can pickle it by reference and a
+future RPC backend could call it over the wire unchanged.  Each shard
+runs its sessions sequentially in population order and folds them into
+one partial
 :class:`~repro.fleet.aggregate.FleetAggregate`, which is all that
 crosses back to the driver: memory per shard is constant in the number
 of sessions.
@@ -12,6 +13,8 @@ of sessions.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import signal
 import time
 
@@ -42,13 +45,15 @@ def ignore_interrupts() -> None:
 def _maybe_inject_crash(payload: dict) -> None:
     """Test-only fault hook: fail this shard's first N attempts.
 
-    ``inject_crash = {"shard": i, "attempts": n, "mode": "raise"|"sleep"}``
-    makes shard ``i`` misbehave while ``attempt < n`` — either raising
-    (a worker crash) or sleeping past the shard timeout (a hang); a
-    list value for ``"shard"`` targets several shards at once (e.g. to
-    hang every worker simultaneously).  The driver's retry/timeout
-    machinery is exercised by real failures, not mocks, yet production
-    payloads never set the key.
+    ``inject_crash = {"shard": i, "attempts": n,
+    "mode": "raise"|"sleep"|"exit"}`` makes shard ``i`` misbehave while
+    ``attempt < n`` — raising (a shard crash), sleeping past the shard
+    timeout (a hang), or ending its worker process with ``os._exit(1)``
+    (a hard worker death; run inline, where the worker is the driver
+    itself, it raises instead); a list value for ``"shard"`` targets
+    several shards at once (e.g. to hang every worker simultaneously).
+    The driver's retry/timeout machinery is exercised by real failures,
+    not mocks, yet production payloads never set the key.
     """
     crash = payload.get("inject_crash")
     if not crash:
@@ -60,8 +65,11 @@ def _maybe_inject_crash(payload: dict) -> None:
         return
     if payload.get("attempt", 0) >= crash.get("attempts", 1):
         return
-    if crash.get("mode", "raise") == "sleep":
+    mode = crash.get("mode", "raise")
+    if mode == "sleep":
         time.sleep(float(crash.get("sleep_s", 60.0)))
+    elif mode == "exit" and multiprocessing.parent_process() is not None:
+        os._exit(1)
     else:
         raise RuntimeError(
             f"injected crash in shard {payload['shard']} "

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
 import time
 from collections import deque
@@ -84,6 +85,18 @@ def merge_partials(partials: dict[int, dict]) -> FleetAggregate:
     for index in sorted(partials):
         aggregate.merge(FleetAggregate.from_dict(partials[index]["aggregate"]))
     return aggregate
+
+
+def _read_result(path: str) -> Optional[tuple[str, int, bool]]:
+    """A result document's text, completed sessions and ok flag, or None
+    when the document is missing or torn (empty, truncated, malformed)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        run = json.loads(text)["run"]
+        return text, run["sessions_completed"], not run["failed_shards"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -279,37 +292,51 @@ class JobStore:
             self._lock.notify_all()
             return job
 
-    def recover(self) -> list[Job]:
+    def recover(self, quiet: bool = False) -> list[Job]:
         """Load the state directory written by a previous daemon life.
 
         Jobs with a result document are ``done``; settled statuses
         (``cancelled``/``failed``) load as-is; everything else —
         including jobs that were mid-run when the daemon died — goes
         back on the queue, to be resumed from its checkpoint journal.
+
+        State files are replaced atomically but not fsync'd, so a power
+        loss can leave one empty or truncated.  A torn result document
+        puts its job back on the queue: the rerun reloads every shard
+        from the journal and rewrites the same result bytes.  A torn job
+        record is skipped and left on disk for inspection, with a
+        warning on stderr unless ``quiet``.
         """
         recovered: list[Job] = []
         for name in sorted(os.listdir(self.state_dir)):
             if not name.endswith(".job.json"):
                 continue
-            with open(os.path.join(self.state_dir, name), encoding="utf-8") as handle:
-                record = json.load(handle)
-            job = Job(record["id"], record["spec"], status=record["status"])
+            path = os.path.join(self.state_dir, name)
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    record = json.load(handle)
+                job = Job(record["id"], record["spec"], status=record["status"])
+            except (ValueError, KeyError, TypeError) as exc:
+                if not quiet:
+                    sys.stderr.write(
+                        f"serve: skipping unreadable job record {path}: {exc}\n"
+                    )
+                continue
             job.error = record.get("error")
             job.settled_at = record.get("settled_at")
             result_path = self.result_path(job.id)
-            if os.path.exists(result_path):
-                with open(result_path, encoding="utf-8") as handle:
-                    job.result_text = handle.read()
+            result = _read_result(result_path)
+            if result is not None:
+                job.result_text, job.sessions_completed, job.ok = result
                 job.status = DONE
-                result = json.loads(job.result_text)
                 job.shards_done = job.shards_total
-                job.sessions_completed = result["run"]["sessions_completed"]
-                job.ok = not result["run"]["failed_shards"]
                 if job.settled_at is None:
                     # Result written, daemon died before re-persisting
                     # the record: the result file's mtime is settle time.
                     job.settled_at = os.path.getmtime(result_path)
-            elif job.status not in SETTLED:
+            elif job.status == DONE or job.status not in SETTLED:
+                # Unfinished, or finished with a missing or torn result
+                # document: rerun from the checkpoint journal.
                 job.status = QUEUED
             # A settled job's event stream must still end with its
             # terminal event after a restart, not with a bare snapshot.

@@ -370,7 +370,7 @@ class ServeApp:
         return f"http://{host}:{port}"
 
     def start(self) -> "ServeApp":
-        recovered = self.store.recover()
+        recovered = self.store.recover(quiet=self.quiet)
         requeued = [job for job in recovered if job.status == "queued"]
         if requeued and not self.quiet:
             sys.stderr.write(

@@ -387,6 +387,30 @@ class TestFleetDriver:
         assert [f.shard for f in inline.failures] == [f.shard for f in pooled.failures]
         assert inline.aggregate.to_dict() == pooled.aggregate.to_dict()
 
+    def test_dying_worker_retried_and_invisible(self):
+        # The worker running shard 1 dies outright (os._exit) on the
+        # first attempt.  Only that shard is charged a retry — the shard
+        # running beside it on the healthy worker reruns for free — so
+        # the output is a clean run's, apart from the one retry.
+        dying = FleetSpec(
+            **self.SPEC, inject_crash={"shard": 1, "attempts": 1, "mode": "exit"}
+        )
+        result = Fleet(dying, jobs=2).run()
+        assert result.ok
+        assert result.retries == 1
+        expected = Fleet(FleetSpec(**self.SPEC), jobs=1).run().to_dict()
+        expected["run"]["retries"] = 1
+        assert result.to_json() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_exit_mode_raises_inline(self):
+        # Inline, the "worker" is the driver itself: the hook raises
+        # instead of ending the process.
+        dying = FleetSpec(
+            **self.SPEC, inject_crash={"shard": 1, "attempts": 1, "mode": "exit"}
+        )
+        result = Fleet(dying, jobs=1).run()
+        assert result.ok and result.retries == 1
+
     def test_hung_shard_times_out_and_retries(self):
         # The timeout must leave room for the retry to run on a cold,
         # freshly rebuilt pool (worker start + package import).

@@ -405,6 +405,61 @@ class TestTerminalEvent:
         assert events[-1].data == batch_json(FAST_JOB)
 
 
+class TestTornStateFiles:
+    """State files are replaced atomically but not fsync'd, so a power
+    loss can leave one empty or truncated; recovery must not crash."""
+
+    @pytest.mark.parametrize("torn", ["", '{"fleet": {"sessions": 8', None])
+    def test_torn_result_reruns_to_same_bytes(self, tmp_path, torn):
+        """``None``: the result document is gone although the job record
+        already says ``done``."""
+        state_dir = str(tmp_path / "state")
+
+        def start():
+            return ServeApp(
+                host="127.0.0.1", port=0, state_dir=state_dir, workers=1,
+                quiet=True,
+            ).start()
+
+        first = start()
+        try:
+            _, detail = http_json("POST", first.url + "/jobs", FAST_JOB)
+            sse_until_terminal(first.url + f"/jobs/{detail['id']}/events")
+        finally:
+            first.stop()
+        result_path = os.path.join(state_dir, f"{detail['id']}.result.json")
+        if torn is None:
+            os.remove(result_path)
+        else:
+            with open(result_path, "w", encoding="utf-8") as handle:
+                handle.write(torn)
+        second = start()
+        try:
+            events = sse_until_terminal(second.url + f"/jobs/{detail['id']}/events")
+        finally:
+            second.stop()
+        assert events[-1].event == "result"
+        assert events[-1].data == batch_json(FAST_JOB)
+        with open(result_path, encoding="utf-8") as handle:
+            assert handle.read() == batch_json(FAST_JOB)
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_torn_job_record_skipped_and_kept(self, tmp_path, capsys, quiet):
+        store = JobStore(str(tmp_path))
+        good = store.submit(dict(FAST_JOB))
+        torn = tmp_path / "job-0009.job.json"
+        torn.write_text('{"id": "job-0009", "spec": {"sess')
+        (tmp_path / "job-0010.job.json").write_text("")
+        fresh = JobStore(str(tmp_path))
+        assert [job.id for job in fresh.recover(quiet=quiet)] == [good.id]
+        assert torn.exists() and (tmp_path / "job-0010.job.json").exists()
+        warnings = capsys.readouterr().err
+        if quiet:
+            assert warnings == ""
+        else:
+            assert str(torn) in warnings and "job-0010.job.json" in warnings
+
+
 # ----------------------------------------------------------------------
 # Retention GC
 # ----------------------------------------------------------------------
@@ -1061,9 +1116,9 @@ class TestDriverHooks:
         pool = WorkerPool(2)
         try:
             first = Fleet(spec, jobs=2, pool=pool).run()
-            executor = pool.executor
+            workers = pool.pids
             second = Fleet(spec, jobs=2, pool=pool).run()
-            assert pool.executor is executor  # clean runs never rebuild
+            assert pool.pids == workers  # clean runs never rebuild
             assert first.to_json() == second.to_json()
         finally:
             pool.shutdown()
