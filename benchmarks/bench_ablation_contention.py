@@ -6,56 +6,36 @@ resources ... the GreenWeb runtime system will still have a large
 trade-off space to schedule, although with fewer resources."
 
 This benchmark runs the Cnet micro interaction under GreenWeb with and
-without a background application (music-decode-like periodic bursts on
-a spare core) and checks the paper's claim: QoS holds, at an energy
-premium that reflects the background work riding the foreground's
-configuration choices.
+without a background application and checks the paper's claim: QoS
+holds, at an energy premium that reflects the background work riding
+the foreground's configuration choices.  The background application is
+the ``bgload`` scenario: a music-decode-like 4-Mcycle burst every 25 ms
+on a dedicated context.  Both cells run through the runner's session
+builder.
 """
 
-from conftest import run_once
+from conftest import greenweb_session, run_once
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.policies import POLICIES
-from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
-from repro.hardware.platform import odroid_xu_e
-from repro.scenarios import build_live_scenario
-from repro.workloads.background import BackgroundApplication
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
+#: bgload sizes its chunk in little-core time: 8/15 of a 25 ms period
+#: at the A7's 600 MHz and 0.5 IPC is exactly 4 Mcycles.
+BACKGROUND = f"bgload(duty={8 / 15!r},period_ms=25)"
 
-def _run(with_background: bool):
-    bundle = build_app("cnet")
-    platform = odroid_xu_e(record_power_intervals=False)
-    scenario = build_live_scenario("imperceptible", platform)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    background = None
-    if with_background:
-        background = BackgroundApplication(platform, period_ms=25, burst_mcycles=4.0)
-        background.start()
-    driver = InteractionDriver(browser)
-    driver.schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
 
-    violations = []
-    for scripted, record in zip(bundle.micro_trace.sorted_events(),
-                                browser.tracker.records):
-        target = bundle.page.document.get_element_by_id(scripted.target_id)
-        spec = registry.lookup(target, scripted.event_type)
-        if spec is not None:
-            violations.append(event_violation_pct(record, spec, scenario))
+def _run(scenario: str):
+    execution, result = greenweb_session("cnet", scenario)
     return {
-        "energy_j": platform.meter.total_j,
-        "violations_pct": mean_violation_pct(violations),
-        "frames": browser.stats.frames,
-        "bursts": background.bursts_run if background else 0,
+        "energy_j": result.energy_j,
+        "violations_pct": result.mean_violation_pct,
+        "frames": result.frames,
+        "bursts": execution.scenario.periods if scenario == BACKGROUND else 0,
     }
 
 
 def _matrix():
-    return {"foreground only": _run(False), "with background app": _run(True)}
+    return {
+        "foreground only": _run("imperceptible"),
+        "with background app": _run(BACKGROUND),
+    }
 
 
 def test_ablation_multi_app_contention(benchmark, record_figure):

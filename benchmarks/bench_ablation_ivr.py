@@ -9,40 +9,26 @@ This ablation compares the default platform (100 us frequency-switch
 overhead) with the IVR variant (5 us) on the most switch-happy
 workload, and also verifies the paper's baseline observation that at
 100 us/20 us the overhead has "minimal performance impact" against
-millisecond-scale QoS targets.
+millisecond-scale QoS targets.  Both cells run through the runner's
+session builder; the IVR cell sets its ``fast_voltage_regulators``
+flag.
 """
 
-from conftest import run_once
-
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.policies import POLICIES
-from repro.hardware.platform import odroid_xu_e
-from repro.scenarios import build_live_scenario
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
+from conftest import greenweb_session, run_once
 
 
 def _run(fast_vr: bool):
-    bundle = build_app("w3schools")
-    platform = odroid_xu_e(
-        record_power_intervals=False, fast_voltage_regulators=fast_vr
+    execution, result = greenweb_session(
+        "w3schools", "imperceptible", fast_voltage_regulators=fast_vr
     )
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    scenario = build_live_scenario("imperceptible", platform)
-    runtime = POLICIES.build("greenweb", platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    driver = InteractionDriver(browser)
-    driver.schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
-    latencies = browser.tracker.all_frame_latencies_us()
+    latencies = execution.browser.tracker.all_frame_latencies_us()
     mean_latency = sum(latencies) / len(latencies) if latencies else 0
     return {
-        "energy_j": platform.meter.total_j,
+        "energy_j": result.energy_j,
         "mean_frame_latency_us": mean_latency,
-        "freq_switches": platform.dvfs.freq_switches,
-        "migrations": platform.dvfs.migrations,
-        "frames": browser.stats.frames,
+        "freq_switches": result.freq_switches,
+        "migrations": result.migrations,
+        "frames": result.frames,
     }
 
 

@@ -5,32 +5,20 @@ This benchmark quantifies the model's stable-phase prediction error per
 workload class — steady animations (Craigslist) should be tight, while
 surge-prone animations (W3Schools) should show the fat error tail that
 motivates the paper's Sec. 8 suggestion of profiling-guided prediction.
+Each app runs through the runner's session builder with a retaining
+trace, which the accuracy fold then replays.
 """
 
-from conftest import run_once
+from conftest import greenweb_session, run_once
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.policies import POLICIES
 from repro.evaluation.folds import PredictionAccuracyFold
-from repro.hardware.platform import odroid_xu_e
-from repro.scenarios import build_live_scenario
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
 
 APPS = ("craigslist", "paperjs", "w3schools", "msn")
 
 
 def _accuracy_for(app: str):
-    bundle = build_app(app)
-    platform = odroid_xu_e(record_power_intervals=False)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    scenario = build_live_scenario("usable", platform)
-    runtime = POLICIES.build("greenweb", platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    InteractionDriver(browser).schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
-    return PredictionAccuracyFold().replay(platform.trace).result()
+    execution, _ = greenweb_session(app, "usable", trace_level="full")
+    return PredictionAccuracyFold().replay(execution.platform.trace).result()
 
 
 def _matrix():

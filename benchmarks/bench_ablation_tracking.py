@@ -4,40 +4,26 @@ The paper motivates its Fig. 8 tracker by noting prior work "is
 concerned only with the callback latency, which contributes to only a
 portion of frame latency".  This ablation measures both for the same
 run and quantifies the gap, and also validates the tracker under the
-two Fig. 8 complexities: interleaved inputs and VSync batching.
+two Fig. 8 complexities: interleaved inputs and VSync batching.  The
+session runs through the runner's session builder with a retaining
+trace, which supplies the callback records.
 """
 
 import statistics
 
-from conftest import run_once
-
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.policies import POLICIES
-from repro.hardware.platform import odroid_xu_e
-from repro.scenarios import build_live_scenario
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
+from conftest import greenweb_session, run_once
 
 
 def _run_msn_and_collect():
-    bundle = build_app("msn")
-    platform = odroid_xu_e(record_power_intervals=False)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    scenario = build_live_scenario("imperceptible", platform)
-    runtime = POLICIES.build("greenweb", platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    driver = InteractionDriver(browser)
-    driver.schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
+    execution, _ = greenweb_session("msn", "imperceptible", trace_level="full")
 
     callback_latency = {}
-    for record in platform.trace.filter(category="callback", name="finished"):
+    for record in execution.platform.trace.filter(category="callback", name="finished"):
         uid = record["uid"]
         callback_latency[uid] = max(callback_latency.get(uid, 0), record["latency_us"])
 
     pairs = []
-    for record in browser.tracker.records:
+    for record in execution.browser.tracker.records:
         if record.frame_count and record.uid in callback_latency:
             pairs.append((callback_latency[record.uid], record.first_frame_latency_us))
     return pairs

@@ -11,6 +11,10 @@ import pathlib
 
 import pytest
 
+from repro.evaluation.runner import SessionExecution
+from repro.policies import POLICIES
+from repro.workloads.registry import build_app
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -32,3 +36,19 @@ def run_once(benchmark, fn):
     (full figure matrices are seconds-long; statistical repetition
     belongs to the simulator's own determinism, not wall time)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def greenweb_session(app, scenario, trace_level="gated", fast_voltage_regulators=False):
+    """Run ``app``'s micro trace under GreenWeb through the runner's
+    session builder (seed 0, 4 s settle) and return the finished
+    :class:`SessionExecution` with its :class:`RunResult`.  Ablations
+    that scan the retained trace ask for ``trace_level="full"``."""
+    execution = SessionExecution(
+        build_app(app), "greenweb", scenario, "micro", 0, 4.0, trace_level,
+        lambda platform, registry, live: POLICIES.build(
+            "greenweb", platform, registry, live
+        ),
+        fast_voltage_regulators=fast_voltage_regulators,
+    )
+    execution.run()
+    return execution, execution.finish()

@@ -78,9 +78,3 @@ class RenderCostModel:
             fixed = self.composite_fixed_us * (1.0 + 0.2 * max(0.0, complexity - 1.0))
             return WorkUnit(self.composite_cycles * complexity, fixed_us=fixed)
         raise BrowserError(f"no render cost for stage {stage}")
-
-    def total_render_cycles(self, complexity: float) -> float:
-        """Total CPU cycles across the four render stages."""
-        return (
-            self.style_cycles + self.layout_cycles + self.paint_cycles + self.composite_cycles
-        ) * complexity

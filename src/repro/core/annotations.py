@@ -100,16 +100,3 @@ class AnnotationRegistry:
         self._cache.setdefault(element, {})[event_type] = spec
         return spec
 
-    def annotated_pairs(self, elements: Iterable[Element]) -> list[tuple[Element, EventType]]:
-        """All (element, event) pairs with a listener that resolve to an
-        annotation — the coverage metric Table 3 reports."""
-        pairs = []
-        for element in elements:
-            for name in element.listened_event_types:
-                try:
-                    event_type = coerce_event_type(name)
-                except Exception:
-                    continue
-                if self.lookup(element, event_type) is not None:
-                    pairs.append((element, event_type))
-        return pairs

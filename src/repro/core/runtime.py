@@ -183,22 +183,6 @@ class GreenWebRuntime(BrowserPolicy):
         return self.profiler.profile_cluster
 
     @property
-    def _profile_fmax(self) -> CpuConfig:
-        return self.profiler.fmax
-
-    @property
-    def _profile_fmin(self) -> CpuConfig:
-        return self.profiler.fmin
-
-    @property
-    def _secondary_fmax(self) -> Optional[CpuConfig]:
-        return self.profiler.secondary_fmax
-
-    @property
-    def _secondary_fmin(self) -> Optional[CpuConfig]:
-        return self.profiler.secondary_fmin
-
-    @property
     def _cycle_factors(self) -> dict[str, float]:
         return self.profiler.cycle_factors
 
@@ -293,10 +277,6 @@ class GreenWebRuntime(BrowserPolicy):
         if key not in self._keys:
             self._keys[key] = _KeyState()
         return self._keys[key]
-
-    @staticmethod
-    def _profile_frames_needed(spec: QoSSpec) -> int:
-        return DvfsProfiler.frames_needed(spec)
 
     def _config_for(self, key: str, spec: QoSSpec) -> CpuConfig:
         state = self._key_state(key)

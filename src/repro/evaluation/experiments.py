@@ -81,14 +81,6 @@ class MicrobenchRow:
     greenweb_i_added_violation_pct: float
     greenweb_u_added_violation_pct: float
 
-    @property
-    def i_saving_pct(self) -> float:
-        return 100.0 - self.greenweb_i_energy_norm_pct
-
-    @property
-    def u_saving_pct(self) -> float:
-        return 100.0 - self.greenweb_u_energy_norm_pct
-
 
 def run_fig9_microbenchmarks(
     apps: Optional[list[str]] = None, seed: int = 0, jobs: int = 1

@@ -261,6 +261,10 @@ class SessionExecution:
     the fixed measurement window; :meth:`finish` collects the
     :class:`RunResult`.  :func:`execute_run` is the usual caller and
     runs the three steps back to back.
+
+    ``fast_voltage_regulators`` selects the platform's IVR variant
+    (5 us frequency switches instead of 100 us; see
+    :func:`~repro.hardware.platform.odroid_xu_e`).
     """
 
     def __init__(
@@ -273,6 +277,7 @@ class SessionExecution:
         settle_s: float,
         trace_level: str,
         policy_factory,
+        fast_voltage_regulators: bool = False,
     ) -> None:
         self.app = bundle.spec.name
         self.governor_label = governor_label
@@ -282,7 +287,9 @@ class SessionExecution:
         trace = _resolve_trace(bundle, trace_kind)
 
         self.platform = odroid_xu_e(
-            record_power_intervals=False, trace=TraceLog.for_level(trace_level)
+            record_power_intervals=False,
+            trace=TraceLog.for_level(trace_level),
+            fast_voltage_regulators=fast_voltage_regulators,
         )
         # Each session gets a FRESH live scenario (instances carry run
         # state), bound before the policy so the policy can read its

@@ -137,11 +137,6 @@ class Cluster:
         nothing; the Exynos 5410's clusters can be individually gated)."""
         return self._powered
 
-    def set_opp(self, opp: OperatingPoint) -> None:
-        """Set the operating point (must come from this cluster's table)."""
-        self.spec.opps.at(opp.freq_mhz)  # validates membership
-        self._opp = opp
-
     def set_frequency(self, freq_mhz: int) -> OperatingPoint:
         """Set the OPP by frequency and return it."""
         opp = self.spec.opps.at(freq_mhz)

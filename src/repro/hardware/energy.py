@@ -50,7 +50,6 @@ class EnergyMeter:
         self._total_j = 0.0
         self._dynamic_j = 0.0
         self._marks: dict[str, float] = {}
-        self._time_marks: dict[str, int] = {}
         self._record = record_intervals
         self._intervals: list[PowerInterval] = []
 
@@ -104,7 +103,6 @@ class EnergyMeter:
         """Snapshot the energy counter under ``label`` (integrates first)."""
         self._integrate_to(now_us)
         self._marks[label] = self._total_j
-        self._time_marks[label] = now_us
 
     def since_mark(self, label: str, now_us: Optional[int] = None) -> float:
         """Energy (joules) accumulated since ``mark(label)`` was taken."""
@@ -113,12 +111,6 @@ class EnergyMeter:
         if now_us is not None:
             self._integrate_to(now_us)
         return self._total_j - self._marks[label]
-
-    def mark_time_us(self, label: str) -> int:
-        """The timestamp at which ``label`` was marked."""
-        if label not in self._time_marks:
-            raise HardwareError(f"unknown energy mark {label!r}")
-        return self._time_marks[label]
 
     @property
     def intervals(self) -> list[PowerInterval]:

@@ -100,10 +100,6 @@ class ExecutionContext:
         """Number of tasks waiting behind the current one."""
         return len(self._queue)
 
-    @property
-    def current_task(self) -> Optional[TaskHandle]:
-        return self._current
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------

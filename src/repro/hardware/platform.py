@@ -171,11 +171,6 @@ class MobilePlatform:
         """The f_max ceiling (MHz) in force on ``cluster``, if any."""
         return self._freq_caps.get(cluster)
 
-    @property
-    def frequency_caps(self) -> dict[str, int]:
-        """A copy of every cluster cap currently in force."""
-        return dict(self._freq_caps)
-
     def set_frequency_cap(self, cluster: str, cap_mhz: Optional[int]) -> None:
         """Impose (or with ``None`` lift) an f_max ceiling on a cluster.
 
@@ -247,13 +242,6 @@ class MobilePlatform:
         """Time for ``work`` on the active cluster at its current OPP."""
         active = self._active_cluster
         return active.spec.duration_us(work, active.freq_mhz)
-
-    def duration_us_at(self, work: WorkUnit, config: CpuConfig) -> float:
-        """Time for ``work`` at an arbitrary configuration (oracle view;
-        the GreenWeb runtime does *not* use this — it fits its own model
-        from profiled frame latencies)."""
-        spec = self.cluster(config.cluster).spec
-        return spec.duration_us(work, config.freq_mhz)
 
     def _pause_all_contexts(self) -> None:
         self._paused_depth += 1

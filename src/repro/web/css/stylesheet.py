@@ -108,10 +108,6 @@ class Stylesheet:
         """All rules marked with the ``:QoS`` pseudo-class."""
         return [rule for rule in self._rules if rule.is_greenweb]
 
-    def matching_rules(self, element: Element) -> list[StyleRule]:
-        """Rules whose selector matches ``element``, source order."""
-        return [rule for rule in self._rules if rule.matches(element)]
-
     def resolve(self, element: Element, prop: str) -> Optional[Declaration]:
         """Cascade: the winning declaration of ``prop`` for ``element``.
 

@@ -7,11 +7,10 @@ from repro.browser import Browser, Page
 from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.core.qos import QoSSpec, QoSTarget, QoSType, ResponseExpectation
 from repro.core.uai import UaiGreenWebRuntime, default_target_for, is_aggressive
-from repro.errors import QosError, RuntimeModelError, WorkloadError
+from repro.errors import QosError, RuntimeModelError
 from repro.hardware import CpuConfig, odroid_xu_e
 from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
-from repro.workloads.background import BackgroundApplication
 
 AGGRESSIVE_MARKUP = """
 <style>
@@ -109,23 +108,8 @@ class TestUaiRuntime:
 
 
 class TestBackgroundContention:
-    def test_parameter_validation(self):
-        platform = odroid_xu_e()
-        with pytest.raises(WorkloadError):
-            BackgroundApplication(platform, period_ms=0)
-        with pytest.raises(WorkloadError):
-            BackgroundApplication(platform, burst_mcycles=-1)
-
-    def test_background_runs_periodically(self):
-        platform = odroid_xu_e()
-        app = BackgroundApplication(platform, period_ms=10, burst_mcycles=0.5)
-        app.start()
-        platform.run_for(105_000)
-        assert 9 <= app.bursts_run <= 11
-        app.stop()
-        count = app.bursts_run
-        platform.run_for(50_000)
-        assert app.bursts_run == count
+    """Sec. 8's multi-app environment, as the ``bgload`` scenario: a
+    background application's periodic bursts on a dedicated context."""
 
     def test_greenweb_still_meets_qos_under_contention(self):
         """Sec. 8: with a background app occupying a core, the runtime
@@ -135,10 +119,11 @@ class TestBackgroundContention:
         document, sheet = parse_html(markup)
         page = Page(name="contended", document=document, stylesheet=sheet)
         registry = AnnotationRegistry.from_stylesheet(sheet)
-        runtime = GreenWebRuntime(platform, registry, build_live_scenario("imperceptible", platform))
+        # 20 ms periods of 3 Mcycles: half a period on a 600 MHz A7.
+        scenario = build_live_scenario("bgload(duty=0.5,period_ms=20)", platform)
+        runtime = GreenWebRuntime(platform, registry, scenario)
         browser = Browser(platform, page, policy=runtime)
-        background = BackgroundApplication(platform, period_ms=20, burst_mcycles=3.0)
-        background.start()
+        scenario.attach(browser)
 
         btn = page.document.get_element_by_id("btn")
         btn.add_event_listener("click", tap_callback())
@@ -150,17 +135,16 @@ class TestBackgroundContention:
             latencies.append(browser.tracker.record(msg.uid).first_frame_latency_us)
         # The stable-phase taps stay within the 100 ms target.
         assert all(lat < 100_000 for lat in latencies[2:])
-        assert background.bursts_run > 50
+        assert scenario.periods > 50
 
     def test_background_contention_costs_energy(self):
-        def run(with_background):
+        def run(scenario):
             platform = odroid_xu_e()
-            if with_background:
-                BackgroundApplication(platform, period_ms=10, burst_mcycles=5.0).start()
+            build_live_scenario(scenario, platform)
             platform.run_for(1_000_000)
             return platform.meter.total_j
 
-        assert run(True) > run(False)
+        assert run("bgload(duty=1,period_ms=10)") > run("imperceptible")
 
 
 class TestTargetHeadroom:

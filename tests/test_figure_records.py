@@ -32,3 +32,36 @@ RECORDS = {
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_matches_checked_in_text(name):
     assert RECORDS[name]() + "\n" == (RESULTS / f"{name}.txt").read_text()
+
+
+
+def _rstripped(text: str) -> str:
+    return "\n".join(line.rstrip() for line in text.splitlines())
+
+
+def _quoted_parts() -> list[str]:
+    """Every fenced block of ``EXPERIMENTS.md``, split at blank lines
+    (a block may quote several records back to back)."""
+    text = (RESULTS.parent.parent / "EXPERIMENTS.md").read_text()
+    parts = []
+    for block in text.split("```")[1::2]:
+        parts.extend(part.strip("\n") for part in block.split("\n\n") if part.strip())
+    return parts
+
+
+def test_experiments_quotes_match_records():
+    """Each quoted part appears verbatim, on whole lines, in some
+    record, so a re-record that leaves a stale quote fails here.
+    Trailing blanks are ignored on both sides: markdown tooling strips
+    them from the quotes."""
+    records = [
+        "\n" + _rstripped(path.read_text()) + "\n"
+        for path in sorted(RESULTS.glob("*.txt"))
+    ]
+    parts = _quoted_parts()
+    assert len(parts) >= 13
+    stale = [
+        part for part in parts
+        if not any("\n" + _rstripped(part) + "\n" in record for record in records)
+    ]
+    assert not stale, "EXPERIMENTS.md quotes no record holds:\n" + "\n---\n".join(stale)

@@ -324,6 +324,13 @@ class TestWorkInjection:
         busy_ctx, _any = platform.utilization_snapshot()
         assert busy_ctx == pytest.approx(scenario.periods * per_chunk, rel=0.15)
 
+    @pytest.mark.parametrize(
+        "spec", ["bgload(duty=0)", "bgload(duty=1.5)", "bgload(period_ms=0)"]
+    )
+    def test_bgload_rejects_out_of_range(self, spec):
+        with pytest.raises(EvaluationError, match="bgload"):
+            live(spec)
+
 
 # ----------------------------------------------------------------------
 # Fingerprint semantics (fast spot checks; the differential suite

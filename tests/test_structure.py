@@ -1,0 +1,69 @@
+"""Structure guards: one session builder, one background-load path.
+
+Measured sessions are built by ``evaluation/runner.py``'s
+``SessionExecution``; ``session.py``'s ``Session.for_page`` is the
+custom-page API.  No other module under ``src/`` or ``benchmarks/``
+constructs a ``Browser``, and nothing imports the deleted
+``repro.workloads.background`` module (background load is the
+``bgload`` scenario).
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BROWSER_BUILDERS = {"src/repro/evaluation/runner.py", "src/repro/session.py"}
+
+
+def _modules():
+    for top in ("src", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text())
+
+
+def _called_name(node: ast.Call) -> str:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def test_only_the_session_builders_construct_a_browser():
+    sites = {
+        f"{name}:{node.lineno}": name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "Browser"
+    }
+    offenders = sorted(site for site, name in sites.items() if name not in BROWSER_BUILDERS)
+    assert not offenders, f"Browser(...) outside the session builders: {offenders}"
+    # The scan does see the runner's own construction.
+    assert "src/repro/evaluation/runner.py" in sites.values()
+
+
+def _imports_background(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(
+            alias.name == "repro.workloads.background"
+            or alias.name.startswith("repro.workloads.background.")
+            for alias in node.names
+        )
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "repro.workloads":
+            return any(alias.name == "background" for alias in node.names)
+        return (node.module or "").startswith("repro.workloads.background")
+    return False
+
+
+def test_nothing_imports_the_background_module():
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if _imports_background(node)
+    ]
+    assert not offenders, f"imports of repro.workloads.background: {offenders}"
+    assert not (ROOT / "src/repro/workloads/background.py").exists()
+
