@@ -1,11 +1,16 @@
 """Session throughput benchmark: sessions/second for one worker.
 
-Measures how fast :func:`repro.evaluation.runner.run_workload` executes
-the full-interaction workload at each tracing level:
+Measures how fast one session of the full-interaction workload runs,
+built by ``build_app`` plus
+:class:`repro.evaluation.runner.SessionExecution` (the work
+:func:`~repro.evaluation.runner.run_workload` does), at each tracing
+level:
 
-* ``full``  — records retained and indexed (the interactive default);
+* ``full``  — records retained and indexed (what trace export and
+  analysis use);
 * ``gated`` — category-gated, non-retaining log feeding the streaming
-  metric folds (the fleet default: constant memory per session).
+  metric folds (what every results-only API runs: constant memory per
+  session).
 
 The checked-in ``BENCH_session_throughput.json`` at the repo root also
 records three historical blocks: ``pre_pr_baseline`` — the same workload
@@ -48,7 +53,9 @@ import statistics
 import sys
 import time
 
-from repro.evaluation.runner import run_workload
+from repro.evaluation.runner import SessionExecution
+from repro.policies import POLICIES
+from repro.workloads.registry import build_app
 
 APP = "cnet"
 GOVERNOR = "greenweb"
@@ -79,14 +86,15 @@ def calibration_slice(rows: int = 36_000) -> float:
 
 
 def run_session(trace_level: str, seed: int) -> None:
-    run_workload(
-        APP,
-        GOVERNOR,
-        "imperceptible",
-        trace_kind=TRACE_KIND,
-        seed=seed,
-        trace_level=trace_level,
+    execution = SessionExecution(
+        build_app(APP, seed), GOVERNOR, "imperceptible", TRACE_KIND, seed, 4.0,
+        trace_level,
+        lambda platform, registry, scenario: POLICIES.build(
+            GOVERNOR, platform, registry, scenario
+        ),
     )
+    execution.run()
+    execution.finish()
 
 
 def measure(trace_level: str, rounds: int) -> tuple[float, list[float]]:

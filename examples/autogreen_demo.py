@@ -18,7 +18,7 @@ from repro.workloads import InteractionDriver, build_app
 
 
 def run_annotated(bundle, label):
-    platform = odroid_xu_e(record_power_intervals=False)
+    platform = odroid_xu_e()
     scenario = build_live_scenario("imperceptible", platform)
     runtime = GreenWebRuntime(platform, registry_for_page(bundle.page), scenario)
     browser = Browser(platform, bundle.page, policy=runtime)

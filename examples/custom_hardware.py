@@ -46,7 +46,6 @@ def next_gen_platform() -> MobilePlatform:
     )
     return MobilePlatform(
         cluster_specs=[big, little],
-        record_power_intervals=False,
         freq_switch_overhead_us=5,  # integrated voltage regulators
         migration_overhead_us=10,
     )
@@ -76,8 +75,7 @@ def run_on(platform, label):
 
 def main() -> None:
     print("GreenWeb (imperceptible) on two platforms, W3Schools micro trace:\n")
-    baseline = run_on(odroid_xu_e(record_power_intervals=False),
-                      "Exynos-5410 class (paper)")
+    baseline = run_on(odroid_xu_e(), "Exynos-5410 class (paper)")
     modern = run_on(next_gen_platform(), "next-gen SoC (A76/A55-like)")
     print(f"\nThe faster little cluster absorbs frames the 5410's A7 could not,")
     print(f"so the same annotations yield "

@@ -32,7 +32,7 @@ def run(budget_j, label):
         "click",
         Callback(lambda ctx: (ctx.do_work(500_000), ctx.mark_dirty(0.5)) and None, "pay"),
     )
-    platform = odroid_xu_e(record_power_intervals=False)
+    platform = odroid_xu_e()
     runtime = UaiGreenWebRuntime(
         platform,
         AnnotationRegistry.from_stylesheet(sheet),

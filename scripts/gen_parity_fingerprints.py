@@ -2,7 +2,9 @@
 
 Runs every (application x builtin governor x trace level) cell, plus
 the dynamic-scenario cells, and records a SHA-256 over the canonical
-JSON of the :func:`repro.evaluation.runner.run_workload_job` result.
+JSON of each session's result dict.  ``gated`` cells run through
+:func:`repro.evaluation.runner.run_workload_job`; ``full`` cells build
+the same session through ``SessionExecution`` with a retained trace.
 The differential suite (``tests/differential/test_batch_parity.py``
 and ``test_scenario_dynamics.py``) asserts every cell reproduces these
 bytes.
@@ -20,9 +22,15 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.evaluation.runner import GOVERNORS, run_workload_job  # noqa: E402
+from repro.evaluation.runner import (  # noqa: E402
+    GOVERNORS,
+    SessionExecution,
+    run_result_to_dict,
+    run_workload_job,
+)
+from repro.policies import POLICIES  # noqa: E402
 from repro.scenarios import SCENARIOS  # noqa: E402
-from repro.workloads.registry import APP_NAMES  # noqa: E402
+from repro.workloads.registry import APP_NAMES, build_app  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                    "batch_parity_fingerprints.json")
@@ -57,34 +65,48 @@ def job_fingerprint(result: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def run_cell(job: dict, level: str) -> dict:
+    """One cell's result dict at trace ``level``."""
+    if level == "gated":
+        return run_workload_job(job)
+    governor = job["governor"]
+    execution = SessionExecution(
+        build_app(job["app"], SEED), POLICIES.normalize(governor).label(),
+        job.get("scenario", "imperceptible"), TRACE_KIND, SEED, SETTLE_S, level,
+        lambda platform, registry, scenario: POLICIES.build(
+            governor, platform, registry, scenario
+        ),
+    )
+    execution.run()
+    return run_result_to_dict(execution.finish())
+
+
 def main() -> int:
     cells = {}
     for app in APP_NAMES:
         for governor in GOVERNORS:
             for level in TRACE_LEVELS:
-                result = run_workload_job({
+                result = run_cell({
                     "app": app,
                     "governor": governor,
                     "trace_kind": TRACE_KIND,
                     "seed": SEED,
                     "settle_s": SETTLE_S,
-                    "trace_level": level,
-                })
+                }, level)
                 cells[f"{app}:{governor}:{level}"] = job_fingerprint(result)
                 print(f"{app}:{governor}:{level}", cells[f"{app}:{governor}:{level}"][:16])
     dynamic_cells = {}
     for app, governor, scenario in DYNAMIC_CELLS:
         canonical_scenario = SCENARIOS.normalize(scenario).canonical()
         for level in TRACE_LEVELS:
-            result = run_workload_job({
+            result = run_cell({
                 "app": app,
                 "governor": governor,
                 "scenario": scenario,
                 "trace_kind": TRACE_KIND,
                 "seed": SEED,
                 "settle_s": SETTLE_S,
-                "trace_level": level,
-            })
+            }, level)
             key = f"{app}:{governor}:{canonical_scenario}:{level}"
             dynamic_cells[key] = job_fingerprint(result)
             print(key, dynamic_cells[key][:16])

@@ -37,7 +37,6 @@ from repro.evaluation.runner import run_workload
 from repro.ioutil import probe_writable, write_file_atomic
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS
-from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES, build_app, table3_specs
 
 
@@ -58,8 +57,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Validate the output path before the simulation, not after:
         # a typo'd path must fail in milliseconds, not minutes.
         probe_writable(args.export_trace, "--export-trace")
-        if args.trace_level == "off":
-            raise EvaluationError("--export-trace needs the trace; drop --trace-level off")
         execution = _prepared_session(args, "--export-trace")
         execution.platform.record_task_spans = True  # per-thread timeline tracks
         execution.run()
@@ -71,7 +68,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.scenario,
             trace_kind=args.trace,
             seed=args.seed,
-            trace_level=args.trace_level,
         )
     print(f"app:            {result.app} ({result.trace_kind} trace, seed {args.seed})")
     print(f"governor:       {result.governor} / {result.scenario}")
@@ -261,7 +257,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         shard_size=args.shard_size,
         max_retries=args.max_retries,
         shard_timeout_s=args.shard_timeout,
-        trace_level=args.trace_level,
         inject_crash=json.loads(inject) if inject else None,
     )
     if args.json_out:
@@ -430,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"thermal(cap_mhz=1100); known: {', '.join(SCENARIOS.names())}",
     )
     run_parser.add_argument("--trace", default="micro", choices=["micro", "full"])
-    run_parser.add_argument(
-        "--trace-level", default="full", choices=list(TRACE_LEVELS),
-        help="tracing cost level: full (retain + index), gated (stream "
-        "to metric folds only, constant memory), off (no tracing; "
-        "trace-derived metrics read as empty).  Results are identical "
-        "between full and gated (default: full)",
-    )
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
         "--export-trace",
@@ -494,11 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument(
         "--shard-timeout", type=float, default=300.0,
         help="per-shard wall-clock deadline in seconds (default: 300)",
-    )
-    fleet_parser.add_argument(
-        "--trace-level", default="gated", choices=list(TRACE_LEVELS),
-        help="per-session tracing level (default: gated — streaming "
-        "folds keep memory constant; aggregates identical to full)",
     )
     fleet_parser.add_argument(
         "--checkpoint", metavar="PATH",

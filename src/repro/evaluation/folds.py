@@ -12,9 +12,9 @@ exist only here.  Every fold gives the same answer attached live or
 :meth:`~TraceFold.replay`-ed over a retained log (the post-hoc path),
 which is what keeps figure and fleet-aggregate JSON byte-identical
 across trace levels (asserted by tests).  Each fold declares the trace
-categories it consumes in ``categories``; a gated log's allowlist must
-cover the union of its attached folds' categories (see
-:func:`gated_categories_for`).
+categories it consumes in ``categories``; a fold attached to a gated
+log sees only :data:`~repro.sim.tracing.GATED_CATEGORIES`, so folds
+over other categories run on a retained (``"full"``) log.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ class TraceFold:
             if record.category in self.categories:
                 self.on_record(record)
         return self
-
-
-def gated_categories_for(*folds: TraceFold) -> frozenset[str]:
-    """The category allowlist a gated log needs to feed ``folds``."""
-    out: frozenset[str] = frozenset()
-    for fold in folds:
-        out = out | fold.categories
-    return out
 
 
 class ConfigTimelineFold(TraceFold):

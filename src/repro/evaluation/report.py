@@ -35,7 +35,7 @@ def _rule(widths: Sequence[int]) -> str:
 
 
 def _row(cells: Sequence[str], widths: Sequence[int]) -> str:
-    return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths))
+    return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths)).rstrip()
 
 
 def ascii_bars(

@@ -196,7 +196,6 @@ def run_workload(
     trace_kind: str = "full",
     seed: int = 0,
     settle_s: float = 4.0,
-    trace_level: str = "full",
 ) -> RunResult:
     """Run one experiment cell and return its measurements.
 
@@ -216,13 +215,13 @@ def run_workload(
         trace_kind: ``"micro"`` or ``"full"``.
         seed: workload seed.
         settle_s: wall-clock tail after the last input.
-        trace_level: :data:`repro.sim.tracing.TRACE_LEVELS` member.
-            Every metric in the returned :class:`RunResult` is fed by
-            streaming folds over the ``input``/``config`` categories
-            (or by non-trace counters), so ``"full"`` and ``"gated"``
-            produce identical results — ``"gated"`` just never retains
-            the records.  ``"off"`` disables tracing entirely and
-            zeroes the trace-derived fields (active energy, residency).
+
+    The session runs with a ``"gated"`` trace: every metric in the
+    returned :class:`RunResult` is fed by streaming folds over the
+    ``input``/``config`` categories (or by non-trace counters), so a
+    retained trace would change nothing and nobody could read it.
+    Callers that want the trace build a :class:`SessionExecution` at
+    ``"full"``.
     """
     spec = POLICIES.normalize(governor)
     scenario_spec = SCENARIOS.normalize(scenario)
@@ -235,7 +234,6 @@ def run_workload(
             trace_kind=trace_kind,
             seed=seed,
             settle_s=settle_s,
-            trace_level=trace_level,
         )
     return execute_run(
         app,
@@ -244,7 +242,6 @@ def run_workload(
         trace_kind,
         seed,
         settle_s,
-        trace_level,
         lambda platform, registry, live_scenario: POLICIES.build(
             spec, platform, registry, live_scenario
         ),
@@ -262,6 +259,9 @@ class SessionExecution:
     :class:`RunResult`.  :func:`execute_run` is the usual caller and
     runs the three steps back to back.
 
+    ``trace_level`` is a :data:`~repro.sim.tracing.TRACE_LEVELS`
+    member: ``"full"`` when the caller reads ``platform.trace``
+    afterwards, ``"gated"`` otherwise (results are identical).
     ``fast_voltage_regulators`` selects the platform's IVR variant
     (5 us frequency switches instead of 100 us; see
     :func:`~repro.hardware.platform.odroid_xu_e`).
@@ -287,8 +287,7 @@ class SessionExecution:
         trace = _resolve_trace(bundle, trace_kind)
 
         self.platform = odroid_xu_e(
-            record_power_intervals=False,
-            trace=TraceLog.for_level(trace_level),
+            trace=TraceLog(trace_level),
             fast_voltage_regulators=fast_voltage_regulators,
         )
         # Each session gets a FRESH live scenario (instances carry run
@@ -394,7 +393,6 @@ def execute_run(
     trace_kind: str,
     seed: int,
     settle_s: float,
-    trace_level: str,
     policy_factory,
 ) -> RunResult:
     """The measurement core shared by live-policy runs and post-hoc
@@ -404,11 +402,11 @@ def execute_run(
     :func:`run_workload` is the spec-aware front door; the oracle calls
     this directly with its pinned-replay policies — each replay gets
     its own scenario instance, so thermal state never leaks between
-    replays.
+    replays.  The session runs ``"gated"``, as in :func:`run_workload`.
     """
     execution = SessionExecution(
         build_app(app, seed), governor_label, scenario, trace_kind, seed, settle_s,
-        trace_level, policy_factory,
+        "gated", policy_factory,
     )
     execution.run()
     return execution.finish()
@@ -457,8 +455,8 @@ def run_workload_job(spec: dict) -> dict:
     backends) call: it is importable without side effects, and both the
     argument and the return value are built from picklable primitives
     only.  Recognised keys (all but ``app`` optional): ``app``,
-    ``governor``, ``scenario``, ``trace_kind``, ``seed``, ``settle_s``,
-    ``trace_level``.
+    ``governor``, ``scenario``, ``trace_kind``, ``seed``, ``settle_s``;
+    other keys are ignored.
     """
     result = run_workload(
         spec["app"],
@@ -467,6 +465,5 @@ def run_workload_job(spec: dict) -> dict:
         trace_kind=spec.get("trace_kind", "full"),
         seed=int(spec.get("seed", 0)),
         settle_s=float(spec.get("settle_s", 4.0)),
-        trace_level=spec.get("trace_level", "full"),
     )
     return run_result_to_dict(result)

@@ -41,6 +41,7 @@ from repro.fleet.aggregate import (
     GroupAggregate,
     Histogram,
     cell_key,
+    merge_partials,
     split_cell_key,
 )
 from repro.fleet.checkpoint import CHECKPOINT_VERSION, CheckpointStore, scan_checkpoint
@@ -77,6 +78,7 @@ __all__ = [
     "WorkerPool",
     "cell_key",
     "default_mix",
+    "merge_partials",
     "parse_mix",
     "run_shard_job",
     "scan_checkpoint",

@@ -356,3 +356,20 @@ class FleetAggregate:
                 for name, group in data.get("by_cell", {}).items()
             },
         )
+
+
+def merge_partials(partials: dict[int, dict]) -> FleetAggregate:
+    """Merge shard partials (``{shard index: partial}``) in shard-index
+    order.
+
+    Index order is the one fixed order every merge uses: it makes float
+    accumulation identical for every job count and any interleaving of
+    checkpointed and fresh shards, and a prefix aggregate streamed
+    after shard ``k`` lands is byte-identical to what a ``repro fleet``
+    run over exactly that shard subset would report — regardless of the
+    (nondeterministic) order shards completed in.
+    """
+    aggregate = FleetAggregate()
+    for index in sorted(partials):
+        aggregate.merge(FleetAggregate.from_dict(partials[index]["aggregate"]))
+    return aggregate

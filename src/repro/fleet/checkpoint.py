@@ -14,7 +14,7 @@ File format — line-oriented JSON (JSONL), append-only:
 
   where ``fingerprint`` is :meth:`repro.fleet.spec.FleetSpec.fingerprint`
   — the result-determining spec fields (sessions, seed, mix, shard_size,
-  settle_s, trace_level) plus a code/schema version.  A resume refuses
+  settle_s) plus a code/schema version.  A resume refuses
   a checkpoint whose fingerprint does not match the current spec: its
   shards would merge into a different population's aggregate.
 * every further line is one completed shard's partial::

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import EvaluationError
-from repro.fleet.aggregate import FleetAggregate
+from repro.fleet.aggregate import FleetAggregate, merge_partials
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.pool import SiblingDied, WorkerPool
 from repro.fleet.spec import FleetSpec, Shard
@@ -235,16 +235,8 @@ class Fleet:
             if store is not None:
                 store.close()
 
-        # Merge partials in shard-index order — the one fixed order that
-        # makes float accumulation identical for every job count (and
-        # for any interleaving of checkpointed and fresh shards).
-        aggregate = FleetAggregate()
-        sessions_completed = 0
-        for shard in shards:
-            partial = results.get(shard.index)
-            if partial is not None:
-                aggregate.merge(FleetAggregate.from_dict(partial["aggregate"]))
-                sessions_completed += partial["sessions"]
+        aggregate = merge_partials(results)
+        sessions_completed = sum(partial["sessions"] for partial in results.values())
 
         return FleetResult(
             sessions=self.spec.sessions,
@@ -278,10 +270,7 @@ class Fleet:
         payload = {
             "shard": shard.index,
             "attempt": attempt,
-            "sessions": [
-                spec.to_job(self.spec.settle_s, self.spec.trace_level)
-                for spec in shard.sessions
-            ],
+            "sessions": [spec.to_job(self.spec.settle_s) for spec in shard.sessions],
         }
         if self.spec.inject_crash is not None:
             payload["inject_crash"] = self.spec.inject_crash

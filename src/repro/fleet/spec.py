@@ -22,7 +22,6 @@ from repro.errors import EvaluationError
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS
 from repro.sim.random import RngStreams, derive_seed
-from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES
 
 #: Shard size used when a spec does not choose one.  Small enough that a
@@ -175,15 +174,9 @@ class SessionSpec:
     trace_kind: str
     seed: int
 
-    def to_job(self, settle_s: float = 4.0, trace_level: str = "gated") -> dict:
+    def to_job(self, settle_s: float = 4.0) -> dict:
         """The picklable :func:`repro.evaluation.runner.run_workload_job`
-        argument for this session.
-
-        Fleet sessions default to ``"gated"`` tracing: every aggregated
-        metric is computed by streaming folds, so the result is
-        identical to ``"full"`` while per-session memory stays constant
-        (nobody reads a fleet session's raw trace).
-        """
+        argument for this session."""
         return {
             "app": self.app,
             "governor": self.governor,
@@ -191,7 +184,6 @@ class SessionSpec:
             "trace_kind": self.trace_kind,
             "seed": self.seed,
             "settle_s": settle_s,
-            "trace_level": trace_level,
         }
 
 
@@ -217,10 +209,6 @@ class FleetSpec:
     max_retries: int = 1
     shard_timeout_s: float = 300.0
     settle_s: float = 4.0
-    #: tracing level for every session (see
-    #: :data:`repro.sim.tracing.TRACE_LEVELS`); ``"gated"`` keeps
-    #: per-session memory constant without changing any aggregate.
-    trace_level: str = "gated"
     #: test-only fault injection, e.g. ``{"shard": 2, "attempts": 1}``
     #: (fail the first attempt of shard 2) with optional ``"mode"`` of
     #: ``"raise"`` (default), ``"sleep"`` (hang past the timeout) or
@@ -243,10 +231,6 @@ class FleetSpec:
             )
         if not self.mix:
             raise EvaluationError("fleet mix must not be empty")
-        if self.trace_level not in TRACE_LEVELS:
-            raise EvaluationError(
-                f"unknown trace level {self.trace_level!r}; known: {list(TRACE_LEVELS)}"
-            )
         # validate() canonicalizes governor specs, so re-bind the list:
         # the fingerprint below must hash canonical strings, never the
         # caller's spelling.
@@ -281,7 +265,6 @@ class FleetSpec:
             ],
             "shard_size": self.shard_size,
             "settle_s": self.settle_s,
-            "trace_level": self.trace_level,
         }
 
     # ------------------------------------------------------------------

@@ -40,7 +40,6 @@ class MobilePlatform:
         power_model: Optional[PowerModel] = None,
         trace: Optional[TraceLog] = None,
         initial_config: Optional[CpuConfig] = None,
-        record_power_intervals: bool = True,
         freq_switch_overhead_us: Optional[int] = None,
         migration_overhead_us: Optional[int] = None,
     ) -> None:
@@ -98,9 +97,7 @@ class MobilePlatform:
         self._busy_ctx_integral_us = 0.0  # sum over contexts of busy time
         self._any_busy_integral_us = 0.0  # wall time with >=1 busy context
 
-        self.meter = EnergyMeter(
-            start_us=self.kernel.now_us, record_intervals=record_power_intervals
-        )
+        self.meter = EnergyMeter(start_us=self.kernel.now_us)
         from repro.hardware.dvfs import (
             FREQ_SWITCH_OVERHEAD_US,
             MIGRATION_OVERHEAD_US,
@@ -351,7 +348,6 @@ def odroid_xu_e(
     kernel: Optional[Kernel] = None,
     trace: Optional[TraceLog] = None,
     initial_config: Optional[CpuConfig] = None,
-    record_power_intervals: bool = True,
     fast_voltage_regulators: bool = False,
 ) -> MobilePlatform:
     """Build a platform shaped like the paper's ODroid XU+E testbed
@@ -370,6 +366,5 @@ def odroid_xu_e(
         cluster_specs=[big_cluster_spec(), little_cluster_spec()],
         trace=trace,
         initial_config=initial_config,
-        record_power_intervals=record_power_intervals,
         freq_switch_overhead_us=5 if fast_voltage_regulators else None,
     )

@@ -101,7 +101,7 @@ def _key_feasible(
     return True
 
 
-def run_oracle(spec, *, app, scenario, trace_kind, seed, settle_s, trace_level):
+def run_oracle(spec, *, app, scenario, trace_kind, seed, settle_s):
     """Post-hoc runner for the ``oracle`` policy (registry entry point).
 
     Returns the :class:`~repro.evaluation.runner.RunResult` of the
@@ -119,11 +119,8 @@ def run_oracle(spec, *, app, scenario, trace_kind, seed, settle_s, trace_level):
     # registry, so a module-level import here would be circular.
     from repro.evaluation.runner import execute_run, trace_event_keys
     from repro.hardware.platform import odroid_xu_e
-    from repro.sim.tracing import TraceLog
 
-    configs = odroid_xu_e(
-        record_power_intervals=False, trace=TraceLog.for_level("off")
-    ).all_configs()  # performance order
+    configs = odroid_xu_e().all_configs()  # performance order
     fastest, idle = configs[-1], configs[0]
     keys = trace_event_keys(app, seed, trace_kind)
 
@@ -135,7 +132,6 @@ def run_oracle(spec, *, app, scenario, trace_kind, seed, settle_s, trace_level):
             trace_kind,
             seed,
             settle_s,
-            trace_level,
             lambda platform, registry, live_scenario: KeyPinnedPolicy(
                 platform, assignments, fastest, idle
             ),

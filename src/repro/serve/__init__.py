@@ -30,13 +30,8 @@ killed-then-restarted daemon produces the same bytes as one that was
 never interrupted.
 """
 
-from repro.serve.jobs import (
-    Job,
-    JobScheduler,
-    JobStore,
-    QueueFull,
-    merge_partials,
-)
+from repro.fleet import merge_partials
+from repro.serve.jobs import Job, JobScheduler, JobStore, QueueFull
 from repro.serve.metrics import ServeMetrics
 from repro.serve.schemas import build_fleet_spec, normalize_job_payload
 from repro.serve.server import ServeApp, clamp_cursor, main_serve

@@ -35,7 +35,7 @@ from collections import deque
 from typing import Optional
 
 from repro.errors import EvaluationError
-from repro.fleet import Fleet, FleetAggregate, WorkerPool
+from repro.fleet import Fleet, WorkerPool, merge_partials
 from repro.ioutil import write_file_atomic
 from repro.serve.metrics import ServeMetrics
 from repro.serve.schemas import build_fleet_spec, normalize_job_payload
@@ -70,21 +70,6 @@ class QueueFull(EvaluationError):
     recovery is exempt (a restarted daemon never drops persisted
     jobs, no matter how many it finds queued on disk).
     """
-
-
-def merge_partials(partials: dict[int, dict]) -> FleetAggregate:
-    """Merge shard partials in shard-index order.
-
-    Index order is the one fixed order the fleet driver merges in, so a
-    prefix aggregate streamed after shard ``k`` lands is byte-identical
-    to what a ``repro fleet`` run over exactly that shard subset would
-    report — regardless of the (nondeterministic) order shards
-    completed in.
-    """
-    aggregate = FleetAggregate()
-    for index in sorted(partials):
-        aggregate.merge(FleetAggregate.from_dict(partials[index]["aggregate"]))
-    return aggregate
 
 
 def _read_result(path: str) -> Optional[tuple[str, int, bool]]:

@@ -18,7 +18,6 @@ from typing import Optional
 
 from repro.errors import EvaluationError
 from repro.fleet import FleetSpec, default_mix, parse_mix
-from repro.sim.tracing import TRACE_LEVELS
 
 #: Recognised ``POST /jobs`` payload keys and their defaults (matching
 #: the ``repro fleet`` CLI defaults field for field).
@@ -30,7 +29,6 @@ PAYLOAD_DEFAULTS: dict = {
     "max_retries": 1,
     "shard_timeout_s": 300.0,
     "settle_s": 4.0,
-    "trace_level": "gated",
     # Scheduling priority: higher claims a lane sooner; ties run in
     # admission order.  Never part of the FleetSpec (or its
     # fingerprint) — it orders execution, it cannot change results.
@@ -96,11 +94,6 @@ def normalize_job_payload(payload: object) -> dict:
         )
     for key in ("shard_timeout_s", "settle_s"):
         merged[key] = _require_number(merged, key)
-    if not isinstance(merged["trace_level"], str) or merged["trace_level"] not in TRACE_LEVELS:
-        raise EvaluationError(
-            f"job field 'trace_level' must be one of {list(TRACE_LEVELS)}, "
-            f"got {merged['trace_level']!r}"
-        )
     # Build the spec once now purely for validation: a bad mix string or
     # out-of-range value must 400 at submit time, not fail the job later.
     build_fleet_spec(merged)
@@ -124,6 +117,5 @@ def build_fleet_spec(payload: dict, inject_crash: Optional[dict] = None) -> Flee
         max_retries=payload["max_retries"],
         shard_timeout_s=payload["shard_timeout_s"],
         settle_s=payload["settle_s"],
-        trace_level=payload["trace_level"],
         inject_crash=inject_crash,
     )

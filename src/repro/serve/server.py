@@ -43,7 +43,7 @@ from typing import Optional
 
 from repro.errors import EvaluationError, ReproError
 from repro.evaluation.report import render_fleet_html
-from repro.fleet import FleetAggregate, WorkerPool
+from repro.fleet import FleetAggregate, WorkerPool, merge_partials
 from repro.serve.jobs import (
     CANCELLED,
     RUNNING,
@@ -53,7 +53,6 @@ from repro.serve.jobs import (
     JobScheduler,
     JobStore,
     QueueFull,
-    merge_partials,
 )
 from repro.serve.metrics import ServeMetrics
 from repro.serve.sse import encode_event

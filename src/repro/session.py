@@ -25,7 +25,6 @@ from repro.evaluation.runner import RunResult, run_workload
 from repro.hardware.platform import MobilePlatform, odroid_xu_e
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS, ScenarioSpec, build_live_scenario
-from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES
 
 
@@ -38,7 +37,6 @@ class Session:
         governor: str = "greenweb",
         scenario: "ScenarioSpec | str" = "imperceptible",
         seed: int = 0,
-        trace_level: str = "full",
     ) -> None:
         # Registry-backed validation: bad names and bad spec parameters
         # fail here, not mid-run; the stored governor is the canonical
@@ -49,15 +47,10 @@ class Session:
                 f"unknown application {app_name!r}; known: {list(APP_NAMES)}"
             )
         spec = POLICIES.normalize(governor)
-        if trace_level not in TRACE_LEVELS:
-            raise EvaluationError(
-                f"unknown trace level {trace_level!r}; known: {list(TRACE_LEVELS)}"
-            )
         self.app_name = app_name
         self.governor = spec.canonical()
         self.scenario = SCENARIOS.normalize(scenario)
         self.seed = seed
-        self.trace_level = trace_level
 
     # ------------------------------------------------------------------
     # Construction
@@ -107,7 +100,6 @@ class Session:
             trace_kind="micro",
             seed=self.seed,
             settle_s=settle_s,
-            trace_level=self.trace_level,
         )
 
     def run_full_interaction(self, settle_s: float = 4.0) -> RunResult:
@@ -119,7 +111,6 @@ class Session:
             trace_kind="full",
             seed=self.seed,
             settle_s=settle_s,
-            trace_level=self.trace_level,
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +129,6 @@ class Session:
             "trace_kind": trace_kind,
             "seed": self.seed,
             "settle_s": settle_s,
-            "trace_level": self.trace_level,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -38,7 +38,7 @@ _TID_TASK_BASE = 10  # per-context task tracks allocated from here
 
 def to_chrome_trace(trace: TraceLog) -> list[dict[str, Any]]:
     """Convert a trace log into a list of Chrome trace events."""
-    if trace.enabled and not trace.retaining:
+    if not trace.retaining:
         raise SimulationError(
             "cannot export a non-retaining (gated) trace log: records "
             "were streamed to subscribers and dropped; re-run with "

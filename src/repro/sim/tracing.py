@@ -7,32 +7,34 @@ measurement path uniform across governors and makes tests able to
 assert on the exact sequence of platform decisions.
 
 Because the measurement path *is* the hot path at population scale, a
-``TraceLog`` supports three cost levels (see :meth:`TraceLog.for_level`):
+``TraceLog`` has two levels:
 
 * ``"full"`` — every record is constructed, retained in memory, and
   indexed per ``(category, name)`` so :meth:`filter`/:meth:`count`
   touch only matching records instead of scanning the whole log;
-* ``"gated"`` — only an allowlisted set of categories is constructed
-  and records are *not* retained: they flow to subscribers (streaming
-  folds, see :mod:`repro.evaluation.folds`) and are dropped, so memory
-  per session is constant;
-* ``"off"`` — every emit is a no-op.
+* ``"gated"`` — only the :data:`GATED_CATEGORIES` records are
+  constructed and records are *not* retained: they flow to subscribers
+  (streaming folds, see :mod:`repro.evaluation.folds`) and are dropped,
+  so memory per session is constant.
+
+Only callers that read the retained trace (trace export, analysis)
+ask for ``"full"``; every API that returns just results runs gated.
 
 Hot emit sites should guard expensive payload construction with
-:meth:`TraceLog.wants` so a gated or disabled log skips the formatting
-work entirely, not just the record append.
+:meth:`TraceLog.wants` so a gated log skips the formatting work
+entirely, not just the record append.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SimulationError
 
-#: The trace levels :meth:`TraceLog.for_level` accepts.
-TRACE_LEVELS: tuple[str, ...] = ("full", "gated", "off")
+#: The trace levels :class:`TraceLog` accepts.
+TRACE_LEVELS: tuple[str, ...] = ("full", "gated")
 
-#: Default category allowlist for level ``"gated"``: what the
+#: The category allowlist of level ``"gated"``: what the
 #: evaluation runner's streaming folds consume — input windows (active
 #: energy accounting) and applied configurations (residency).  Every
 #: figure and fleet aggregate derives from these plus non-trace
@@ -88,72 +90,37 @@ class TraceLog:
     """Append-only in-memory trace with indexed category filters.
 
     Args:
-        enabled: ``False`` makes every :meth:`emit` a no-op.
-        categories: optional category allowlist ("gating"); records in
-            other categories are never constructed.  ``None`` = all.
-        retain: when ``False``, records are delivered to subscribers
-            but not stored — :meth:`filter`/:meth:`count` see nothing
-            and memory stays constant no matter how long the run is.
+        level: ``"full"`` retains and indexes every record;
+            ``"gated"`` constructs only :data:`GATED_CATEGORIES` records
+            and delivers them to subscribers without storing them —
+            :meth:`filter`/:meth:`count` see nothing and memory stays
+            constant no matter how long the run is.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        categories: Optional[Iterable[str]] = None,
-        retain: bool = True,
-    ) -> None:
-        self.enabled = enabled
-        self._categories = frozenset(categories) if categories is not None else None
-        self._retain = retain
+    def __init__(self, level: str = "full") -> None:
+        if level not in TRACE_LEVELS:
+            raise SimulationError(
+                f"unknown trace level {level!r}; known: {list(TRACE_LEVELS)}"
+            )
+        self._retain = level == "full"
+        self._categories = None if self._retain else GATED_CATEGORIES
         self._records: list[TraceRecord] = []
         self._by_category: dict[str, list[TraceRecord]] = {}
         self._by_key: dict[tuple[str, str], list[TraceRecord]] = {}
         self._subscribers: list[Callable[[TraceRecord], None]] = []
-
-    @classmethod
-    def for_level(
-        cls, level: str, categories: Optional[Iterable[str]] = None
-    ) -> "TraceLog":
-        """Build a log for a named cost level.
-
-        ``"full"`` retains and indexes everything; ``"gated"`` keeps
-        only ``categories`` (default :data:`GATED_CATEGORIES`) and only
-        for subscribers; ``"off"`` records nothing at all.
-        """
-        if level == "full":
-            return cls()
-        if level == "gated":
-            return cls(
-                categories=categories if categories is not None else GATED_CATEGORIES,
-                retain=False,
-            )
-        if level == "off":
-            return cls(enabled=False)
-        raise SimulationError(
-            f"unknown trace level {level!r}; known: {list(TRACE_LEVELS)}"
-        )
 
     @property
     def retaining(self) -> bool:
         """Whether emitted records are stored for later scans."""
         return self._retain
 
-    @property
-    def categories(self) -> Optional[frozenset[str]]:
-        """The category allowlist, or ``None`` when unrestricted."""
-        return self._categories
-
     def wants(self, category: str) -> bool:
         """True when a record in ``category`` would be kept — the guard
         hot emit sites use to skip building payloads nobody will read."""
-        if not self.enabled:
-            return False
         return self._categories is None or category in self._categories
 
     def emit(self, time_us: int, category: str, name: str, **data: Any) -> None:
-        """Append a record (no-op when disabled or gated out)."""
-        if not self.enabled:
-            return
+        """Append a record (no-op when gated out)."""
         if self._categories is not None and category not in self._categories:
             return
         record = TraceRecord(time_us, category, name, data)

@@ -20,10 +20,17 @@ import pytest
 
 from repro.browser import Browser, Page
 from repro.core import AnnotationRegistry, GreenWebRuntime
+from repro.evaluation.runner import (
+    SessionExecution,
+    run_result_to_dict,
+    run_workload_job,
+)
 from repro.fleet import parse_mix
 from repro.hardware import odroid_xu_e
+from repro.policies import POLICIES
 from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
+from repro.workloads.registry import build_app
 
 #: A page with one single/short-annotated button and one
 #: continuous-annotated element — the smallest markup that exercises
@@ -77,6 +84,31 @@ def light_tap_callback():
         ctx.mark_dirty(0.3)
 
     return Callback(body, "lightTap")
+
+
+def run_cell(job: dict, level: str) -> dict:
+    """One ``run_workload_job``-shaped cell at trace ``level``, as its
+    plain result dict.
+
+    ``"gated"`` is ``run_workload_job`` itself; ``"full"`` builds the
+    same session through :class:`SessionExecution` with a retained
+    trace, the only API that still offers one — so a golden keyed
+    ``...:full`` really pins a full-trace run.
+    """
+    if level == "gated":
+        return run_workload_job(job)
+    governor = job["governor"]
+    execution = SessionExecution(
+        build_app(job["app"], job["seed"]), POLICIES.normalize(governor).label(),
+        job.get("scenario", "imperceptible"), job["trace_kind"], job["seed"],
+        job["settle_s"], level,
+        lambda platform, registry, scenario: POLICIES.build(
+            governor, platform, registry, scenario
+        ),
+    )
+    execution.run()
+    assert execution.platform.trace.retaining
+    return run_result_to_dict(execution.finish())
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,15 @@
 """Differential parity: every cell against its checked-in golden.
 
-The contract: :func:`repro.evaluation.runner.run_workload_job` must
-reproduce the checked-in golden fingerprints
+The contract: every cell must reproduce the checked-in golden
+fingerprints
 (``tests/data/batch_parity_fingerprints.json``, regenerated only by
 ``scripts/gen_parity_fingerprints.py`` after an intentional
 result-affecting change) byte for byte — for every application, every
-builtin governor, and both retained trace levels.  CI runs this
-directory once, slow sweep included.
+builtin governor, and both trace levels: ``gated`` cells run through
+:func:`repro.evaluation.runner.run_workload_job`, ``full`` cells
+through ``SessionExecution`` with a retained trace (see
+``tests.conftest.run_cell``).  CI runs this directory once, slow sweep
+included.
 
 The full 144-cell sweep is marked ``slow``; a quick cross-section runs
 with the default suite.
@@ -17,8 +20,9 @@ import json
 
 import pytest
 
-from repro.evaluation.runner import GOVERNORS, run_workload_job
+from repro.evaluation.runner import GOVERNORS
 from repro.workloads.registry import APP_NAMES
+from tests.conftest import run_cell
 
 TRACE_LEVELS = ("full", "gated")
 
@@ -42,7 +46,7 @@ def fingerprint(result: dict) -> str:
     return hashlib.sha256(canonical(result).encode("utf-8")).hexdigest()
 
 
-def make_job(base: dict, app: str, governor: str, level: str) -> dict:
+def make_job(base: dict, app: str, governor: str) -> dict:
     return {
         "app": app,
         "governor": governor,
@@ -50,7 +54,6 @@ def make_job(base: dict, app: str, governor: str, level: str) -> dict:
         "trace_kind": base["trace_kind"],
         "seed": base["seed"],
         "settle_s": base["settle_s"],
-        "trace_level": level,
     }
 
 
@@ -58,7 +61,7 @@ class TestQuickCrossSection:
     def test_cells_match_goldens(self, parity_goldens):
         base = parity_goldens["workload"]
         for app, governor, level in QUICK_CELLS:
-            result = run_workload_job(make_job(base, app, governor, level))
+            result = run_cell(make_job(base, app, governor), level)
             golden = parity_goldens["cells"][f"{app}:{governor}:{level}"]
             assert fingerprint(result) == golden
 
@@ -79,7 +82,7 @@ class TestFullSweep:
         mismatches = []
         for app, governor, level in cells:
             key = f"{app}:{governor}:{level}"
-            result = run_workload_job(make_job(base, app, governor, level))
+            result = run_cell(make_job(base, app, governor), level)
             if fingerprint(result) != parity_goldens["cells"][key]:
                 mismatches.append(f"{key}: does not match golden")
         assert not mismatches, "\n".join(mismatches)

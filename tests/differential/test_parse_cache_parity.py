@@ -34,7 +34,7 @@ def short(app, seed):
 
 def frames(app, seed):
     return run_workload_job({"app": app, "governor": "greenweb", "trace_kind": "full",
-                             "seed": seed, "trace_level": "gated"})
+                             "seed": seed})
 
 def dump(result):
     return json.dumps(result, sort_keys=True, separators=(",", ":"))

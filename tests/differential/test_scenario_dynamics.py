@@ -27,6 +27,7 @@ from repro.errors import EvaluationError
 from repro.evaluation.runner import run_workload, run_workload_job
 from repro.fleet import Fleet, FleetSpec, parse_mix
 from repro.scenarios import SCENARIOS
+from tests.conftest import run_cell
 
 THERMAL = "thermal(cap_mhz=1100,trip_ms=200,hysteresis_ms=2000,hot_load=0.2)"
 BATTERY = "battery(start_pct=90,drain_pct_per_min=600,relax_at_pct=60)"
@@ -47,7 +48,7 @@ def fingerprint(result: dict) -> str:
     return hashlib.sha256(canonical(result).encode("utf-8")).hexdigest()
 
 
-def make_job(base: dict, app: str, governor: str, scenario: str, level: str) -> dict:
+def make_job(base: dict, app: str, governor: str, scenario: str) -> dict:
     return {
         "app": app,
         "governor": governor,
@@ -55,7 +56,6 @@ def make_job(base: dict, app: str, governor: str, scenario: str, level: str) -> 
         "trace_kind": base["trace_kind"],
         "seed": base["seed"],
         "settle_s": base["settle_s"],
-        "trace_level": level,
     }
 
 
@@ -65,9 +65,7 @@ class TestDynamicCellParity:
         for app, governor, scenario in DYNAMIC_CELLS:
             scenario_key = SCENARIOS.normalize(scenario).canonical()
             for level in ("full", "gated"):
-                result = run_workload_job(
-                    make_job(base, app, governor, scenario, level)
-                )
+                result = run_cell(make_job(base, app, governor, scenario), level)
                 golden = parity_goldens["dynamic_cells"][
                     f"{app}:{governor}:{scenario_key}:{level}"
                 ]
@@ -79,7 +77,7 @@ class TestDynamicCellParity:
         base = parity_goldens["workload"]
         for app, governor, scenario in DYNAMIC_CELLS:
             results = {
-                level: run_workload_job(make_job(base, app, governor, scenario, level))
+                level: run_cell(make_job(base, app, governor, scenario), level)
                 for level in ("full", "gated")
             }
             assert canonical(results["full"]) == canonical(results["gated"])
@@ -89,10 +87,8 @@ class TestDynamicCellParity:
         bytes differ from the bare imperceptible baseline."""
         base = parity_goldens["workload"]
         for app, governor, scenario in DYNAMIC_CELLS:
-            dynamic = run_workload_job(make_job(base, app, governor, scenario, "gated"))
-            static = run_workload_job(
-                make_job(base, app, governor, "imperceptible", "gated")
-            )
+            dynamic = run_workload_job(make_job(base, app, governor, scenario))
+            static = run_workload_job(make_job(base, app, governor, "imperceptible"))
             assert canonical(dynamic) != canonical(static)
 
 

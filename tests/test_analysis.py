@@ -224,7 +224,7 @@ class TestTradeoffSpace:
         from repro.workloads.registry import build_app
 
         bundle = build_app("cnet")
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         browser = Browser(platform, bundle.page)
         InteractionDriver(browser).run(bundle.micro_trace)
         stats = timeline_of(platform.trace)
@@ -263,7 +263,7 @@ class TestPredictionAccuracy:
         from repro.workloads.registry import build_app
 
         bundle = build_app("craigslist")  # low-variance scroll frames
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         runtime = GreenWebRuntime(platform, registry, build_live_scenario("usable", platform))
         browser = Browser(platform, bundle.page, policy=runtime)

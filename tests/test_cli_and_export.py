@@ -146,9 +146,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --export-trace needs a live policy")
         assert "'oracle' is post-hoc" in err
-        argv = ["run", "todo", "--trace-level", "off", "--export-trace", str(path)]
-        assert main(argv) == 2
-        assert "drop --trace-level off" in capsys.readouterr().err
         assert not path.exists()
 
     def test_run_export_trace_unwritable_fails_fast(self, monkeypatch, capsys):
@@ -274,6 +271,14 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
+
+    @pytest.mark.parametrize("command", [["run", "todo"], ["fleet"]])
+    def test_trace_level_flag_is_a_usage_error(self, command, capsys):
+        # Both commands report only results, so they always run gated.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, "--trace-level", "gated"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --trace-level" in capsys.readouterr().err
 
 
 class TestTaskSpans:

@@ -191,7 +191,7 @@ class TestBaselineGovernors:
 
     @pytest.mark.parametrize("name, config", [("perf", BIG_MAX), ("powersave", LITTLE_MIN)])
     def test_registry_pins_read_the_platform(self, name, config):
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         policy = POLICIES.build(
             name, platform, AnnotationRegistry(),
             build_live_scenario("imperceptible", platform),

@@ -19,9 +19,7 @@ MARKUP = "<style>#btn:QoS { onclick-qos: single, short; }</style><div id='btn'><
 
 def single_cluster_platform() -> MobilePlatform:
     """Sec. 10: "a single big (or little) core capable of DVFS"."""
-    return MobilePlatform(
-        cluster_specs=[big_cluster_spec()], record_power_intervals=False
-    )
+    return MobilePlatform(cluster_specs=[big_cluster_spec()])
 
 
 def tri_cluster_platform() -> MobilePlatform:
@@ -33,7 +31,6 @@ def tri_cluster_platform() -> MobilePlatform:
     )
     return MobilePlatform(
         cluster_specs=[big_cluster_spec(), little_cluster_spec(), prime],
-        record_power_intervals=False,
     )
 
 

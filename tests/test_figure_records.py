@@ -34,11 +34,6 @@ def test_record_matches_checked_in_text(name):
     assert RECORDS[name]() + "\n" == (RESULTS / f"{name}.txt").read_text()
 
 
-
-def _rstripped(text: str) -> str:
-    return "\n".join(line.rstrip() for line in text.splitlines())
-
-
 def _quoted_parts() -> list[str]:
     """Every fenced block of ``EXPERIMENTS.md``, split at blank lines
     (a block may quote several records back to back)."""
@@ -52,16 +47,13 @@ def _quoted_parts() -> list[str]:
 def test_experiments_quotes_match_records():
     """Each quoted part appears verbatim, on whole lines, in some
     record, so a re-record that leaves a stale quote fails here.
-    Trailing blanks are ignored on both sides: markdown tooling strips
-    them from the quotes."""
-    records = [
-        "\n" + _rstripped(path.read_text()) + "\n"
-        for path in sorted(RESULTS.glob("*.txt"))
-    ]
+    Records carry no trailing blanks (the renderers strip them), so
+    lines compare exactly."""
+    records = ["\n" + path.read_text() for path in sorted(RESULTS.glob("*.txt"))]
     parts = _quoted_parts()
     assert len(parts) >= 13
     stale = [
         part for part in parts
-        if not any("\n" + _rstripped(part) + "\n" in record for record in records)
+        if not any("\n" + part + "\n" in record for record in records)
     ]
     assert not stale, "EXPERIMENTS.md quotes no record holds:\n" + "\n---\n".join(stale)

@@ -53,7 +53,7 @@ class TestFingerprint:
     @pytest.mark.parametrize(
         "override",
         [dict(sessions=9), dict(seed=8), dict(shard_size=4),
-         dict(settle_s=2.0), dict(trace_level="full"),
+         dict(settle_s=2.0), dict(mix=parse_mix("todo:perf")),
          dict(mix=parse_mix("todo:greenweb"))],
     )
     def test_result_determining_fields_included(self, override):

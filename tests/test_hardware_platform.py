@@ -311,30 +311,6 @@ class TestEnergy:
             joules[cluster] = platform.meter.total_j
         assert joules["little"] < joules["big"] * 0.6
 
-    def test_marks(self):
-        platform = odroid_xu_e()
-        platform.run_for(1000)
-        platform.meter.mark("start", platform.kernel.now_us)
-        platform.run_for(1000)
-        window = platform.meter.since_mark("start", platform.kernel.now_us)
-        assert window == pytest.approx(platform.meter.total_j / 2, rel=1e-6)
-
-    def test_sample_trace_1khz(self):
-        platform = odroid_xu_e()
-        ctx = platform.create_context("main")
-        ctx.submit(WorkUnit(cycles=9_000_000))  # busy 5 ms
-        platform.run_for(10_000)  # 10 ms total
-        samples = platform.meter.sample_trace(period_us=1_000)
-        assert len(samples) == 10
-        busy_power = samples[0][1]
-        idle_power = samples[-1][1]
-        assert busy_power > idle_power
-
-    def test_unknown_mark_raises(self):
-        platform = odroid_xu_e()
-        with pytest.raises(HardwareError):
-            platform.meter.since_mark("nope")
-
 
 class TestUtilization:
     def test_busy_integral_tracks_work(self):

@@ -191,7 +191,7 @@ class TestRegistry:
         assert spec.params_dict == {"recalibration_threshold": 5}
 
     def test_build_parameterized_policy(self):
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         registry = AnnotationRegistry()
         policy = POLICIES.build(
             "greenweb(ewma=0.25,surge_aware=true)",
@@ -203,7 +203,7 @@ class TestRegistry:
         assert policy.surge_aware is True
 
     def test_build_refuses_posthoc_policy(self):
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         registry = AnnotationRegistry()
         with pytest.raises(EvaluationError, match="post-hoc"):
             POLICIES.build(
@@ -214,14 +214,14 @@ class TestRegistry:
     def test_build_rejects_a_non_scenario(self, scenario):
         """A policy reads every target through a live scenario; anything
         else must fail at build time, not on the first annotated input."""
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         with pytest.raises(EvaluationError, match="live scenario"):
             POLICIES.build("greenweb", platform, AnnotationRegistry(), scenario)
         with pytest.raises(EvaluationError, match="live scenario"):
             POLICIES.build("perf", platform, AnnotationRegistry(), scenario)
 
     def test_build_rejects_unknown_spec_parameters(self):
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         registry = AnnotationRegistry()
         with pytest.raises(EvaluationError, match="unknown parameter 'not_a_knob'"):
             POLICIES.build(

@@ -277,7 +277,6 @@ class TestBattery:
             name: run_workload_job({
                 "app": "todo", "governor": "greenweb", "scenario": scenario,
                 "trace_kind": "micro", "seed": 0, "settle_s": 4.0,
-                "trace_level": "gated",
             })
             for name, scenario in (
                 ("battery", "battery(start_pct=50,drain_pct_per_min=1,relax_at_pct=50)"),

@@ -63,11 +63,6 @@ class TestTraceLog:
             log.emit(t, "x", "y")
         assert len(log.filter(since_us=20, until_us=30)) == 2
 
-    def test_disabled_log_records_nothing(self):
-        log = TraceLog(enabled=False)
-        log.emit(1, "a", "b")
-        assert len(log) == 0
-
     def test_subscribers_see_records_live(self):
         log = TraceLog()
         seen = []

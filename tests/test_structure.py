@@ -1,15 +1,25 @@
-"""Structure guards: one session builder, one background-load path.
+"""Structure guards: one session builder, one background-load path,
+one place to choose trace retention.
 
 Measured sessions are built by ``evaluation/runner.py``'s
 ``SessionExecution``; ``session.py``'s ``Session.for_page`` is the
 custom-page API.  No other module under ``src/`` or ``benchmarks/``
 constructs a ``Browser``, and nothing imports the deleted
 ``repro.workloads.background`` module (background load is the
-``bgload`` scenario).
+``bgload`` scenario).  APIs that return only results take no trace
+level: ``SessionExecution`` and ``TraceLog`` are the only places a
+caller picks ``"full"`` or ``"gated"``.
 """
 
 import ast
+import dataclasses
+import inspect
 import pathlib
+
+from repro.evaluation.runner import SessionExecution, execute_run, run_workload
+from repro.fleet import FleetSpec
+from repro.session import Session
+from repro.sim.tracing import TRACE_LEVELS, TraceLog
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BROWSER_BUILDERS = {"src/repro/evaluation/runner.py", "src/repro/session.py"}
@@ -67,3 +77,11 @@ def test_nothing_imports_the_background_module():
     assert not offenders, f"imports of repro.workloads.background: {offenders}"
     assert not (ROOT / "src/repro/workloads/background.py").exists()
 
+
+def test_trace_level_is_chosen_only_where_the_trace_is_read():
+    assert TRACE_LEVELS == ("full", "gated")
+    for api in (run_workload, execute_run, Session.__init__):
+        assert "trace_level" not in inspect.signature(api).parameters, api
+    assert "trace_level" not in {field.name for field in dataclasses.fields(FleetSpec)}
+    assert "trace_level" in inspect.signature(SessionExecution).parameters
+    assert list(inspect.signature(TraceLog).parameters) == ["level"]

@@ -7,16 +7,15 @@ metrics to a full retained trace replayed through the same folds.
 
 import pytest
 
-from repro.errors import EvaluationError, SimulationError
+from repro.errors import SimulationError
 from repro.evaluation.analysis import FrameTimelineStats, PredictionAccuracy
 from repro.evaluation.folds import (
     ConfigTimelineFold,
     FrameTimelineFold,
     PredictionAccuracyFold,
     SwitchingCountsFold,
-    gated_categories_for,
 )
-from repro.fleet import Fleet, FleetSpec, parse_mix
+from repro.fleet import Fleet, FleetAggregate, FleetSpec, parse_mix
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES
@@ -24,8 +23,13 @@ from repro.sim.kernel import Kernel
 from repro.sim.tracing import GATED_CATEGORIES, TRACE_LEVELS, TraceLog
 from repro.sim.trace_export import to_chrome_trace
 from repro.browser.vsync import VsyncSource
-from repro.evaluation.runner import SessionExecution, run_workload
+from repro.evaluation.runner import (
+    SessionExecution,
+    run_result_to_dict,
+    run_workload,
+)
 from repro.workloads.registry import build_app
+from tests.conftest import run_cell
 
 I = "imperceptible"
 BIG = CpuConfig("big", 1800)
@@ -36,21 +40,24 @@ BIG = CpuConfig("big", 1800)
 # ----------------------------------------------------------------------
 class TestTraceLevels:
     def test_full_retains_everything(self):
-        log = TraceLog.for_level("full")
-        assert log.enabled and log.retaining and log.categories is None
+        log = TraceLog("full")
+        assert log.retaining
+        assert all(log.wants(category) for category in ("dvfs", "frame", "anything"))
         log.emit(1, "anything", "goes")
         assert len(log) == 1
 
     def test_gated_gates_and_does_not_retain(self):
-        log = TraceLog.for_level("gated")
-        assert log.enabled and not log.retaining
-        assert log.categories == GATED_CATEGORIES
+        log = TraceLog("gated")
+        assert not log.retaining
+        assert {c for c in ("input", "config", "dvfs", "frame") if log.wants(c)} == (
+            GATED_CATEGORIES
+        )
         log.emit(1, "config", "applied", cluster="big", freq_mhz=800)
         log.emit(2, "frame", "displayed", max_latency_us=10)
         assert len(log) == 0  # nothing retained, even allowlisted records
 
     def test_gated_delivers_allowlisted_records_to_subscribers(self):
-        log = TraceLog.for_level("gated")
+        log = TraceLog("gated")
         seen = []
         log.subscribe(lambda record: seen.append((record.category, record.name)))
         log.emit(1, "config", "applied", cluster="big", freq_mhz=800)
@@ -58,28 +65,17 @@ class TestTraceLevels:
         log.emit(3, "input", "click", uid=1)
         assert seen == [("config", "applied"), ("input", "click")]
 
-    def test_gated_custom_allowlist(self):
-        log = TraceLog.for_level("gated", categories={"dvfs"})
-        assert log.wants("dvfs")
-        assert not log.wants("config")
-
-    def test_off_records_nothing(self):
-        log = TraceLog.for_level("off")
-        seen = []
-        log.subscribe(seen.append)
-        log.emit(1, "config", "applied")
-        assert len(log) == 0 and seen == []
-
     def test_unknown_level_rejected(self):
-        with pytest.raises(SimulationError):
-            TraceLog.for_level("verbose")
+        for level in ("verbose", "off", ""):
+            with pytest.raises(SimulationError, match="unknown trace level"):
+                TraceLog(level)
 
     @pytest.mark.parametrize("level", TRACE_LEVELS)
     def test_every_declared_level_constructs(self, level):
-        TraceLog.for_level(level)
+        TraceLog(level)
 
     def test_wants_mirrors_emit(self):
-        for log in (TraceLog.for_level(level) for level in TRACE_LEVELS):
+        for log in (TraceLog(level) for level in TRACE_LEVELS):
             for category in ("config", "dvfs", "frame", "greenweb"):
                 before = len(log)
                 seen = []
@@ -219,12 +215,6 @@ class TestFoldParity:
         assert fold.migrations == trace.count(category="dvfs", name="migrate")
         assert fold.freq_switches + fold.migrations > 0
 
-    def test_gated_categories_for_union(self):
-        union = gated_categories_for(
-            ConfigTimelineFold(), FrameTimelineFold(), SwitchingCountsFold()
-        )
-        assert union == frozenset({"config", "frame", "dvfs"})
-
     def test_gated_log_feeds_folds_identically(self):
         """A fold attached to a gated log accumulates exactly what an
         identical emit stream gives a full log."""
@@ -233,8 +223,8 @@ class TestFoldParity:
             (150, "frame", "displayed", {"max_latency_us": 20_000}),
             (300, "config", "applied", {"cluster": "big", "freq_mhz": 800}),
         ]
-        full = TraceLog.for_level("full")
-        gated = TraceLog.for_level("gated")
+        full = TraceLog("full")
+        gated = TraceLog("gated")
         fold_full = ConfigTimelineFold().attach(full)
         fold_gated = ConfigTimelineFold().attach(gated)
         for t, category, name, data in emits:
@@ -245,58 +235,56 @@ class TestFoldParity:
 
 
 # ----------------------------------------------------------------------
-# Trace levels through the runner and the fleet
+# Trace levels through the session builder and the fleet
 # ----------------------------------------------------------------------
+def run_full(app, governor, seed, settle_s=4.0):
+    """One micro session with a retained ("full") trace, as a plain
+    dict — the full-level twin of a gated ``run_workload`` cell."""
+    job = {"app": app, "governor": governor, "trace_kind": "micro",
+           "seed": seed, "settle_s": settle_s}
+    return run_cell(job, "full")
+
+
 class TestRunnerTraceLevels:
     def test_full_and_gated_results_identical(self):
-        from repro.evaluation.runner import run_result_to_dict
-
-        full = run_workload("todo", "greenweb", I, "micro", seed=3)
-        gated = run_workload("todo", "greenweb", I, "micro", seed=3,
-                             trace_level="gated")
-        assert run_result_to_dict(full) == run_result_to_dict(gated)
-
-    def test_off_still_runs_but_zeroes_trace_metrics(self):
-        result = run_workload("todo", "perf", I, "micro", trace_level="off")
-        assert result.energy_j > 0  # meter-derived, not trace-derived
-        assert result.active_energy_j == 0.0
-        assert result.config_residency == {BIG: 1.0}
+        gated = run_workload("todo", "greenweb", I, "micro", seed=3)
+        assert run_full("todo", "greenweb", 3) == run_result_to_dict(gated)
 
     def test_unknown_trace_level_rejected(self):
-        with pytest.raises(SimulationError):
-            run_workload("todo", "perf", I, "micro", trace_level="loud")
+        for level in ("off", "loud"):
+            with pytest.raises(SimulationError, match="unknown trace level"):
+                SessionExecution(
+                    build_app("todo", seed=0), "perf", I, "micro", 0, 4.0, level,
+                    lambda platform, registry, scenario: POLICIES.build(
+                        "perf", platform, registry, scenario
+                    ),
+                )
 
 
 class TestFleetTraceLevels:
     MIX = parse_mix("todo:greenweb:imperceptible:micro,cnet:perf:imperceptible:micro")
 
     def test_gated_and_full_fleets_byte_identical(self):
-        base = dict(sessions=4, seed=7, mix=self.MIX, shard_size=2, settle_s=2.0)
-        gated = Fleet(FleetSpec(**base, trace_level="gated"), jobs=1).run()
-        full = Fleet(FleetSpec(**base, trace_level="full"), jobs=1).run()
-        assert gated.ok and full.ok
-        assert gated.to_json() == full.to_json()
-
-    def test_invalid_trace_level_rejected(self):
-        with pytest.raises(EvaluationError):
-            FleetSpec(sessions=4, seed=7, mix=self.MIX, trace_level="loud")
-
-    def test_to_job_carries_trace_level(self):
-        spec = FleetSpec(sessions=2, seed=0, mix=self.MIX)
-        (shard,) = spec.shards()[:1]
-        job = shard.sessions[0].to_job(spec.settle_s, spec.trace_level)
-        assert job["trace_level"] == "gated"
+        """A fleet's aggregate equals the one folded from its sessions
+        re-run one by one with retained traces."""
+        spec = FleetSpec(sessions=4, seed=7, mix=self.MIX, shard_size=2, settle_s=2.0)
+        gated = Fleet(spec, jobs=1).run()
+        assert gated.ok
+        full = FleetAggregate()
+        for session in spec.expand():
+            full.add_run(run_full(session.app, session.governor, session.seed, 2.0))
+        assert gated.aggregate.to_dict() == full.to_dict()
 
 
 class TestTraceExportGating:
     def test_gated_log_refuses_export(self):
-        log = TraceLog.for_level("gated")
+        log = TraceLog("gated")
         log.emit(1, "config", "applied", cluster="big", freq_mhz=800)
         with pytest.raises(SimulationError):
             to_chrome_trace(log)
 
-    def test_disabled_log_exports_empty(self):
-        events = to_chrome_trace(TraceLog.for_level("off"))
+    def test_empty_full_log_exports_only_metadata(self):
+        events = to_chrome_trace(TraceLog("full"))
         assert all(event["ph"] == "M" for event in events)
 
 
@@ -381,7 +369,7 @@ class TestDemandDrivenVsync:
         from repro.workloads.registry import build_app
 
         bundle = build_app("todo", seed=0)
-        platform = odroid_xu_e(record_power_intervals=False)
+        platform = odroid_xu_e()
         browser = Browser(platform, bundle.page)
         from repro.workloads.interactions import InteractionDriver
         from repro.sim.clock import s_to_us
