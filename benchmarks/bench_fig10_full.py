@@ -9,13 +9,12 @@ import statistics
 
 from conftest import run_once
 
-from repro.evaluation.experiments import run_fig10_full_interactions
 from repro.evaluation.report import render_fig10
 
 
-def test_fig10_full_interactions(benchmark, record_figure):
-    rows = run_once(benchmark, run_fig10_full_interactions)
-    record_figure("fig10_full", render_fig10(rows))
+def test_fig10_full_interactions(benchmark, record_figure, fig10_rows):
+    rows = fig10_rows
+    record_figure("fig10_full", run_once(benchmark, lambda: render_fig10(rows)))
 
     assert len(rows) == 12
 

@@ -15,8 +15,8 @@ from repro.evaluation.experiments import run_fig11_distribution
 from repro.evaluation.report import render_fig11
 
 
-def test_fig11_configuration_distribution(benchmark, record_figure):
-    rows = run_once(benchmark, run_fig11_distribution)
+def test_fig11_configuration_distribution(benchmark, record_figure, fig10_rows):
+    rows = run_once(benchmark, lambda: run_fig11_distribution(fig10_rows))
     record_figure("fig11_distribution", render_fig11(rows))
 
     assert len(rows) == 12

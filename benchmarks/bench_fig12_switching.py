@@ -15,8 +15,8 @@ from repro.evaluation.experiments import run_fig12_switching
 from repro.evaluation.report import render_fig12
 
 
-def test_fig12_switching_frequency(benchmark, record_figure):
-    rows = run_once(benchmark, run_fig12_switching)
+def test_fig12_switching_frequency(benchmark, record_figure, fig10_rows):
+    rows = run_once(benchmark, lambda: run_fig12_switching(fig10_rows))
     record_figure("fig12_switching", render_fig12(rows))
 
     assert len(rows) == 12

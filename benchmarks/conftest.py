@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 
+from repro.evaluation.experiments import run_fig10_full_interactions
 from repro.evaluation.runner import SessionExecution
 from repro.policies import POLICIES
 from repro.workloads.registry import build_app
@@ -29,6 +30,14 @@ def record_figure():
         print("\n" + text)
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def fig10_rows():
+    """Fig. 10's full-interaction matrix, run once per pytest session:
+    Figs. 11 and 12 are projections of its GreenWeb-I/U runs, so the
+    three benches share it and each times only its own step."""
+    return run_fig10_full_interactions()
 
 
 def run_once(benchmark, fn):

@@ -21,7 +21,6 @@ root input event — the transitive closure of Sec. 6.4.
 
 from repro.browser.engine import Browser, BrowserPolicy
 from repro.browser.frame_tracker import (
-    FrameColumns,
     FrameRecord,
     FrameTracker,
     InputRecord,
@@ -37,7 +36,6 @@ __all__ = [
     "Page",
     "InputMsg",
     "FrameTracker",
-    "FrameColumns",
     "FrameRecord",
     "InputRecord",
     "PipelineStage",

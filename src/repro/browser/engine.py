@@ -42,6 +42,10 @@ class BrowserPolicy:
     browser calls :meth:`bind` once at attach time.
     """
 
+    #: A dataclass of counters the policy keeps, or None.  The runner
+    #: reports it as ``RunResult.runtime_stats``.
+    stats = None
+
     def bind(self, browser: "Browser") -> None:
         """Called when the policy is attached; default stores a ref."""
         self.browser = browser
@@ -94,7 +98,6 @@ class BrowserStats:
     frames: int = 0
     skipped_vsyncs: int = 0
     callbacks_run: int = 0
-    animation_ticks: int = 0
     script_errors: int = 0
 
 
@@ -160,7 +163,7 @@ class Browser:
             uid=self._uids.next_uid(),
             start_us=now,
             event_type=event_type,
-            target_key=_target_key(target),
+            target_key=target_key(target),
         )
         event = Event(event_type, target, input_id=msg.uid, time_us=now)
         if detail:
@@ -484,7 +487,6 @@ class Browser:
             if callable(complexity):
                 complexity = float(complexity())
             self._mark_dirty(animation.msg, complexity, clock_start_us=now)
-            self.stats.animation_ticks += 1
             if animation.script_cycles > 0:
                 # The library's per-frame tick (jQuery animate's timer
                 # function) burns main-thread CPU.
@@ -618,4 +620,9 @@ def target_key(target: Element) -> str:
     return target.tag
 
 
-_target_key = target_key
+def event_key(target_key: str, event_type: "EventType | str") -> str:
+    """A policy's per-(element, event) key, ``target_key@event_type``.
+    Live policies build it in ``on_input`` from ``InputMsg.target_key``;
+    post-hoc policies build the same key from the static page, so this
+    is the one place the format is written."""
+    return f"{target_key}@{event_type}"

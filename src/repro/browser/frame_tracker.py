@@ -14,12 +14,9 @@ Implements the paper's Fig. 8 algorithm and Sec. 6.4 association:
   zero the input's associated frames are complete and the policy is
   told (the moment a GreenWeb runtime conserves energy).
 
-The per-frame history is retained struct-of-arrays style
-(:class:`FrameColumns`): displayed frames append one value to each
-parallel column instead of keeping the transient :class:`FrameRecord`
-objects alive.  At fleet scale (many sessions per worker process) this
-is what keeps the frame pipeline's retained footprint a handful of flat
-lists per session rather than thousands of per-frame objects.
+The tracker retains no per-frame history: a displayed frame's latencies
+land on its inputs' records, and the transient :class:`FrameRecord` is
+dropped.
 """
 
 from __future__ import annotations
@@ -79,8 +76,8 @@ class FrameRecord:
     """One in-flight frame and its input attribution.
 
     Transient: the browser holds at most one per pipeline stage; once
-    displayed, the frame's durable history lives in the tracker's
-    :class:`FrameColumns` and the record itself is dropped.
+    displayed, its latencies live on the inputs' records and the record
+    itself is dropped.
     """
 
     __slots__ = ("seq", "vsync_us", "complexity", "contributors", "display_us", "latencies_us")
@@ -122,40 +119,6 @@ class FrameRecord:
         return f"<FrameRecord seq={self.seq} vsync={self.vsync_us}us {state}>"
 
 
-class FrameColumns:
-    """Struct-of-arrays history of every displayed frame.
-
-    Parallel columns indexed by display order; ``column[i]`` describes
-    the i-th displayed frame.  Appending five scalars to flat lists is
-    both cheaper and denser than retaining a :class:`FrameRecord` (plus
-    its contributor list and latency dict) per frame, which matters
-    when one process carries many sessions' histories at once.
-    """
-
-    __slots__ = ("seq", "vsync_us", "display_us", "contributor_count", "max_latency_us")
-
-    def __init__(self) -> None:
-        self.seq: list[int] = []
-        self.vsync_us: list[int] = []
-        self.display_us: list[int] = []
-        self.contributor_count: list[int] = []
-        self.max_latency_us: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def row(self, i: int) -> dict:
-        """The i-th displayed frame as a dict (convenience for tests
-        and exports; the hot path never materializes rows)."""
-        return {
-            "seq": self.seq[i],
-            "vsync_us": self.vsync_us[i],
-            "display_us": self.display_us[i],
-            "contributor_count": self.contributor_count[i],
-            "max_latency_us": self.max_latency_us[i],
-        }
-
-
 class FrameTracker:
     """Owns all input records; computes latencies and completion."""
 
@@ -164,9 +127,6 @@ class FrameTracker:
     ) -> None:
         self._records: dict[int, InputRecord] = {}
         self._on_input_complete = on_input_complete
-        self.frames_displayed = 0
-        #: Struct-of-arrays history of displayed frames (display order).
-        self.frame_columns = FrameColumns()
 
     # ------------------------------------------------------------------
     # Input lifecycle
@@ -213,26 +173,15 @@ class FrameTracker:
     def frame_displayed(self, frame: FrameRecord, display_us: int) -> None:
         """Fig. 8 Part III: compute per-input latency for every Msg that
         rode along with the frame, then release the inputs' dirty
-        retains.  The frame's summary is appended to the struct-of-arrays
-        :attr:`frame_columns` history."""
+        retains."""
         frame.display_us = display_us
-        self.frames_displayed += 1
         records = self._records
         latencies = frame.latencies_us
-        max_latency = 0
         for contributor in frame.contributors:
             latency = display_us - contributor.clock_start_us
             uid = contributor.msg.uid
             latencies[uid] = latency
             records[uid].frame_latencies_us.append(latency)
-            if latency > max_latency:
-                max_latency = latency
-        columns = self.frame_columns
-        columns.seq.append(frame.seq)
-        columns.vsync_us.append(frame.vsync_us)
-        columns.display_us.append(display_us)
-        columns.contributor_count.append(len(frame.contributors))
-        columns.max_latency_us.append(max_latency)
         # Release after all latencies are recorded so a completion
         # callback sees the full frame list.
         for contributor in frame.contributors:

@@ -18,8 +18,11 @@ variants are policy-spec parameters instead of monkeypatches:
   grace period.
 
 Each component owns the validation of its own knobs; the runtime wires
-them together and keeps thin delegating methods so its public surface
-(and the ablation benchmarks poking it) is unchanged.
+them together and calls them directly.  :class:`DvfsProfiler` is the
+one profiling path for every model-based policy: the annotation-free
+:class:`~repro.core.ebs.EbsGovernor` runs its keys through the same
+phases and fits, so this module is the only caller of
+:func:`~repro.core.perf_model.fit_dvfs_model`.
 """
 
 from __future__ import annotations

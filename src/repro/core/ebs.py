@@ -16,37 +16,45 @@ tolerate.  The paper's critique, verbatim:
 This implementation follows that description: per event key it tracks
 the observed latency, derives a *tolerated* latency as a multiple of
 the long-run observation, and picks the minimum-energy configuration
-predicted to stay within it.  The circularity the paper criticises is
-real and observable here: running slower inflates the next
-measurement, which licenses running slower still, drifting QoS for
-latency-tolerant-*looking* events (see ``bench_ablation_ebs.py``).
+predicted to stay within it.  The per-key model comes from the same
+:class:`~repro.core.components.DvfsProfiler` the GreenWeb runtime uses
+(Sec. 6.2's two profiling runs and Eq. 1 fit, one frame per run), so
+EBS differs from GreenWeb only in where its target comes from.  The
+circularity the paper criticises is real and observable here: running
+slower inflates the next measurement, which licenses running slower
+still, drifting QoS for latency-tolerant-*looking* events (see
+``bench_ablation_ebs.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.browser.engine import BrowserPolicy
+from repro.browser.engine import BrowserPolicy, event_key
 from repro.browser.frame_tracker import FrameRecord, InputRecord
 from repro.browser.messages import InputMsg
+from repro.core.components import DvfsProfiler
 from repro.core.energy_model import PowerTable
-from repro.core.perf_model import ClusterModelSet, fit_dvfs_model
 from repro.core.predictor import ConfigPredictor
+from repro.core.qos import QoSSpec
+from repro.core.runtime_state import _KeyState
 from repro.errors import RuntimeModelError
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import MobilePlatform
 from repro.web.events import Event
 
+#: EBS knows no QoS types; a single-event spec makes every profiling
+#: phase last one frame.
+_PROFILE_SPEC = QoSSpec.single()
+
 
 @dataclass
-class _EbsKeyState:
-    """Per-event-key state: the latency EWMA and the fitted model."""
+class _EbsKeyState(_KeyState):
+    """Per-event-key state: the profiler's phases and fitted models,
+    plus EBS's own latency EWMA."""
 
     observed_latency_us: Optional[float] = None
-    models: ClusterModelSet = field(default_factory=ClusterModelSet)
-    profile_sample: Optional[tuple[int, float]] = None
-    phase: str = "profile-max"  # profile-max -> profile-min -> stable
 
 
 class EbsGovernor(BrowserPolicy):
@@ -74,13 +82,9 @@ class EbsGovernor(BrowserPolicy):
         self.latency_ewma_alpha = latency_ewma_alpha
         self.power_table = PowerTable.profile(platform)
         self.predictor = ConfigPredictor(self.power_table)
+        self.profiler = DvfsProfiler(platform)
         configs = platform.all_configs()
         self.idle_config = idle_config if idle_config is not None else configs[0]
-        big = platform.cluster("big").spec
-        little = platform.cluster("little").spec
-        self._big_fmax = CpuConfig("big", big.opps.max.freq_mhz)
-        self._big_fmin = CpuConfig("big", big.opps.min.freq_mhz)
-        self._little_cycle_factor = big.ipc_factor / little.ipc_factor
         self._keys: dict[str, _EbsKeyState] = {}
         self._uid_keys: dict[int, str] = {}
         self._demanding: set[int] = set()
@@ -92,7 +96,7 @@ class EbsGovernor(BrowserPolicy):
         self.platform.set_config(self.idle_config)
 
     def on_input(self, msg: InputMsg, event: Event) -> None:
-        key = f"{msg.target_key}@{event.type}"
+        key = event_key(msg.target_key, event.type)
         self._uid_keys[msg.uid] = key
         self._demanding.add(msg.uid)
         self.platform.set_config(self._config_for(self._key_state(key)))
@@ -127,10 +131,9 @@ class EbsGovernor(BrowserPolicy):
 
     def _config_for(self, state: _EbsKeyState) -> CpuConfig:
         self.decisions += 1
-        if state.phase == "profile-max":
-            return self._big_fmax
-        if state.phase == "profile-min":
-            return self._big_fmin
+        profiling_config = self.profiler.phase_config(state)
+        if profiling_config is not None:
+            return profiling_config
         assert state.observed_latency_us is not None
         # The EBS guess: users tolerate tolerance_factor x what they
         # have been getting.  No notion of inherent QoS expectations.
@@ -139,20 +142,7 @@ class EbsGovernor(BrowserPolicy):
         return prediction.config
 
     def _learn(self, state: _EbsKeyState, observed_us: float) -> None:
-        if state.phase == "profile-max":
-            state.profile_sample = (self._big_fmax.freq_mhz, observed_us)
-            state.phase = "profile-min"
-        elif state.phase == "profile-min":
-            assert state.profile_sample is not None
-            fmax_mhz, latency_max = state.profile_sample
-            big_model = fit_dvfs_model(
-                fmax_mhz, latency_max, self._big_fmin.freq_mhz, observed_us
-            )
-            state.models.set("big", big_model)
-            state.models.set(
-                "little", big_model.scaled_cycles(self._little_cycle_factor)
-            )
-            state.phase = "stable"
+        self.profiler.observe(state, _PROFILE_SPEC, observed_us)
         if state.observed_latency_us is None:
             state.observed_latency_us = observed_us
         else:

@@ -56,7 +56,6 @@ class ConfigPredictor:
     """Sweeps the configuration space for the minimum-energy config."""
 
     def __init__(self, power_table: PowerTable) -> None:
-        self._power = power_table
         table = power_table.sweep_table()
         self._configs = table.configs
         self._cluster_names = table.cluster_names

@@ -29,17 +29,17 @@ components (see :mod:`repro.core.components`): a :class:`DvfsProfiler`
 (profiling phases + Eq. 1 fits), a
 :class:`~repro.core.predictor.ConfigPredictor` (the config sweep), a
 :class:`FeedbackController` (boost/EWMA/recalibration), and an
-:class:`IdleManager` (grace-period idle drops).  The private methods
-below delegate so existing tests, subclasses
-(:class:`~repro.core.uai.UaiGreenWebRuntime`), and ablation benchmarks
-keep their entry points.
+:class:`IdleManager` (grace-period idle drops).  It calls them
+directly and re-exposes none of their knobs: ``runtime.profiler``,
+``runtime.feedback_controller`` and ``runtime.idle_manager`` are the
+one place each knob is stored.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.browser.engine import BrowserPolicy
+from repro.browser.engine import BrowserPolicy, event_key
 from repro.browser.frame_tracker import FrameRecord, InputRecord
 from repro.browser.messages import InputMsg
 from repro.core.annotations import AnnotationRegistry
@@ -132,97 +132,39 @@ class GreenWebRuntime(BrowserPolicy):
         #: uid -> (spec, key) for every live (and past) input.
         self.input_specs: dict[int, tuple[QoSSpec, str]] = {}
         self._demanding: dict[int, str] = {}  # uid -> key
-        self._pending_frame_key: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Component-backed knobs (read-mostly; kept as properties so the
-    # pre-decomposition attribute surface stays intact)
-    # ------------------------------------------------------------------
-    @property
-    def misprediction_tolerance(self) -> float:
-        return self.feedback_controller.misprediction_tolerance
-
-    @property
-    def recalibration_threshold(self) -> int:
-        return self.feedback_controller.recalibration_threshold
-
-    @property
-    def ewma_model_update(self) -> bool:
-        return self.feedback_controller.ewma_model_update
-
-    @property
-    def ewma_alpha(self) -> float:
-        return self.feedback_controller.ewma_alpha
-
-    @property
-    def surge_aware(self) -> bool:
-        return self.feedback_controller.surge_aware
-
-    @property
-    def surge_percentile(self) -> float:
-        return self.feedback_controller.surge_percentile
-
-    @property
-    def surge_window(self) -> int:
-        return self.feedback_controller.surge_window
-
-    @property
-    def profile_both_clusters(self) -> bool:
-        return self.profiler.profile_both_clusters
-
-    @property
-    def idle_config(self) -> CpuConfig:
-        return self.idle_manager.idle_config
-
-    @property
-    def idle_grace_us(self) -> int:
-        return self.idle_manager.idle_grace_us
-
-    @property
-    def _profile_cluster(self) -> str:
-        return self.profiler.profile_cluster
-
-    @property
-    def _cycle_factors(self) -> dict[str, float]:
-        return self.profiler.cycle_factors
-
-    @property
-    def _secondary_clusters(self) -> list[str]:
-        return self.profiler.secondary_clusters
 
     # ------------------------------------------------------------------
     # BrowserPolicy hooks
     # ------------------------------------------------------------------
     def bind(self, browser) -> None:  # noqa: D401 - see base class
         super().bind(browser)
-        self.platform.set_config(self.idle_config)
+        self.platform.set_config(self.idle_manager.idle_config)
 
     def on_input(self, msg: InputMsg, event: Event) -> None:
-        self.stats.inputs_seen += 1
         spec = self.registry.lookup(event.target, event.type)
         if spec is None:
             spec = self.fallback_spec
             self.stats.unannotated_inputs += 1
-        key = f"{msg.target_key}@{event.type}"
+        self._enter(msg, spec, event_key(msg.target_key, event.type))
+
+    def _enter(self, msg: InputMsg, spec: QoSSpec, key: str) -> None:
+        """Serve a new input under ``spec``, adapting on policy ``key``."""
+        self.stats.inputs_seen += 1
         self.input_specs[msg.uid] = (spec, key)
-        state = self._key_state(key)
-        if state.frameless:
+        if self._key_state(key).frameless:
             # The key never produces frames; nothing to optimise for.
             return
         self._demanding[msg.uid] = key
-        self._cancel_pending_idle()
-        config = self._config_for(key, spec)
-        self.platform.set_config(config)
+        self.idle_manager.cancel_pending()
+        self.platform.set_config(self._config_for(key, spec))
 
     def on_frame_scheduled(self, vsync_us: int, msgs: list[InputMsg]) -> None:
         governing = self._governing_spec(msgs)
         if governing is None:
             return
         spec, key = governing
-        self._pending_frame_key = key
-        self._cancel_pending_idle()
-        config = self._config_for(key, spec)
-        self.platform.set_config(config)
+        self.idle_manager.cancel_pending()
+        self.platform.set_config(self._config_for(key, spec))
 
     def on_frame_displayed(self, frame: FrameRecord) -> None:
         governing = self._governing_spec([c.msg for c in frame.contributors])
@@ -245,14 +187,14 @@ class GreenWebRuntime(BrowserPolicy):
                 violated=observed_us > target_us,
             )
         if not self.profiler.observe(state, spec, observed_us):
-            self._feedback(state, observed_us, target_us)
+            self.feedback_controller.feedback(state, observed_us, target_us)
 
         # A single event's QoS demand ends with its response frame;
         # anything after is post-frame work run in low-power mode.
         if spec.qos_type is QoSType.SINGLE:
             for contributor in frame.contributors:
                 self._demanding.pop(contributor.msg.uid, None)
-            self._maybe_go_idle()
+            self.idle_manager.maybe_go_idle()
 
     def on_input_complete(self, record: InputRecord) -> None:
         entry = self.input_specs.get(record.uid)
@@ -268,7 +210,7 @@ class GreenWebRuntime(BrowserPolicy):
             else:
                 state.frameless_inputs = 0
         self._demanding.pop(record.uid, None)
-        self._maybe_go_idle()
+        self.idle_manager.maybe_go_idle()
 
     # ------------------------------------------------------------------
     # Prediction
@@ -282,7 +224,6 @@ class GreenWebRuntime(BrowserPolicy):
         state = self._key_state(key)
         profiling_config = self.profiler.phase_config(state)
         if profiling_config is not None:
-            state.profiling_runs += 1
             self.stats.profiling_frames += 1
             return profiling_config
         prediction = self.predictor.predict(
@@ -331,33 +272,6 @@ class GreenWebRuntime(BrowserPolicy):
                 best = entry
                 best_target = target
         return best
-
-    # ------------------------------------------------------------------
-    # Learning (delegates into the components)
-    # ------------------------------------------------------------------
-    def _finish_big_profiling(self, state: _KeyState, observed_min_us: float) -> None:
-        self.profiler.finish_big_profiling(state, observed_min_us)
-
-    def _finish_little_profiling(self, state: _KeyState, observed_min_us: float) -> None:
-        self.profiler.finish_little_profiling(state, observed_min_us)
-
-    def _feedback(self, state: _KeyState, observed_us: float, target_us: float) -> None:
-        self.feedback_controller.feedback(state, observed_us, target_us)
-
-    def _ewma_update(self, state: _KeyState, config: CpuConfig, observed_us: float) -> None:
-        self.feedback_controller.ewma_update(state, config, observed_us)
-
-    # ------------------------------------------------------------------
-    # Energy conservation
-    # ------------------------------------------------------------------
-    def _maybe_go_idle(self) -> None:
-        self.idle_manager.maybe_go_idle()
-
-    def _drop_to_idle(self) -> None:
-        self.idle_manager.drop_to_idle()
-
-    def _cancel_pending_idle(self) -> None:
-        self.idle_manager.cancel_pending()
 
     # ------------------------------------------------------------------
     # Introspection

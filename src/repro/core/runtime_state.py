@@ -1,8 +1,10 @@
 """Shared state types for the GreenWeb runtime and its components.
 
 Split out of :mod:`repro.core.runtime` so the components
-(:mod:`repro.core.components`) and the runtime that composes them can
-both import the per-key adaptive state without a circular import.
+(:mod:`repro.core.components`), the runtime that composes them and
+:class:`~repro.core.ebs.EbsGovernor` (which profiles through the same
+:class:`~repro.core.components.DvfsProfiler`) can all import the
+per-key adaptive state without a circular import.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class _KeyState:
     #: judge the model against what actually ran, not against the
     #: pre-boost sweep winner.
     last_requested: Optional[tuple[CpuConfig, float]] = None
-    profiling_runs: int = 0
     recalibrations: int = 0
 
 

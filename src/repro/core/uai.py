@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.browser.engine import event_key
 from repro.browser.messages import InputMsg
 from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import (
@@ -102,23 +103,10 @@ class UaiGreenWebRuntime(GreenWebRuntime):
         if spec is not None and is_aggressive(spec):
             self.aggressive_inputs_seen += 1
             if self.budget_exhausted:
-                # Intervene: pretend the annotation used the category
-                # default.  We do this by entering the base runtime with
-                # a patched registry view for this lookup.
+                # Intervene: serve the input as if the annotation used
+                # the category default, under a separate adaptive key.
                 self.clamped_inputs += 1
-                clamped = default_target_for(spec)
-                self._dispatch_with_spec(msg, event, clamped)
+                key = event_key(msg.target_key, event.type) + "!uai"
+                self._enter(msg, default_target_for(spec), key)
                 return
         super().on_input(msg, event)
-
-    def _dispatch_with_spec(self, msg: InputMsg, event: Event, spec: QoSSpec) -> None:
-        """Run the base on_input path with an overridden spec."""
-        self.stats.inputs_seen += 1
-        key = f"{msg.target_key}@{event.type}!uai"
-        self.input_specs[msg.uid] = (spec, key)
-        state = self._key_state(key)
-        if state.frameless:
-            return
-        self._demanding[msg.uid] = key
-        self._cancel_pending_idle()
-        self.platform.set_config(self._config_for(key, spec))

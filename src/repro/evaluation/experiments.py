@@ -234,35 +234,18 @@ class DistributionRow:
         return cluster_residency(self.residency_u).get("big", 0.0)
 
 
-def run_fig11_distribution(
-    apps: Optional[list[str]] = None,
-    seed: int = 0,
-    fig10_rows: Optional[list[FullInteractionRow]] = None,
-) -> list[DistributionRow]:
-    """Figs. 11a/11b: where GreenWeb spends its time.  Reuses Fig. 10's
-    runs when provided (the distributions come from the same traces)."""
-    rows = []
-    if fig10_rows is not None:
-        for row in fig10_rows:
-            rows.append(
-                DistributionRow(
-                    app=row.app,
-                    residency_i=row.runs["greenweb_i"].active_config_residency,
-                    residency_u=row.runs["greenweb_u"].active_config_residency,
-                )
-            )
-        return rows
-    for app in apps or APP_NAMES:
-        green_i = run_workload(app, "greenweb", I, "full", seed)
-        green_u = run_workload(app, "greenweb", U, "full", seed)
-        rows.append(
-            DistributionRow(
-                app=app,
-                residency_i=green_i.active_config_residency,
-                residency_u=green_u.active_config_residency,
-            )
+def run_fig11_distribution(fig10_rows: list[FullInteractionRow]) -> list[DistributionRow]:
+    """Figs. 11a/11b: where GreenWeb spends its time — a projection of
+    Fig. 10's GreenWeb-I/U runs (the distributions come from the same
+    sessions)."""
+    return [
+        DistributionRow(
+            app=row.app,
+            residency_i=row.runs["greenweb_i"].active_config_residency,
+            residency_u=row.runs["greenweb_u"].active_config_residency,
         )
-    return rows
+        for row in fig10_rows
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +270,9 @@ class SwitchingRow:
         return self.freq_switch_pct_u + self.migration_pct_u
 
 
-def run_fig12_switching(
-    apps: Optional[list[str]] = None,
-    seed: int = 0,
-    fig10_rows: Optional[list[FullInteractionRow]] = None,
-) -> list[SwitchingRow]:
-    """Fig. 12: frequency switches vs. core migrations per frame."""
-    rows = []
+def run_fig12_switching(fig10_rows: list[FullInteractionRow]) -> list[SwitchingRow]:
+    """Fig. 12: frequency switches vs. core migrations per frame, a
+    projection of Fig. 10's GreenWeb-I/U runs."""
 
     def make_row(app: str, green_i: RunResult, green_u: RunResult) -> SwitchingRow:
         fi, mi = switching_per_frame_pct(
@@ -304,16 +283,10 @@ def run_fig12_switching(
         )
         return SwitchingRow(app, fi, mi, fu, mu)
 
-    if fig10_rows is not None:
-        return [
-            make_row(row.app, row.runs["greenweb_i"], row.runs["greenweb_u"])
-            for row in fig10_rows
-        ]
-    for app in apps or APP_NAMES:
-        green_i = run_workload(app, "greenweb", I, "full", seed)
-        green_u = run_workload(app, "greenweb", U, "full", seed)
-        rows.append(make_row(app, green_i, green_u))
-    return rows
+    return [
+        make_row(row.app, row.runs["greenweb_i"], row.runs["greenweb_u"])
+        for row in fig10_rows
+    ]
 
 
 # ----------------------------------------------------------------------

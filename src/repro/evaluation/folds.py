@@ -130,24 +130,6 @@ class ConfigTimelineFold(TraceFold):
         return {config: weight / total for config, weight in weights.items()}
 
 
-class SwitchingCountsFold(TraceFold):
-    """Counts DVFS actions (Fig. 12's numerators) from the stream."""
-
-    categories = frozenset({"dvfs"})
-
-    def __init__(self) -> None:
-        self.freq_switches = 0
-        self.migrations = 0
-
-    def on_record(self, record: TraceRecord) -> None:
-        if record.category != "dvfs":
-            return
-        if record.name == "freq_switch":
-            self.freq_switches += 1
-        elif record.name == "migrate":
-            self.migrations += 1
-
-
 class FrameTimelineFold(TraceFold):
     """Accumulates displayed-frame latencies for timeline statistics.
 

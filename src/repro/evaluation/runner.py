@@ -12,13 +12,12 @@ session, so a governor that idles at high power keeps paying for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-from repro.browser.engine import Browser, target_key
+from repro.browser.engine import Browser, event_key, target_key
 from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import QoSSpec
-from repro.core.runtime import GreenWebRuntime
 from repro.errors import EvaluationError
 from repro.evaluation.folds import ConfigTimelineFold
 from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
@@ -116,6 +115,7 @@ class RunResult:
     freq_switches: int
     migrations: int
     annotated_events: int
+    #: the policy's ``stats`` dataclass as a dict (None if it keeps none)
     runtime_stats: Optional[dict] = None
 
     @property
@@ -176,15 +176,15 @@ def _resolve_targets(
 def trace_event_keys(app: str, seed: int, trace_kind: str) -> list[str]:
     """The policy event key of every trace event, in trace order.
 
-    Matches the ``target_key@event_type`` keys live policies compute in
-    ``on_input``, letting post-hoc policies (the oracle) line up
+    Matches the :func:`~repro.browser.engine.event_key` keys live
+    policies compute in ``on_input``, letting post-hoc policies (the oracle) line up
     per-event violations with per-key decisions without running the
     browser.
     """
     bundle = build_app(app, seed)
     trace = _resolve_trace(bundle, trace_kind)
     return [
-        f"{target_key(target)}@{scripted.event_type}"
+        event_key(target_key(target), scripted.event_type)
         for scripted, target in _resolve_targets(bundle, trace)
     ]
 
@@ -349,20 +349,7 @@ class SessionExecution:
         active_residency = self._config_fold.windowed(
             self._accountant.windows, initial=CpuConfig("big", 1800)
         )
-        runtime_stats = None
-        if isinstance(self.policy, GreenWebRuntime):
-            stats = self.policy.stats
-            runtime_stats = {
-                "inputs_seen": stats.inputs_seen,
-                "unannotated_inputs": stats.unannotated_inputs,
-                "predictions": stats.predictions,
-                "profiling_frames": stats.profiling_frames,
-                "violations_fed_back": stats.violations_fed_back,
-                "boosts_up": stats.boosts_up,
-                "boosts_down": stats.boosts_down,
-                "recalibrations": stats.recalibrations,
-                "idle_drops": stats.idle_drops,
-            }
+        stats = self.policy.stats
 
         return RunResult(
             app=self.app,
@@ -382,7 +369,7 @@ class SessionExecution:
             freq_switches=platform.dvfs.freq_switches,
             migrations=platform.dvfs.migrations,
             annotated_events=sum(1 for s in self._specs if s is not None),
-            runtime_stats=runtime_stats,
+            runtime_stats=None if stats is None else asdict(stats),
         )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.browser.engine import BrowserPolicy
+from repro.browser.engine import BrowserPolicy, event_key
 from repro.browser.frame_tracker import InputRecord
 from repro.browser.messages import InputMsg
 from repro.hardware.dvfs import CpuConfig
@@ -64,7 +64,7 @@ class KeyPinnedPolicy(BrowserPolicy):
         self.platform.set_config(self.idle_config)
 
     def on_input(self, msg: InputMsg, event: Event) -> None:
-        key = f"{msg.target_key}@{event.type}"
+        key = event_key(msg.target_key, event.type)
         self._uid_keys[msg.uid] = key
         self._demanding.add(msg.uid)
         self.platform.set_config(self._config_for(key))

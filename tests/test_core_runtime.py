@@ -23,7 +23,7 @@ class TestGreenWebSingleEvents:
     def test_starts_at_idle_config(self):
         browser, platform, runtime = build(greenweb_factory())
         platform.run_for(500)
-        assert platform.config == runtime.idle_config
+        assert platform.config == runtime.idle_manager.idle_config
 
     def test_first_two_events_are_profiling_runs(self):
         browser, platform, runtime = build(greenweb_factory())
@@ -63,7 +63,7 @@ class TestGreenWebSingleEvents:
         browser.dispatch_event("click", btn)
         browser.run_until_quiescent()
         platform.run_for(200_000)  # past the idle-drop grace period
-        assert platform.config == runtime.idle_config
+        assert platform.config == runtime.idle_manager.idle_config
         assert runtime.stats.idle_drops >= 1
 
     def test_unannotated_input_gets_conservative_fallback(self):

@@ -1,11 +1,13 @@
 """Tests for GreenWeb on non-Exynos platform topologies (paper Sec. 10:
 the runtime design generalises to other hardware, including a single
-DVFS-capable cluster)."""
+DVFS-capable cluster).  EBS profiles through the same ``DvfsProfiler``,
+so it runs on the same topologies."""
 
 import pytest
 
 from repro.browser import Browser, Page
 from repro.core import AnnotationRegistry, GreenWebRuntime
+from repro.core.ebs import EbsGovernor
 from repro.core.runtime import _Phase
 from repro.errors import RuntimeModelError
 from repro.hardware import CpuConfig, MobilePlatform
@@ -34,10 +36,12 @@ def tri_cluster_platform() -> MobilePlatform:
     )
 
 
-def run_taps(platform, count=4):
+def run_taps(platform, count=4, policy=None):
+    """Tap ``#btn`` ``count`` times under ``policy`` (default: a
+    GreenWeb runtime built from the page's annotations)."""
     document, sheet = parse_html(MARKUP)
     page = Page(name="t", document=document, stylesheet=sheet)
-    runtime = GreenWebRuntime(
+    runtime = policy or GreenWebRuntime(
         platform,
         AnnotationRegistry.from_stylesheet(sheet),
         build_live_scenario("imperceptible", platform),
@@ -62,9 +66,9 @@ class TestSingleClusterPlatform:
         assert all(browser.tracker.record(m.uid).frame_count == 1 for m in msgs)
         # Stable phase reached; prediction happens over big-only configs.
         assert runtime.key_state_snapshot()["#btn@click"] == "stable"
-        assert runtime._profile_cluster == "big"
-        assert runtime._secondary_clusters == []
-        assert runtime.idle_config == CpuConfig("big", 800)
+        assert runtime.profiler.profile_cluster == "big"
+        assert runtime.profiler.secondary_clusters == []
+        assert runtime.idle_manager.idle_config == CpuConfig("big", 800)
 
     def test_stable_taps_run_below_peak(self):
         platform = single_cluster_platform()
@@ -91,8 +95,8 @@ class TestTriClusterPlatform:
         runtime = GreenWebRuntime(
             platform, AnnotationRegistry(), build_live_scenario("imperceptible", platform)
         )
-        assert runtime._profile_cluster == "prime"  # 1.4 * 2500 > 1.0 * 1800
-        assert set(runtime._cycle_factors) == {"big", "little"}
+        assert runtime.profiler.profile_cluster == "prime"  # 1.4 * 2500 > 1.0 * 1800
+        assert set(runtime.profiler.cycle_factors) == {"big", "little"}
 
     def test_all_cluster_models_derived(self):
         platform = tri_cluster_platform()
@@ -122,3 +126,33 @@ class TestTriClusterPlatform:
                 build_live_scenario("imperceptible", platform),
                 profile_both_clusters=True,
             )
+
+
+class TestEbsOnOtherTopologies:
+    def test_single_cluster_taps_complete(self):
+        platform = single_cluster_platform()
+        ebs, browser, msgs = run_taps(platform, count=5, policy=EbsGovernor(platform))
+        assert all(browser.tracker.record(m.uid).completed for m in msgs)
+        assert all(browser.tracker.record(m.uid).frame_count == 1 for m in msgs)
+        state = ebs._keys["#btn@click"]
+        assert state.phase is _Phase.STABLE
+        assert state.models.has("big")
+        assert ebs.profiler.secondary_clusters == []
+
+    def test_tri_cluster_profiles_on_prime(self):
+        platform = tri_cluster_platform()
+        ebs = EbsGovernor(platform)
+        assert ebs.profiler.profile_cluster == "prime"
+        ebs, browser, msgs = run_taps(platform, count=5, policy=ebs)
+        assert all(browser.tracker.record(m.uid).completed for m in msgs)
+        # The two profiling taps pin the prime cluster's fmax, then fmin.
+        prime = [
+            r["freq_mhz"]
+            for r in platform.trace.filter(category="config", name="applied")
+            if r["cluster"] == "prime"
+        ]
+        assert prime[:2] == [2500, 1500]
+        state = ebs._keys["#btn@click"]
+        assert state.phase is _Phase.STABLE
+        for cluster in ("prime", "big", "little"):
+            assert state.models.has(cluster)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.browser import Browser, Page
 from repro.core.ebs import EbsGovernor
+from repro.core.runtime_state import _Phase
 from repro.errors import RuntimeModelError
 from repro.evaluation.runner import run_workload
 from repro.hardware import odroid_xu_e
@@ -52,7 +53,7 @@ class TestBehaviour:
             browser.run_until_quiescent()
             platform.run_for(200_000)
         state = next(iter(governor._keys.values()))
-        assert state.phase == "stable"
+        assert state.phase is _Phase.STABLE
         assert state.observed_latency_us is not None
         assert governor.decisions >= 4
 

@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.browser.engine import BrowserPolicy
 from repro.core.annotations import AnnotationRegistry
 from repro.errors import EvaluationError
 from repro.evaluation.runner import GOVERNORS, run_workload
@@ -199,8 +200,8 @@ class TestRegistry:
             registry,
             build_live_scenario("imperceptible", platform),
         )
-        assert policy.ewma_alpha == 0.25
-        assert policy.surge_aware is True
+        assert policy.feedback_controller.ewma_alpha == 0.25
+        assert policy.feedback_controller.surge_aware is True
 
     def test_build_refuses_posthoc_policy(self):
         platform = odroid_xu_e()
@@ -279,6 +280,44 @@ class TestSpecRuns:
         )
         assert bare.active_energy_j == explicit.active_energy_j
         assert bare.mean_violation_pct == explicit.mean_violation_pct
+
+
+    def test_policy_stats_dataclass_is_reported(self):
+        """Any policy's ``stats`` dataclass reaches ``runtime_stats``,
+        field for field and in declaration order."""
+
+        @dataclasses.dataclass
+        class TapStats:
+            inputs: int = 0
+            frames: int = 0
+
+        class Counting(BrowserPolicy):
+            def __init__(self):
+                self.stats = TapStats()
+
+            def on_input(self, msg, event):
+                self.stats.inputs += 1
+
+            def on_frame_displayed(self, frame):
+                self.stats.frames += 1
+
+        POLICIES.register("counting_toy")(lambda platform, registry, scenario: Counting())
+        try:
+            result = run_workload("todo", "counting_toy", "imperceptible", "micro", 0)
+        finally:
+            POLICIES._entries.pop("counting_toy", None)
+        assert list(result.runtime_stats) == ["inputs", "frames"]
+        assert result.runtime_stats["inputs"] == result.inputs
+        assert result.runtime_stats["frames"] > 0
+        assert run_workload("todo", "perf", "imperceptible", "micro", 0).runtime_stats is None
+
+    def test_greenweb_stats_keys_keep_their_order(self):
+        result = run_workload("todo", "greenweb", "imperceptible", "micro", 0)
+        assert list(result.runtime_stats) == [
+            "inputs_seen", "unannotated_inputs", "predictions", "profiling_frames",
+            "violations_fed_back", "boosts_up", "boosts_down", "recalibrations",
+            "idle_drops",
+        ]
 
 
 # ----------------------------------------------------------------------

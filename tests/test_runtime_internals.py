@@ -81,26 +81,26 @@ class TestBoostClamping:
         runtime, _ = make_runtime()
         state = self.fitted_state(runtime)
         state.last_requested = (CpuConfig("big", 800), 10_000.0)
-        runtime._feedback(state, observed_us=25_000.0, target_us=16_600.0)
+        runtime.feedback_controller.feedback(state, observed_us=25_000.0, target_us=16_600.0)
         assert state.boost == 1
 
     def test_overprediction_needs_two_in_a_row(self):
         runtime, _ = make_runtime()
         state = self.fitted_state(runtime)
         state.last_requested = (CpuConfig("big", 800), 10_000.0)
-        runtime._feedback(state, observed_us=1_000.0, target_us=16_600.0)
+        runtime.feedback_controller.feedback(state, observed_us=1_000.0, target_us=16_600.0)
         assert state.boost == 0  # debounced
         state.last_requested = (CpuConfig("big", 800), 10_000.0)
-        runtime._feedback(state, observed_us=1_000.0, target_us=16_600.0)
+        runtime.feedback_controller.feedback(state, observed_us=1_000.0, target_us=16_600.0)
         assert state.boost == -1
 
     def test_accurate_prediction_resets_streaks(self):
         runtime, _ = make_runtime()
         state = self.fitted_state(runtime)
         state.last_requested = (CpuConfig("big", 800), 10_000.0)
-        runtime._feedback(state, observed_us=1_000.0, target_us=16_600.0)
+        runtime.feedback_controller.feedback(state, observed_us=1_000.0, target_us=16_600.0)
         state.last_requested = (CpuConfig("big", 800), 10_000.0)
-        runtime._feedback(state, observed_us=10_100.0, target_us=16_600.0)
+        runtime.feedback_controller.feedback(state, observed_us=10_100.0, target_us=16_600.0)
         assert state.overpredict_streak == 0
         assert state.consecutive_mispredictions == 0
 
@@ -109,7 +109,7 @@ class TestBoostClamping:
         state = self.fitted_state(runtime)
         for _ in range(3):
             state.last_requested = (CpuConfig("big", 800), 10_000.0)
-            runtime._feedback(state, observed_us=16_000.0, target_us=100_000.0)
+            runtime.feedback_controller.feedback(state, observed_us=16_000.0, target_us=100_000.0)
         assert state.phase is _Phase.PROFILE_MAX
         assert state.recalibrations == 1
         assert state.boost == 0
@@ -122,7 +122,7 @@ class TestEwmaUpdate:
         state.models.set("big", PerfModelCoefficients(1_000.0, 8_000_000.0))
         state.models.set("little", PerfModelCoefficients(1_000.0, 16_000_000.0))
         # Observed at big@800: latency 21ms -> residual 20ms -> 16M cycles.
-        runtime._ewma_update(state, CpuConfig("big", 800), observed_us=21_000.0)
+        runtime.feedback_controller.ewma_update(state, CpuConfig("big", 800), observed_us=21_000.0)
         updated = state.models.get("big").n_cycles
         assert updated == pytest.approx(0.5 * 8_000_000 + 0.5 * 16_000_000)
         # Little model re-derived via the IPC factor (2x at ipc 0.5).
@@ -132,7 +132,7 @@ class TestEwmaUpdate:
         runtime, _ = make_runtime()
         state = _KeyState()
         state.models.set("big", PerfModelCoefficients(5_000.0, 8_000_000.0))
-        runtime._ewma_update(state, CpuConfig("big", 800), observed_us=3_000.0)
+        runtime.feedback_controller.ewma_update(state, CpuConfig("big", 800), observed_us=3_000.0)
         assert state.models.get("big").n_cycles == 8_000_000.0
 
 
@@ -232,19 +232,19 @@ class TestFourRunProfiling:
         # After the big fit, 4-run mode continues on the little cluster.
         state.profile_sample = (1800, 10_000.0)
         state.phase = _Phase.PROFILE_MIN
-        runtime._finish_big_profiling(state, 20_000.0)
+        runtime.profiler.finish_big_profiling(state, 20_000.0)
         assert state.phase is _Phase.PROFILE_LITTLE_MAX
         assert runtime._config_for("k", spec) == CpuConfig("little", 600)
         # Finish the little fit: stable with both models present.
         state.profile_sample = (600, 40_000.0)
         state.phase = _Phase.PROFILE_LITTLE_MIN
-        runtime._finish_little_profiling(state, 70_000.0)
+        runtime.profiler.finish_little_profiling(state, 70_000.0)
         assert state.phase is _Phase.STABLE
         assert state.models.has("big") and state.models.has("little")
 
     def test_two_run_mode_default(self):
         runtime, _ = make_runtime()
-        assert runtime.profile_both_clusters is False
+        assert runtime.profiler.profile_both_clusters is False
 
 
 class TestSurgeAwarePrediction:
@@ -263,7 +263,7 @@ class TestSurgeAwarePrediction:
         state.models.set("little", PerfModelCoefficients(0.0, 2_000_000.0))
         # Nine light frames and one surge at big@1000.
         for observed_ms in [2.0] * 9 + [10.0]:
-            runtime._ewma_update(state, CpuConfig("big", 1000), observed_ms * 1000)
+            runtime.feedback_controller.ewma_update(state, CpuConfig("big", 1000), observed_ms * 1000)
         # The model must remember the surge (p90 of recent history),
         # not average it away: 10 ms at 1000 MHz = 10M cycles.
         assert state.models.get("big").n_cycles >= 9_000_000
@@ -274,5 +274,5 @@ class TestSurgeAwarePrediction:
         state.models.set("big", PerfModelCoefficients(0.0, 1_000_000.0))
         state.models.set("little", PerfModelCoefficients(0.0, 2_000_000.0))
         for observed_ms in [10.0] + [2.0] * 9:
-            runtime._ewma_update(state, CpuConfig("big", 1000), observed_ms * 1000)
+            runtime.feedback_controller.ewma_update(state, CpuConfig("big", 1000), observed_ms * 1000)
         assert state.models.get("big").n_cycles < 5_000_000

@@ -1,5 +1,5 @@
 """Structure guards: one session builder, one background-load path,
-one place to choose trace retention.
+one place to choose trace retention, one profiling path.
 
 Measured sessions are built by ``evaluation/runner.py``'s
 ``SessionExecution``; ``session.py``'s ``Session.for_page`` is the
@@ -9,13 +9,21 @@ constructs a ``Browser``, and nothing imports the deleted
 ``bgload`` scenario).  APIs that return only results take no trace
 level: ``SessionExecution`` and ``TraceLog`` are the only places a
 caller picks ``"full"`` or ``"gated"``.
+
+Model-based policies profile through one path: ``core/components.py``
+is the only caller of ``fit_dvfs_model`` (EBS shares ``DvfsProfiler``),
+``GreenWebRuntime`` forwards none of its components' knobs, the runner
+reads a policy's ``stats`` hook instead of sniffing its type, and the
+``target@event`` policy key is written only by ``event_key``.
 """
 
 import ast
 import dataclasses
 import inspect
 import pathlib
+import re
 
+from repro.core.runtime import GreenWebRuntime
 from repro.evaluation.runner import SessionExecution, execute_run, run_workload
 from repro.fleet import FleetSpec
 from repro.session import Session
@@ -85,3 +93,49 @@ def test_trace_level_is_chosen_only_where_the_trace_is_read():
     assert "trace_level" not in {field.name for field in dataclasses.fields(FleetSpec)}
     assert "trace_level" in inspect.signature(SessionExecution).parameters
     assert list(inspect.signature(TraceLog).parameters) == ["level"]
+
+
+def test_only_the_components_fit_dvfs_models():
+    sites = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "fit_dvfs_model"
+    )
+    assert sites, "the scan sees no fit_dvfs_model call at all"
+    offenders = [s for s in sites if not s.startswith("src/repro/core/components.py:")]
+    assert not offenders, f"fit_dvfs_model(...) outside DvfsProfiler: {offenders}"
+
+
+def test_runtime_forwards_no_component_knobs():
+    properties = sorted(
+        name for name, value in vars(GreenWebRuntime).items() if isinstance(value, property)
+    )
+    assert not properties, f"GreenWebRuntime re-exposes: {properties}"
+
+
+def test_the_evaluation_layer_does_not_sniff_policy_types():
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name.startswith("src/repro/evaluation/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "isinstance"
+        and "GreenWebRuntime" in ast.dump(node)
+    ]
+    assert not offenders, f"isinstance(..., GreenWebRuntime): {offenders}"
+
+
+#: an f-string writing a ``<key>@<event type>`` policy key
+EVENT_KEY_FORMAT = re.compile(r"\{[^{}]*key[^{}]*\}@\{|\}@\{[^{}]*type[^{}]*\}")
+
+
+def test_event_keys_are_formatted_only_by_event_key():
+    sites = {
+        f"{path.relative_to(ROOT).as_posix()}:{lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if EVENT_KEY_FORMAT.search(line)
+    }
+    assert len(sites) == 1 and next(iter(sites)).startswith("src/repro/browser/engine.py:"), sites

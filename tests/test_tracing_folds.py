@@ -13,7 +13,6 @@ from repro.evaluation.folds import (
     ConfigTimelineFold,
     FrameTimelineFold,
     PredictionAccuracyFold,
-    SwitchingCountsFold,
 )
 from repro.fleet import Fleet, FleetAggregate, FleetSpec, parse_mix
 from repro.hardware.dvfs import CpuConfig
@@ -207,13 +206,6 @@ class TestFoldParity:
     def test_prediction_fold_empty(self):
         result = PredictionAccuracyFold().result()
         assert result.pairs == 0 and result.mean_abs_rel_error == 0.0
-
-    def test_switching_fold_counts(self):
-        trace = self.run_traced()
-        fold = SwitchingCountsFold().replay(trace)
-        assert fold.freq_switches == trace.count(category="dvfs", name="freq_switch")
-        assert fold.migrations == trace.count(category="dvfs", name="migrate")
-        assert fold.freq_switches + fold.migrations > 0
 
     def test_gated_log_feeds_folds_identically(self):
         """A fold attached to a gated log accumulates exactly what an
