@@ -16,14 +16,15 @@
 * :class:`OndemandGovernor` — the classic step-down governor, an extra
   reference policy used by the ablation benchmarks.
 
-All governors rank the 17 platform configurations by *capacity*
-(effective IPC x frequency), which makes "step down one level" and
-"pick the lowest config sustaining the load" well-defined across the
-little/big cluster boundary.
+The sampling governors step through the platform's capacity ladder
+(its 17 configurations ranked by effective IPC x frequency), which
+makes "step down one level" and "pick the lowest config sustaining the
+load" well-defined across the little/big cluster boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from repro.browser.engine import BrowserPolicy
@@ -74,11 +75,9 @@ class InteractiveGovernor(BrowserPolicy):
         self.min_sample_time_us = ms_to_us(min_sample_time_ms)
         self.input_boost = input_boost
 
-        self._configs = sorted(
-            platform.all_configs(), key=lambda c: config_capacity(platform, c)
-        )
-        self._hispeed = self._configs[-1]
-        self._floor = self._configs[0]
+        self._table = platform.config_table
+        self._hispeed = self._table.ladder[-1]
+        self._floor = self._table.ladder[0]
         self._last_boost_us: Optional[int] = None
         self._last_any_busy_us = 0.0
         self._last_sample_us = 0
@@ -89,7 +88,7 @@ class InteractiveGovernor(BrowserPolicy):
         super().bind(browser)
         self.platform.add_busy_observer(self._busy_transition)
         self._last_sample_us = self.platform.kernel.now_us
-        _, self._last_any_busy_us = self.platform.utilization_snapshot()
+        self._last_any_busy_us = self.platform.any_busy_us()
         self.platform.set_config(self._floor)
         self._arm_timer()
 
@@ -113,7 +112,7 @@ class InteractiveGovernor(BrowserPolicy):
     def _timer(self) -> None:
         self.timer_fires += 1
         now = self.platform.kernel.now_us
-        _, any_busy = self.platform.utilization_snapshot()
+        any_busy = self.platform.any_busy_us()
         window = max(1, now - self._last_sample_us)
         utilization = min(1.0, (any_busy - self._last_any_busy_us) / window)
         self._last_sample_us = now
@@ -136,16 +135,14 @@ class InteractiveGovernor(BrowserPolicy):
             if utilization >= self.go_hispeed_load:
                 self.platform.set_config(self._hispeed)
             else:
-                current_capacity = config_capacity(self.platform, self.platform.config)
+                current_capacity = self._table.capacities[self._table.rank[self.platform.config]]
                 target_capacity = current_capacity * utilization / self.target_load
                 self.platform.set_config(self._lowest_with_capacity(target_capacity))
         self._arm_timer()
 
     def _lowest_with_capacity(self, capacity: float) -> CpuConfig:
-        for config in self._configs:
-            if config_capacity(self.platform, config) >= capacity:
-                return config
-        return self._configs[-1]
+        ladder = self._table.ladder
+        return ladder[min(bisect_left(self._table.capacities, capacity), len(ladder) - 1)]
 
 
 class OndemandGovernor(BrowserPolicy):
@@ -165,18 +162,15 @@ class OndemandGovernor(BrowserPolicy):
         self.timer_rate_us = ms_to_us(timer_rate_ms)
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
-        self._configs = sorted(
-            platform.all_configs(), key=lambda c: config_capacity(platform, c)
-        )
-        self._index = {config: i for i, config in enumerate(self._configs)}
+        self._table = platform.config_table
         self._last_any_busy_us = 0.0
         self._last_sample_us = 0
 
     def bind(self, browser) -> None:
         super().bind(browser)
         self._last_sample_us = self.platform.kernel.now_us
-        _, self._last_any_busy_us = self.platform.utilization_snapshot()
-        self.platform.set_config(self._configs[0])
+        self._last_any_busy_us = self.platform.any_busy_us()
+        self.platform.set_config(self._table.ladder[0])
         self._arm_timer()
 
     def _arm_timer(self) -> None:
@@ -184,15 +178,16 @@ class OndemandGovernor(BrowserPolicy):
 
     def _timer(self) -> None:
         now = self.platform.kernel.now_us
-        _, any_busy = self.platform.utilization_snapshot()
+        any_busy = self.platform.any_busy_us()
         window = max(1, now - self._last_sample_us)
         utilization = min(1.0, (any_busy - self._last_any_busy_us) / window)
         self._last_sample_us = now
         self._last_any_busy_us = any_busy
 
-        index = self._index.get(self.platform.config, len(self._configs) - 1)
+        ladder = self._table.ladder
+        index = self._table.rank[self.platform.config]
         if utilization >= self.up_threshold:
-            self.platform.set_config(self._configs[-1])
+            self.platform.set_config(ladder[-1])
         elif utilization <= self.down_threshold and index > 0:
-            self.platform.set_config(self._configs[index - 1])
+            self.platform.set_config(ladder[index - 1])
         self._arm_timer()

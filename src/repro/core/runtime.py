@@ -141,7 +141,11 @@ class GreenWebRuntime(BrowserPolicy):
         self.platform.set_config(self.idle_manager.idle_config)
 
     def on_input(self, msg: InputMsg, event: Event) -> None:
-        spec = self.registry.lookup(event.target, event.type)
+        self._serve(msg, event, self.registry.lookup(event.target, event.type))
+
+    def _serve(self, msg: InputMsg, event: Event, spec: Optional[QoSSpec]) -> None:
+        """Serve an input under its looked-up annotation ``spec``; an
+        unannotated input (``None``) gets the fallback spec."""
         if spec is None:
             spec = self.fallback_spec
             self.stats.unannotated_inputs += 1

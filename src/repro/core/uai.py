@@ -109,4 +109,4 @@ class UaiGreenWebRuntime(GreenWebRuntime):
                 key = event_key(msg.target_key, event.type) + "!uai"
                 self._enter(msg, default_target_for(spec), key)
                 return
-        super().on_input(msg, event)
+        self._serve(msg, event, spec)

@@ -67,8 +67,9 @@ class ConfigTimelineFold(TraceFold):
 
     def on_record(self, record: TraceRecord) -> None:
         if record.category == "config" and record.name == "applied":
+            data = record.data
             self.applied.append(
-                (record.time_us, CpuConfig(record["cluster"], record["freq_mhz"]))
+                (record.time_us, CpuConfig(data["cluster"], data["freq_mhz"]))
             )
 
     def residency(

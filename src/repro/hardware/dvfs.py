@@ -12,12 +12,13 @@ is exactly the data Fig. 12 of the paper plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+import functools
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.errors import HardwareError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hardware.core import ClusterSpec
     from repro.hardware.platform import MobilePlatform
 
 #: Frequency-switch overhead within a cluster (paper Sec. 7.1).
@@ -26,15 +27,46 @@ FREQ_SWITCH_OVERHEAD_US = 100
 MIGRATION_OVERHEAD_US = 20
 
 
-@dataclass(frozen=True, order=True)
-class CpuConfig:
-    """An ACMP execution configuration: a <cluster, frequency> tuple."""
+class CpuConfig(NamedTuple):
+    """An ACMP execution configuration: a <cluster, frequency> tuple.
+    Equality, hashing and ordering are the plain tuple's (C level)."""
 
     cluster: str
     freq_mhz: int
 
     def __str__(self) -> str:
         return f"{self.cluster}@{self.freq_mhz}MHz"
+
+
+class ConfigTable:
+    """Every configuration a platform offers; the DVFS controller and
+    the sampling governors answer every per-tick and per-switch question
+    from it.  Immutable, and shared by every platform built from the
+    same cluster specs (``config_table(specs)``).
+
+    Attributes:
+        configs: the interned members, in ``all_configs()`` order.
+        interned: configuration -> its member; membership is validity.
+        ladder: ``configs`` by capacity (IPC x MHz), ascending, stable.
+        capacities: each ``ladder`` entry's capacity; rank: its index.
+        labels: the kernel label of each configuration's DVFS apply.
+    """
+
+    __slots__ = ("configs", "interned", "ladder", "capacities", "rank", "labels")
+
+    def __init__(self, specs: Sequence["ClusterSpec"]) -> None:
+        ipc = {spec.name: spec.ipc_factor for spec in specs}
+        ordered = sorted(specs, key=lambda spec: spec.ipc_factor)
+        self.configs = tuple(CpuConfig(s.name, f) for s in ordered for f in s.opps.frequencies)
+        self.interned = {config: config for config in self.configs}
+        self.ladder = tuple(sorted(self.configs, key=lambda c: ipc[c.cluster] * c.freq_mhz))
+        self.capacities = tuple(ipc[c.cluster] * c.freq_mhz for c in self.ladder)
+        self.rank = {config: i for i, config in enumerate(self.ladder)}
+        self.labels = {config: f"dvfs->{config}" for config in self.configs}
+
+
+#: ``config_table(specs)``: the shared table of a tuple of cluster specs.
+config_table = functools.lru_cache(maxsize=32)(ConfigTable)
 
 
 class DvfsController:
@@ -56,6 +88,7 @@ class DvfsController:
         self.migrations = 0
         self._pending_target: Optional[CpuConfig] = None
         self._apply_event = None
+        self._table = platform.config_table
 
     @property
     def in_flight(self) -> bool:
@@ -77,7 +110,9 @@ class DvfsController:
             return config
         frequencies = self._platform.cluster(config.cluster).spec.opps.frequencies
         allowed = [freq for freq in frequencies if freq <= cap]
-        return CpuConfig(config.cluster, max(allowed) if allowed else min(frequencies))
+        return self._table.interned[
+            CpuConfig(config.cluster, max(allowed) if allowed else min(frequencies))
+        ]
 
     def enforce_caps(self) -> None:
         """Re-check the applied (or in-flight) configuration against the
@@ -102,29 +137,32 @@ class DvfsController:
             FrequencyError: for a frequency not in the cluster's table.
         """
         platform = self._platform
-        if config == platform._config and self._apply_event is None:
+        event = self._apply_event
+        if config == platform._config and event is None:
             # Already applied, no switch in flight: unless a cap now sits
             # below it, the full path below would also return False.
             cap = platform._freq_caps.get(config.cluster)
             if cap is None or config.freq_mhz <= cap:
                 return False
-        cluster = platform.cluster(config.cluster)
-        cluster.spec.opps.at(config.freq_mhz)  # validate frequency early
-        config = self.clamp(config)
+        interned = self._table.interned.get(config)
+        if interned is None:  # off the table: the cluster or OPP lookup names the fault
+            platform.cluster(config.cluster).spec.opps.at(config.freq_mhz)
+            raise HardwareError(f"{config} is not a configuration of this platform")
+        config = self.clamp(interned) if platform._freq_caps else interned
 
-        if self.in_flight:
+        if event is not None and not (event._cancelled or event._fired):  # in flight
             # Coalesce: retarget the pending apply.  If the retarget makes
             # the switch a no-op, cancel it entirely and resume.
-            if config == platform.config and self._pending_target != config:
+            if config == platform._config and self._pending_target != config:
                 self._cancel_in_flight()
                 return False
             self._pending_target = config
             return True
 
-        if config == platform.config:
+        if config == platform._config:
             return False
 
-        migrating = config.cluster != platform.active_cluster_name
+        migrating = config.cluster != platform._active_name
         if migrating:
             self.migrations += 1
             overhead = self.migration_overhead_us
@@ -145,7 +183,7 @@ class DvfsController:
         self._pending_target = config
         platform._pause_all_contexts()
         self._apply_event = platform.kernel.schedule_in(
-            overhead, self._apply, label=f"dvfs->{config}"
+            overhead, self._apply, label=self._table.labels[config]
         )
         return True
 

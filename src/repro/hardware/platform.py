@@ -22,7 +22,7 @@ from repro.hardware.core import (
     big_cluster_spec,
     little_cluster_spec,
 )
-from repro.hardware.dvfs import CpuConfig, DvfsController
+from repro.hardware.dvfs import CpuConfig, DvfsController, config_table
 from repro.hardware.energy import EnergyMeter
 from repro.hardware.execution import ExecutionContext
 from repro.hardware.power import PowerBreakdown, PowerModel
@@ -65,17 +65,18 @@ class MobilePlatform:
         if initial_config.cluster not in self._clusters:
             raise HardwareError(f"unknown cluster {initial_config.cluster!r}")
 
-        #: applied config -> platform power by busy-context count,
+        self.config_table = config_table(tuple(specs))
+        #: config -> platform power by busy-context count, each entry
         #: filled on first use; only the active cluster is powered, so
         #: (config, busy count) fully keys the instantaneous power.
-        self._power_rows: dict[CpuConfig, list[Optional[PowerBreakdown]]] = {}
         self._row_length = max(c.spec.core_count for c in self._clusters.values()) + 1
+        self._power_rows = {c: [None] * self._row_length for c in self.config_table.configs}
         self._active_name = initial_config.cluster
         active = self._clusters[self._active_name]
         active.power_on()
         active.set_frequency(initial_config.freq_mhz)
         self._active_cluster = active
-        self._set_applied_config()
+        self._set_applied_config(self.config_table.interned[initial_config])
 
         #: cluster name -> f_max ceiling (MHz) currently imposed by the
         #: environment (thermal throttling); empty = uncapped.  The
@@ -151,11 +152,7 @@ class MobilePlatform:
         """Every <cluster, frequency> combination the platform offers,
         ordered little-to-big then slow-to-fast (17 on the default
         platform: 6 little + 11 big)."""
-        configs = []
-        for name in sorted(self._clusters, key=lambda n: self._clusters[n].spec.ipc_factor):
-            for freq in self._clusters[name].spec.opps.frequencies:
-                configs.append(CpuConfig(name, freq))
-        return configs
+        return list(self.config_table.configs)
 
     def set_config(self, config: CpuConfig) -> bool:
         """Request a configuration change through the DVFS controller."""
@@ -189,15 +186,13 @@ class MobilePlatform:
             self._freq_caps[cluster] = int(cap_mhz)
         self.dvfs.enforce_caps()
 
-    def _set_applied_config(self) -> None:
-        """Record the active cluster's configuration and pick its power
-        row; the only two cluster-state writers, ``__init__`` and
-        :meth:`_apply_config`, call this after every change."""
-        active = self._active_cluster
-        self._config = CpuConfig(active.name, active.freq_mhz)
-        self._power_row = self._power_rows.setdefault(
-            self._config, [None] * self._row_length
-        )
+    def _set_applied_config(self, config: CpuConfig) -> None:
+        """Record the applied configuration (an interned table member)
+        and pick its power row; the only two cluster-state writers,
+        ``__init__`` and :meth:`_apply_config`, call this after every
+        change."""
+        self._config = config
+        self._power_row = self._power_rows[config]
 
     def _apply_config(self, config: CpuConfig) -> None:
         """Immediately apply a configuration (called by the DVFS
@@ -208,7 +203,7 @@ class MobilePlatform:
             self._active_cluster = self._clusters[config.cluster]
             self._active_cluster.power_on()
         self._active_cluster.set_frequency(config.freq_mhz)
-        self._set_applied_config()
+        self._set_applied_config(config)
         self.trace.emit(
             self.kernel._now_us,
             "config",
@@ -244,7 +239,8 @@ class MobilePlatform:
         self._paused_depth += 1
         if self._paused_depth == 1:
             for context in self._contexts:
-                context.pause()
+                if not context._paused:
+                    context.pause()
 
     def _resume_all_contexts(self) -> None:
         if self._paused_depth <= 0:
@@ -258,7 +254,8 @@ class MobilePlatform:
                 # the new switch's apply will resume everyone.
                 if self._paused_depth > 0:
                     break
-                context.resume()
+                if context._paused:
+                    context.resume()
 
     # ------------------------------------------------------------------
     # Busy/power accounting
@@ -272,7 +269,7 @@ class MobilePlatform:
     def _context_became_busy(self, context: ExecutionContext) -> None:
         if context not in self._busy:
             previous = len(self._busy)
-            self._accumulate_utilization()
+            self.any_busy_us()
             self._busy.add(context)
             self._notify_power_change()
             for observer in self._busy_observers:
@@ -281,7 +278,7 @@ class MobilePlatform:
     def _context_became_idle(self, context: ExecutionContext) -> None:
         if context in self._busy:
             previous = len(self._busy)
-            self._accumulate_utilization()
+            self.any_busy_us()
             self._busy.discard(context)
             self._notify_power_change()
             for observer in self._busy_observers:
@@ -313,7 +310,10 @@ class MobilePlatform:
     def _notify_power_change(self) -> None:
         self.meter.on_power_change(self.kernel._now_us, self.current_power())
 
-    def _accumulate_utilization(self) -> None:
+    def any_busy_us(self) -> float:
+        """Bring the utilization integrals up to now and return the
+        cumulative wall time with >= 1 busy context; samplers diff two
+        readings to get a window's load."""
         now = self.kernel._now_us
         dt = now - self._util_last_us
         if dt > 0:
@@ -321,12 +321,13 @@ class MobilePlatform:
             if self._busy:
                 self._any_busy_integral_us += dt
         self._util_last_us = now
+        return self._any_busy_integral_us
 
     def utilization_snapshot(self) -> tuple[float, float]:
         """Return cumulative integrals ``(busy_context_us, any_busy_us)``
-        up to now; governors diff two snapshots to get window load."""
-        self._accumulate_utilization()
-        return (self._busy_ctx_integral_us, self._any_busy_integral_us)
+        up to now."""
+        any_busy = self.any_busy_us()
+        return (self._busy_ctx_integral_us, any_busy)
 
     # ------------------------------------------------------------------
     # Run helpers

@@ -123,9 +123,8 @@ class ThermalScenario(Scenario):
             platform.cluster_names,
             key=lambda name: _cluster_perf(platform.cluster(name).spec),
         )
-        _busy_ctx, any_busy = platform.utilization_snapshot()
         self._last_us = platform.kernel.now_us
-        self._last_any_busy = any_busy
+        self._last_any_busy = platform.any_busy_us()
         platform.kernel.schedule_in(
             THERMAL_TICK_US, self._tick, label="scenario/thermal"
         )
@@ -133,7 +132,7 @@ class ThermalScenario(Scenario):
     def _tick(self) -> None:
         platform = self.platform
         now = platform.kernel.now_us
-        _busy_ctx, any_busy = platform.utilization_snapshot()
+        any_busy = platform.any_busy_us()
         dt = now - self._last_us
         load = (any_busy - self._last_any_busy) / dt if dt > 0 else 0.0
         self._last_us = now

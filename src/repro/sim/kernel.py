@@ -185,7 +185,7 @@ class Kernel:
                 if heap[0][0] > deadline_us:
                     break
                 time_us, _seq, event = heappop(heap)
-                if event.cancelled:
+                if event._cancelled:
                     continue
                 self._now_us = time_us
                 event._fired = True
@@ -230,7 +230,7 @@ class Kernel:
         re-entrancy guard)."""
         while self._heap:
             time_us, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
+            if event._cancelled:
                 continue
             self._now_us = time_us
             event._fired = True

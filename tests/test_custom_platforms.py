@@ -8,9 +8,10 @@ import pytest
 from repro.browser import Browser, Page
 from repro.core import AnnotationRegistry, GreenWebRuntime
 from repro.core.ebs import EbsGovernor
+from repro.core.governors import config_capacity
 from repro.core.runtime import _Phase
 from repro.errors import RuntimeModelError
-from repro.hardware import CpuConfig, MobilePlatform
+from repro.hardware import CpuConfig, MobilePlatform, odroid_xu_e
 from repro.hardware.core import ClusterSpec, big_cluster_spec, little_cluster_spec
 from repro.hardware.frequency import OperatingPoint, OppTable
 from repro.scenarios import build_live_scenario
@@ -34,6 +35,34 @@ def tri_cluster_platform() -> MobilePlatform:
     return MobilePlatform(
         cluster_specs=[big_cluster_spec(), little_cluster_spec(), prime],
     )
+
+
+def interleaved_platform() -> MobilePlatform:
+    """A mid cluster whose capacities interleave with the big
+    cluster's, so capacity order differs from ``all_configs()`` order."""
+    mid = ClusterSpec(
+        name="mid", microarchitecture="A-mid", core_count=2,
+        ipc_factor=0.8, ceff_nf=0.3, leakage_w_per_v=0.1,
+        opps=OppTable([OperatingPoint(f, 0.8 + f / 10_000) for f in (600, 1000, 1400)]),
+    )
+    return MobilePlatform(cluster_specs=[big_cluster_spec(), mid])
+
+
+@pytest.mark.parametrize(
+    "build", [odroid_xu_e, single_cluster_platform, tri_cluster_platform, interleaved_platform]
+)
+def test_capacity_ladder_is_all_configs_by_capacity(build):
+    platform = build()
+    table = platform.config_table
+    expected = sorted(platform.all_configs(), key=lambda c: config_capacity(platform, c))
+    assert list(platform.config_table.ladder) == expected
+    assert table.capacities == tuple(config_capacity(platform, c) for c in expected)
+    assert [table.rank[c] for c in expected] == list(range(len(expected)))
+
+
+def test_interleaved_ladder_differs_from_all_configs_order():
+    platform = interleaved_platform()
+    assert list(platform.config_table.ladder) != platform.all_configs()
 
 
 def run_taps(platform, count=4, policy=None):

@@ -106,6 +106,25 @@ class TestUaiRuntime:
 
         assert run(budget=1e-9) < run(budget=1e9)
 
+    @pytest.mark.parametrize("budget_j", [1e9, 1e-9])
+    def test_each_input_is_looked_up_once(self, budget_j):
+        markup = AGGRESSIVE_MARKUP + "<div id='plain'></div>"
+        browser, platform, runtime = build_uai(budget_j=budget_j, markup=markup)
+        lookups = []
+        lookup = runtime.registry.lookup
+        runtime.registry.lookup = lambda *args: lookups.append(args) or lookup(*args)
+        platform.run_for(10_000)
+        for element_id in ("btn", "plain", "btn"):
+            target = browser.page.document.get_element_by_id(element_id)
+            target.add_event_listener("click", tap_callback())
+            browser.dispatch_event("click", target)
+            browser.run_until_quiescent()
+        assert len(lookups) == 3
+        assert runtime.stats.inputs_seen == 3
+        assert runtime.stats.unannotated_inputs == 1
+        assert runtime.aggressive_inputs_seen == 2
+        assert runtime.clamped_inputs == (2 if runtime.budget_exhausted else 0)
+
 
 class TestBackgroundContention:
     """Sec. 8's multi-app environment, as the ``bgload`` scenario: a

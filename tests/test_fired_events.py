@@ -1,0 +1,66 @@
+"""Pinned kernel-event counts for two sampler-heavy sessions.
+
+``sim_events_per_s`` in the benchmark counts fired kernel events, so
+the number a session fires is part of what that metric means.  These
+cells pin the total and the fired sampler-tick and DVFS-apply events:
+a change that skips, coalesces or adds a tick or a switch must move
+this test on purpose, together with the metric.
+"""
+
+import collections
+
+import pytest
+
+from repro.evaluation.runner import run_workload
+from repro.sim.kernel import Kernel
+
+
+def fired_events(monkeypatch, app, policy, scenario, trace_kind):
+    """``(events_fired, fired count by label)`` of one seed-1 session;
+    a ``dvfs->CONFIG`` label counts as ``dvfs``."""
+    fired = collections.Counter()
+    kernels = []
+    schedule_in, schedule_at = Kernel.schedule_in, Kernel.schedule_at
+
+    def counted(kernel, action, label):
+        if kernel not in kernels:
+            kernels.append(kernel)
+        key = label.partition("->")[0]
+
+        def fire():
+            fired[key] += 1
+            action()
+
+        return fire
+
+    monkeypatch.setattr(
+        Kernel, "schedule_in",
+        lambda self, delay, action, label="": schedule_in(
+            self, delay, counted(self, action, label), label
+        ),
+    )
+    monkeypatch.setattr(
+        Kernel, "schedule_at",
+        lambda self, time_us, action, label="": schedule_at(
+            self, time_us, counted(self, action, label), label
+        ),
+    )
+    run_workload(app, policy, scenario, trace_kind=trace_kind, seed=1)
+    (kernel,) = kernels
+    return kernel.events_fired, fired
+
+
+@pytest.mark.parametrize(
+    "cell, trace_kind, total, sampler, ticks, applies",
+    [
+        (("bbc", "ondemand", "bgload"), "micro", 5_543, "ondemand", 3_000, 2_021),
+        (("cnet", "interactive", "imperceptible"), "full", 5_513, "interactive", 2_454, 2),
+    ],
+)
+def test_fired_events_are_pinned(
+    monkeypatch, cell, trace_kind, total, sampler, ticks, applies
+):
+    events_fired, fired = fired_events(monkeypatch, *cell, trace_kind)
+    assert events_fired == sum(fired.values()) == total
+    assert fired[sampler] == ticks
+    assert fired["dvfs"] == applies

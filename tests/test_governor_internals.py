@@ -91,9 +91,9 @@ class TestOndemandStepping:
         attach(platform, governor)
         platform.set_config(CpuConfig("little", 500))
         platform.run_for(100)
-        start_index = governor._configs.index(platform.config)
+        start_index = platform.config_table.ladder.index(platform.config)
         platform.run_for(21_000)  # one timer period of idleness
-        assert governor._configs.index(platform.config) == start_index - 1
+        assert platform.config_table.ladder.index(platform.config) == start_index - 1
 
     def test_jumps_to_max_under_load(self):
         platform = odroid_xu_e()

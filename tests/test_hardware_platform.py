@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import HardwareError
+from repro.errors import FrequencyError, HardwareError
 from repro.hardware import (
     CpuConfig,
     PowerModel,
@@ -271,6 +271,87 @@ class TestDvfs:
         platform.set_config(CpuConfig("little", 400))
         platform.run_for(100)
         assert platform.trace.count(category="dvfs", name="migrate") == 1
+
+
+def _platform_in(state):
+    """An ODroid platform idle, mid-switch, or under a big-cluster cap."""
+    platform = odroid_xu_e()
+    platform.create_context("main").submit(WorkUnit(cycles=10_000_000))
+    if state == "mid_switch":
+        platform.set_config(CpuConfig("big", 1000))
+        platform.kernel.run_for(10)
+        assert platform.dvfs.in_flight
+    elif state == "capped":
+        platform.set_frequency_cap("big", 1100)
+        platform.run_for(1_000)
+        assert platform.config == CpuConfig("big", 1100)
+    return platform
+
+
+def _dvfs_state(platform):
+    dvfs = platform.dvfs
+    return (platform.config, dvfs.in_flight, dvfs._pending_target, dvfs.switch_count)
+
+
+class TestConfigTable:
+    """Every per-switch question is answered from the platform's one
+    configuration table; off-table requests take the slow path, which
+    names the fault."""
+
+    def test_applied_configs_are_the_interned_members(self):
+        platform = odroid_xu_e()
+        table = platform.config_table
+        assert platform.all_configs() == list(table.configs)
+        assert platform.all_configs() is not platform.all_configs()
+        assert platform.config is table.interned[CpuConfig("big", 1800)]
+        platform.set_config(CpuConfig("little", 500))
+        assert platform.dvfs._apply_event.label == "dvfs->little@500MHz"
+        platform.run_for(1_000)
+        assert platform.config is table.interned[CpuConfig("little", 500)]
+
+    def test_platforms_share_the_table_but_not_the_power_rows(self):
+        first, second = odroid_xu_e(), odroid_xu_e(fast_voltage_regulators=True)
+        assert first.config_table is second.config_table
+        assert first._power_rows is not second._power_rows
+        assert first._power_row is not second._power_row
+
+    @pytest.mark.parametrize("state", ["idle", "mid_switch", "capped"])
+    @pytest.mark.parametrize(
+        "config, error, match",
+        [
+            (CpuConfig("medium", 1000), HardwareError, "unknown cluster"),
+            (CpuConfig("big", 1050), FrequencyError, "not an operating point"),
+            (CpuConfig("little", 1800), FrequencyError, "not an operating point"),
+        ],
+    )
+    def test_off_table_request_raises_and_changes_nothing(self, state, config, error, match):
+        platform = _platform_in(state)
+        before = _dvfs_state(platform)
+        with pytest.raises(error, match=match):
+            platform.set_config(config)
+        assert _dvfs_state(platform) == before
+
+    @pytest.mark.parametrize("in_flight", [False, True])
+    def test_over_cap_request_clamps(self, in_flight):
+        platform = _platform_in("mid_switch" if in_flight else "idle")
+        platform._freq_caps["big"] = 1150
+        assert platform.set_config(CpuConfig("big", 1700)) is True
+        assert platform.dvfs._pending_target == CpuConfig("big", 1100)
+        platform.run_for(1_000)
+        assert platform.config == CpuConfig("big", 1100)
+        assert platform.set_config(CpuConfig("big", 1800)) is False
+
+    def test_mid_switch_retarget_to_applied_config_cancels_the_switch(self):
+        platform = _platform_in("mid_switch")
+        context = platform.contexts[0]
+        assert context._paused
+        assert platform.set_config(CpuConfig("big", 1800)) is False
+        assert not platform.dvfs.in_flight
+        assert platform.dvfs._pending_target is None
+        assert not context._paused
+        platform.run_for(1_000)
+        assert platform.config == CpuConfig("big", 1800)
+        assert platform.trace.count(category="config", name="applied") == 0
 
 
 class TestEnergy:

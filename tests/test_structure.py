@@ -10,6 +10,10 @@ constructs a ``Browser``, and nothing imports the deleted
 level: ``SessionExecution`` and ``TraceLog`` are the only places a
 caller picks ``"full"`` or ``"gated"``.
 
+Configurations are ranked by capacity in one place: the platform's
+configuration table (``hardware/dvfs.py``'s ``ConfigTable``); the
+sampling governors step through its ladder and keep no sorted copy.
+
 Model-based policies profile through one path: ``core/components.py``
 is the only caller of ``fit_dvfs_model`` (EBS shares ``DvfsProfiler``),
 ``GreenWebRuntime`` forwards none of its components' knobs, the runner
@@ -23,9 +27,11 @@ import inspect
 import pathlib
 import re
 
+from repro.core.governors import InteractiveGovernor, OndemandGovernor
 from repro.core.runtime import GreenWebRuntime
 from repro.evaluation.runner import SessionExecution, execute_run, run_workload
 from repro.fleet import FleetSpec
+from repro.hardware import odroid_xu_e
 from repro.session import Session
 from repro.sim.tracing import TRACE_LEVELS, TraceLog
 
@@ -93,6 +99,29 @@ def test_trace_level_is_chosen_only_where_the_trace_is_read():
     assert "trace_level" not in {field.name for field in dataclasses.fields(FleetSpec)}
     assert "trace_level" in inspect.signature(SessionExecution).parameters
     assert list(inspect.signature(TraceLog).parameters) == ["level"]
+
+
+def _sort_key_source(node: ast.Call) -> str:
+    if _called_name(node) not in ("sorted", "sort"):
+        return ""
+    return " ".join(ast.dump(kw.value) for kw in node.keywords if kw.arg == "key")
+
+
+def test_only_the_platform_ranks_configurations_by_capacity():
+    sites = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and re.search(r"capacity|ipc", _sort_key_source(node))
+    )
+    assert sites, "the scan sees no capacity ranking at all"
+    offenders = [s for s in sites if not s.startswith("src/repro/hardware/dvfs.py:")]
+    assert not offenders, f"configurations ranked outside the platform table: {offenders}"
+    platform = odroid_xu_e()
+    for governor in (InteractiveGovernor(platform), OndemandGovernor(platform)):
+        assert governor._table is platform.config_table
+        assert not {"_configs", "_index"} & set(vars(governor)), governor
 
 
 def test_only_the_components_fit_dvfs_models():
