@@ -61,11 +61,7 @@ class DvfsProfiler:
         self.profile_both_clusters = profile_both_clusters
 
         cluster_names = platform.cluster_names
-        self.profile_cluster = max(
-            cluster_names,
-            key=lambda n: platform.cluster(n).spec.ipc_factor
-            * platform.cluster(n).spec.opps.max.freq_mhz,
-        )
+        self.profile_cluster = platform.config_table.fastest_cluster
         profile_spec = platform.cluster(self.profile_cluster).spec
         self.fmax = CpuConfig(self.profile_cluster, profile_spec.opps.max.freq_mhz)
         self.fmin = CpuConfig(self.profile_cluster, profile_spec.opps.min.freq_mhz)

@@ -31,18 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.browser.engine import BrowserPolicy, event_key
-from repro.browser.frame_tracker import FrameRecord, InputRecord
-from repro.browser.messages import InputMsg
+from repro.browser.frame_tracker import FrameRecord
 from repro.core.components import DvfsProfiler
 from repro.core.energy_model import PowerTable
+from repro.core.governors import KeyedGovernor
 from repro.core.predictor import ConfigPredictor
 from repro.core.qos import QoSSpec
 from repro.core.runtime_state import _KeyState
 from repro.errors import RuntimeModelError
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import MobilePlatform
-from repro.web.events import Event
 
 #: EBS knows no QoS types; a single-event spec makes every profiling
 #: phase last one frame.
@@ -57,7 +55,7 @@ class _EbsKeyState(_KeyState):
     observed_latency_us: Optional[float] = None
 
 
-class EbsGovernor(BrowserPolicy):
+class EbsGovernor(KeyedGovernor):
     """Annotation-free event-based scheduling.
 
     Args:
@@ -77,60 +75,21 @@ class EbsGovernor(BrowserPolicy):
             raise RuntimeModelError("tolerance factor must be >= 1")
         if not 0 < latency_ewma_alpha <= 1:
             raise RuntimeModelError("EWMA alpha must be in (0, 1]")
-        self.platform = platform
+        super().__init__(
+            platform, idle_config if idle_config is not None else platform.all_configs()[0]
+        )
         self.tolerance_factor = tolerance_factor
         self.latency_ewma_alpha = latency_ewma_alpha
         self.power_table = PowerTable.profile(platform)
         self.predictor = ConfigPredictor(self.power_table)
         self.profiler = DvfsProfiler(platform)
-        configs = platform.all_configs()
-        self.idle_config = idle_config if idle_config is not None else configs[0]
         self._keys: dict[str, _EbsKeyState] = {}
-        self._uid_keys: dict[int, str] = {}
-        self._demanding: set[int] = set()
         self.decisions = 0
 
     # ------------------------------------------------------------------
-    def bind(self, browser) -> None:
-        super().bind(browser)
-        self.platform.set_config(self.idle_config)
-
-    def on_input(self, msg: InputMsg, event: Event) -> None:
-        key = event_key(msg.target_key, event.type)
-        self._uid_keys[msg.uid] = key
-        self._demanding.add(msg.uid)
-        self.platform.set_config(self._config_for(self._key_state(key)))
-
-    def on_frame_scheduled(self, vsync_us: int, msgs: list[InputMsg]) -> None:
-        for msg in msgs:
-            key = self._uid_keys.get(msg.uid)
-            if key is not None:
-                self.platform.set_config(self._config_for(self._key_state(key)))
-                return
-
-    def on_frame_displayed(self, frame: FrameRecord) -> None:
-        observed = float(frame.max_latency_us)
-        for uid in frame.uids:
-            key = self._uid_keys.get(uid)
-            if key is None:
-                continue
-            state = self._key_state(key)
-            self._learn(state, observed)
-            break
-
-    def on_input_complete(self, record: InputRecord) -> None:
-        self._demanding.discard(record.uid)
-        if not self._demanding:
-            self.platform.set_config(self.idle_config)
-
-    # ------------------------------------------------------------------
-    def _key_state(self, key: str) -> _EbsKeyState:
-        if key not in self._keys:
-            self._keys[key] = _EbsKeyState()
-        return self._keys[key]
-
-    def _config_for(self, state: _EbsKeyState) -> CpuConfig:
+    def config_for(self, key: str) -> CpuConfig:
         self.decisions += 1
+        state = self._key_state(key)
         profiling_config = self.profiler.phase_config(state)
         if profiling_config is not None:
             return profiling_config
@@ -140,6 +99,17 @@ class EbsGovernor(BrowserPolicy):
         tolerated_ms = state.observed_latency_us * self.tolerance_factor / 1000.0
         prediction = self.predictor.predict(state.models, max(tolerated_ms, 0.001))
         return prediction.config
+
+    def on_frame_displayed(self, frame: FrameRecord) -> None:
+        key = self.first_key(frame.uids)
+        if key is not None:
+            self._learn(self._key_state(key), float(frame.max_latency_us))
+
+    # ------------------------------------------------------------------
+    def _key_state(self, key: str) -> _EbsKeyState:
+        if key not in self._keys:
+            self._keys[key] = _EbsKeyState()
+        return self._keys[key]
 
     def _learn(self, state: _EbsKeyState, observed_us: float) -> None:
         self.profiler.observe(state, _PROFILE_SPEC, observed_us)

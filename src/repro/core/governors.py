@@ -6,6 +6,10 @@
   ``perf`` and ``powersave`` (the energy floor, slowest little
   configuration) pin big-max and little-min, and the Sec. 2 trade-off
   sweep pins every configuration in turn.
+* :class:`KeyedGovernor` — the per-event base: each input runs at its
+  event key's configuration and the platform parks on an idle
+  configuration once no input needs it.  EBS and the oracle's replay
+  policy differ only in :meth:`KeyedGovernor.config_for`.
 * :class:`InteractiveGovernor` — a faithful model of Android's
   ``interactive`` cpufreq governor: it "maximizes performance when the
   CPU recovers from the idle state, and then dynamically changes CPU
@@ -25,9 +29,10 @@ load" well-defined across the little/big cluster boundary.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional
+from typing import Iterable, Optional
 
-from repro.browser.engine import BrowserPolicy
+from repro.browser.engine import BrowserPolicy, event_key
+from repro.browser.frame_tracker import InputRecord
 from repro.browser.messages import InputMsg
 from repro.errors import HardwareError
 from repro.hardware.dvfs import CpuConfig
@@ -52,6 +57,54 @@ class PinnedGovernor(BrowserPolicy):
     def bind(self, browser) -> None:
         super().bind(browser)
         self.platform.set_config(self.config)
+
+
+class KeyedGovernor(BrowserPolicy):
+    """Each input runs at its event key's configuration.
+
+    The platform parks on ``idle_config`` at bind and again as soon as
+    the last demanding input completes.  A frame re-applies the
+    configuration of its first input with a known key.  Subclasses
+    implement only :meth:`config_for`.
+    """
+
+    def __init__(self, platform: MobilePlatform, idle_config: CpuConfig) -> None:
+        self.platform = platform
+        self.idle_config = idle_config
+        self._uid_keys: dict[int, str] = {}
+        self._demanding: set[int] = set()
+
+    def config_for(self, key: str) -> CpuConfig:
+        """The configuration an input of event ``key`` runs at."""
+        raise NotImplementedError
+
+    def first_key(self, uids: Iterable[int]) -> Optional[str]:
+        """The event key of the first of ``uids`` this policy has seen."""
+        for uid in uids:
+            key = self._uid_keys.get(uid)
+            if key is not None:
+                return key
+        return None
+
+    def bind(self, browser) -> None:
+        super().bind(browser)
+        self.platform.set_config(self.idle_config)
+
+    def on_input(self, msg: InputMsg, event: Event) -> None:
+        key = event_key(msg.target_key, event.type)
+        self._uid_keys[msg.uid] = key
+        self._demanding.add(msg.uid)
+        self.platform.set_config(self.config_for(key))
+
+    def on_frame_scheduled(self, vsync_us: int, msgs: list[InputMsg]) -> None:
+        key = self.first_key(msg.uid for msg in msgs)
+        if key is not None:
+            self.platform.set_config(self.config_for(key))
+
+    def on_input_complete(self, record: InputRecord) -> None:
+        self._demanding.discard(record.uid)
+        if not self._demanding:
+            self.platform.set_config(self.idle_config)
 
 
 class InteractiveGovernor(BrowserPolicy):

@@ -101,30 +101,34 @@ class ConfigTimelineFold(TraceFold):
     ) -> dict[CpuConfig, float]:
         """Config residency restricted to the union of time windows —
         the per-interaction view of Fig. 11 (idle gaps between
-        interactions would otherwise swamp the distribution)."""
+        interactions would otherwise swamp the distribution).
+
+        Windows must come in time order (non-decreasing starts), as
+        ``_ActiveWindowAccountant`` closes them: the config in force is
+        found in one forward pass over the switches."""
         applied = [(0, initial)] + self.applied
+        count = len(applied)
         weights: dict[CpuConfig, float] = {}
         total = 0
+        index = 0  # the last switch at or before the current window start
         for start, end in windows:
             if end <= start:
                 continue
             total += end - start
-            # Config in force at window start:
-            index = 0
-            for i, (t, _cfg) in enumerate(applied):
-                if t <= start:
-                    index = i
-                else:
-                    break
+            while index + 1 < count and applied[index + 1][0] <= start:
+                index += 1
             t0 = start
             current = applied[index][1]
-            for t, config in applied[index + 1 :]:
+            i = index + 1
+            while i < count:
+                t, config = applied[i]
                 if t >= end:
                     break
                 if t > t0:
                     weights[current] = weights.get(current, 0.0) + (t - t0)
                     t0 = t
                 current = config
+                i += 1
             weights[current] = weights.get(current, 0.0) + (end - t0)
         if total <= 0:
             return {}

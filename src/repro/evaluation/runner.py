@@ -290,6 +290,8 @@ class SessionExecution:
             trace=TraceLog(trace_level),
             fast_voltage_regulators=fast_voltage_regulators,
         )
+        #: the configuration in force before the first ``config/applied``
+        self._initial_config = self.platform.config
         # Each session gets a FRESH live scenario (instances carry run
         # state), bound before the policy so the policy can read its
         # targets from it.
@@ -344,10 +346,10 @@ class SessionExecution:
         # trace scan, so a non-retaining ("gated") log yields the same
         # numbers as "full" — see repro.evaluation.folds.
         residency = self._config_fold.residency(
-            0, platform.kernel.now_us, initial=CpuConfig("big", 1800)
+            0, platform.kernel.now_us, initial=self._initial_config
         )
         active_residency = self._config_fold.windowed(
-            self._accountant.windows, initial=CpuConfig("big", 1800)
+            self._accountant.windows, initial=self._initial_config
         )
         stats = self.policy.stats
 

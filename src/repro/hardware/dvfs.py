@@ -50,9 +50,15 @@ class ConfigTable:
         ladder: ``configs`` by capacity (IPC x MHz), ascending, stable.
         capacities: each ``ladder`` entry's capacity; rank: its index.
         labels: the kernel label of each configuration's DVFS apply.
+        fastest_cluster, slowest_cluster: the cluster names with the
+            highest and lowest peak capacity (IPC x f_max); the first
+            in spec order wins a tie.
     """
 
-    __slots__ = ("configs", "interned", "ladder", "capacities", "rank", "labels")
+    __slots__ = (
+        "configs", "interned", "ladder", "capacities", "rank", "labels",
+        "fastest_cluster", "slowest_cluster",
+    )
 
     def __init__(self, specs: Sequence["ClusterSpec"]) -> None:
         ipc = {spec.name: spec.ipc_factor for spec in specs}
@@ -63,6 +69,9 @@ class ConfigTable:
         self.capacities = tuple(ipc[c.cluster] * c.freq_mhz for c in self.ladder)
         self.rank = {config: i for i, config in enumerate(self.ladder)}
         self.labels = {config: f"dvfs->{config}" for config in self.configs}
+        peak = {spec.name: spec.ipc_factor * spec.opps.max.freq_mhz for spec in specs}
+        self.fastest_cluster = max(peak, key=peak.__getitem__)
+        self.slowest_cluster = min(peak, key=peak.__getitem__)
 
 
 #: ``config_table(specs)``: the shared table of a tuple of cluster specs.

@@ -95,7 +95,6 @@ class MobilePlatform:
 
         # Utilization accounting (for the interactive governor).
         self._util_last_us = self.kernel.now_us
-        self._busy_ctx_integral_us = 0.0  # sum over contexts of busy time
         self._any_busy_integral_us = 0.0  # wall time with >=1 busy context
 
         self.meter = EnergyMeter(start_us=self.kernel.now_us)
@@ -311,23 +310,14 @@ class MobilePlatform:
         self.meter.on_power_change(self.kernel._now_us, self.current_power())
 
     def any_busy_us(self) -> float:
-        """Bring the utilization integrals up to now and return the
+        """Bring the utilization integral up to now and return the
         cumulative wall time with >= 1 busy context; samplers diff two
         readings to get a window's load."""
         now = self.kernel._now_us
-        dt = now - self._util_last_us
-        if dt > 0:
-            self._busy_ctx_integral_us += len(self._busy) * dt
-            if self._busy:
-                self._any_busy_integral_us += dt
+        if self._busy and now > self._util_last_us:
+            self._any_busy_integral_us += now - self._util_last_us
         self._util_last_us = now
         return self._any_busy_integral_us
-
-    def utilization_snapshot(self) -> tuple[float, float]:
-        """Return cumulative integrals ``(busy_context_us, any_busy_us)``
-        up to now."""
-        any_busy = self.any_busy_us()
-        return (self._busy_ctx_integral_us, any_busy)
 
     # ------------------------------------------------------------------
     # Run helpers

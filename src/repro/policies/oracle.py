@@ -20,11 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.browser.engine import BrowserPolicy, event_key
-from repro.browser.frame_tracker import InputRecord
-from repro.browser.messages import InputMsg
+from repro.core.governors import KeyedGovernor
 from repro.hardware.dvfs import CpuConfig
-from repro.web.events import Event
 
 #: slack when comparing violation percentages between replays — the
 #: simulator is deterministic, but feasibility thresholds come through
@@ -32,7 +29,7 @@ from repro.web.events import Event
 _VIOLATION_EPS = 1e-9
 
 
-class KeyPinnedPolicy(BrowserPolicy):
+class KeyPinnedPolicy(KeyedGovernor):
     """Replay policy: every event key runs at a pre-assigned config.
 
     Keys missing from ``assignments`` run at ``default`` (the fastest
@@ -49,37 +46,12 @@ class KeyPinnedPolicy(BrowserPolicy):
         default: CpuConfig,
         idle_config: CpuConfig,
     ) -> None:
-        self.platform = platform
+        super().__init__(platform, idle_config)
         self.assignments = dict(assignments)
         self.default = default
-        self.idle_config = idle_config
-        self._uid_keys: dict[int, str] = {}
-        self._demanding: set[int] = set()
 
-    def _config_for(self, key: str) -> CpuConfig:
+    def config_for(self, key: str) -> CpuConfig:
         return self.assignments.get(key, self.default)
-
-    def bind(self, browser) -> None:
-        super().bind(browser)
-        self.platform.set_config(self.idle_config)
-
-    def on_input(self, msg: InputMsg, event: Event) -> None:
-        key = event_key(msg.target_key, event.type)
-        self._uid_keys[msg.uid] = key
-        self._demanding.add(msg.uid)
-        self.platform.set_config(self._config_for(key))
-
-    def on_frame_scheduled(self, vsync_us: int, msgs: list[InputMsg]) -> None:
-        for msg in msgs:
-            key = self._uid_keys.get(msg.uid)
-            if key is not None:
-                self.platform.set_config(self._config_for(key))
-                return
-
-    def on_input_complete(self, record: InputRecord) -> None:
-        self._demanding.discard(record.uid)
-        if not self._demanding:
-            self.platform.set_config(self.idle_config)
 
 
 def _key_feasible(

@@ -41,10 +41,6 @@ THERMAL_TICK_US = 25_000
 THERMAL_HOT_LOAD = 0.5
 
 
-def _cluster_perf(spec) -> float:
-    return spec.ipc_factor * spec.opps.max.freq_mhz
-
-
 class StaticScenario(Scenario):
     """A constant-relaxation scenario (the paper's static pair)."""
 
@@ -119,10 +115,7 @@ class ThermalScenario(Scenario):
 
     def on_bind(self) -> None:
         platform = self.platform
-        self._cap_cluster = max(
-            platform.cluster_names,
-            key=lambda name: _cluster_perf(platform.cluster(name).spec),
-        )
+        self._cap_cluster = platform.config_table.fastest_cluster
         self._last_us = platform.kernel.now_us
         self._last_any_busy = platform.any_busy_us()
         platform.kernel.schedule_in(
@@ -277,10 +270,7 @@ class NetDelayScenario(Scenario):
         platform = self.platform
         # Size one chunk in cycles so it runs for work_ms on the fastest
         # configuration (longer when throttled/parked — intentionally).
-        spec = max(
-            (platform.cluster(name).spec for name in platform.cluster_names),
-            key=_cluster_perf,
-        )
+        spec = platform.cluster(platform.config_table.fastest_cluster).spec
         self._chunk = WorkUnit(
             self.work_ms * 1_000.0 * spec.ipc_factor * spec.opps.max.freq_mhz
         )
@@ -357,10 +347,7 @@ class BgLoadScenario(Scenario):
         # Background work is sized against the *littlest* cluster: a
         # duty of 0.25 busies a little core flat-out for a quarter of
         # each period (longer per chunk when parked even slower).
-        spec = min(
-            (platform.cluster(name).spec for name in platform.cluster_names),
-            key=_cluster_perf,
-        )
+        spec = platform.cluster(platform.config_table.slowest_cluster).spec
         busy_us = self.duty * self.period_ms * 1_000.0
         self._chunk = WorkUnit(busy_us * spec.ipc_factor * spec.opps.max.freq_mhz)
         self._period_us = max(1, int(round(self.period_ms * 1_000.0)))

@@ -3,6 +3,8 @@ the runtime design generalises to other hardware, including a single
 DVFS-capable cluster).  EBS profiles through the same ``DvfsProfiler``,
 so it runs on the same topologies."""
 
+import dataclasses
+
 import pytest
 
 from repro.browser import Browser, Page
@@ -119,6 +121,18 @@ class TestSingleClusterPlatform:
 
 
 class TestTriClusterPlatform:
+    def test_table_names_fastest_and_slowest_cluster(self):
+        table = tri_cluster_platform().config_table
+        assert table.fastest_cluster == "prime"  # 1.4 * 2500
+        assert table.slowest_cluster == "little"  # below big's 1.0 * 1800
+
+    def test_cluster_tie_goes_to_the_first_in_spec_order(self):
+        twin = dataclasses.replace(big_cluster_spec(), name="twin")
+        table = MobilePlatform(cluster_specs=[big_cluster_spec(), twin]).config_table
+        assert (table.fastest_cluster, table.slowest_cluster) == ("big", "big")
+        table = MobilePlatform(cluster_specs=[twin, big_cluster_spec()]).config_table
+        assert (table.fastest_cluster, table.slowest_cluster) == ("twin", "twin")
+
     def test_profile_cluster_is_fastest(self):
         platform = tri_cluster_platform()
         runtime = GreenWebRuntime(

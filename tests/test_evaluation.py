@@ -135,6 +135,29 @@ class TestResidency:
         residency = self.fold().windowed([(900, 1000)], initial=CpuConfig("big", 1800))
         assert residency == {CpuConfig("big", 800): pytest.approx(1.0)}
 
+    def test_windowed_switches_inside_between_and_after_windows(self):
+        # One forward pass must match a per-window rescan: switches land
+        # inside windows (two at once at 250), between them (400),
+        # before a later window (900) and after the last one (1200);
+        # an empty window is skipped.
+        trace = TraceLog()
+        for time_us, cluster, freq_mhz in [
+            (100, "little", 600), (250, "big", 800), (250, "little", 1000),
+            (400, "big", 1400), (550, "little", 400), (900, "big", 1100),
+            (1200, "big", 1800),
+        ]:
+            trace.emit(time_us, "config", "applied", cluster=cluster, freq_mhz=freq_mhz)
+        windows = [(50, 150), (200, 300), (500, 600), (600, 700), (1000, 1100), (1150, 1150)]
+        residency = self.fold(trace).windowed(windows, initial=CpuConfig("big", 1800))
+        assert list(residency.items()) == [
+            (CpuConfig("big", 1800), 0.1),
+            (CpuConfig("little", 600), 0.2),
+            (CpuConfig("little", 1000), 0.1),
+            (CpuConfig("big", 1400), 0.1),
+            (CpuConfig("little", 400), 0.3),
+            (CpuConfig("big", 1100), 0.2),
+        ]
+
     def test_switching_pct(self):
         assert switching_per_frame_pct(5, 5, 50) == (10.0, 10.0)
         assert switching_per_frame_pct(1, 1, 0) == (0.0, 0.0)

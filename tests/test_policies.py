@@ -7,21 +7,36 @@ governor name against golden data captured before the refactor.
 """
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.browser.engine import BrowserPolicy
 from repro.core.annotations import AnnotationRegistry
 from repro.errors import EvaluationError
-from repro.evaluation.runner import GOVERNORS, run_workload
+from repro.evaluation.runner import GOVERNORS, run_result_to_dict, run_workload
 from repro.hardware.platform import odroid_xu_e
+from repro.hardware.dvfs import CpuConfig
 from repro.policies import POLICIES, PolicySpec
+from repro.policies.oracle import KeyPinnedPolicy
 from repro.scenarios import SCENARIOS, build_live_scenario
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "governor_parity.json"
+
+THERMAL = "thermal(cap_mhz=1100,trip_ms=200,hysteresis_ms=2000,hot_load=0.2)"
+
+#: sha256 of the canonical ``run_result_to_dict`` JSON of oracle cells
+#: (micro trace, seed 3), recorded before EBS and the oracle's replay
+#: policy shared one keyed-governor base.
+ORACLE_DIGESTS = {
+    ("todo", "imperceptible"): "dd06a5a0e11f33eabfebb99791f7fe8c9a54471c9b6ae0e18e97890fe1180f75",
+    ("cnet", "imperceptible"): "435377d263dd13e19be91492d0e9193fd80d31935670a837178d29925c59905b",
+    ("cnet", THERMAL): "bd253976c4fb5ca1ded3d0c331d6e6a12e52946a05860940debd604d618c94ff",
+}
 
 #: Every float-typed parameter of every registered policy and scenario.
 FLOAT_PARAMS = [
@@ -337,6 +352,33 @@ class TestOracle:
         assert oracle.mean_violation_pct == 0.0
         assert oracle.governor == "oracle"
         assert oracle.runtime_stats["oracle_assignments"]
+
+    @pytest.mark.parametrize("app,scenario", list(ORACLE_DIGESTS), ids=["todo", "cnet", "cnet-thermal"])
+    def test_oracle_results_byte_identical(self, app, scenario):
+        result = run_result_to_dict(run_workload(app, "oracle", scenario, "micro", 3))
+        canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == ORACLE_DIGESTS[app, scenario]
+
+    def test_replay_policy_reapplies_each_frames_first_known_key(self):
+        """One-key oracle cells never run a frame under another key's
+        config, so the re-apply is pinned here with interleaved inputs."""
+        a, b = CpuConfig("little", 600), CpuConfig("big", 1200)
+        fastest, idle = CpuConfig("big", 1800), CpuConfig("little", 350)
+        applied = []
+        policy = KeyPinnedPolicy(
+            SimpleNamespace(set_config=applied.append),
+            {"#a@click": a, "#b@click": b}, fastest, idle,
+        )
+        click = SimpleNamespace(type="click")
+        policy.bind(None)
+        policy.on_input(SimpleNamespace(uid=1, target_key="#a"), click)
+        policy.on_input(SimpleNamespace(uid=2, target_key="#b"), click)
+        policy.on_input(SimpleNamespace(uid=3, target_key="#c"), click)
+        policy.on_frame_scheduled(0, [SimpleNamespace(uid=9), SimpleNamespace(uid=1)])
+        policy.on_frame_scheduled(0, [SimpleNamespace(uid=9)])
+        for uid in (1, 2, 3):
+            policy.on_input_complete(SimpleNamespace(uid=uid))
+        assert applied == [idle, a, b, fastest, a, idle]
 
     def test_oracle_refuses_live_construction(self):
         entry = POLICIES.get("oracle")

@@ -19,6 +19,10 @@ is the only caller of ``fit_dvfs_model`` (EBS shares ``DvfsProfiler``),
 ``GreenWebRuntime`` forwards none of its components' knobs, the runner
 reads a policy's ``stats`` hook instead of sniffing its type, and the
 ``target@event`` policy key is written only by ``event_key``.
+
+Per-event policies share one keyed base: ``KeyedGovernor`` owns the
+uid-to-key map, the demanding set and the input/frame hooks, and EBS
+and the oracle's replay policy supply only ``config_for``.
 """
 
 import ast
@@ -27,11 +31,13 @@ import inspect
 import pathlib
 import re
 
-from repro.core.governors import InteractiveGovernor, OndemandGovernor
+from repro.core.ebs import EbsGovernor
+from repro.core.governors import InteractiveGovernor, KeyedGovernor, OndemandGovernor
 from repro.core.runtime import GreenWebRuntime
 from repro.evaluation.runner import SessionExecution, execute_run, run_workload
 from repro.fleet import FleetSpec
 from repro.hardware import odroid_xu_e
+from repro.policies.oracle import KeyPinnedPolicy
 from repro.session import Session
 from repro.sim.tracing import TRACE_LEVELS, TraceLog
 
@@ -168,3 +174,28 @@ def test_event_keys_are_formatted_only_by_event_key():
         if EVENT_KEY_FORMAT.search(line)
     }
     assert len(sites) == 1 and next(iter(sites)).startswith("src/repro/browser/engine.py:"), sites
+
+
+KEYED_HOOKS = {"bind", "on_input", "on_frame_scheduled", "on_input_complete"}
+
+
+def test_keyed_policies_share_one_base():
+    for policy in (EbsGovernor, KeyPinnedPolicy):
+        assert issubclass(policy, KeyedGovernor), policy
+        assert not KEYED_HOOKS & set(vars(policy)), policy
+        assert "config_for" in vars(policy), policy
+    # GreenWebRuntime keeps a ``_demanding`` of its own (uid -> key, read
+    # by its idle manager); it is not a keyed governor.
+    writers = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("_uid_keys", "_demanding")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and (name, node.attr) != ("src/repro/core/runtime.py", "_demanding")
+    )
+    assert writers, "the scan sees no keyed state at all"
+    offenders = [s for s in writers if not s.startswith("src/repro/core/governors.py:")]
+    assert not offenders, f"keyed state touched outside KeyedGovernor: {offenders}"
