@@ -5,11 +5,11 @@ This benchmark quantifies the model's stable-phase prediction error per
 workload class — steady animations (Craigslist) should be tight, while
 surge-prone animations (W3Schools) should show the fat error tail that
 motivates the paper's Sec. 8 suggestion of profiling-guided prediction.
-Each app runs through the runner's session builder with a retaining
-trace, which the accuracy fold then replays.
+Each app runs through the runner's session builder with the accuracy
+fold attached; no trace is kept.
 """
 
-from conftest import greenweb_session, run_once
+from conftest import greenweb_execution, run_once
 
 from repro.evaluation.folds import PredictionAccuracyFold
 
@@ -17,8 +17,11 @@ APPS = ("craigslist", "paperjs", "w3schools", "msn")
 
 
 def _accuracy_for(app: str):
-    execution, _ = greenweb_session(app, "usable", trace_level="full")
-    return PredictionAccuracyFold().replay(execution.platform.trace).result()
+    execution = greenweb_execution(app, "usable")
+    accuracy = PredictionAccuracyFold()
+    execution.platform.observers.append(accuracy)
+    execution.run()
+    return accuracy.result()
 
 
 def _matrix():

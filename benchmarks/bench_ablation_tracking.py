@@ -5,8 +5,8 @@ concerned only with the callback latency, which contributes to only a
 portion of frame latency".  This ablation measures both for the same
 run and quantifies the gap, and also validates the tracker under the
 two Fig. 8 complexities: interleaved inputs and VSync batching.  The
-session runs through the runner's session builder with a retaining
-trace, which supplies the callback records.
+session runs through the runner's session builder with a trace
+attached, which supplies the callback records.
 """
 
 import statistics
@@ -15,7 +15,7 @@ from conftest import greenweb_session, run_once
 
 
 def _run_msn_and_collect():
-    execution, _ = greenweb_session("msn", "imperceptible", trace_level="full")
+    execution, _ = greenweb_session("msn", "imperceptible", trace=True)
 
     callback_latency = {}
     for record in execution.platform.trace.filter(category="callback", name="finished"):

@@ -3,14 +3,13 @@
 Measures how fast one session of the full-interaction workload runs,
 built by ``build_app`` plus
 :class:`repro.evaluation.runner.SessionExecution` (the work
-:func:`~repro.evaluation.runner.run_workload` does), at each tracing
-level:
+:func:`~repro.evaluation.runner.run_workload` does), with and without a
+trace (the keys keep their historical names):
 
-* ``full``  — records retained and indexed (what trace export and
-  analysis use);
-* ``gated`` — category-gated, non-retaining log feeding the streaming
-  metric folds (what every results-only API runs: constant memory per
-  session).
+* ``full``  — a trace attached, every record retained and indexed (what
+  trace export and analysis use);
+* ``gated`` — no trace: only the streaming folds observe the session
+  (what every results-only API runs: constant memory per session).
 
 The checked-in ``BENCH_session_throughput.json`` at the repo root also
 records three historical blocks: ``pre_pr_baseline`` — the same workload
@@ -30,15 +29,15 @@ Usage::
     python benchmarks/bench_session_throughput.py --smoke \
         --check BENCH_session_throughput.json                     # CI gate
 
-``--check`` exits non-zero when the measured throughput at *either*
-trace level falls more than ``--tolerance`` (default 15%) below the
+``--check`` exits non-zero when the measured throughput of *either*
+variant falls more than ``--tolerance`` (default 15%) below the
 checked-in value.  Both sides are put on one scale by a fixed
 pure-Python calibration loop (allocation, dict and string traffic,
 none of the simulator's code) timed around every session: the reference
 is multiplied by ``checked_in_calibration / measured_calibration``, so
 a runner that is uniformly slower shifts the loop and the sessions
 alike and passes, while a slowdown in the simulator itself, whichever
-layer it is in and whichever trace level it hits, fails.  The
+layer it is in and whichever variant it hits, fails.  The
 calibration figure is recorded next to the throughput it was measured
 with.
 """
@@ -63,7 +62,8 @@ TRACE_KIND = "full"
 #: Sessions per round: the smoke run keeps the same seeds (sessions
 #: differ in cost by seed) and only does fewer rounds.
 SEEDS = 12
-LEVELS = ("full", "gated")
+#: variant name -> whether the session attaches a trace
+TRACED = {"full": True, "gated": False}
 
 
 def calibration_slice(rows: int = 36_000) -> float:
@@ -85,10 +85,10 @@ def calibration_slice(rows: int = 36_000) -> float:
     return time.perf_counter() - started
 
 
-def run_session(trace_level: str, seed: int) -> None:
+def run_session(variant: str, seed: int) -> None:
     execution = SessionExecution(
         build_app(APP, seed), GOVERNOR, "imperceptible", TRACE_KIND, seed, 4.0,
-        trace_level,
+        TRACED[variant],
         lambda platform, registry, scenario: POLICIES.build(
             GOVERNOR, platform, registry, scenario
         ),
@@ -97,8 +97,8 @@ def run_session(trace_level: str, seed: int) -> None:
     execution.finish()
 
 
-def measure(trace_level: str, rounds: int) -> tuple[float, list[float]]:
-    """Calibrated cost of one trace level: the seeds' session times in
+def measure(variant: str, rounds: int) -> tuple[float, list[float]]:
+    """Calibrated cost of one variant: the seeds' session times in
     calibration slices, summed, plus every calibration point taken.
 
     Each session is timed alone and divided by the mean of the
@@ -112,7 +112,7 @@ def measure(trace_level: str, rounds: int) -> tuple[float, list[float]]:
         for seed in range(SEEDS):
             gc.collect()  # every session starts from the same heap state
             started = time.perf_counter()
-            run_session(trace_level, seed)
+            run_session(variant, seed)
             elapsed = time.perf_counter() - started
             points.append(calibration_slice())
             best[seed] = min(best[seed], elapsed / ((points[-2] + points[-1]) / 2))
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json-out", metavar="PATH", help="write results as JSON")
     parser.add_argument(
         "--check", metavar="BASELINE_JSON",
-        help="fail if sessions/s at either trace level regresses vs this checked-in file",
+        help="fail if sessions/s of either variant regresses vs this checked-in file",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.15,
@@ -143,15 +143,15 @@ def main(argv: list[str] | None = None) -> int:
 
     costs = {}
     points = []
-    for level in LEVELS:
-        costs[level], level_points = measure(level, rounds)
-        points.extend(level_points)
-    # Quote every level at the run's median calibration slice.
+    for variant in TRACED:
+        costs[variant], variant_points = measure(variant, rounds)
+        points.extend(variant_points)
+    # Quote every variant at the run's median calibration slice.
     slice_s = statistics.median(points)
     calibration_ms = slice_s * 1e3
-    results = {level: SEEDS / (cost * slice_s) for level, cost in costs.items()}
-    for level, rate in results.items():
-        print(f"trace_level={level:6s} {rate:7.2f} sessions/s "
+    results = {variant: SEEDS / (cost * slice_s) for variant, cost in costs.items()}
+    for variant, rate in results.items():
+        print(f"{variant:6s} {rate:7.2f} sessions/s "
               f"({SEEDS} sessions x {rounds} rounds, best per session)")
     print(f"calibration slice {calibration_ms:.3f} ms (median)")
 
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             "rounds": rounds,
             "smoke": args.smoke,
         },
-        "sessions_per_s": {level: round(rate, 2) for level, rate in results.items()},
+        "sessions_per_s": {variant: round(rate, 2) for variant, rate in results.items()},
         "calibration_slice_ms": round(calibration_ms, 4),
     }
     if args.json_out:
@@ -182,15 +182,15 @@ def main(argv: list[str] | None = None) -> int:
         # many sessions per second.
         machine_scale = baseline["calibration_slice_ms"] / calibration_ms
         failed = []
-        for level in LEVELS:
-            reference = baseline["sessions_per_s"][level]
+        for variant in TRACED:
+            reference = baseline["sessions_per_s"][variant]
             floor = reference * machine_scale * (1.0 - args.tolerance)
-            measured = results[level]
-            print(f"regression gate {level}: measured {measured:.2f} sessions/s vs "
+            measured = results[variant]
+            print(f"regression gate {variant}: measured {measured:.2f} sessions/s vs "
                   f"checked-in {reference:.2f} x machine scale "
                   f"{machine_scale:.3f} (floor {floor:.2f})")
             if measured < floor:
-                failed.append(level)
+                failed.append(variant)
         if failed:
             print(f"FAIL: session throughput ({', '.join(failed)}) regressed "
                   f">{args.tolerance:.0%} vs checked-in baseline "

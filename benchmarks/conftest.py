@@ -47,17 +47,23 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def greenweb_session(app, scenario, trace_level="gated", fast_voltage_regulators=False):
-    """Run ``app``'s micro trace under GreenWeb through the runner's
-    session builder (seed 0, 4 s settle) and return the finished
-    :class:`SessionExecution` with its :class:`RunResult`.  Ablations
-    that scan the retained trace ask for ``trace_level="full"``."""
-    execution = SessionExecution(
-        build_app(app), "greenweb", scenario, "micro", 0, 4.0, trace_level,
+def greenweb_execution(app, scenario, trace=False, fast_voltage_regulators=False):
+    """``app``'s micro trace under GreenWeb as a prepared
+    :class:`SessionExecution` (seed 0, 4 s settle), not yet run, so
+    folds can join ``platform.observers`` first.  Ablations that scan
+    the trace ask for ``trace=True``."""
+    return SessionExecution(
+        build_app(app), "greenweb", scenario, "micro", 0, 4.0, trace,
         lambda platform, registry, live: POLICIES.build(
             "greenweb", platform, registry, live
         ),
         fast_voltage_regulators=fast_voltage_regulators,
     )
+
+
+def greenweb_session(app, scenario, trace=False, fast_voltage_regulators=False):
+    """Run :func:`greenweb_execution` and return the finished
+    :class:`SessionExecution` with its :class:`RunResult`."""
+    execution = greenweb_execution(app, scenario, trace, fast_voltage_regulators)
     execution.run()
     return execution, execution.finish()

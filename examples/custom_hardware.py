@@ -63,10 +63,6 @@ def run_on(platform, label):
 
     latencies = browser.tracker.all_frame_latencies_us()
     mean_latency = sum(latencies) / len(latencies) / 1000 if latencies else 0
-    little_time = sum(
-        1 for r in platform.trace.filter(category="config", name="applied")
-        if r["cluster"] == "little"
-    )
     print(f"{label:28s} energy={platform.meter.total_j*1000:8.1f} mJ "
           f"frames={browser.stats.frames:4d} mean-frame={mean_latency:5.1f} ms "
           f"configs-applied={platform.dvfs.switch_count}")

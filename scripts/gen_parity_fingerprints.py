@@ -1,10 +1,11 @@
 """Regenerate the differential-parity golden fingerprints.
 
-Runs every (application x builtin governor x trace level) cell, plus
+Runs every (application x builtin governor x golden leg) cell, plus
 the dynamic-scenario cells, and records a SHA-256 over the canonical
 JSON of each session's result dict.  ``gated`` cells run through
-:func:`repro.evaluation.runner.run_workload_job`; ``full`` cells build
-the same session through ``SessionExecution`` with a retained trace.
+:func:`repro.evaluation.runner.run_workload_job`, with no trace;
+``full`` cells build the same session through ``SessionExecution`` with
+a trace attached.
 The differential suite (``tests/differential/test_batch_parity.py``
 and ``test_scenario_dynamics.py``) asserts every cell reproduces these
 bytes.
@@ -39,10 +40,12 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
 TRACE_KIND = "micro"
 SEED = 0
 SETTLE_S = 4.0
-TRACE_LEVELS = ("full", "gated")
+#: The golden legs: ``full`` runs with a trace attached, ``gated``
+#: without one (the key names predate the single trace/no-trace switch).
+LEGS = ("full", "gated")
 
-#: Dynamic-scenario cells (app, governor, scenario spec), swept at both
-#: trace levels into the separate ``dynamic_cells`` section — the
+#: Dynamic-scenario cells (app, governor, scenario spec), swept on both
+#: golden legs into the separate ``dynamic_cells`` section — the
 #: static ``cells`` sweep above pins the bare-scenario bytes and must
 #: never change when these do.  Parameters are chosen so the dynamics
 #: actually engage on the micro traces: paperjs's animation load trips
@@ -65,14 +68,14 @@ def job_fingerprint(result: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run_cell(job: dict, level: str) -> dict:
-    """One cell's result dict at trace ``level``."""
-    if level == "gated":
+def run_cell(job: dict, leg: str) -> dict:
+    """One cell's result dict on golden leg ``leg``."""
+    if leg == "gated":
         return run_workload_job(job)
     governor = job["governor"]
     execution = SessionExecution(
         build_app(job["app"], SEED), POLICIES.normalize(governor).label(),
-        job.get("scenario", "imperceptible"), TRACE_KIND, SEED, SETTLE_S, level,
+        job.get("scenario", "imperceptible"), TRACE_KIND, SEED, SETTLE_S, True,
         lambda platform, registry, scenario: POLICIES.build(
             governor, platform, registry, scenario
         ),
@@ -85,20 +88,20 @@ def main() -> int:
     cells = {}
     for app in APP_NAMES:
         for governor in GOVERNORS:
-            for level in TRACE_LEVELS:
+            for leg in LEGS:
                 result = run_cell({
                     "app": app,
                     "governor": governor,
                     "trace_kind": TRACE_KIND,
                     "seed": SEED,
                     "settle_s": SETTLE_S,
-                }, level)
-                cells[f"{app}:{governor}:{level}"] = job_fingerprint(result)
-                print(f"{app}:{governor}:{level}", cells[f"{app}:{governor}:{level}"][:16])
+                }, leg)
+                cells[f"{app}:{governor}:{leg}"] = job_fingerprint(result)
+                print(f"{app}:{governor}:{leg}", cells[f"{app}:{governor}:{leg}"][:16])
     dynamic_cells = {}
     for app, governor, scenario in DYNAMIC_CELLS:
         canonical_scenario = SCENARIOS.normalize(scenario).canonical()
-        for level in TRACE_LEVELS:
+        for leg in LEGS:
             result = run_cell({
                 "app": app,
                 "governor": governor,
@@ -106,8 +109,8 @@ def main() -> int:
                 "trace_kind": TRACE_KIND,
                 "seed": SEED,
                 "settle_s": SETTLE_S,
-            }, level)
-            key = f"{app}:{governor}:{canonical_scenario}:{level}"
+            }, leg)
+            key = f"{app}:{governor}:{canonical_scenario}:{leg}"
             dynamic_cells[key] = job_fingerprint(result)
             print(key, dynamic_cells[key][:16])
     payload = {

@@ -115,6 +115,7 @@ class Browser:
         self.page = page
         self.kernel = platform.kernel
         self.trace = platform.trace
+        self._observers = platform.observers
         self.main = platform.create_context("renderer_main")
         self.compositor = platform.create_context("compositor")
         self.tracker = FrameTracker(on_input_complete=self._input_completed)
@@ -170,7 +171,8 @@ class Browser:
             event.detail.update(detail)
         self.tracker.input_received(msg)
         self.stats.inputs += 1
-        self.trace.emit(now, "input", event_type.value, uid=msg.uid, target=msg.target_key)
+        for observer in self._observers:
+            observer.input_dispatched(now, msg)
         self.policy.on_input(msg, event)
         self.tracker.retain(msg.uid)  # released when renderer dispatch ends
         self.kernel.schedule_in(
@@ -239,14 +241,15 @@ class Browser:
             # The page's script error: logged to the console track,
             # never fatal to the engine (browsers keep running).
             self.stats.script_errors += 1
-            self.trace.emit(
-                self.kernel.now_us,
-                "console",
-                "error",
-                callback=effects.error.callback_name,
-                exception=effects.error.exception_type,
-                message=effects.error.message[:200],
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    self.kernel.now_us,
+                    "console",
+                    "error",
+                    callback=effects.error.callback_name,
+                    exception=effects.error.exception_type,
+                    message=effects.error.message[:200],
+                )
         self.tracker.retain(msg.uid)
         self.main.submit(
             effects.work,
@@ -261,7 +264,7 @@ class Browser:
         # Callback-completion latency is traced so the Sec. 6.3 ablation
         # can contrast it with true frame latency (prior work measured
         # only the former; the paper argues it is insufficient).
-        if self.trace.wants("callback"):
+        if self.trace is not None:
             self.trace.emit(
                 self.kernel.now_us,
                 "callback",
@@ -406,7 +409,7 @@ class Browser:
         self.tracker.retain(animation.msg.uid)
         self._animations.append(animation)
         self.vsync.request()
-        if self.trace.wants("animation"):
+        if self.trace is not None:
             self.trace.emit(
                 self.kernel.now_us,
                 "animation",
@@ -505,7 +508,7 @@ class Browser:
         self._animations = survivors
 
     def _finish_animation(self, animation: _ActiveAnimation) -> None:
-        if self.trace.wants("animation"):
+        if self.trace is not None:
             self.trace.emit(
                 self.kernel.now_us,
                 "animation",
@@ -564,26 +567,14 @@ class Browser:
         self.tracker.frame_displayed(frame, now)
         self.stats.frames += 1
         self._frame_in_flight = False
-        if self.trace.wants("frame"):
-            self.trace.emit(
-                now,
-                "frame",
-                "displayed",
-                seq=frame.seq,
-                uids=tuple(frame.uids),
-                complexity=frame.complexity,
-                max_latency_us=frame.max_latency_us,
-            )
+        for observer in self._observers:
+            observer.frame_displayed(now, frame)
         self.policy.on_frame_displayed(frame)
 
     def _input_completed(self, record: InputRecord) -> None:
-        self.trace.emit(
-            self.kernel.now_us,
-            "input",
-            "complete",
-            uid=record.uid,
-            frames=record.frame_count,
-        )
+        now = self.kernel.now_us
+        for observer in self._observers:
+            observer.input_completed(now, record)
         self.policy.on_input_complete(record)
 
     # ------------------------------------------------------------------

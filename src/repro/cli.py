@@ -111,7 +111,7 @@ def _prepared_session(args: argparse.Namespace, command: str):
         )
     return SessionExecution(
         build_app(args.app, args.seed), spec.label(), args.scenario, args.trace,
-        args.seed, 4.0, "full",
+        args.seed, 4.0, True,
         lambda platform, registry, scenario: POLICIES.build(
             spec, platform, registry, scenario
         ),
@@ -171,10 +171,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.evaluation.report import ascii_bars
 
     execution = _prepared_session(args, "analyze")
+    frames = FrameTimelineFold()
+    execution.platform.observers.append(frames)
     execution.run()
-    platform = execution.platform
 
-    stats = FrameTimelineFold().replay(platform.trace).stats()
+    stats = frames.stats()
     print(f"frame timeline for {args.app} / {args.governor} / {args.scenario}:")
     print(f"  frames:      {stats.frame_count} over {stats.duration_s:.1f} s "
           f"({stats.mean_fps:.1f} fps mean)")
@@ -184,7 +185,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           f"max={stats.latency_max_us/1000:.1f} ms")
     print(f"  jank:        {stats.jank_count} frames >= 2 vsync periods "
           f"({stats.jank_rate:.1%})")
-    series = fps_over_time(platform.trace, bucket_ms=1000)
+    series = fps_over_time(execution.platform.trace, bucket_ms=1000)
     if series:
         print("\nfps over time (1 s buckets):")
         print(ascii_bars(

@@ -179,17 +179,10 @@ class GreenWebRuntime(BrowserPolicy):
         observed_us = float(frame.max_latency_us)
         target_us = self.scenario.operative_target_ms(spec.target) * 1_000.0
 
-        if self.platform.trace.wants("greenweb"):
-            self.platform.trace.emit(
-                self.platform.kernel.now_us,
-                "greenweb",
-                "observe",
-                key=key,
-                phase=state.phase.value,
-                observed_us=int(observed_us),
-                target_us=int(target_us),
-                violated=observed_us > target_us,
-            )
+        now = self.platform.kernel.now_us
+        for observer in self.platform.observers:
+            observer.observed(now, key, state.phase.value, int(observed_us), int(target_us),
+                              observed_us > target_us)
         if not self.profiler.observe(state, spec, observed_us):
             self.feedback_controller.feedback(state, observed_us, target_us)
 
@@ -230,28 +223,18 @@ class GreenWebRuntime(BrowserPolicy):
         if profiling_config is not None:
             self.stats.profiling_frames += 1
             return profiling_config
-        prediction = self.predictor.predict(
-            state.models,
-            self.scenario.operative_target_ms(spec.target) * self.target_headroom,
-        )
+        target_ms = self.scenario.operative_target_ms(spec.target)
+        prediction = self.predictor.predict(state.models, target_ms * self.target_headroom)
         state.last_prediction = prediction
         self.stats.predictions += 1
         requested = self._apply_boost(prediction.config, state.boost)
         predicted_at_requested = state.models.predict_us(requested)
         state.last_requested = (requested, predicted_at_requested)
-        if self.platform.trace.wants("greenweb"):
-            self.platform.trace.emit(
-                self.platform.kernel.now_us,
-                "greenweb",
-                "predict",
-                key=key,
-                target_ms=self.scenario.operative_target_ms(spec.target),
-                config=str(requested),
-                predicted_us=round(predicted_at_requested, 1),
-                predicted_energy_j=round(prediction.energy_j, 9),
-                meets_target=prediction.meets_target,
-                boost=state.boost,
-            )
+        now = self.platform.kernel.now_us
+        for observer in self.platform.observers:
+            observer.predicted(now, key, target_ms, requested, round(predicted_at_requested, 1),
+                               round(prediction.energy_j, 9), prediction.meets_target,
+                               state.boost)
         return requested
 
     def _apply_boost(self, config: CpuConfig, boost: int) -> CpuConfig:

@@ -5,7 +5,7 @@ Reproduces the paper's Sec. 7 methodology:
 * :mod:`repro.evaluation.metrics` — QoS violation (per-frame percentage
   over target; geometric mean across a continuous event's frames) and
   configuration switching frequency (Fig. 12).
-* :mod:`repro.evaluation.folds` — streaming trace consumers, the only
+* :mod:`repro.evaluation.folds` — streaming session observers, the only
   metric path for architecture-configuration residency (Fig. 11),
   frame-timeline statistics and prediction accuracy.
 * :mod:`repro.evaluation.runner` — run one (application, governor,

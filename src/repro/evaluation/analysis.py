@@ -7,8 +7,7 @@ the "tiny hitches" of Sec. 3.3 that make per-frame targets necessary)
 — plus a static-configuration trade-off sweep that maps the ACMP
 energy/latency space the paper's Sec. 2 motivates.  The timeline and
 prediction-accuracy statistics are computed by the streaming folds in
-:mod:`repro.evaluation.folds` (``FrameTimelineFold().replay(trace)``
-judges a retained trace after the fact).
+:mod:`repro.evaluation.folds`, attached to a session before it runs.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ def run_tradeoff_space(
     points = []
     for config in odroid_xu_e().all_configs():
         execution = SessionExecution(
-            build_app(app, seed), str(config), scenario, "micro", seed, 6.0, "gated",
+            build_app(app, seed), str(config), scenario, "micro", seed, 6.0, False,
             lambda platform, registry, live, config=config: PinnedGovernor(
                 platform, config
             ),

@@ -1,76 +1,41 @@
-"""Streaming trace consumers ("folds").
+"""Streaming session observers ("folds").
 
-A fold subscribes to a :class:`~repro.sim.tracing.TraceLog` and
-accumulates a metric *while the run executes*, so the evaluation runner
-and fleet workers no longer need the full trace retained in memory:
-with a gated, non-retaining log the per-session footprint is constant
-no matter how long the session runs.
+A fold is a :class:`~repro.sim.tracing.SessionObserver` that
+accumulates one metric *while the run executes*, from the typed hooks
+it overrides; it attaches by joining ``MobilePlatform.observers``
+before the run.  No fold needs a trace, so the same fold gives the same
+answer on a results-only session and on a traced one, and the
+per-session footprint stays constant however long the session runs.
 
-Folds are the only metric path: configuration residency (Figs. 11 and
+Folds are the only metric path: configuration residency (Fig. 11 and
 the target sweep), frame-timeline statistics and prediction accuracy
-exist only here.  Every fold gives the same answer attached live or
-:meth:`~TraceFold.replay`-ed over a retained log (the post-hoc path),
-which is what keeps figure and fleet-aggregate JSON byte-identical
-across trace levels (asserted by tests).  Each fold declares the trace
-categories it consumes in ``categories``; a fold attached to a gated
-log sees only :data:`~repro.sim.tracing.GATED_CATEGORIES`, so folds
-over other categories run on a retained (``"full"``) log.
+exist only here.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.browser.frame_tracker import FrameRecord
 from repro.browser.vsync import VSYNC_PERIOD_US
 from repro.errors import EvaluationError
 from repro.evaluation.analysis import FrameTimelineStats, PredictionAccuracy, percentile
 from repro.hardware.dvfs import CpuConfig
-from repro.sim.tracing import TraceLog, TraceRecord
+from repro.sim.tracing import SessionObserver
 
 
-class TraceFold:
-    """Base class: a live trace subscriber that folds records into a
-    constant-size accumulator."""
+class ConfigTimelineFold(SessionObserver):
+    """Collects applied configurations; answers the Fig. 11 residency
+    questions.
 
-    #: trace categories this fold reads; everything else is ignored.
-    categories: frozenset[str] = frozenset()
-
-    def attach(self, trace: TraceLog) -> "TraceFold":
-        """Subscribe to ``trace`` and return self (for chaining)."""
-        trace.subscribe(self.on_record)
-        return self
-
-    def on_record(self, record: TraceRecord) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def replay(self, trace: TraceLog) -> "TraceFold":
-        """Fold a *retained* trace after the fact (post-hoc parity path:
-        feeding a full log through ``replay`` gives the same state as
-        having been attached for the whole run)."""
-        for record in trace.records:
-            if record.category in self.categories:
-                self.on_record(record)
-        return self
-
-
-class ConfigTimelineFold(TraceFold):
-    """Collects ``config/applied`` events; answers the Fig. 11
-    residency questions without the full trace.
-
-    Memory is O(configuration switches), not O(records).
+    Memory is O(configuration switches).
     """
-
-    categories = frozenset({"config"})
 
     def __init__(self) -> None:
         self.applied: list[tuple[int, CpuConfig]] = []
 
-    def on_record(self, record: TraceRecord) -> None:
-        if record.category == "config" and record.name == "applied":
-            data = record.data
-            self.applied.append(
-                (record.time_us, CpuConfig(data["cluster"], data["freq_mhz"]))
-            )
+    def config_applied(self, time_us: int, config: CpuConfig) -> None:
+        self.applied.append((time_us, config))
 
     def residency(
         self, start_us: int, end_us: int, initial: CpuConfig
@@ -135,25 +100,22 @@ class ConfigTimelineFold(TraceFold):
         return {config: weight / total for config, weight in weights.items()}
 
 
-class FrameTimelineFold(TraceFold):
+class FrameTimelineFold(SessionObserver):
     """Accumulates displayed-frame latencies for timeline statistics.
 
-    Memory is O(frames) floats instead of O(records) objects.
+    Memory is O(frames) floats.
     """
-
-    categories = frozenset({"frame"})
 
     def __init__(self) -> None:
         self.latencies_us: list[float] = []
         self.first_us: Optional[int] = None
         self.last_us: Optional[int] = None
 
-    def on_record(self, record: TraceRecord) -> None:
-        if record.category == "frame" and record.name == "displayed":
-            self.latencies_us.append(float(record["max_latency_us"]))
-            if self.first_us is None:
-                self.first_us = record.time_us
-            self.last_us = record.time_us
+    def frame_displayed(self, time_us: int, frame: FrameRecord) -> None:
+        self.latencies_us.append(float(frame.max_latency_us))
+        if self.first_us is None:
+            self.first_us = time_us
+        self.last_us = time_us
 
     def stats(self, vsync_period_us: int = VSYNC_PERIOD_US) -> FrameTimelineStats:
         """Timeline statistics over the displayed frames seen so far;
@@ -175,30 +137,29 @@ class FrameTimelineFold(TraceFold):
         )
 
 
-class PredictionAccuracyFold(TraceFold):
-    """Pairs GreenWeb ``predict`` records with stable-phase ``observe``
-    records as they stream by (Sec. 6.2's model, judged)."""
-
-    categories = frozenset({"greenweb"})
+class PredictionAccuracyFold(SessionObserver):
+    """Pairs GreenWeb predictions with stable-phase observations as
+    they happen (Sec. 6.2's model, judged)."""
 
     def __init__(self) -> None:
         self._pending: dict[str, float] = {}
         self.errors: list[float] = []
         self.under_predictions = 0
 
-    def on_record(self, record: TraceRecord) -> None:
-        if record.category != "greenweb":
+    def predicted(self, time_us, key, target_ms, config, predicted_us, predicted_energy_j,
+                  meets_target, boost):
+        self._pending[key] = float(predicted_us)
+
+    def observed(self, time_us, key, phase, observed_us, target_us, violated):
+        if phase != "stable":
             return
-        if record.name == "predict":
-            self._pending[record["key"]] = float(record["predicted_us"])
-        elif record.name == "observe" and record["phase"] == "stable":
-            predicted = self._pending.pop(record["key"], None)
-            if predicted is None or predicted <= 0:
-                return
-            observed = float(record["observed_us"])
-            self.errors.append(abs(observed - predicted) / predicted)
-            if observed > predicted:
-                self.under_predictions += 1
+        predicted = self._pending.pop(key, None)
+        if predicted is None or predicted <= 0:
+            return
+        observed = float(observed_us)
+        self.errors.append(abs(observed - predicted) / predicted)
+        if observed > predicted:
+            self.under_predictions += 1
 
     def result(self) -> PredictionAccuracy:
         """Summary of the relative errors paired so far: a prediction

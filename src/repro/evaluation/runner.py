@@ -8,6 +8,12 @@ configuration residency, and switching counts.
 Fixed-window measurement mirrors the paper's methodology: energy is
 power integrated over the real execution time of the interaction
 session, so a governor that idles at high power keeps paying for it.
+
+Every metric comes from session observers (the residency fold and the
+active-window accountant, see :mod:`repro.sim.tracing`) or from
+counters, so a session needs no trace to produce its result: only
+:class:`SessionExecution` callers that read ``platform.trace``
+afterwards (trace export, analysis) attach one.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.browser.engine import Browser, event_key, target_key
+from repro.browser.frame_tracker import InputRecord
+from repro.browser.messages import InputMsg
 from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import QoSSpec
 from repro.errors import EvaluationError
@@ -26,7 +34,7 @@ from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
 from repro.scenarios import SCENARIOS, Scenario, ScenarioSpec, build_live_scenario
 from repro.sim.clock import s_to_us
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import SessionObserver, TraceLog
 from repro.workloads.base import AppBundle
 from repro.web.dom import Element
 from repro.workloads.interactions import InteractionDriver, InteractionTrace, ScriptedEvent
@@ -46,14 +54,13 @@ GOVERNORS: tuple[str, ...] = (
 )
 
 
-class _ActiveWindowAccountant:
+class _ActiveWindowAccountant(SessionObserver):
     """Integrates energy over the union of input-active windows.
 
     The paper's micro-benchmarks report the energy of *the interaction*
     (event dispatch until its associated frames complete), not of the
-    idle gaps between repetitions.  The accountant watches the trace
-    stream: an input's window opens at dispatch and closes at its
-    completion record; overlapping windows merge.
+    idle gaps between repetitions.  An input's window opens at its
+    dispatch and closes at its completion; overlapping windows merge.
     """
 
     def __init__(self, platform) -> None:
@@ -65,26 +72,24 @@ class _ActiveWindowAccountant:
         self._window_start_us = 0
         #: closed [start_us, end_us] active windows, in order
         self.windows: list[tuple[int, int]] = []
-        platform.trace.subscribe(self._on_record)
 
-    def _on_record(self, record) -> None:
-        if record.category != "input":
-            return
-        meter = self._platform.meter
-        if record.name == "complete":
-            if record["uid"] in self._open_inputs:
-                self._open_inputs.discard(record["uid"])
-                if not self._open_inputs:
-                    meter.finalize(record.time_us)
-                    self.active_energy_j += meter.total_j - self._window_start_j
-                    self.active_time_us += record.time_us - self._window_start_us
-                    self.windows.append((self._window_start_us, record.time_us))
-        else:  # a dispatch record (named by its event type)
+    def input_dispatched(self, time_us: int, msg: InputMsg) -> None:
+        if not self._open_inputs:
+            meter = self._platform.meter
+            meter.finalize(time_us)
+            self._window_start_j = meter.total_j
+            self._window_start_us = time_us
+        self._open_inputs.add(msg.uid)
+
+    def input_completed(self, time_us: int, record: InputRecord) -> None:
+        if record.uid in self._open_inputs:
+            self._open_inputs.discard(record.uid)
             if not self._open_inputs:
-                meter.finalize(record.time_us)
-                self._window_start_j = meter.total_j
-                self._window_start_us = record.time_us
-            self._open_inputs.add(record["uid"])
+                meter = self._platform.meter
+                meter.finalize(time_us)
+                self.active_energy_j += meter.total_j - self._window_start_j
+                self.active_time_us += time_us - self._window_start_us
+                self.windows.append((self._window_start_us, time_us))
 
 
 @dataclass
@@ -216,12 +221,10 @@ def run_workload(
         seed: workload seed.
         settle_s: wall-clock tail after the last input.
 
-    The session runs with a ``"gated"`` trace: every metric in the
-    returned :class:`RunResult` is fed by streaming folds over the
-    ``input``/``config`` categories (or by non-trace counters), so a
-    retained trace would change nothing and nobody could read it.
-    Callers that want the trace build a :class:`SessionExecution` at
-    ``"full"``.
+    The session runs without a trace: nobody could read one, and every
+    metric in the returned :class:`RunResult` comes from session
+    observers or counters.  Callers that want the trace build a
+    :class:`SessionExecution` with ``trace=True``.
     """
     spec = POLICIES.normalize(governor)
     scenario_spec = SCENARIOS.normalize(scenario)
@@ -259,9 +262,11 @@ class SessionExecution:
     :class:`RunResult`.  :func:`execute_run` is the usual caller and
     runs the three steps back to back.
 
-    ``trace_level`` is a :data:`~repro.sim.tracing.TRACE_LEVELS`
-    member: ``"full"`` when the caller reads ``platform.trace``
-    afterwards, ``"gated"`` otherwise (results are identical).
+    ``trace`` attaches a retaining :class:`~repro.sim.tracing.TraceLog`
+    as ``platform.trace``, for callers that read it afterwards; without
+    one ``platform.trace`` is None.  Results are identical either way.
+    Further observers (folds) join ``platform.observers`` before
+    :meth:`run`.
     ``fast_voltage_regulators`` selects the platform's IVR variant
     (5 us frequency switches instead of 100 us; see
     :func:`~repro.hardware.platform.odroid_xu_e`).
@@ -275,7 +280,7 @@ class SessionExecution:
         trace_kind: str,
         seed: int,
         settle_s: float,
-        trace_level: str,
+        trace: bool,
         policy_factory,
         fast_voltage_regulators: bool = False,
     ) -> None:
@@ -284,13 +289,13 @@ class SessionExecution:
         self.scenario_spec = SCENARIOS.normalize(scenario)
         self.trace_kind = trace_kind
 
-        trace = _resolve_trace(bundle, trace_kind)
+        interactions = _resolve_trace(bundle, trace_kind)
 
         self.platform = odroid_xu_e(
-            trace=TraceLog(trace_level),
+            trace=TraceLog() if trace else None,
             fast_voltage_regulators=fast_voltage_regulators,
         )
-        #: the configuration in force before the first ``config/applied``
+        #: the configuration in force before the first applied switch
         self._initial_config = self.platform.config
         # Each session gets a FRESH live scenario (instances carry run
         # state), bound before the policy so the policy can read its
@@ -302,8 +307,9 @@ class SessionExecution:
         self.policy = policy_factory(self.platform, registry, self.scenario)
         self.browser = Browser(self.platform, bundle.page, policy=self.policy)
         self.scenario.attach(self.browser)
-        self._config_fold = ConfigTimelineFold().attach(self.platform.trace)
+        self._config_fold = ConfigTimelineFold()
         self._accountant = _ActiveWindowAccountant(self.platform)
+        self.platform.observers += [self._config_fold, self._accountant]
         driver = InteractionDriver(self.browser)
 
         # Pre-resolve each trace event's QoS spec (annotation state is
@@ -311,12 +317,12 @@ class SessionExecution:
         # comparisons judge identical targets.
         self._specs: list[Optional[QoSSpec]] = [
             registry.lookup(target, scripted.event_type)
-            for scripted, target in _resolve_targets(bundle, trace)
+            for scripted, target in _resolve_targets(bundle, interactions)
         ]
 
-        driver.schedule(trace)
+        driver.schedule(interactions)
         #: the fixed measurement window (trace duration + settle tail)
-        self.window_us = trace.duration_us + s_to_us(settle_s)
+        self.window_us = interactions.duration_us + s_to_us(settle_s)
 
     def run(self) -> None:
         """Advance this session's kernel through the measurement window
@@ -342,9 +348,6 @@ class SessionExecution:
             else:
                 violations.append(event_violation_pct(record, spec, self.scenario))
 
-        # Residency comes from the streaming fold rather than a post-hoc
-        # trace scan, so a non-retaining ("gated") log yields the same
-        # numbers as "full" — see repro.evaluation.folds.
         residency = self._config_fold.residency(
             0, platform.kernel.now_us, initial=self._initial_config
         )
@@ -391,11 +394,12 @@ def execute_run(
     :func:`run_workload` is the spec-aware front door; the oracle calls
     this directly with its pinned-replay policies — each replay gets
     its own scenario instance, so thermal state never leaks between
-    replays.  The session runs ``"gated"``, as in :func:`run_workload`.
+    replays.  The session runs without a trace, as in
+    :func:`run_workload`.
     """
     execution = SessionExecution(
         build_app(app, seed), governor_label, scenario, trace_kind, seed, settle_s,
-        "gated", policy_factory,
+        False, policy_factory,
     )
     execution.run()
     return execution.finish()

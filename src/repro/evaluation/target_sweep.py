@@ -86,7 +86,7 @@ def run_target_sweep(
             f"{selector}:QoS {{ {prop}-qos: continuous, {value}, {value}; }}"
         ))
         execution = SessionExecution(
-            bundle, governor_spec.label(), "imperceptible", "micro", seed, 4.0, "gated",
+            bundle, governor_spec.label(), "imperceptible", "micro", seed, 4.0, False,
             lambda platform, registry, scenario: POLICIES.build(
                 governor_spec, platform, registry, scenario
             ),

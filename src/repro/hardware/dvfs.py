@@ -179,7 +179,7 @@ class DvfsController:
             self.freq_switches += 1
             overhead = self.freq_switch_overhead_us
 
-        if platform.trace.wants("dvfs"):
+        if platform.trace is not None:
             platform.trace.emit(
                 platform.kernel.now_us,
                 "dvfs",

@@ -202,7 +202,7 @@ class ExecutionContext:
         task.remaining = _ZERO_WORK
         task._completion_event = None
         self._current = None
-        if self._platform.record_task_spans:
+        if self._platform.record_task_spans and self._platform.trace is not None:
             self._platform.trace.emit(
                 now,
                 "task",

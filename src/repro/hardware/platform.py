@@ -27,7 +27,7 @@ from repro.hardware.energy import EnergyMeter
 from repro.hardware.execution import ExecutionContext
 from repro.hardware.power import PowerBreakdown, PowerModel
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import SessionObserver, TraceLog
 
 
 class MobilePlatform:
@@ -44,7 +44,11 @@ class MobilePlatform:
         migration_overhead_us: Optional[int] = None,
     ) -> None:
         self.kernel = kernel if kernel is not None else Kernel()
-        self.trace = trace if trace is not None else TraceLog()
+        #: the retained trace, or None (the default: no records built)
+        self.trace = trace
+        #: every hook of a session fact goes to each of these in order;
+        #: the session builder appends its folds after the trace
+        self.observers: list[SessionObserver] = [] if trace is None else [trace]
         self.power_model = power_model if power_model is not None else PowerModel()
 
         specs = cluster_specs if cluster_specs is not None else [
@@ -87,10 +91,10 @@ class MobilePlatform:
         self._busy: set[ExecutionContext] = set()
         self._paused_depth = 0
         self._busy_observers: list = []
-        #: opt-in: emit a "task/span" trace record for every completed
-        #: task (start, duration, context, label) — the per-thread
-        #: timeline view for chrome-trace exports.  Off by default to
-        #: keep evaluation-scale runs lean.
+        #: opt-in, with a trace: emit a "task/span" record for every
+        #: completed task (start, duration, context, label) — the
+        #: per-thread timeline view for chrome-trace exports.  Off by
+        #: default to keep traced runs lean.
         self.record_task_spans = False
 
         # Utilization accounting (for the interactive governor).
@@ -203,13 +207,9 @@ class MobilePlatform:
             self._active_cluster.power_on()
         self._active_cluster.set_frequency(config.freq_mhz)
         self._set_applied_config(config)
-        self.trace.emit(
-            self.kernel._now_us,
-            "config",
-            "applied",
-            cluster=config.cluster,
-            freq_mhz=config.freq_mhz,
-        )
+        now = self.kernel._now_us
+        for observer in self.observers:
+            observer.config_applied(now, config)
         self._notify_power_change()
 
     # ------------------------------------------------------------------

@@ -19,8 +19,8 @@ Determinism contract
 Everything a scenario does is a function of **virtual time** and its
 forked RNG lane (``RngStreams(seed).fork("scenario")``): no wall-clock,
 no global state, so a dynamic scenario's session is byte-identical
-across runs, processes and trace levels — the differential suite
-pins this against checked-in goldens.
+across runs, processes, and sessions with or without a trace — the
+differential suite pins this against checked-in goldens.
 Per-event QoS violations sample the operative target at the event's
 *dispatch* time (see :func:`repro.evaluation.metrics.event_violation_pct`),
 so accounting is insensitive to how long the frame itself took.

@@ -158,7 +158,7 @@ class ThermalScenario(Scenario):
         else:
             start, _open = self.engagements[-1]
             self.engagements[-1] = (start, now_us)
-        if self.platform.trace.wants("scenario"):
+        if self.platform.trace is not None:
             self.platform.trace.emit(
                 now_us,
                 "scenario",
@@ -299,7 +299,7 @@ class NetDelayScenario(Scenario):
             context.submit(self._chunk, label="netdelay")
         self.arrivals += 1
         self._extra_work_us += self.burst * self.work_ms * 1_000.0
-        if self.platform.trace.wants("scenario"):
+        if self.platform.trace is not None:
             self.platform.trace.emit(
                 self.platform.kernel.now_us,
                 "scenario",

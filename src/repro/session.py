@@ -25,6 +25,7 @@ from repro.evaluation.runner import RunResult, run_workload
 from repro.hardware.platform import MobilePlatform, odroid_xu_e
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS, ScenarioSpec, build_live_scenario
+from repro.sim.tracing import TraceLog
 from repro.workloads.registry import APP_NAMES
 
 
@@ -79,8 +80,9 @@ class Session:
         custom page; the caller drives inputs directly via
         ``browser.dispatch_event`` or an
         :class:`~repro.workloads.InteractionDriver`.  ``seed`` feeds
-        the scenario's RNG lane (dynamic scenarios only)."""
-        platform = odroid_xu_e()
+        the scenario's RNG lane (dynamic scenarios only).  The platform
+        retains a trace (``platform.trace``) for the caller to read."""
+        platform = odroid_xu_e(trace=TraceLog())
         live = build_live_scenario(scenario, platform, seed=seed)
         registry = AnnotationRegistry.from_stylesheet(page.stylesheet)
         policy = POLICIES.build(governor, platform, registry, live)

@@ -9,8 +9,9 @@ Public surface:
 * :class:`~repro.sim.kernel.Kernel` — the event loop.
 * :class:`~repro.sim.clock.SimTime` helpers — all kernel-facing time is
   integer **microseconds** to keep event ordering exact.
-* :class:`~repro.sim.tracing.TraceLog` — structured event log used by
-  the evaluation harness and by tests.
+* :class:`~repro.sim.tracing.SessionObserver` — the typed hooks a
+  session reports its facts through; :class:`~repro.sim.tracing.TraceLog`
+  is the observer that retains them as a structured event log.
 * :class:`~repro.sim.random.RngStreams` — named, seeded RNG streams so
   every experiment is deterministic.
 """
@@ -26,11 +27,12 @@ from repro.sim.clock import (
 )
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.random import RngStreams
-from repro.sim.tracing import TraceLog, TraceRecord
+from repro.sim.tracing import SessionObserver, TraceLog, TraceRecord
 
 __all__ = [
     "Kernel",
     "ScheduledEvent",
+    "SessionObserver",
     "TraceLog",
     "TraceRecord",
     "RngStreams",

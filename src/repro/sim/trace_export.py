@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.errors import SimulationError
 from repro.sim.tracing import TraceLog
 
 #: trace-event "phases" (Chrome trace format)
@@ -38,12 +37,6 @@ _TID_TASK_BASE = 10  # per-context task tracks allocated from here
 
 def to_chrome_trace(trace: TraceLog) -> list[dict[str, Any]]:
     """Convert a trace log into a list of Chrome trace events."""
-    if not trace.retaining:
-        raise SimulationError(
-            "cannot export a non-retaining (gated) trace log: records "
-            "were streamed to subscribers and dropped; re-run with "
-            "trace level 'full'"
-        )
     events: list[dict[str, Any]] = [
         _meta(_TID_INPUT, "inputs"),
         _meta(_TID_FRAME, "frames"),

@@ -1,45 +1,67 @@
-"""Structured trace log.
+"""Session observers and the retained trace log.
 
-Components append :class:`TraceRecord` entries (timestamp, category,
-name, payload dict).  The evaluation harness computes every paper metric
-from traces rather than from ad-hoc counters, which keeps the
-measurement path uniform across governors and makes tests able to
-assert on the exact sequence of platform decisions.
+A session reports the facts its metrics are computed from through the
+typed hooks of :class:`SessionObserver`: an input dispatched and
+completed, a configuration applied, a frame displayed, and the GreenWeb
+runtime's predictions and observations.  Each emit site calls the hook
+on every observer in ``MobilePlatform.observers``, in list order.  The
+streaming folds (:mod:`repro.evaluation.folds`) and the runner's
+active-window accountant override only the hooks they read.
 
-Because the measurement path *is* the hot path at population scale, a
-``TraceLog`` has two levels:
+:class:`TraceLog` is one more observer, the retaining one: each hook
+becomes a :class:`TraceRecord`, kept in emission order and indexed per
+``(category, name)`` so :meth:`~TraceLog.filter`/:meth:`~TraceLog.count`
+touch only matching records.  Facts that only a trace reads (console
+errors, callback completions, animations, DVFS requests, scenario
+events, task spans) are emitted straight to ``platform.trace`` under
+``if trace is not None``.
 
-* ``"full"`` — every record is constructed, retained in memory, and
-  indexed per ``(category, name)`` so :meth:`filter`/:meth:`count`
-  touch only matching records instead of scanning the whole log;
-* ``"gated"`` — only the :data:`GATED_CATEGORIES` records are
-  constructed and records are *not* retained: they flow to subscribers
-  (streaming folds, see :mod:`repro.evaluation.folds`) and are dropped,
-  so memory per session is constant.
-
-Only callers that read the retained trace (trace export, analysis)
-ask for ``"full"``; every API that returns just results runs gated.
-
-Hot emit sites should guard expensive payload construction with
-:meth:`TraceLog.wants` so a gated log skips the formatting work
-entirely, not just the record append.
+A session has a trace or has none.  Results-only sessions run with
+none and build no records; trace export and analysis attach one
+(``SessionExecution(..., trace=True, ...)``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
-from repro.errors import SimulationError
+if TYPE_CHECKING:
+    from repro.browser.frame_tracker import FrameRecord, InputRecord
+    from repro.browser.messages import InputMsg
+    from repro.hardware.dvfs import CpuConfig
 
-#: The trace levels :class:`TraceLog` accepts.
-TRACE_LEVELS: tuple[str, ...] = ("full", "gated")
 
-#: The category allowlist of level ``"gated"``: what the
-#: evaluation runner's streaming folds consume — input windows (active
-#: energy accounting) and applied configurations (residency).  Every
-#: figure and fleet aggregate derives from these plus non-trace
-#: counters, which is why gating to this set leaves results unchanged.
-GATED_CATEGORIES: frozenset[str] = frozenset({"input", "config"})
+class SessionObserver:
+    """Typed session hooks, each a no-op here: an observer overrides
+    only the facts it reads.  ``time_us`` is the simulated time of the
+    fact."""
+
+    def input_dispatched(self, time_us: int, msg: "InputMsg") -> None:
+        """A user input reached the browser process; fires before the
+        policy's ``on_input``."""
+
+    def input_completed(self, time_us: int, record: "InputRecord") -> None:
+        """An input and every continuation it caused have finished."""
+
+    def config_applied(self, time_us: int, config: "CpuConfig") -> None:
+        """A configuration took effect (after its switching overhead)."""
+
+    def frame_displayed(self, time_us: int, frame: "FrameRecord") -> None:
+        """A frame reached the display; its latencies are final."""
+
+    def predicted(self, time_us: int, key: str, target_ms: float, config: "CpuConfig",
+                  predicted_us: float, predicted_energy_j: float, meets_target: bool,
+                  boost: int) -> None:
+        """The GreenWeb runtime requested ``config`` for event ``key``
+        by its model: ``predicted_us`` (to 0.1 us) and
+        ``predicted_energy_j`` (to 1 nJ) are the model's frame latency
+        and energy there, ``boost`` the feedback steps above the
+        prediction."""
+
+    def observed(self, time_us: int, key: str, phase: str, observed_us: int,
+                 target_us: int, violated: bool) -> None:
+        """The GreenWeb runtime judged a displayed frame of event
+        ``key`` in ``phase`` (a profiling phase or ``"stable"``)."""
 
 
 class TraceRecord:
@@ -86,61 +108,54 @@ class TraceRecord:
         )
 
 
-class TraceLog:
-    """Append-only in-memory trace with indexed category filters.
+class TraceLog(SessionObserver):
+    """Append-only in-memory trace with indexed category filters: every
+    record, retained in emission order."""
 
-    Args:
-        level: ``"full"`` retains and indexes every record;
-            ``"gated"`` constructs only :data:`GATED_CATEGORIES` records
-            and delivers them to subscribers without storing them —
-            :meth:`filter`/:meth:`count` see nothing and memory stays
-            constant no matter how long the run is.
-    """
-
-    def __init__(self, level: str = "full") -> None:
-        if level not in TRACE_LEVELS:
-            raise SimulationError(
-                f"unknown trace level {level!r}; known: {list(TRACE_LEVELS)}"
-            )
-        self._retain = level == "full"
-        self._categories = None if self._retain else GATED_CATEGORIES
+    def __init__(self) -> None:
         self._records: list[TraceRecord] = []
         self._by_category: dict[str, list[TraceRecord]] = {}
         self._by_key: dict[tuple[str, str], list[TraceRecord]] = {}
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
-
-    @property
-    def retaining(self) -> bool:
-        """Whether emitted records are stored for later scans."""
-        return self._retain
-
-    def wants(self, category: str) -> bool:
-        """True when a record in ``category`` would be kept — the guard
-        hot emit sites use to skip building payloads nobody will read."""
-        return self._categories is None or category in self._categories
 
     def emit(self, time_us: int, category: str, name: str, **data: Any) -> None:
-        """Append a record (no-op when gated out)."""
-        if self._categories is not None and category not in self._categories:
-            return
+        """Append a record."""
         record = TraceRecord(time_us, category, name, data)
-        if self._retain:
-            self._records.append(record)
-            by_category = self._by_category.get(category)
-            if by_category is None:
-                by_category = self._by_category[category] = []
-            by_category.append(record)
-            key = (category, name)
-            by_key = self._by_key.get(key)
-            if by_key is None:
-                by_key = self._by_key[key] = []
-            by_key.append(record)
-        for subscriber in self._subscribers:
-            subscriber(record)
+        self._records.append(record)
+        by_category = self._by_category.get(category)
+        if by_category is None:
+            by_category = self._by_category[category] = []
+        by_category.append(record)
+        key = (category, name)
+        by_key = self._by_key.get(key)
+        if by_key is None:
+            by_key = self._by_key[key] = []
+        by_key.append(record)
 
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Register a live listener invoked on every emitted record."""
-        self._subscribers.append(callback)
+    # Each typed hook becomes one record; a dispatch is named by its
+    # event type.
+    def input_dispatched(self, time_us, msg):
+        self.emit(time_us, "input", msg.event_type.value, uid=msg.uid, target=msg.target_key)
+
+    def input_completed(self, time_us, record):
+        self.emit(time_us, "input", "complete", uid=record.uid, frames=record.frame_count)
+
+    def config_applied(self, time_us, config):
+        self.emit(time_us, "config", "applied", cluster=config.cluster, freq_mhz=config.freq_mhz)
+
+    def frame_displayed(self, time_us, frame):
+        self.emit(time_us, "frame", "displayed", seq=frame.seq, uids=tuple(frame.uids),
+                  complexity=frame.complexity, max_latency_us=frame.max_latency_us)
+
+    def predicted(self, time_us, key, target_ms, config, predicted_us, predicted_energy_j,
+                  meets_target, boost):
+        self.emit(time_us, "greenweb", "predict", key=key, target_ms=target_ms,
+                  config=str(config), predicted_us=predicted_us,
+                  predicted_energy_j=predicted_energy_j, meets_target=meets_target,
+                  boost=boost)
+
+    def observed(self, time_us, key, phase, observed_us, target_us, violated):
+        self.emit(time_us, "greenweb", "observe", key=key, phase=phase,
+                  observed_us=observed_us, target_us=target_us, violated=violated)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -195,7 +210,7 @@ class TraceLog:
         return len(self._records)
 
     def clear(self) -> None:
-        """Drop all records (subscribers stay registered)."""
+        """Drop all records."""
         self._records.clear()
         self._by_category.clear()
         self._by_key.clear()

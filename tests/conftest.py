@@ -86,28 +86,29 @@ def light_tap_callback():
     return Callback(body, "lightTap")
 
 
-def run_cell(job: dict, level: str) -> dict:
-    """One ``run_workload_job``-shaped cell at trace ``level``, as its
-    plain result dict.
+def run_cell(job: dict, leg: str) -> dict:
+    """One ``run_workload_job``-shaped cell as its plain result dict;
+    ``leg`` names the golden leg.
 
-    ``"gated"`` is ``run_workload_job`` itself; ``"full"`` builds the
-    same session through :class:`SessionExecution` with a retained
-    trace, the only API that still offers one — so a golden keyed
-    ``...:full`` really pins a full-trace run.
+    ``"gated"`` is ``run_workload_job`` itself, a session with no trace;
+    ``"full"`` builds the same session through :class:`SessionExecution`
+    with a trace attached — so a golden keyed ``...:full`` really pins a
+    traced run.
     """
-    if level == "gated":
+    if leg == "gated":
         return run_workload_job(job)
+    assert leg == "full", leg
     governor = job["governor"]
     execution = SessionExecution(
         build_app(job["app"], job["seed"]), POLICIES.normalize(governor).label(),
         job.get("scenario", "imperceptible"), job["trace_kind"], job["seed"],
-        job["settle_s"], level,
+        job["settle_s"], True,
         lambda platform, registry, scenario: POLICIES.build(
             governor, platform, registry, scenario
         ),
     )
     execution.run()
-    assert execution.platform.trace.retaining
+    assert len(execution.platform.trace) > 0
     return run_result_to_dict(execution.finish())
 
 

@@ -1,0 +1,76 @@
+"""Full-trace parity: the retained record stream, byte for byte.
+
+The results goldens pin what a session computes; this pins what a
+traced session *records*, the stream ``--export-trace``, ``repro
+analyze`` and the tracking ablation read.  Each pin is a SHA-256 over
+the canonical JSON of ``[(time_us, category, name, data)]`` for every
+record, with its record count.  The four cells cover eight of the ten
+categories (input, config, frame, dvfs, callback, greenweb, animation,
+scenario); console and task records are covered by
+``tests/test_browser_script_effects.py`` and
+``tests/test_cli_and_export.py``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.evaluation.runner import SessionExecution
+from repro.policies import POLICIES
+from repro.workloads.registry import build_app
+
+#: (app, policy, scenario, trace kind, seed) -> (record count, sha256)
+PINS = {
+    ("paperjs", "greenweb", "imperceptible", "full", 1): (
+        3860, "a97df0d8718c9a9df16899816182b8b5b848d4302cce2e4074ad69e4d08c5e0c"
+    ),
+    ("bbc", "ondemand", "bgload", "micro", 1): (
+        4060, "8aa97f8586579308536b0b6494a3eeb6cae597ec6223264a266f05c08ce11033"
+    ),
+    ("cnet", "greenweb", "thermal(cap_mhz=1100,trip_ms=50,hot_load=0.2)", "full", 0): (
+        1567, "d32d316119b2f401bbd86fe6335ef88352409905b1c3e66e5f26e32908a57fb9"
+    ),
+    ("todo", "ebs", "netdelay", "micro", 0): (
+        71, "241fd1dfdc7e7787deb985e5978cd5c232081263f3df7bf7e3eae99882a3594f"
+    ),
+}
+
+
+def traced_stream(app, policy, scenario, trace_kind, seed):
+    """The cell's retained records as (time_us, category, name, data)
+    tuples."""
+    spec = POLICIES.normalize(policy)
+    execution = SessionExecution(
+        build_app(app, seed), spec.label(), scenario, trace_kind, seed, 4.0, True,
+        lambda platform, registry, live: POLICIES.build(spec, platform, registry, live),
+    )
+    execution.run()
+    return [
+        (record.time_us, record.category, record.name, record.data)
+        for record in execution.platform.trace
+    ]
+
+
+@pytest.fixture(scope="module")
+def streams():
+    """Every pinned cell's stream, run once for both tests."""
+    return {cell: traced_stream(*cell) for cell in PINS}
+
+
+@pytest.mark.parametrize("cell", list(PINS), ids=lambda cell: ":".join(map(str, cell)))
+def test_retained_stream_matches_pin(streams, cell):
+    stream = streams[cell]
+    blob = json.dumps(stream, sort_keys=True, separators=(",", ":"))
+    assert (len(stream), hashlib.sha256(blob.encode("utf-8")).hexdigest()) == PINS[cell]
+
+
+def test_pins_cover_eight_categories(streams):
+    categories = {
+        category
+        for stream in streams.values()
+        for _time, category, _name, _data in stream
+    }
+    assert categories == {
+        "input", "config", "frame", "dvfs", "callback", "greenweb", "animation", "scenario"
+    }

@@ -1,8 +1,10 @@
 """Tests for the frame-timeline analysis and trade-off space.
 
 Timeline statistics and prediction accuracy come from the streaming
-folds; a fold ``replay``-ed over a retained trace is the post-hoc path.
+folds, fed here through their typed hooks or attached to a live run.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,25 +18,31 @@ from repro.evaluation.analysis import (
     run_tradeoff_space,
 )
 from repro.evaluation.folds import FrameTimelineFold, PredictionAccuracyFold
+from repro.hardware.dvfs import CpuConfig
 from repro.sim.tracing import TraceLog
 
 
-def timeline_of(trace):
-    return FrameTimelineFold().replay(trace).stats()
-
-
-def accuracy_of(trace):
-    return PredictionAccuracyFold().replay(trace).result()
-
-
-def trace_with_frames(latencies_us, period_us=16_667):
-    trace = TraceLog()
-    t = 0
+def observe_frames(latencies_us, period_us=16_667):
+    """A trace and a frame fold that both observed one displayed frame
+    per ``period_us``, with the given latencies."""
+    trace, fold = TraceLog(), FrameTimelineFold()
     for seq, latency in enumerate(latencies_us, start=1):
-        t += period_us
-        trace.emit(t, "frame", "displayed", seq=seq, uids=(1,),
-                   complexity=1.0, max_latency_us=latency)
-    return trace
+        frame = SimpleNamespace(seq=seq, uids=[1], complexity=1.0, max_latency_us=latency)
+        for observer in (trace, fold):
+            observer.frame_displayed(seq * period_us, frame)
+    return trace, fold
+
+
+def timeline_of(latencies_us):
+    return observe_frames(latencies_us)[1].stats()
+
+
+def trace_with_frames(latencies_us):
+    return observe_frames(latencies_us)[0]
+
+
+def predict(fold, time_us, key, predicted_us):
+    fold.predicted(time_us, key, 16.6, CpuConfig("big", 800), predicted_us, 0.0, True, 0)
 
 
 class TestPercentile:
@@ -61,13 +69,12 @@ class TestPercentile:
 
 class TestTimelineStats:
     def test_empty_trace(self):
-        stats = timeline_of(TraceLog())
+        stats = timeline_of([])
         assert stats.frame_count == 0
         assert stats.jank_rate == 0.0
 
     def test_smooth_sequence(self):
-        trace = trace_with_frames([8_000] * 61)
-        stats = timeline_of(trace)
+        stats = timeline_of([8_000] * 61)
         assert stats.frame_count == 61
         assert stats.latency_p50_us == 8_000
         assert stats.jank_count == 0
@@ -75,15 +82,13 @@ class TestTimelineStats:
 
     def test_jank_detection(self):
         # three frames at >= 2 vsync periods
-        trace = trace_with_frames([8_000] * 10 + [40_000, 50_000, 34_000])
-        stats = timeline_of(trace)
+        stats = timeline_of([8_000] * 10 + [40_000, 50_000, 34_000])
         assert stats.jank_count == 3
         assert stats.latency_max_us == 50_000
         assert 0 < stats.jank_rate < 0.5
 
     def test_percentiles_ordered(self):
-        trace = trace_with_frames(list(range(1_000, 31_000, 1_000)))
-        stats = timeline_of(trace)
+        stats = timeline_of(list(range(1_000, 31_000, 1_000)))
         assert stats.latency_p50_us <= stats.latency_p95_us <= stats.latency_p99_us
         assert stats.latency_p99_us <= stats.latency_max_us
 
@@ -216,8 +221,7 @@ class TestTradeoffSpace:
         ] == self.CNET_POINTS
 
     def test_integration_with_run_trace(self):
-        # The frame fold works on a real run's retained trace (the
-        # runner keeps none, so drive a browser here).
+        # The frame fold attaches to a hand-built run (no trace).
         from repro.browser.engine import Browser
         from repro.hardware.platform import odroid_xu_e
         from repro.workloads.interactions import InteractionDriver
@@ -225,32 +229,32 @@ class TestTradeoffSpace:
 
         bundle = build_app("cnet")
         platform = odroid_xu_e()
+        frames = FrameTimelineFold()
+        platform.observers.append(frames)
         browser = Browser(platform, bundle.page)
         InteractionDriver(browser).run(bundle.micro_trace)
-        stats = timeline_of(platform.trace)
+        stats = frames.stats()
         assert stats.frame_count == browser.stats.frames
         assert stats.latency_p50_us > 0
 
 
 class TestPredictionAccuracy:
     def test_synthetic_pairs(self):
-        trace = TraceLog()
-        trace.emit(10, "greenweb", "predict", key="k", predicted_us=10_000.0)
-        trace.emit(20, "greenweb", "observe", key="k", phase="stable",
-                   observed_us=12_000, target_us=16_600, violated=False)
-        trace.emit(30, "greenweb", "predict", key="k", predicted_us=10_000.0)
-        trace.emit(40, "greenweb", "observe", key="k", phase="stable",
-                   observed_us=9_000, target_us=16_600, violated=False)
-        accuracy = accuracy_of(trace)
+        fold = PredictionAccuracyFold()
+        predict(fold, 10, "k", 10_000.0)
+        fold.observed(20, "k", "stable", 12_000, 16_600, False)
+        predict(fold, 30, "k", 10_000.0)
+        fold.observed(40, "k", "stable", 9_000, 16_600, False)
+        accuracy = fold.result()
         assert accuracy.pairs == 2
         assert accuracy.under_predictions == 1
         assert accuracy.mean_abs_rel_error == pytest.approx((0.2 + 0.1) / 2)
 
     def test_profiling_observations_ignored(self):
-        trace = TraceLog()
-        trace.emit(10, "greenweb", "observe", key="k", phase="profile-max",
-                   observed_us=12_000, target_us=16_600, violated=False)
-        assert accuracy_of(trace).pairs == 0
+        fold = PredictionAccuracyFold()
+        predict(fold, 5, "k", 10_000.0)
+        fold.observed(10, "k", "profile-max", 12_000, 16_600, False)
+        assert fold.result().pairs == 0
 
     def test_end_to_end_accuracy_is_reasonable(self):
         """On a steady animation the fitted model tracks reality well."""
@@ -264,11 +268,13 @@ class TestPredictionAccuracy:
 
         bundle = build_app("craigslist")  # low-variance scroll frames
         platform = odroid_xu_e()
+        fold = PredictionAccuracyFold()
+        platform.observers.append(fold)
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         runtime = GreenWebRuntime(platform, registry, build_live_scenario("usable", platform))
         browser = Browser(platform, bundle.page, policy=runtime)
         InteractionDriver(browser).schedule(bundle.micro_trace)
         platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
-        accuracy = accuracy_of(platform.trace)
+        accuracy = fold.result()
         assert accuracy.pairs > 20
         assert accuracy.mean_abs_rel_error < 0.5

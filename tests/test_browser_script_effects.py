@@ -6,11 +6,12 @@ import pytest
 from repro.browser import Browser, Page
 from repro.errors import BrowserError
 from repro.hardware import odroid_xu_e
+from repro.sim.tracing import TraceLog
 from repro.web import Callback, ScriptContext, Document, parse_html
 
 
 def make_browser(markup="<div id='outer'><div id='inner'></div></div>", **page_kwargs):
-    platform = odroid_xu_e()
+    platform = odroid_xu_e(trace=TraceLog())
     document, sheet = parse_html(markup)
     page = Page(name="fx", document=document, stylesheet=sheet, **page_kwargs)
     browser = Browser(platform, page)

@@ -285,7 +285,7 @@ class TestTaskSpans:
     def test_task_spans_off_by_default(self):
         from repro.hardware import WorkUnit, odroid_xu_e
 
-        platform = odroid_xu_e()
+        platform = odroid_xu_e(trace=TraceLog())
         platform.create_context("w").submit(WorkUnit(1_000_000))
         platform.run_for(10_000)
         assert platform.trace.count(category="task") == 0
@@ -293,7 +293,7 @@ class TestTaskSpans:
     def test_task_spans_recorded_when_enabled(self):
         from repro.hardware import WorkUnit, odroid_xu_e
 
-        platform = odroid_xu_e()
+        platform = odroid_xu_e(trace=TraceLog())
         platform.record_task_spans = True
         ctx = platform.create_context("worker")
         ctx.submit(WorkUnit(1_800_000), label="crunch")
@@ -307,7 +307,7 @@ class TestTaskSpans:
     def test_spans_exported_on_own_tracks(self):
         from repro.hardware import WorkUnit, odroid_xu_e
 
-        platform = odroid_xu_e()
+        platform = odroid_xu_e(trace=TraceLog())
         platform.record_task_spans = True
         platform.create_context("alpha").submit(WorkUnit(1_000_000), label="a")
         platform.create_context("beta").submit(WorkUnit(1_000_000), label="b")

@@ -17,6 +17,7 @@ from repro.hardware import CpuConfig, MobilePlatform, odroid_xu_e
 from repro.hardware.core import ClusterSpec, big_cluster_spec, little_cluster_spec
 from repro.hardware.frequency import OperatingPoint, OppTable
 from repro.scenarios import build_live_scenario
+from repro.sim.tracing import TraceLog
 from repro.web import Callback, parse_html
 
 MARKUP = "<style>#btn:QoS { onclick-qos: single, short; }</style><div id='btn'></div>"
@@ -28,7 +29,7 @@ def single_cluster_platform() -> MobilePlatform:
 
 
 def tri_cluster_platform() -> MobilePlatform:
-    """A modern prime/big/little topology."""
+    """A modern prime/big/little topology, with a trace attached."""
     prime = ClusterSpec(
         name="prime", microarchitecture="X-class", core_count=1,
         ipc_factor=1.4, ceff_nf=0.9, leakage_w_per_v=0.35,
@@ -36,6 +37,7 @@ def tri_cluster_platform() -> MobilePlatform:
     )
     return MobilePlatform(
         cluster_specs=[big_cluster_spec(), little_cluster_spec(), prime],
+        trace=TraceLog(),
     )
 
 

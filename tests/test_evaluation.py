@@ -21,7 +21,6 @@ from repro.evaluation.folds import ConfigTimelineFold
 from repro.evaluation.runner import GOVERNORS, run_workload
 from repro.hardware.dvfs import CpuConfig
 from repro.scenarios import SCENARIOS
-from repro.sim.tracing import TraceLog
 from repro.web.events import EventType
 
 I = "imperceptible"
@@ -84,15 +83,15 @@ class TestViolationMetrics:
 
 
 class TestResidency:
-    def make_trace(self):
-        trace = TraceLog()
-        trace.emit(250, "config", "applied", cluster="little", freq_mhz=600)
-        trace.emit(750, "config", "applied", cluster="big", freq_mhz=800)
-        return trace
+    SWITCHES = ((250, CpuConfig("little", 600)), (750, CpuConfig("big", 800)))
 
-    def fold(self, trace=None):
-        """The residency fold fed ``trace`` (default: ``make_trace()``)."""
-        return ConfigTimelineFold().replay(trace if trace is not None else self.make_trace())
+    def fold(self, switches=SWITCHES):
+        """The residency fold observing ``switches``, (time, config)
+        pairs applied in order."""
+        fold = ConfigTimelineFold()
+        for time_us, config in switches:
+            fold.config_applied(time_us, config)
+        return fold
 
     def test_config_residency_fractions(self):
         residency = self.fold().residency(0, 1000, initial=CpuConfig("big", 1800))
@@ -103,7 +102,7 @@ class TestResidency:
 
     def test_empty_window_rejected(self):
         with pytest.raises(EvaluationError):
-            self.fold(TraceLog()).residency(10, 10, CpuConfig("big", 1800))
+            self.fold(()).residency(10, 10, CpuConfig("big", 1800))
 
     def test_windowed_residency(self):
         residency = self.fold().windowed(
@@ -115,7 +114,7 @@ class TestResidency:
         assert residency[CpuConfig("big", 800)] == pytest.approx(0.25)
 
     def test_windowed_residency_no_windows(self):
-        assert self.fold(TraceLog()).windowed([], CpuConfig("big", 1800)) == {}
+        assert self.fold(()).windowed([], CpuConfig("big", 1800)) == {}
 
     def test_windowed_switch_exactly_on_window_start(self):
         # The 750 -> big@800 switch lands exactly on the window start:
@@ -140,15 +139,16 @@ class TestResidency:
         # inside windows (two at once at 250), between them (400),
         # before a later window (900) and after the last one (1200);
         # an empty window is skipped.
-        trace = TraceLog()
-        for time_us, cluster, freq_mhz in [
-            (100, "little", 600), (250, "big", 800), (250, "little", 1000),
-            (400, "big", 1400), (550, "little", 400), (900, "big", 1100),
-            (1200, "big", 1800),
-        ]:
-            trace.emit(time_us, "config", "applied", cluster=cluster, freq_mhz=freq_mhz)
+        switches = [
+            (time_us, CpuConfig(cluster, freq_mhz))
+            for time_us, cluster, freq_mhz in [
+                (100, "little", 600), (250, "big", 800), (250, "little", 1000),
+                (400, "big", 1400), (550, "little", 400), (900, "big", 1100),
+                (1200, "big", 1800),
+            ]
+        ]
         windows = [(50, 150), (200, 300), (500, 600), (600, 700), (1000, 1100), (1150, 1150)]
-        residency = self.fold(trace).windowed(windows, initial=CpuConfig("big", 1800))
+        residency = self.fold(switches).windowed(windows, initial=CpuConfig("big", 1800))
         assert list(residency.items()) == [
             (CpuConfig("big", 1800), 0.1),
             (CpuConfig("little", 600), 0.2),

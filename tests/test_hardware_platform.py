@@ -14,6 +14,7 @@ from repro.hardware import (
 )
 from repro.hardware.core import big_cluster_spec, little_cluster_spec
 from repro.hardware.dvfs import FREQ_SWITCH_OVERHEAD_US, MIGRATION_OVERHEAD_US
+from repro.sim.tracing import TraceLog
 
 
 class TestWorkUnit:
@@ -267,15 +268,16 @@ class TestDvfs:
         assert platform.dvfs.freq_switches == 1  # coalesced
 
     def test_trace_records_switches(self):
-        platform = odroid_xu_e()
+        platform = odroid_xu_e(trace=TraceLog())
         platform.set_config(CpuConfig("little", 400))
         platform.run_for(100)
         assert platform.trace.count(category="dvfs", name="migrate") == 1
 
 
 def _platform_in(state):
-    """An ODroid platform idle, mid-switch, or under a big-cluster cap."""
-    platform = odroid_xu_e()
+    """An ODroid platform idle, mid-switch, or under a big-cluster cap,
+    with a trace attached."""
+    platform = odroid_xu_e(trace=TraceLog())
     platform.create_context("main").submit(WorkUnit(cycles=10_000_000))
     if state == "mid_switch":
         platform.set_config(CpuConfig("big", 1000))

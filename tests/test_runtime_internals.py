@@ -12,6 +12,7 @@ from repro.core.qos import QoSSpec, ResponseExpectation
 from repro.core.runtime import _KeyState, _Phase
 from repro.hardware import CpuConfig, odroid_xu_e
 from repro.scenarios import build_live_scenario
+from repro.sim.tracing import TraceLog
 from repro.web import Callback, parse_html
 from repro.web.events import EventType
 
@@ -170,7 +171,7 @@ class TestFramelessDetection:
 class TestDecisionTrace:
     def test_predict_and_observe_records_emitted(self):
         markup = "<style>#b:QoS { onclick-qos: single, short; }</style><div id='b'></div>"
-        platform = odroid_xu_e()
+        platform = odroid_xu_e(trace=TraceLog())
         document, sheet = parse_html(markup)
         page = Page(name="t", document=document, stylesheet=sheet)
         runtime = GreenWebRuntime(

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.hardware.dvfs import CpuConfig
+
 from repro.sim import (
     MILLISECOND,
     SECOND,
@@ -63,13 +65,18 @@ class TestTraceLog:
             log.emit(t, "x", "y")
         assert len(log.filter(since_us=20, until_us=30)) == 2
 
-    def test_subscribers_see_records_live(self):
+    def test_hooks_record_in_emission_order(self):
         log = TraceLog()
-        seen = []
-        log.subscribe(seen.append)
-        log.emit(5, "cat", "name", k=1)
-        assert len(seen) == 1
-        assert seen[0].time_us == 5
+        log.config_applied(5, CpuConfig("big", 800))
+        log.emit(6, "dvfs", "freq_switch", to="big@1800MHz")
+        log.observed(7, "#b@click", "stable", 12_000, 16_600, False)
+        assert [(r.time_us, r.category, r.name) for r in log] == [
+            (5, "config", "applied"), (6, "dvfs", "freq_switch"), (7, "greenweb", "observe")
+        ]
+        assert log.records[2].data == {
+            "key": "#b@click", "phase": "stable", "observed_us": 12_000,
+            "target_us": 16_600, "violated": False,
+        }
 
     def test_clear(self):
         log = TraceLog()

@@ -7,8 +7,9 @@ custom-page API.  No other module under ``src/`` or ``benchmarks/``
 constructs a ``Browser``, and nothing imports the deleted
 ``repro.workloads.background`` module (background load is the
 ``bgload`` scenario).  APIs that return only results take no trace
-level: ``SessionExecution`` and ``TraceLog`` are the only places a
-caller picks ``"full"`` or ``"gated"``.
+switch: ``SessionExecution(..., trace=...)`` is the only place a caller
+attaches a trace.  Folds and the active-window accountant are typed
+session observers; none reads a trace record.
 
 Configurations are ranked by capacity in one place: the platform's
 configuration table (``hardware/dvfs.py``'s ``ConfigTable``); the
@@ -39,7 +40,13 @@ from repro.fleet import FleetSpec
 from repro.hardware import odroid_xu_e
 from repro.policies.oracle import KeyPinnedPolicy
 from repro.session import Session
-from repro.sim.tracing import TRACE_LEVELS, TraceLog
+from repro.evaluation.folds import (
+    ConfigTimelineFold,
+    FrameTimelineFold,
+    PredictionAccuracyFold,
+)
+from repro.evaluation.runner import _ActiveWindowAccountant
+from repro.sim.tracing import SessionObserver, TraceLog
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BROWSER_BUILDERS = {"src/repro/evaluation/runner.py", "src/repro/session.py"}
@@ -99,12 +106,28 @@ def test_nothing_imports_the_background_module():
 
 
 def test_trace_level_is_chosen_only_where_the_trace_is_read():
-    assert TRACE_LEVELS == ("full", "gated")
+    switches = {"trace", "trace_level"}
     for api in (run_workload, execute_run, Session.__init__):
-        assert "trace_level" not in inspect.signature(api).parameters, api
-    assert "trace_level" not in {field.name for field in dataclasses.fields(FleetSpec)}
-    assert "trace_level" in inspect.signature(SessionExecution).parameters
-    assert list(inspect.signature(TraceLog).parameters) == ["level"]
+        assert not switches & set(inspect.signature(api).parameters), api
+    assert not switches & {field.name for field in dataclasses.fields(FleetSpec)}
+    parameters = inspect.signature(SessionExecution).parameters
+    assert "trace_level" not in parameters
+    assert parameters["trace"].annotation == "bool"
+    assert list(inspect.signature(TraceLog).parameters) == []
+    assert odroid_xu_e().trace is None
+
+
+def test_folds_and_the_accountant_are_typed_observers():
+    for observer in (
+        ConfigTimelineFold, FrameTimelineFold, PredictionAccuracyFold,
+        _ActiveWindowAccountant,
+    ):
+        assert issubclass(observer, SessionObserver) and not hasattr(observer, "on_record")
+    for reader in ("evaluation/folds.py", "evaluation/runner.py"):
+        assert "TraceRecord" not in (ROOT / "src/repro" / reader).read_text(), reader
+    source = "\n".join(path.read_text() for path in (ROOT / "src").rglob("*.py"))
+    for gone in ("GATED_CATEGORIES", "TRACE_LEVELS", ".wants(", ".subscribe(", '"gated"'):
+        assert gone not in source, gone
 
 
 def _sort_key_source(node: ast.Call) -> str:

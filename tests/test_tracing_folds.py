@@ -1,13 +1,15 @@
-"""Trace levels, indexed filters, and streaming metric folds.
+"""The trace log, indexed filters, and streaming metric folds.
 
-The contract under test is the one the fleet relies on: a gated,
-non-retaining trace fed through streaming folds produces *byte-identical*
-metrics to a full retained trace replayed through the same folds.
+The contract under test is the one the fleet relies on: folds observing
+a session with no trace (the ``gated`` leg) produce *byte-identical*
+metrics to the same session with a trace attached (the ``full`` leg),
+and a results-only session builds no trace records at all.
 """
+
+from collections import Counter
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.evaluation.analysis import FrameTimelineStats, PredictionAccuracy
 from repro.evaluation.folds import (
     ConfigTimelineFold,
@@ -18,10 +20,12 @@ from repro.fleet import Fleet, FleetAggregate, FleetSpec, parse_mix
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES
+from repro.sim import tracing
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import GATED_CATEGORIES, TRACE_LEVELS, TraceLog
+from repro.sim.tracing import SessionObserver, TraceLog
 from repro.sim.trace_export import to_chrome_trace
 from repro.browser.vsync import VsyncSource
+from repro.evaluation import runner
 from repro.evaluation.runner import (
     SessionExecution,
     run_result_to_dict,
@@ -34,54 +38,118 @@ I = "imperceptible"
 BIG = CpuConfig("big", 1800)
 
 
+def session(traced, governor="greenweb", *observers, app="todo", scenario=I):
+    """One micro session of ``app`` (seed 0, 2 s settle), run with
+    ``observers`` attached; ``traced`` attaches a trace."""
+    execution = SessionExecution(
+        build_app(app, seed=0), governor, scenario, "micro", 0, 2.0, traced,
+        lambda platform, registry, live: POLICIES.build(
+            governor, platform, registry, live
+        ),
+    )
+    execution.platform.observers.extend(observers)
+    execution.run()
+    return execution
+
+
+class HookCounter(SessionObserver):
+    """Counts every typed hook call by the (category, name) of the
+    record the trace builds from it; dispatches, which the trace names
+    by event type, count as ``("input", "dispatch")``."""
+
+    def __init__(self):
+        self.counts = Counter()
+
+    def _count(self, key):
+        self.counts[key] += 1
+
+    def input_dispatched(self, time_us, msg):
+        self._count(("input", "dispatch"))
+
+    def input_completed(self, time_us, record):
+        self._count(("input", "complete"))
+
+    def config_applied(self, time_us, config):
+        self._count(("config", "applied"))
+
+    def frame_displayed(self, time_us, frame):
+        self._count(("frame", "displayed"))
+
+    def predicted(self, time_us, key, *facts):
+        self._count(("greenweb", "predict"))
+
+    def observed(self, time_us, key, *facts):
+        self._count(("greenweb", "observe"))
+
+
 # ----------------------------------------------------------------------
-# Trace levels and gating
+# The trace as an observer; sessions with and without one
 # ----------------------------------------------------------------------
 class TestTraceLevels:
     def test_full_retains_everything(self):
-        log = TraceLog("full")
-        assert log.retaining
-        assert all(log.wants(category) for category in ("dvfs", "frame", "anything"))
+        log = TraceLog()
         log.emit(1, "anything", "goes")
-        assert len(log) == 1
+        log.config_applied(2, CpuConfig("little", 600))
+        assert len(log) == 2
+        assert log.filter(category="config", name="applied")[0].data == {
+            "cluster": "little", "freq_mhz": 600
+        }
 
-    def test_gated_gates_and_does_not_retain(self):
-        log = TraceLog("gated")
-        assert not log.retaining
-        assert {c for c in ("input", "config", "dvfs", "frame") if log.wants(c)} == (
-            GATED_CATEGORIES
-        )
-        log.emit(1, "config", "applied", cluster="big", freq_mhz=800)
-        log.emit(2, "frame", "displayed", max_latency_us=10)
-        assert len(log) == 0  # nothing retained, even allowlisted records
-
-    def test_gated_delivers_allowlisted_records_to_subscribers(self):
-        log = TraceLog("gated")
-        seen = []
-        log.subscribe(lambda record: seen.append((record.category, record.name)))
-        log.emit(1, "config", "applied", cluster="big", freq_mhz=800)
-        log.emit(2, "dvfs", "migrate")  # not in GATED_CATEGORIES
-        log.emit(3, "input", "click", uid=1)
-        assert seen == [("config", "applied"), ("input", "click")]
-
-    def test_unknown_level_rejected(self):
-        for level in ("verbose", "off", ""):
-            with pytest.raises(SimulationError, match="unknown trace level"):
-                TraceLog(level)
-
-    @pytest.mark.parametrize("level", TRACE_LEVELS)
+    @pytest.mark.parametrize("level", ("full", "gated"))
     def test_every_declared_level_constructs(self, level):
-        TraceLog(level)
+        """Both legs build a session; only the full leg has a trace, and
+        it observes first, ahead of the runner's fold and accountant."""
+        execution = SessionExecution(
+            build_app("todo", seed=0), "perf", I, "micro", 0, 1.0, level == "full",
+            lambda platform, registry, live: POLICIES.build("perf", platform, registry, live),
+        )
+        trace, observers = execution.platform.trace, execution.platform.observers
+        if level == "full":
+            assert isinstance(trace, TraceLog) and observers[0] is trace
+        else:
+            assert trace is None
+        assert len(observers) == (3 if level == "full" else 2)
 
-    def test_wants_mirrors_emit(self):
-        for log in (TraceLog(level) for level in TRACE_LEVELS):
-            for category in ("config", "dvfs", "frame", "greenweb"):
-                before = len(log)
-                seen = []
-                log.subscribe(seen.append)
-                log.emit(0, category, "x")
-                recorded = len(log) > before or bool(seen)
-                assert log.wants(category) == recorded
+    def test_gated_gates_and_does_not_retain(self, monkeypatch):
+        """A results-only session (the gated leg) has no trace and
+        constructs not one record."""
+        built = []
+        original_init = tracing.TraceRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[1])
+            original_init(self, *args, **kwargs)
+
+        platforms = []
+        original_platform = runner.odroid_xu_e
+
+        def recording_platform(**kwargs):
+            platforms.append(original_platform(**kwargs))
+            return platforms[-1]
+
+        monkeypatch.setattr(tracing.TraceRecord, "__init__", counting_init)
+        monkeypatch.setattr(runner, "odroid_xu_e", recording_platform)
+        result = run_workload("bbc", "ondemand", "bgload", "micro", seed=1)
+        assert result.freq_switches + result.migrations > 1000
+        assert len(platforms) == 1 and platforms[0].trace is None
+        assert built == []
+
+    def test_untraced_session_feeds_every_observer(self):
+        """Without a trace every typed hook still fires, exactly as
+        often as the traced twin records its fact."""
+        untraced, traced = HookCounter(), HookCounter()
+        session(False, "greenweb", untraced)
+        trace = session(True, "greenweb", traced).platform.trace
+        recorded = Counter(
+            ("input", "dispatch")
+            if record.category == "input" and record.name != "complete"
+            else (record.category, record.name)
+            for record in trace
+        )
+        assert len(untraced.counts) == 6
+        assert untraced.counts == traced.counts == {
+            key: recorded[key] for key in untraced.counts
+        }
 
 
 class TestIndexedFilters:
@@ -134,73 +202,45 @@ class TestIndexedFilters:
 
 
 # ----------------------------------------------------------------------
-# Streaming folds: live vs replayed, and pinned outputs on a real run
+# Streaming folds: attached live, and pinned outputs on a real run
 # ----------------------------------------------------------------------
 class TestFoldParity:
-    def run_traced(self, governor="greenweb", *live_folds):
-        """One real session with a retained trace to scan and replay;
-        ``live_folds`` are attached to it before it runs."""
-        execution = SessionExecution(
-            build_app("todo", seed=0), governor, I, "micro", 0, 2.0, "full",
-            lambda platform, registry, scenario: POLICIES.build(
-                governor, platform, registry, scenario
-            ),
-        )
-        for fold in live_folds:
-            fold.attach(execution.platform.trace)
-        execution.run()
-        return execution.platform.trace
-
     def test_config_fold_attached_matches_scan(self):
-        trace = TraceLog()
-        fold = ConfigTimelineFold().attach(trace)
-        trace.emit(250, "config", "applied", cluster="little", freq_mhz=600)
-        trace.emit(750, "config", "applied", cluster="big", freq_mhz=800)
-        trace.emit(800, "config", "other", cluster="big", freq_mhz=800)
-        replayed = ConfigTimelineFold().replay(trace)
-        assert fold.applied == replayed.applied == [
-            (250, CpuConfig("little", 600)), (750, CpuConfig("big", 800))
+        """The live fold sees exactly the switches the trace records."""
+        fold = ConfigTimelineFold()
+        trace = session(True, "greenweb", fold).platform.trace
+        scanned = [
+            (record.time_us, CpuConfig(record["cluster"], record["freq_mhz"]))
+            for record in trace.filter(category="config", name="applied")
         ]
-        assert fold.residency(0, 1000, BIG) == replayed.residency(0, 1000, BIG)
-        windows = [(0, 100), (600, 900)]
-        assert fold.windowed(windows, BIG) == replayed.windowed(windows, BIG)
-
-    def test_replay_equals_attach(self):
-        attached = ConfigTimelineFold()
-        trace = self.run_traced("greenweb", attached)
-        end = trace.records[-1].time_us if trace.records else 1
-        replayed = ConfigTimelineFold().replay(trace)
-        assert attached.applied and replayed.applied == attached.applied
-        assert replayed.residency(0, end, BIG) == attached.residency(0, end, BIG)
+        assert fold.applied and fold.applied == scanned
+        end = trace.records[-1].time_us
+        assert sum(fold.residency(0, end, BIG).values()) == 1.0
 
     # Both pins were recorded from the post-hoc trace scans the folds
     # replaced (todo micro, GreenWeb, imperceptible, seed 0).
     def test_frame_fold_pinned_on_real_trace(self):
         live = FrameTimelineFold()
-        trace = self.run_traced("greenweb", live)
-        assert FrameTimelineFold().replay(trace).stats() == live.stats() == (
-            FrameTimelineStats(
-                frame_count=6,
-                duration_s=10.037273,
-                latency_p50_us=55763.0,
-                latency_p95_us=72470.0,
-                latency_p99_us=72470.0,
-                latency_max_us=72470.0,
-                mean_fps=0.49814327058753904,
-                jank_count=4,
-            )
+        session(True, "greenweb", live)
+        assert live.stats() == FrameTimelineStats(
+            frame_count=6,
+            duration_s=10.037273,
+            latency_p50_us=55763.0,
+            latency_p95_us=72470.0,
+            latency_p99_us=72470.0,
+            latency_max_us=72470.0,
+            mean_fps=0.49814327058753904,
+            jank_count=4,
         )
 
     def test_prediction_fold_pinned_on_real_trace(self):
         live = PredictionAccuracyFold()
-        trace = self.run_traced("greenweb", live)
-        assert PredictionAccuracyFold().replay(trace).result() == live.result() == (
-            PredictionAccuracy(
-                pairs=4,
-                mean_abs_rel_error=0.8625524849622481,
-                p90_abs_rel_error=2.2025730300791464,
-                under_predictions=4,
-            )
+        session(True, "greenweb", live)
+        assert live.result() == PredictionAccuracy(
+            pairs=4,
+            mean_abs_rel_error=0.8625524849622481,
+            p90_abs_rel_error=2.2025730300791464,
+            under_predictions=4,
         )
 
     def test_prediction_fold_empty(self):
@@ -208,30 +248,29 @@ class TestFoldParity:
         assert result.pairs == 0 and result.mean_abs_rel_error == 0.0
 
     def test_gated_log_feeds_folds_identically(self):
-        """A fold attached to a gated log accumulates exactly what an
-        identical emit stream gives a full log."""
-        emits = [
-            (100, "config", "applied", {"cluster": "little", "freq_mhz": 600}),
-            (150, "frame", "displayed", {"max_latency_us": 20_000}),
-            (300, "config", "applied", {"cluster": "big", "freq_mhz": 800}),
-        ]
-        full = TraceLog("full")
-        gated = TraceLog("gated")
-        fold_full = ConfigTimelineFold().attach(full)
-        fold_gated = ConfigTimelineFold().attach(gated)
-        for t, category, name, data in emits:
-            full.emit(t, category, name, **data)
-            gated.emit(t, category, name, **data)
-        assert fold_gated.applied == fold_full.applied
-        assert fold_gated.residency(0, 400, BIG) == fold_full.residency(0, 400, BIG)
+        """Folds on a session with no trace (the gated leg) accumulate
+        exactly what they do on its traced twin, under a dynamic
+        scenario too."""
+        for scenario in (I, "thermal(cap_mhz=1100,trip_ms=50,hot_load=0.2)"):
+            legs = {}
+            for traced in (True, False):
+                folds = (ConfigTimelineFold(), FrameTimelineFold(), PredictionAccuracyFold())
+                session(traced, "greenweb", *folds, app="cnet", scenario=scenario)
+                legs[traced] = folds
+            full, gated = legs[True], legs[False]
+            assert gated[0].applied == full[0].applied
+            assert gated[1].stats() == full[1].stats()
+            assert gated[2].result() == full[2].result()
+            assert full[1].stats().frame_count > 0 and full[2].result().pairs > 0
 
 
 # ----------------------------------------------------------------------
-# Trace levels through the session builder and the fleet
+# Both legs through the session builder and the fleet
 # ----------------------------------------------------------------------
 def run_full(app, governor, seed, settle_s=4.0):
-    """One micro session with a retained ("full") trace, as a plain
-    dict — the full-level twin of a gated ``run_workload`` cell."""
+    """One micro session with a trace attached (the full leg), as a
+    plain dict — the traced twin of a results-only ``run_workload``
+    cell."""
     job = {"app": app, "governor": governor, "trace_kind": "micro",
            "seed": seed, "settle_s": settle_s}
     return run_cell(job, "full")
@@ -242,41 +281,27 @@ class TestRunnerTraceLevels:
         gated = run_workload("todo", "greenweb", I, "micro", seed=3)
         assert run_full("todo", "greenweb", 3) == run_result_to_dict(gated)
 
-    def test_unknown_trace_level_rejected(self):
-        for level in ("off", "loud"):
-            with pytest.raises(SimulationError, match="unknown trace level"):
-                SessionExecution(
-                    build_app("todo", seed=0), "perf", I, "micro", 0, 4.0, level,
-                    lambda platform, registry, scenario: POLICIES.build(
-                        "perf", platform, registry, scenario
-                    ),
-                )
-
 
 class TestFleetTraceLevels:
     MIX = parse_mix("todo:greenweb:imperceptible:micro,cnet:perf:imperceptible:micro")
 
     def test_gated_and_full_fleets_byte_identical(self):
         """A fleet's aggregate equals the one folded from its sessions
-        re-run one by one with retained traces."""
+        re-run one by one with traces attached."""
         spec = FleetSpec(sessions=4, seed=7, mix=self.MIX, shard_size=2, settle_s=2.0)
         gated = Fleet(spec, jobs=1).run()
         assert gated.ok
         full = FleetAggregate()
-        for session in spec.expand():
-            full.add_run(run_full(session.app, session.governor, session.seed, 2.0))
+        for session_spec in spec.expand():
+            full.add_run(run_full(
+                session_spec.app, session_spec.governor, session_spec.seed, 2.0
+            ))
         assert gated.aggregate.to_dict() == full.to_dict()
 
 
 class TestTraceExportGating:
-    def test_gated_log_refuses_export(self):
-        log = TraceLog("gated")
-        log.emit(1, "config", "applied", cluster="big", freq_mhz=800)
-        with pytest.raises(SimulationError):
-            to_chrome_trace(log)
-
     def test_empty_full_log_exports_only_metadata(self):
-        events = to_chrome_trace(TraceLog("full"))
+        events = to_chrome_trace(TraceLog())
         assert all(event["ph"] == "M" for event in events)
 
 

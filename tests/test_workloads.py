@@ -295,7 +295,7 @@ def execute_bundle(bundle):
     from repro.policies import POLICIES
 
     execution = SessionExecution(
-        bundle, "greenweb", "imperceptible", "micro", 0, 1.0, "gated",
+        bundle, "greenweb", "imperceptible", "micro", 0, 1.0, False,
         lambda platform, registry, scenario: POLICIES.build(
             "greenweb", platform, registry, scenario
         ),
