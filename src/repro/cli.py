@@ -96,11 +96,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepared_session(args: argparse.Namespace, command: str):
+def _prepared_session(args: argparse.Namespace, command: str, trace: bool = True):
     """The ``APP --governor --scenario --trace --seed`` cell as a
-    :class:`~repro.evaluation.runner.SessionExecution` that retains its
-    whole trace, ready to ``run()``; ``command`` names the caller in the
-    error a post-hoc policy (which has no live session) raises."""
+    :class:`~repro.evaluation.runner.SessionExecution`, ready to
+    ``run()``, that retains its whole trace unless ``trace`` is False;
+    ``command`` names the caller in the error a post-hoc policy (which
+    has no live session) raises."""
     from repro.evaluation.runner import SessionExecution
 
     spec = POLICIES.normalize(args.governor)
@@ -111,7 +112,7 @@ def _prepared_session(args: argparse.Namespace, command: str):
         )
     return SessionExecution(
         build_app(args.app, args.seed), spec.label(), args.scenario, args.trace,
-        args.seed, 4.0, True,
+        args.seed, 4.0, trace,
         lambda platform, registry, scenario: POLICIES.build(
             spec, platform, registry, scenario
         ),
@@ -170,7 +171,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.evaluation.folds import FrameTimelineFold
     from repro.evaluation.report import ascii_bars
 
-    execution = _prepared_session(args, "analyze")
+    execution = _prepared_session(args, "analyze", trace=False)
     frames = FrameTimelineFold()
     execution.platform.observers.append(frames)
     execution.run()
@@ -185,7 +186,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           f"max={stats.latency_max_us/1000:.1f} ms")
     print(f"  jank:        {stats.jank_count} frames >= 2 vsync periods "
           f"({stats.jank_rate:.1%})")
-    series = fps_over_time(execution.platform.trace, bucket_ms=1000)
+    series = fps_over_time(frames.display_times_us, bucket_ms=1000)
     if series:
         print("\nfps over time (1 s buckets):")
         print(ascii_bars(

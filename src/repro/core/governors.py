@@ -133,17 +133,15 @@ class InteractiveGovernor(BrowserPolicy):
         self._floor = self._table.ladder[0]
         self._last_boost_us: Optional[int] = None
         self._last_any_busy_us = 0.0
-        self._last_sample_us = 0
         self.timer_fires = 0
 
     # ------------------------------------------------------------------
     def bind(self, browser) -> None:
         super().bind(browser)
         self.platform.add_busy_observer(self._busy_transition)
-        self._last_sample_us = self.platform.kernel.now_us
         self._last_any_busy_us = self.platform.any_busy_us()
         self.platform.set_config(self._floor)
-        self._arm_timer()
+        self.platform.kernel.every(self.timer_rate_us, self._timer, label="interactive")
 
     def on_input(self, msg: InputMsg, event: Event) -> None:
         if self.input_boost:
@@ -159,16 +157,12 @@ class InteractiveGovernor(BrowserPolicy):
         self._last_boost_us = self.platform.kernel.now_us
         self.platform.set_config(self._hispeed)
 
-    def _arm_timer(self) -> None:
-        self.platform.kernel.schedule_in(self.timer_rate_us, self._timer, label="interactive")
-
     def _timer(self) -> None:
+        # A periodic tick: the sampling window is exactly timer_rate_us.
         self.timer_fires += 1
-        now = self.platform.kernel.now_us
-        any_busy = self.platform.any_busy_us()
-        window = max(1, now - self._last_sample_us)
-        utilization = min(1.0, (any_busy - self._last_any_busy_us) / window)
-        self._last_sample_us = now
+        platform = self.platform
+        any_busy = platform.any_busy_us()
+        utilization = min(1.0, (any_busy - self._last_any_busy_us) / self.timer_rate_us)
         self._last_any_busy_us = any_busy
 
         # Deferrable-timer semantics: the real interactive governor's
@@ -176,22 +170,20 @@ class InteractiveGovernor(BrowserPolicy):
         # frequency parks wherever the last busy period left it —
         # usually hispeed.  This is why the paper observes Interactive
         # "almost always operating at the peak performance" (Sec. 7.3).
-        if utilization < 0.02 and self.platform.busy_context_count == 0:
-            self._arm_timer()
+        if utilization < 0.02 and platform.busy_context_count == 0:
             return
 
         boosted = (
             self._last_boost_us is not None
-            and now - self._last_boost_us < self.min_sample_time_us
+            and platform.kernel._now_us - self._last_boost_us < self.min_sample_time_us
         )
         if not boosted:
             if utilization >= self.go_hispeed_load:
-                self.platform.set_config(self._hispeed)
+                platform.set_config(self._hispeed)
             else:
-                current_capacity = self._table.capacities[self._table.rank[self.platform.config]]
+                current_capacity = self._table.capacities[self._table.rank[platform._config]]
                 target_capacity = current_capacity * utilization / self.target_load
-                self.platform.set_config(self._lowest_with_capacity(target_capacity))
-        self._arm_timer()
+                platform.set_config(self._lowest_with_capacity(target_capacity))
 
     def _lowest_with_capacity(self, capacity: float) -> CpuConfig:
         ladder = self._table.ladder
@@ -217,30 +209,25 @@ class OndemandGovernor(BrowserPolicy):
         self.down_threshold = down_threshold
         self._table = platform.config_table
         self._last_any_busy_us = 0.0
-        self._last_sample_us = 0
 
     def bind(self, browser) -> None:
         super().bind(browser)
-        self._last_sample_us = self.platform.kernel.now_us
         self._last_any_busy_us = self.platform.any_busy_us()
         self.platform.set_config(self._table.ladder[0])
-        self._arm_timer()
-
-    def _arm_timer(self) -> None:
-        self.platform.kernel.schedule_in(self.timer_rate_us, self._timer, label="ondemand")
+        self.platform.kernel.every(self.timer_rate_us, self._timer, label="ondemand")
 
     def _timer(self) -> None:
-        now = self.platform.kernel.now_us
-        any_busy = self.platform.any_busy_us()
-        window = max(1, now - self._last_sample_us)
-        utilization = min(1.0, (any_busy - self._last_any_busy_us) / window)
-        self._last_sample_us = now
+        # A periodic tick: the sampling window is exactly timer_rate_us.
+        # No clamp to 1: up_threshold <= 1, so a higher reading compares
+        # as 1.0 would against both thresholds.
+        platform = self.platform
+        any_busy = platform.any_busy_us()
+        utilization = (any_busy - self._last_any_busy_us) / self.timer_rate_us
         self._last_any_busy_us = any_busy
 
         ladder = self._table.ladder
-        index = self._table.rank[self.platform.config]
+        index = self._table.rank[platform._config]
         if utilization >= self.up_threshold:
-            self.platform.set_config(ladder[-1])
+            platform.set_config(ladder[-1])
         elif utilization <= self.down_threshold and index > 0:
-            self.platform.set_config(ladder[index - 1])
-        self._arm_timer()
+            platform.set_config(ladder[index - 1])

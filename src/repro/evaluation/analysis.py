@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import EvaluationError
-from repro.sim.tracing import TraceLog
 
 
 @dataclass(frozen=True)
@@ -51,18 +50,18 @@ def percentile(values: Sequence[float], fraction: float) -> float:
 
 
 def fps_over_time(
-    trace: TraceLog, bucket_ms: float = 1000.0
+    display_times_us: Sequence[int], bucket_ms: float = 1000.0
 ) -> list[tuple[float, float]]:
-    """(bucket start in seconds, frames/s) series from the trace."""
+    """(bucket start in seconds, frames/s) series from frame display
+    times (``FrameTimelineFold.display_times_us``)."""
     bucket_us = int(bucket_ms * 1000)
     if bucket_us < 1:
         raise EvaluationError(f"bucket below 1 us: {bucket_ms} ms")
-    frames = trace.filter(category="frame", name="displayed")
-    if not frames:
+    if not display_times_us:
         return []
     counts: dict[int, int] = {}
-    for frame in frames:
-        counts[frame.time_us // bucket_us] = counts.get(frame.time_us // bucket_us, 0) + 1
+    for time_us in display_times_us:
+        counts[time_us // bucket_us] = counts.get(time_us // bucket_us, 0) + 1
     series = []
     for bucket in range(min(counts), max(counts) + 1):
         series.append((bucket * bucket_us / 1e6, counts.get(bucket, 0) / (bucket_ms / 1000)))

@@ -14,7 +14,7 @@ exist only here.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.browser.frame_tracker import FrameRecord
 from repro.browser.vsync import VSYNC_PERIOD_US
@@ -101,21 +101,19 @@ class ConfigTimelineFold(SessionObserver):
 
 
 class FrameTimelineFold(SessionObserver):
-    """Accumulates displayed-frame latencies for timeline statistics.
+    """Accumulates displayed-frame latencies and display times for
+    timeline statistics and the FPS series.
 
-    Memory is O(frames) floats.
+    Memory is O(frames).
     """
 
     def __init__(self) -> None:
         self.latencies_us: list[float] = []
-        self.first_us: Optional[int] = None
-        self.last_us: Optional[int] = None
+        self.display_times_us: list[int] = []
 
     def frame_displayed(self, time_us: int, frame: FrameRecord) -> None:
         self.latencies_us.append(float(frame.max_latency_us))
-        if self.first_us is None:
-            self.first_us = time_us
-        self.last_us = time_us
+        self.display_times_us.append(time_us)
 
     def stats(self, vsync_period_us: int = VSYNC_PERIOD_US) -> FrameTimelineStats:
         """Timeline statistics over the displayed frames seen so far;
@@ -123,7 +121,7 @@ class FrameTimelineFold(SessionObserver):
         latencies = self.latencies_us
         if not latencies:
             return FrameTimelineStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-        span_us = max(self.last_us - self.first_us, 1)
+        span_us = max(self.display_times_us[-1] - self.display_times_us[0], 1)
         jank = sum(1 for latency in latencies if latency >= 2 * vsync_period_us)
         return FrameTimelineStats(
             frame_count=len(latencies),

@@ -110,44 +110,34 @@ class ThermalScenario(Scenario):
         self._cap_cluster: Optional[str] = None
         self._hot_us = 0
         self._cool_us = 0
-        self._last_us = 0
         self._last_any_busy = 0.0
 
     def on_bind(self) -> None:
         platform = self.platform
         self._cap_cluster = platform.config_table.fastest_cluster
-        self._last_us = platform.kernel.now_us
         self._last_any_busy = platform.any_busy_us()
-        platform.kernel.schedule_in(
-            THERMAL_TICK_US, self._tick, label="scenario/thermal"
-        )
+        platform.kernel.every(THERMAL_TICK_US, self._tick, label="scenario/thermal")
 
     def _tick(self) -> None:
-        platform = self.platform
-        now = platform.kernel.now_us
-        any_busy = platform.any_busy_us()
-        dt = now - self._last_us
-        load = (any_busy - self._last_any_busy) / dt if dt > 0 else 0.0
-        self._last_us = now
+        # A periodic tick: the sampling window is exactly THERMAL_TICK_US.
+        any_busy = self.platform.any_busy_us()
+        load = (any_busy - self._last_any_busy) / THERMAL_TICK_US
         self._last_any_busy = any_busy
         hot = load >= self.hot_load
         if self.engaged:
             if hot:
                 self._cool_us = 0
             else:
-                self._cool_us += dt
+                self._cool_us += THERMAL_TICK_US
                 if self._cool_us >= self.hysteresis_ms * 1_000.0:
-                    self._set_engaged(False, now)
+                    self._set_engaged(False, self.platform.kernel._now_us)
         else:
             if hot:
-                self._hot_us += dt
+                self._hot_us += THERMAL_TICK_US
                 if self._hot_us >= self.trip_ms * 1_000.0:
-                    self._set_engaged(True, now)
+                    self._set_engaged(True, self.platform.kernel._now_us)
             else:
                 self._hot_us = 0
-        platform.kernel.schedule_in(
-            THERMAL_TICK_US, self._tick, label="scenario/thermal"
-        )
 
     def _set_engaged(self, engaged: bool, now_us: int) -> None:
         self.engaged = engaged
@@ -339,7 +329,6 @@ class BgLoadScenario(Scenario):
         self._extra_work_us = 0.0
         self._context = None
         self._chunk: Optional[WorkUnit] = None
-        self._period_us = 0
 
     def on_bind(self) -> None:
         platform = self.platform
@@ -350,18 +339,13 @@ class BgLoadScenario(Scenario):
         spec = platform.cluster(platform.config_table.slowest_cluster).spec
         busy_us = self.duty * self.period_ms * 1_000.0
         self._chunk = WorkUnit(busy_us * spec.ipc_factor * spec.opps.max.freq_mhz)
-        self._period_us = max(1, int(round(self.period_ms * 1_000.0)))
-        platform.kernel.schedule_in(
-            self._period_us, self._tick, label="scenario/bgload"
-        )
+        period_us = max(1, int(round(self.period_ms * 1_000.0)))
+        platform.kernel.every(period_us, self._tick, label="scenario/bgload")
 
     def _tick(self) -> None:
         self._context.submit(self._chunk, label="bgload")
         self.periods += 1
         self._extra_work_us += self.duty * self.period_ms * 1_000.0
-        self.platform.kernel.schedule_in(
-            self._period_us, self._tick, label="scenario/bgload"
-        )
 
     def extra_work_done_us(self) -> float:
         return self._extra_work_us

@@ -6,6 +6,14 @@ schedule work with :meth:`Kernel.schedule_at` / :meth:`Kernel.schedule_in`
 and the driver advances the simulation with :meth:`Kernel.run_until` /
 :meth:`Kernel.run_for` / :meth:`Kernel.step`.
 
+Periodic events
+---------------
+:meth:`Kernel.every` fires an action at start + k * period.  The one
+handle is re-armed right after the action returns, which is where a
+self-rescheduling callback would schedule its next tick, so the heap
+order is the same as if the action re-armed itself.  Each tick is one
+fired event; the handle stays ``pending`` until it is cancelled.
+
 Ordering guarantees
 -------------------
 Events at the same timestamp fire in **insertion order** (a per-kernel
@@ -15,8 +23,10 @@ was scheduled later, exactly as a real event loop would interleave them.
 
 Cancellation
 ------------
-``schedule_*`` returns a :class:`ScheduledEvent` handle; cancelling it is
-O(1) (the heap entry is tombstoned and skipped on pop).
+``schedule_*`` and ``every`` return a :class:`ScheduledEvent` handle;
+cancelling it is O(1) (the heap entry is tombstoned and skipped on
+pop).  Cancelling a periodic handle, from inside its action or from
+anywhere else, ends the series.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ class ScheduledEvent:
         time_us: absolute firing time in microseconds.
         label: optional human-readable tag, shown in the handle's repr
             (a debugging aid; the kernel keeps no per-label counts).
+
+    A periodic handle (:meth:`Kernel.every`) reads ``fired`` only while
+    its action runs; ``time_us`` is then the tick in progress.
     """
 
     __slots__ = ("time_us", "action", "label", "_cancelled", "_fired")
@@ -144,6 +157,36 @@ class Kernel:
         self._seq += 1
         return event
 
+    def every(self, period_us: int, action: Action, label: str = "") -> ScheduledEvent:
+        """Fire ``action`` at now + k * ``period_us`` for k = 1, 2, ...
+
+        After each tick's action returns, the same handle is re-armed
+        one period later (unless the action cancelled it), so events
+        the action scheduled for the next tick's timestamp fire first.
+        The handle is ``pending`` between ticks until it is cancelled.
+
+        Raises:
+            SchedulingError: if ``period_us`` is not positive.
+        """
+        if period_us <= 0:
+            raise SchedulingError(f"non-positive period for {label!r}: {period_us}us")
+        heap = self._heap
+        heappush = heapq.heappush
+        event = ScheduledEvent(self._now_us + period_us, action, label)
+
+        def tick() -> None:
+            action()
+            if not event._cancelled:
+                event._fired = False
+                time_us = event.time_us = event.time_us + period_us
+                heappush(heap, (time_us, self._seq, event))
+                self._seq += 1
+
+        event.action = tick
+        heappush(heap, (event.time_us, self._seq, event))
+        self._seq += 1
+        return event
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -204,7 +247,8 @@ class Kernel:
 
         Args:
             max_events: safety valve against runaway self-rescheduling
-                components (e.g. a VSync source that re-arms forever).
+                components (e.g. a VSync source that re-arms forever,
+                or any live :meth:`every` series).
 
         Returns:
             The number of events fired.

@@ -19,26 +19,24 @@ from repro.evaluation.analysis import (
 )
 from repro.evaluation.folds import FrameTimelineFold, PredictionAccuracyFold
 from repro.hardware.dvfs import CpuConfig
-from repro.sim.tracing import TraceLog
 
 
 def observe_frames(latencies_us, period_us=16_667):
-    """A trace and a frame fold that both observed one displayed frame
-    per ``period_us``, with the given latencies."""
-    trace, fold = TraceLog(), FrameTimelineFold()
+    """A frame fold that observed one displayed frame per
+    ``period_us``, with the given latencies."""
+    fold = FrameTimelineFold()
     for seq, latency in enumerate(latencies_us, start=1):
         frame = SimpleNamespace(seq=seq, uids=[1], complexity=1.0, max_latency_us=latency)
-        for observer in (trace, fold):
-            observer.frame_displayed(seq * period_us, frame)
-    return trace, fold
+        fold.frame_displayed(seq * period_us, frame)
+    return fold
 
 
 def timeline_of(latencies_us):
-    return observe_frames(latencies_us)[1].stats()
+    return observe_frames(latencies_us).stats()
 
 
-def trace_with_frames(latencies_us):
-    return observe_frames(latencies_us)[0]
+def display_times_of(latencies_us):
+    return observe_frames(latencies_us).display_times_us
 
 
 def predict(fold, time_us, key, predicted_us):
@@ -95,23 +93,23 @@ class TestTimelineStats:
 
 class TestFpsOverTime:
     def test_buckets(self):
-        trace = trace_with_frames([5_000] * 120)  # ~2 s at 60 fps
-        series = fps_over_time(trace, bucket_ms=1000)
+        times = display_times_of([5_000] * 120)  # ~2 s at 60 fps
+        series = fps_over_time(times, bucket_ms=1000)
         assert len(series) >= 2
         # Full buckets run at ~60 fps; the final bucket may be partial.
         assert all(40 <= fps <= 70 for _t, fps in series[:-1])
 
     def test_empty(self):
-        assert fps_over_time(TraceLog()) == []
+        assert fps_over_time([]) == []
 
     def test_invalid_bucket(self):
         with pytest.raises(EvaluationError):
-            fps_over_time(TraceLog(), bucket_ms=0)
+            fps_over_time([], bucket_ms=0)
 
     def test_sub_microsecond_bucket_rejected(self):
         # 0.4 us truncates to a 0 us bucket: an error, not a division by 0.
         with pytest.raises(EvaluationError, match="below 1 us"):
-            fps_over_time(trace_with_frames([5_000] * 3), bucket_ms=0.0004)
+            fps_over_time(display_times_of([5_000] * 3), bucket_ms=0.0004)
 
 
 class TestParetoFrontier:

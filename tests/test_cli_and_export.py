@@ -28,6 +28,33 @@ runtime:        {'inputs_seen': 6, 'unannotated_inputs': 0, 'predictions': 201, 
 'recalibrations': 2, 'idle_drops': 6}
 """
 
+#: ``analyze cnet --governor ondemand --scenario thermal --seed 1``'s
+#: stdout, recorded when the FPS series still came from a retained trace.
+ANALYZE_REPORT = """\
+frame timeline for cnet / ondemand / thermal:
+  frames:      222 over 15.6 s (14.2 fps mean)
+  latency:     p50=5.4 ms  p95=12.6 ms  p99=14.9 ms  max=15.2 ms
+  jank:        0 frames >= 2 vsync periods (0.0%)
+
+fps over time (1 s buckets):
+    0s |#########################               |   37.0 fps
+    1s |                                        |    0.0 fps
+    2s |                                        |    0.0 fps
+    3s |#########################               |   37.0 fps
+    4s |                                        |    0.0 fps
+    5s |                                        |    0.0 fps
+    6s |#########################               |   37.0 fps
+    7s |                                        |    0.0 fps
+    8s |                                        |    0.0 fps
+    9s |#########################               |   37.0 fps
+   10s |                                        |    0.0 fps
+   11s |                                        |    0.0 fps
+   12s |#########################               |   37.0 fps
+   13s |                                        |    0.0 fps
+   14s |                                        |    0.0 fps
+   15s |#########################               |   37.0 fps
+"""
+
 
 class TestTraceExport:
     def make_trace(self):
@@ -113,6 +140,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "energy:" in out
         assert "QoS violations:" in out
+
+    def test_analyze_runs_untraced_and_is_pinned(self, monkeypatch, capsys):
+        def no_trace():
+            raise AssertionError("analyze attached a trace")
+
+        monkeypatch.setattr("repro.evaluation.runner.TraceLog", no_trace)
+        argv = ["analyze", "cnet", "--governor", "ondemand", "--scenario", "thermal"]
+        assert main(argv + ["--seed", "1"]) == 0
+        assert capsys.readouterr().out == ANALYZE_REPORT
 
     def test_run_with_trace_export(self, tmp_path, capsys):
         path = tmp_path / "out.json"

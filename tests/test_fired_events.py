@@ -1,8 +1,10 @@
-"""Pinned kernel-event counts for two sampler-heavy sessions.
+"""Pinned kernel-event counts for three sampler-heavy sessions.
 
 ``sim_events_per_s`` in the benchmark counts fired kernel events, so
 the number a session fires is part of what that metric means.  These
-cells pin the total and the fired sampler-tick and DVFS-apply events:
+cells pin the total and the fired sampler-tick, scenario-tick and
+DVFS-apply events, counting periodic (``Kernel.every``) ticks as well
+as one-shot events:
 a change that skips, coalesces or adds a tick or a switch must move
 this test on purpose, together with the metric.
 """
@@ -15,12 +17,16 @@ from repro.evaluation.runner import run_workload
 from repro.sim.kernel import Kernel
 
 
+#: fired ``scenario/NAME`` ticks of each pinned cell's scenario
+SCENARIO_TICKS = {"bgload": 240, "imperceptible": 0, "thermal": 2_400}
+
+
 def fired_events(monkeypatch, app, policy, scenario, trace_kind):
     """``(events_fired, fired count by label)`` of one seed-1 session;
     a ``dvfs->CONFIG`` label counts as ``dvfs``."""
     fired = collections.Counter()
     kernels = []
-    schedule_in, schedule_at = Kernel.schedule_in, Kernel.schedule_at
+    schedule_in, schedule_at, every = Kernel.schedule_in, Kernel.schedule_at, Kernel.every
 
     def counted(kernel, action, label):
         if kernel not in kernels:
@@ -45,6 +51,13 @@ def fired_events(monkeypatch, app, policy, scenario, trace_kind):
             self, time_us, counted(self, action, label), label
         ),
     )
+    # A periodic series wraps its action once; each tick counts.
+    monkeypatch.setattr(
+        Kernel, "every",
+        lambda self, period_us, action, label="": every(
+            self, period_us, counted(self, action, label), label
+        ),
+    )
     run_workload(app, policy, scenario, trace_kind=trace_kind, seed=1)
     (kernel,) = kernels
     return kernel.events_fired, fired
@@ -55,6 +68,7 @@ def fired_events(monkeypatch, app, policy, scenario, trace_kind):
     [
         (("bbc", "ondemand", "bgload"), "micro", 5_543, "ondemand", 3_000, 2_021),
         (("cnet", "interactive", "imperceptible"), "full", 5_513, "interactive", 2_454, 2),
+        (("bbc", "ondemand", "thermal"), "micro", 5_597, "ondemand", 3_000, 154),
     ],
 )
 def test_fired_events_are_pinned(
@@ -63,4 +77,5 @@ def test_fired_events_are_pinned(
     events_fired, fired = fired_events(monkeypatch, *cell, trace_kind)
     assert events_fired == sum(fired.values()) == total
     assert fired[sampler] == ticks
+    assert fired[f"scenario/{cell[2]}"] == SCENARIO_TICKS[cell[2]]
     assert fired["dvfs"] == applies

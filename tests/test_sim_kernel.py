@@ -208,3 +208,110 @@ class TestRunControl:
             kernel.schedule_at(t, lambda: None)
         kernel.run_until(10)
         assert kernel.events_fired == 5
+
+
+class TestEvery:
+    def test_fires_at_start_plus_k_periods(self):
+        kernel = Kernel(start_time_us=7)
+        times = []
+        kernel.every(10, lambda: times.append(kernel.now_us))
+        kernel.run_until(50)
+        assert times == [17, 27, 37, 47]
+
+    def test_event_scheduled_for_the_next_tick_fires_first(self):
+        # The series re-arms after its action returns, where a
+        # self-rescheduling action would schedule its next tick.
+        kernel = Kernel()
+        order = []
+
+        def tick():
+            order.append(("tick", kernel.now_us))
+            if kernel.now_us == 10:
+                kernel.schedule_at(20, lambda: order.append(("other", kernel.now_us)))
+
+        kernel.every(10, tick)
+        kernel.run_until(20)
+        assert order == [("tick", 10), ("other", 20), ("tick", 20)]
+
+    def test_matches_a_self_rescheduling_action(self):
+        def run(periodic):
+            kernel = Kernel()
+            order = []
+
+            def sampler():
+                order.append(("sample", kernel.now_us))
+                kernel.schedule_in(5, lambda: order.append(("work", kernel.now_us)))
+                if not periodic:
+                    kernel.schedule_in(5, sampler)
+
+            if periodic:
+                kernel.every(5, sampler)
+            else:
+                kernel.schedule_in(5, sampler)
+            kernel.schedule_at(10, lambda: order.append(("input", kernel.now_us)))
+            kernel.run_until(30)
+            return order, kernel.events_fired
+
+        assert run(periodic=True) == run(periodic=False)
+
+    def test_cancel_from_inside_the_action_ends_the_series(self):
+        kernel = Kernel()
+        times = []
+
+        def tick():
+            times.append(kernel.now_us)
+            if len(times) == 3:
+                handle.cancel()
+
+        handle = kernel.every(10, tick)
+        kernel.run_until(100)
+        assert times == [10, 20, 30]
+        assert handle.cancelled and not handle.pending
+        assert kernel.pending_count == 0
+
+    def test_cancel_from_outside_ends_the_series(self):
+        kernel = Kernel()
+        times = []
+        handle = kernel.every(10, lambda: times.append(kernel.now_us))
+        kernel.schedule_at(25, handle.cancel)
+        kernel.run_until(100)
+        assert times == [10, 20]
+        assert kernel.pending_count == 0
+
+    def test_handle_stays_pending_until_cancelled(self):
+        kernel = Kernel()
+        handle = kernel.every(10, lambda: None)
+        kernel.run_until(35)
+        assert handle.pending and handle.time_us == 40
+        assert kernel.pending_count == 1
+        handle.cancel()
+        assert not handle.pending
+        assert kernel.pending_count == 0
+
+    def test_step_re_arms(self):
+        kernel = Kernel()
+        times = []
+        kernel.every(3, lambda: times.append(kernel.now_us))
+        for _ in range(4):
+            assert kernel.step() is True
+        assert times == [3, 6, 9, 12]
+
+    def test_drain_hits_its_guard(self):
+        kernel = Kernel()
+        kernel.every(1, lambda: None)
+        with pytest.raises(SchedulingError, match="exceeded 100 events"):
+            kernel.drain(max_events=100)
+
+    def test_each_tick_counts_once(self):
+        kernel = Kernel()
+        kernel.every(10, lambda: None)
+        kernel.schedule_at(15, lambda: None)
+        kernel.run_until(100)
+        assert kernel.events_fired == 11
+
+    @pytest.mark.parametrize("period_us", [0, -5])
+    def test_non_positive_period_rejected(self, period_us):
+        kernel = Kernel()
+        with pytest.raises(SchedulingError, match="period"):
+            kernel.every(period_us, lambda: None)
+        assert kernel.pending_count == 0

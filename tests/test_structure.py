@@ -1,5 +1,6 @@
 """Structure guards: one session builder, one background-load path,
-one place to choose trace retention, one profiling path.
+one place to choose trace retention, one profiling path, one periodic
+primitive.
 
 Measured sessions are built by ``evaluation/runner.py``'s
 ``SessionExecution``; ``session.py``'s ``Session.for_page`` is the
@@ -24,6 +25,10 @@ reads a policy's ``stats`` hook instead of sniffing its type, and the
 Per-event policies share one keyed base: ``KeyedGovernor`` owns the
 uid-to-key map, the demanding set and the input/frame hooks, and EBS
 and the oracle's replay policy supply only ``config_for``.
+
+Periodic samplers tick through ``Kernel.every``: no method under
+``src/`` re-arms itself through ``schedule_in``/``schedule_at``, apart
+from the listed one-shot chains (vsync, task completion, netdelay).
 """
 
 import ast
@@ -222,3 +227,73 @@ def test_keyed_policies_share_one_base():
     assert writers, "the scan sees no keyed state at all"
     offenders = [s for s in writers if not s.startswith("src/repro/core/governors.py:")]
     assert not offenders, f"keyed state touched outside KeyedGovernor: {offenders}"
+
+
+#: self-rescheduling methods that stay one-shot chains: vsync re-arms
+#: before its handler and stops when idle in demand mode; a finished
+#: task schedules the next queued task's completion; netdelay's delays
+#: are random draws, not a period
+ONE_SHOT_CHAINS = {
+    "src/repro/browser/vsync.py:VsyncSource._arm_at",
+    "src/repro/hardware/execution.py:ExecutionContext._schedule_completion",
+    "src/repro/scenarios/builtin.py:NetDelayScenario._schedule_next",
+}
+
+
+def _self_rearm_sites(name, tree):
+    """``path:Class.method`` for each ``schedule_in``/``schedule_at`` in
+    a method whose action is a ``self.<method>`` that reaches it again
+    through ``self.<method>()`` calls."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        methods = {
+            node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
+        }
+        callees = {
+            method: {
+                node.func.attr
+                for node in ast.walk(body)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+            }
+            for method, body in methods.items()
+        }
+
+        def reaches(start, goal):
+            seen, stack = set(), [start]
+            while stack:
+                method = stack.pop()
+                if method == goal:
+                    return True
+                if method not in seen:
+                    seen.add(method)
+                    stack.extend(callees.get(method, ()))
+            return False
+
+        for method, body in methods.items():
+            for node in ast.walk(body):
+                if (
+                    isinstance(node, ast.Call)
+                    and _called_name(node) in ("schedule_in", "schedule_at")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Attribute)
+                    and isinstance(node.args[1].value, ast.Name)
+                    and node.args[1].value.id == "self"
+                    and reaches(node.args[1].attr, method)
+                ):
+                    yield f"{name}:{cls.name}.{method}"
+
+
+def test_no_sampler_re_arms_itself():
+    sites = {
+        site
+        for name, tree in _modules()
+        if name.startswith("src/")
+        for site in _self_rearm_sites(name, tree)
+    }
+    assert sites >= ONE_SHOT_CHAINS, "the scan misses a known one-shot chain"
+    offenders = sorted(sites - ONE_SHOT_CHAINS)
+    assert not offenders, f"re-armed through schedule_*, not Kernel.every: {offenders}"
+    for sampler in ("core/governors.py", "scenarios/builtin.py"):
+        assert ".every(" in (ROOT / "src/repro" / sampler).read_text(), sampler
