@@ -1,15 +1,20 @@
 """Session throughput benchmark: sessions/second for one worker.
 
-Measures how fast one session of the full-interaction workload runs,
-built by ``build_app`` plus
+Measures how fast sessions run, each built by ``build_app`` plus
 :class:`repro.evaluation.runner.SessionExecution` (the work
-:func:`~repro.evaluation.runner.run_workload` does), with and without a
-trace (the keys keep their historical names):
+:func:`~repro.evaluation.runner.run_workload` does), in three variants
+(the first two keep their historical names):
 
-* ``full``  — a trace attached, every record retained and indexed (what
-  trace export and analysis use);
-* ``gated`` — no trace: only the streaming folds observe the session
-  (what every results-only API runs: constant memory per session).
+* ``full``  — ``cnet:greenweb`` full interaction with a trace attached,
+  every record retained and indexed (what trace export and analysis
+  use);
+* ``gated`` — the same cell with no trace: only the streaming folds
+  observe the session (what every results-only API runs: constant
+  memory per session);
+* ``ondemand_bgload`` — ``camanjs:ondemand:bgload`` micro, results only:
+  the sampler-tick and DVFS-switch path (1,800 ``ondemand`` ticks and
+  1,225 applies in a seed-1 session), which the ``cnet:greenweb`` cell
+  barely exercises (no sampler ticks, about 100 applies).
 
 The checked-in ``BENCH_session_throughput.json`` at the repo root also
 records three historical blocks: ``pre_pr_baseline`` — the same workload
@@ -29,7 +34,7 @@ Usage::
     python benchmarks/bench_session_throughput.py --smoke \
         --check BENCH_session_throughput.json                     # CI gate
 
-``--check`` exits non-zero when the measured throughput of *either*
+``--check`` exits non-zero when the measured throughput of *any*
 variant falls more than ``--tolerance`` (default 15%) below the
 checked-in value.  Both sides are put on one scale by a fixed
 pure-Python calibration loop (allocation, dict and string traffic,
@@ -62,8 +67,13 @@ TRACE_KIND = "full"
 #: Sessions per round: the smoke run keeps the same seeds (sessions
 #: differ in cost by seed) and only does fewer rounds.
 SEEDS = 12
-#: variant name -> whether the session attaches a trace
-TRACED = {"full": True, "gated": False}
+#: variant name -> (app, governor, scenario, trace kind, whether the
+#: session attaches a trace)
+VARIANTS = {
+    "full": (APP, GOVERNOR, "imperceptible", TRACE_KIND, True),
+    "gated": (APP, GOVERNOR, "imperceptible", TRACE_KIND, False),
+    "ondemand_bgload": ("camanjs", "ondemand", "bgload", "micro", False),
+}
 
 
 def calibration_slice(rows: int = 36_000) -> float:
@@ -86,12 +96,10 @@ def calibration_slice(rows: int = 36_000) -> float:
 
 
 def run_session(variant: str, seed: int) -> None:
+    app, governor, scenario, trace_kind, traced = VARIANTS[variant]
     execution = SessionExecution(
-        build_app(APP, seed), GOVERNOR, "imperceptible", TRACE_KIND, seed, 4.0,
-        TRACED[variant],
-        lambda platform, registry, scenario: POLICIES.build(
-            GOVERNOR, platform, registry, scenario
-        ),
+        build_app(app, seed), governor, scenario, trace_kind, seed, 4.0, traced,
+        lambda platform, registry, live: POLICIES.build(governor, platform, registry, live),
     )
     execution.run()
     execution.finish()
@@ -128,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json-out", metavar="PATH", help="write results as JSON")
     parser.add_argument(
         "--check", metavar="BASELINE_JSON",
-        help="fail if sessions/s of either variant regresses vs this checked-in file",
+        help="fail if sessions/s of any variant regresses vs this checked-in file",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.15,
@@ -139,11 +147,12 @@ def main(argv: list[str] | None = None) -> int:
     rounds = 3 if args.smoke else 5
 
     # Warm import/registry caches outside the timed region.
-    run_session("gated", 0)
+    for variant in VARIANTS:
+        run_session(variant, 0)
 
     costs = {}
     points = []
-    for variant in TRACED:
+    for variant in VARIANTS:
         costs[variant], variant_points = measure(variant, rounds)
         points.extend(variant_points)
     # Quote every variant at the run's median calibration slice.
@@ -151,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     calibration_ms = slice_s * 1e3
     results = {variant: SEEDS / (cost * slice_s) for variant, cost in costs.items()}
     for variant, rate in results.items():
-        print(f"{variant:6s} {rate:7.2f} sessions/s "
+        print(f"{variant:15s} {rate:7.2f} sessions/s "
               f"({SEEDS} sessions x {rounds} rounds, best per session)")
     print(f"calibration slice {calibration_ms:.3f} ms (median)")
 
@@ -164,6 +173,10 @@ def main(argv: list[str] | None = None) -> int:
             "seeds": SEEDS,
             "rounds": rounds,
             "smoke": args.smoke,
+        },
+        "variants": {
+            variant: dict(zip(("app", "governor", "scenario", "trace_kind", "traced"), cell))
+            for variant, cell in VARIANTS.items()
         },
         "sessions_per_s": {variant: round(rate, 2) for variant, rate in results.items()},
         "calibration_slice_ms": round(calibration_ms, 4),
@@ -182,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         # many sessions per second.
         machine_scale = baseline["calibration_slice_ms"] / calibration_ms
         failed = []
-        for variant in TRACED:
+        for variant in VARIANTS:
             reference = baseline["sessions_per_s"][variant]
             floor = reference * machine_scale * (1.0 - args.tolerance)
             measured = results[variant]

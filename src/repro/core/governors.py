@@ -37,8 +37,17 @@ from repro.browser.messages import InputMsg
 from repro.errors import HardwareError
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import MobilePlatform
-from repro.sim.clock import ms_to_us
+from repro.sim.clock import MIN_SAMPLER_PERIOD_MS, ms_to_us
 from repro.web.events import Event
+
+
+def _check_timer_rate(timer_rate_ms: float) -> None:
+    """Reject a sampling period below :data:`MIN_SAMPLER_PERIOD_MS`."""
+    if not timer_rate_ms >= MIN_SAMPLER_PERIOD_MS:
+        raise HardwareError(
+            f"governor timer_rate_ms must be >= {MIN_SAMPLER_PERIOD_MS} ms, "
+            f"got {timer_rate_ms}"
+        )
 
 
 def config_capacity(platform: MobilePlatform, config: CpuConfig) -> float:
@@ -121,6 +130,7 @@ class InteractiveGovernor(BrowserPolicy):
     ) -> None:
         if not 0 < target_load <= 1 or not 0 < go_hispeed_load <= 1:
             raise HardwareError("governor loads must be in (0, 1]")
+        _check_timer_rate(timer_rate_ms)
         self.platform = platform
         self.timer_rate_us = ms_to_us(timer_rate_ms)
         self.go_hispeed_load = go_hispeed_load
@@ -203,6 +213,7 @@ class OndemandGovernor(BrowserPolicy):
     ) -> None:
         if not 0 < down_threshold < up_threshold <= 1:
             raise HardwareError("need 0 < down_threshold < up_threshold <= 1")
+        _check_timer_rate(timer_rate_ms)
         self.platform = platform
         self.timer_rate_us = ms_to_us(timer_rate_ms)
         self.up_threshold = up_threshold
@@ -225,9 +236,9 @@ class OndemandGovernor(BrowserPolicy):
         utilization = (any_busy - self._last_any_busy_us) / self.timer_rate_us
         self._last_any_busy_us = any_busy
 
-        ladder = self._table.ladder
-        index = self._table.rank[platform._config]
         if utilization >= self.up_threshold:
-            platform.set_config(ladder[-1])
-        elif utilization <= self.down_threshold and index > 0:
-            platform.set_config(ladder[index - 1])
+            platform.set_config(self._table.ladder[-1])
+        elif utilization <= self.down_threshold:
+            index = self._table.rank[platform._config]
+            if index > 0:
+                platform.set_config(self._table.ladder[index - 1])

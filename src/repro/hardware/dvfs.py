@@ -2,9 +2,9 @@
 
 The paper reports (Sec. 7.1) a 100 us frequency-switching overhead and
 a 20 us core-migration overhead on the Exynos 5410.  The controller
-models both: during a switch, all execution contexts are paused (their
-in-flight work is frozen) and resume at the new configuration once the
-overhead elapses.
+models both: during a switch the platform is paused (running tasks are
+frozen, submitted work queues) and everything resumes at the new
+configuration once the overhead elapses.
 
 The controller also counts the two kinds of switches separately, which
 is exactly the data Fig. 12 of the paper plots.

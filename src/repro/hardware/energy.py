@@ -35,7 +35,18 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     def on_power_change(self, now_us: int, breakdown: PowerBreakdown) -> None:
         """Account energy up to ``now_us`` then switch to the new power."""
-        self._integrate_to(now_us)
+        # _integrate_to inlined (the platform calls this on every busy,
+        # idle and apply transition): same check, same float expressions.
+        last_us = self._last_change_us
+        if now_us != last_us:
+            if now_us < last_us:
+                raise HardwareError(
+                    f"energy meter driven backwards: {now_us} < {last_us}"
+                )
+            dt_us = now_us - last_us
+            self._total_j += self._current_power_w * dt_us * 1e-6
+            self._dynamic_j += self._current_dynamic_w * dt_us * 1e-6
+            self._last_change_us = now_us
         self._current_power_w = breakdown.total_w
         self._current_dynamic_w = breakdown.dynamic_w
 

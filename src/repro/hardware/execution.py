@@ -7,12 +7,15 @@ one at a time; task duration is derived from the platform's *current*
 configuration via the :class:`~repro.hardware.core.WorkUnit` model.
 
 When the platform changes configuration mid-task (a frequency switch or
-core migration), the context is paused: the running task's remaining
-work is computed by proportionally scaling both work components by the
-unexecuted fraction, and after the switching overhead elapses the task
-resumes at the new speed.  This is what makes DVFS decisions taken
-*during* a frame (the GreenWeb runtime's per-frame operation) affect
-that frame's latency, exactly as on real hardware.
+core migration), the platform pauses (one pause state, owned by
+:class:`~repro.hardware.platform.MobilePlatform`): a running task is
+frozen, its remaining work computed by proportionally scaling both
+work components by the unexecuted fraction, and after the switching
+overhead elapses the task resumes at the new speed.  While the platform
+is paused a context starts no task; submitted work queues.  This is
+what makes DVFS decisions taken *during* a frame (the GreenWeb
+runtime's per-frame operation) affect that frame's latency, exactly as
+on real hardware.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ class ExecutionContext:
         self.name = name
         self._queue: deque[TaskHandle] = deque()
         self._current: Optional[TaskHandle] = None
-        self._paused = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -109,32 +111,26 @@ class ExecutionContext:
         on_complete: Optional[CompletionCallback] = None,
         label: str = "",
     ) -> TaskHandle:
-        """Queue ``work``; it starts immediately if the context is idle.
+        """Queue ``work``; it starts immediately if the context is idle
+        and the platform is not paused mid-switch.
 
         Zero-work tasks complete on the next kernel tick with zero
         duration (they still respect FIFO ordering).
         """
         handle = TaskHandle(work, on_complete, label, self._platform.kernel._now_us)
         self._queue.append(handle)
-        if self._current is None and not self._paused:
+        if self._current is None and not self._platform._paused_depth:
             self._start_next()
         return handle
 
     # ------------------------------------------------------------------
-    # Platform hooks (pause/resume around configuration switches)
+    # Platform hook (the pause around configuration switches)
     # ------------------------------------------------------------------
-    def pause(self) -> None:
-        """Freeze the running task, banking its remaining work.
-
-        Idempotent: pausing an already-paused context is a no-op (a new
-        DVFS switch may begin while some contexts are still frozen from
-        the previous one)."""
-        if self._paused:
-            return
-        self._paused = True
-        task = self._current
-        if task is None or task._completion_event is None:
-            return
+    def _freeze(self, task: TaskHandle) -> None:
+        """Cancel the running ``task``'s completion event, banking its
+        remaining work; the platform calls this for each task with a
+        completion event when a switch pauses it, and resumes the task
+        with :meth:`_schedule_completion` after the apply."""
         event = task._completion_event
         now = self._platform.kernel._now_us
         started = task.started_us if task.started_us is not None else now
@@ -145,18 +141,6 @@ class ExecutionContext:
             task.remaining = task.remaining.scaled(fraction_left)
         event.cancel()
         task._completion_event = None
-
-    def resume(self) -> None:
-        """Resume (or start) execution at the platform's new config.
-
-        Idempotent: resuming a running context is a no-op."""
-        if not self._paused:
-            return
-        self._paused = False
-        if self._current is not None:
-            self._schedule_completion(self._current)
-        elif self._queue:
-            self._start_next()
 
     # ------------------------------------------------------------------
     # Internals
@@ -169,10 +153,10 @@ class ExecutionContext:
         self._current = task
         # Becoming busy may trigger an observer (e.g. the interactive
         # governor's idle-exit boost) that initiates a DVFS switch and
-        # pauses this context; in that case completion is scheduled by
-        # resume() at the new configuration instead.
+        # pauses the platform; in that case the platform's resume
+        # schedules completion at the new configuration instead.
         self._platform._context_became_busy(self)
-        if not self._paused:
+        if not self._platform._paused_depth:
             self._schedule_completion(task)
 
     def _schedule_completion(self, task: TaskHandle) -> None:
@@ -217,11 +201,11 @@ class ExecutionContext:
         # starts: a task's effects (style writes, dirty bits, config
         # decisions) must be visible to whatever executes next, exactly
         # as straight-line code on a real thread would behave.  The
-        # callback may submit new tasks or pause the context.
+        # callback may submit new tasks or pause the platform.
         if task.on_complete is not None:
             task.on_complete(task)
         if self._current is None:
-            if self._queue and not self._paused:
+            if self._queue and not self._platform._paused_depth:
                 self._start_next()
             if self._current is None:
                 self._platform._context_became_idle(self)

@@ -80,7 +80,10 @@ class MobilePlatform:
         active.power_on()
         active.set_frequency(initial_config.freq_mhz)
         self._active_cluster = active
-        self._set_applied_config(self.config_table.interned[initial_config])
+        #: the applied configuration (an interned table member) and its
+        #: power row; only __init__ and _apply_config write them
+        self._config = self.config_table.interned[initial_config]
+        self._power_row = self._power_rows[self._config]
 
         #: cluster name -> f_max ceiling (MHz) currently imposed by the
         #: environment (thermal throttling); empty = uncapped.  The
@@ -89,6 +92,8 @@ class MobilePlatform:
 
         self._contexts: list[ExecutionContext] = []
         self._busy: set[ExecutionContext] = set()
+        #: open DVFS switches pausing the platform; the one pause state:
+        #: no context starts or runs a task while it is non-zero
         self._paused_depth = 0
         self._busy_observers: list = []
         #: opt-in, with a trace: emit a "task/span" record for every
@@ -120,7 +125,7 @@ class MobilePlatform:
                 else MIGRATION_OVERHEAD_US
             ),
         )
-        self._notify_power_change()
+        self.meter.on_power_change(self.kernel.now_us, self.current_power())
 
     # ------------------------------------------------------------------
     # Topology and configuration
@@ -189,28 +194,24 @@ class MobilePlatform:
             self._freq_caps[cluster] = int(cap_mhz)
         self.dvfs.enforce_caps()
 
-    def _set_applied_config(self, config: CpuConfig) -> None:
-        """Record the applied configuration (an interned table member)
-        and pick its power row; the only two cluster-state writers,
-        ``__init__`` and :meth:`_apply_config`, call this after every
-        change."""
-        self._config = config
-        self._power_row = self._power_rows[config]
-
     def _apply_config(self, config: CpuConfig) -> None:
-        """Immediately apply a configuration (called by the DVFS
-        controller after the switching overhead)."""
+        """Immediately apply a configuration (an interned table member;
+        called by the DVFS controller after the switching overhead)."""
         if config.cluster != self._active_name:
             self._active_cluster.power_off()
             self._active_name = config.cluster
             self._active_cluster = self._clusters[config.cluster]
             self._active_cluster.power_on()
         self._active_cluster.set_frequency(config.freq_mhz)
-        self._set_applied_config(config)
+        self._config = config
+        row = self._power_row = self._power_rows[config]
         now = self.kernel._now_us
         for observer in self.observers:
             observer.config_applied(now, config)
-        self._notify_power_change()
+        power = row[len(self._busy)]
+        if power is None:
+            power = self.current_power()
+        self.meter.on_power_change(now, power)
 
     # ------------------------------------------------------------------
     # Execution
@@ -221,8 +222,6 @@ class MobilePlatform:
             raise HardwareError("more contexts than cores in a cluster")
         context = ExecutionContext(self, name)
         self._contexts.append(context)
-        if self._paused_depth > 0:
-            context._paused = True
         return context
 
     @property
@@ -235,26 +234,38 @@ class MobilePlatform:
         return active.spec.duration_us(work, active.freq_mhz)
 
     def _pause_all_contexts(self) -> None:
+        """Open a switch: on the first pause, freeze every running task
+        (the ones with a completion event).  Only busy contexts hold a
+        task, so idle ones cost nothing; freezing has no side effect
+        another context sees, so the set's order does not matter."""
         self._paused_depth += 1
         if self._paused_depth == 1:
-            for context in self._contexts:
-                if not context._paused:
-                    context.pause()
+            for context in self._busy:
+                task = context._current
+                if task is not None and task._completion_event is not None:
+                    context._freeze(task)
 
     def _resume_all_contexts(self) -> None:
+        """Close a switch: on the last resume, in creation order, re-time
+        every frozen task at the applied configuration and start the
+        next task of every context whose work queued while paused."""
         if self._paused_depth <= 0:
             raise HardwareError("resume without matching pause")
         self._paused_depth -= 1
         if self._paused_depth == 0:
             for context in self._contexts:
-                # Resuming a context can trigger observers (idle-exit
-                # boost) that start a NEW switch and re-pause the
-                # platform; stop resuming immediately in that case —
-                # the new switch's apply will resume everyone.
-                if self._paused_depth > 0:
-                    break
-                if context._paused:
-                    context.resume()
+                task = context._current
+                if task is None:
+                    if context._queue:
+                        context._start_next()
+                        # Starting a task can trigger observers (idle-exit
+                        # boost) that open a NEW switch and re-pause the
+                        # platform; stop resuming immediately in that case
+                        # — the new switch's apply resumes everyone.
+                        if self._paused_depth:
+                            break
+                elif task._completion_event is None:
+                    context._schedule_completion(task)
 
     # ------------------------------------------------------------------
     # Busy/power accounting
@@ -265,23 +276,39 @@ class MobilePlatform:
         the interactive governor)."""
         self._busy_observers.append(callback)
 
+    # The two transitions inline any_busy_us() and current_power(): one
+    # call reaches the meter per busy-count change.
     def _context_became_busy(self, context: ExecutionContext) -> None:
-        if context not in self._busy:
-            previous = len(self._busy)
-            self.any_busy_us()
-            self._busy.add(context)
-            self._notify_power_change()
+        busy = self._busy
+        if context not in busy:
+            previous = len(busy)
+            now = self.kernel._now_us
+            if previous and now > self._util_last_us:
+                self._any_busy_integral_us += now - self._util_last_us
+            self._util_last_us = now
+            busy.add(context)
+            power = self._power_row[previous + 1]
+            if power is None:
+                power = self.current_power()
+            self.meter.on_power_change(now, power)
             for observer in self._busy_observers:
-                observer(len(self._busy), previous)
+                observer(previous + 1, previous)
 
     def _context_became_idle(self, context: ExecutionContext) -> None:
-        if context in self._busy:
-            previous = len(self._busy)
-            self.any_busy_us()
-            self._busy.discard(context)
-            self._notify_power_change()
+        busy = self._busy
+        if context in busy:
+            previous = len(busy)
+            now = self.kernel._now_us
+            if now > self._util_last_us:
+                self._any_busy_integral_us += now - self._util_last_us
+            self._util_last_us = now
+            busy.discard(context)
+            power = self._power_row[previous - 1]
+            if power is None:
+                power = self.current_power()
+            self.meter.on_power_change(now, power)
             for observer in self._busy_observers:
-                observer(len(self._busy), previous)
+                observer(previous - 1, previous)
 
     @property
     def busy_context_count(self) -> int:
@@ -305,9 +332,6 @@ class MobilePlatform:
                 rows.append((cluster.spec, cluster.opp, busy, cluster.powered))
             cached = self._power_row[busy_count] = self.power_model.breakdown(rows)
         return cached
-
-    def _notify_power_change(self) -> None:
-        self.meter.on_power_change(self.kernel._now_us, self.current_power())
 
     def any_busy_us(self) -> float:
         """Bring the utilization integral up to now and return the

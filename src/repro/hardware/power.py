@@ -18,7 +18,7 @@ The constants in :mod:`repro.hardware.core` are calibrated so that:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.hardware.core import ClusterSpec
 from repro.hardware.frequency import OperatingPoint
@@ -31,10 +31,12 @@ class PowerBreakdown:
     dynamic_w: float
     static_w: float
     base_w: float
+    #: the sum of the three, taken once: the energy meter reads it on
+    #: every power change
+    total_w: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_w(self) -> float:
-        return self.dynamic_w + self.static_w + self.base_w
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_w", self.dynamic_w + self.static_w + self.base_w)
 
 
 class PowerModel:

@@ -23,6 +23,7 @@ from repro.core.runtime import GreenWebRuntime
 from repro.hardware.dvfs import CpuConfig
 from repro.policies.oracle import run_oracle
 from repro.policies.registry import POLICIES
+from repro.sim.clock import MIN_SAMPLER_PERIOD_MS
 
 
 @POLICIES.register("perf", description="peak performance, always (paper baseline)")
@@ -35,6 +36,7 @@ def _build_perf(platform, registry, scenario):
     "interactive",
     description="Android's interactive cpufreq governor (paper baseline)",
     params_from=InteractiveGovernor,
+    minimums={"timer_rate_ms": MIN_SAMPLER_PERIOD_MS},
 )
 def _build_interactive(platform, registry, scenario, **params):
     return InteractiveGovernor(platform, **params)
@@ -52,6 +54,7 @@ def _build_powersave(platform, registry, scenario):
     "ondemand",
     description="classic ondemand governor: max above threshold, step down when low",
     params_from=OndemandGovernor,
+    minimums={"timer_rate_ms": MIN_SAMPLER_PERIOD_MS},
 )
 def _build_ondemand(platform, registry, scenario, **params):
     return OndemandGovernor(platform, **params)

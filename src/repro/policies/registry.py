@@ -73,6 +73,8 @@ class RegistryEntry:
     aliases: Mapping[str, str] = field(default_factory=dict)
     #: a post-hoc policy's whole-run replayer (policies only)
     posthoc: Optional[Callable] = None
+    #: parameter -> its smallest accepted value, checked at validation
+    minimums: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def param_names(self) -> list[str]:
@@ -188,6 +190,7 @@ class SpecRegistry:
         description: str = "",
         params_from: Optional[Callable] = None,
         aliases: Optional[Mapping[str, str]] = None,
+        minimums: Optional[Mapping[str, float]] = None,
         replace: bool = False,
     ) -> Callable:
         """Decorator registering a factory (for scenarios, usually the
@@ -202,6 +205,9 @@ class SpecRegistry:
             aliases: short parameter spellings, e.g.
                 ``{"ewma": "ewma_alpha"}`` — resolved during
                 normalisation so canonical specs always use full names.
+            minimums: a numeric parameter's smallest accepted value,
+                e.g. ``{"period_ms": 1.0}``; a spec below it fails
+                validation, before any session is built.
             replace: allow re-registering an existing name (tests,
                 interactive reloads); otherwise duplicates raise.
         """
@@ -219,12 +225,18 @@ class SpecRegistry:
                         f"alias {short!r} of {kind} {name!r} targets unknown "
                         f"parameter {full!r}"
                     )
+            for full in minimums or {}:
+                if full not in known:
+                    raise EvaluationError(
+                        f"minimum for unknown parameter {full!r} of {kind} {name!r}"
+                    )
             self._entries[name] = RegistryEntry(
                 name=name,
                 factory=fn,
                 params=params,
                 description=description,
                 aliases=alias_map,
+                minimums=dict(minimums or {}),
             )
             return fn
 
@@ -262,7 +274,8 @@ class SpecRegistry:
         """Validate a spec against its entry's schema and return the
         canonical form: aliases resolved, values type-coerced, params
         sorted.  Raises :class:`EvaluationError` on unknown names,
-        unknown parameters, or type mismatches.
+        unknown parameters, type mismatches, or a value below its
+        registered minimum.
 
         A spec this registry already returned comes back unchanged
         (``normalize(s) is s``) while its entry is still registered.
@@ -292,7 +305,14 @@ class SpecRegistry:
                     f"duplicate parameter {full!r} in {kind} {spec.name!r} "
                     "(alias and full name both given)"
                 )
-            resolved[full] = _coerce_param(spec.name, entry.param(full), value, kind)
+            value = _coerce_param(spec.name, entry.param(full), value, kind)
+            minimum = entry.minimums.get(full)
+            if minimum is not None and value < minimum:
+                raise EvaluationError(
+                    f"parameter {full!r} of {kind} {spec.name!r} must be "
+                    f">= {minimum!r}, got {value!r}"
+                )
+            resolved[full] = value
         canonical = self.spec_class(spec.name, tuple(resolved.items()))
         object.__setattr__(canonical, _NORMALIZED_BY, entry)
         return canonical

@@ -30,6 +30,7 @@ from repro.errors import EvaluationError
 from repro.hardware.core import WorkUnit
 from repro.scenarios.base import Scenario
 from repro.scenarios.registry import SCENARIOS
+from repro.sim.clock import MIN_SAMPLER_PERIOD_MS
 
 #: Thermal model sampling period.  A few vsyncs long: coarse enough to
 #: stay cheap, fine enough that trip/hysteresis windows of hundreds of
@@ -306,6 +307,7 @@ class NetDelayScenario(Scenario):
 @SCENARIOS.register(
     "bgload",
     description="a background tab burns a duty cycle on its own context",
+    minimums={"period_ms": MIN_SAMPLER_PERIOD_MS},
 )
 class BgLoadScenario(Scenario):
     """Background contention: every ``period_ms`` a chunk sized to busy
@@ -319,9 +321,9 @@ class BgLoadScenario(Scenario):
         super().__init__()
         if not 0.0 < duty <= 1.0:
             raise EvaluationError(f"bgload duty must be in (0, 1], got {duty}")
-        if period_ms <= 0:
+        if not period_ms >= MIN_SAMPLER_PERIOD_MS:
             raise EvaluationError(
-                f"bgload period_ms must be positive, got {period_ms}"
+                f"bgload period_ms must be >= {MIN_SAMPLER_PERIOD_MS} ms, got {period_ms}"
             )
         self.duty = float(duty)
         self.period_ms = float(period_ms)
@@ -339,7 +341,7 @@ class BgLoadScenario(Scenario):
         spec = platform.cluster(platform.config_table.slowest_cluster).spec
         busy_us = self.duty * self.period_ms * 1_000.0
         self._chunk = WorkUnit(busy_us * spec.ipc_factor * spec.opps.max.freq_mhz)
-        period_us = max(1, int(round(self.period_ms * 1_000.0)))
+        period_us = int(round(self.period_ms * 1_000.0))
         platform.kernel.every(period_us, self._tick, label="scenario/bgload")
 
     def _tick(self) -> None:

@@ -22,6 +22,12 @@ MILLISECOND: int = 1_000
 #: One second in kernel ticks.
 SECOND: int = 1_000_000
 
+#: The shortest period a platform sampler accepts (the ``ondemand`` and
+#: ``interactive`` governors' ``timer_rate_ms``, the ``bgload``
+#: scenario's ``period_ms``): a finer one only multiplies ticks, and a
+#: session at 0.1 us would fire millions of them.
+MIN_SAMPLER_PERIOD_MS: float = 1.0
+
 
 def ms_to_us(milliseconds: float) -> int:
     """Convert milliseconds to integer microseconds, rounding up.

@@ -8,11 +8,16 @@ and the driver advances the simulation with :meth:`Kernel.run_until` /
 
 Periodic events
 ---------------
-:meth:`Kernel.every` fires an action at start + k * period.  The one
-handle is re-armed right after the action returns, which is where a
-self-rescheduling callback would schedule its next tick, so the heap
-order is the same as if the action re-armed itself.  Each tick is one
-fired event; the handle stays ``pending`` until it is cancelled.
+:meth:`Kernel.every` fires an action at start + k * period.  A periodic
+head fires *in place*: its heap entry stays at the top while the action
+runs (anything the action schedules is at or after now with a larger
+sequence number, so it sorts behind), and afterwards one
+``heapreplace`` re-arms it one period later, or a pop drops it if the
+action cancelled it.  The re-armed entry takes its sequence number
+after the action, which is where a self-rescheduling callback would
+schedule its next tick, so the heap order is the same as if the action
+re-armed itself.  Each tick is one fired event; the handle stays
+``pending`` until it is cancelled.
 
 Ordering guarantees
 -------------------
@@ -52,17 +57,22 @@ class ScheduledEvent:
         time_us: absolute firing time in microseconds.
         label: optional human-readable tag, shown in the handle's repr
             (a debugging aid; the kernel keeps no per-label counts).
+        period_us: the series period of a :meth:`Kernel.every` handle,
+            0 for a one-shot event.
 
-    A periodic handle (:meth:`Kernel.every`) reads ``fired`` only while
-    its action runs; ``time_us`` is then the tick in progress.
+    A periodic handle reads ``fired`` only while its action runs;
+    ``time_us`` is then the tick in progress.
     """
 
-    __slots__ = ("time_us", "action", "label", "_cancelled", "_fired")
+    __slots__ = ("time_us", "action", "label", "period_us", "_cancelled", "_fired")
 
-    def __init__(self, time_us: int, action: Action, label: str = "") -> None:
+    def __init__(
+        self, time_us: int, action: Action, label: str = "", period_us: int = 0
+    ) -> None:
         self.time_us = time_us
         self.action = action
         self.label = label
+        self.period_us = period_us
         self._cancelled = False
         self._fired = False
 
@@ -160,30 +170,20 @@ class Kernel:
     def every(self, period_us: int, action: Action, label: str = "") -> ScheduledEvent:
         """Fire ``action`` at now + k * ``period_us`` for k = 1, 2, ...
 
-        After each tick's action returns, the same handle is re-armed
-        one period later (unless the action cancelled it), so events
-        the action scheduled for the next tick's timestamp fire first.
-        The handle is ``pending`` between ticks until it is cancelled.
+        Each tick fires in place at the top of the heap; after its
+        action returns, the same entry is re-armed one period later
+        (unless the action cancelled it), so events the action scheduled
+        for the next tick's timestamp fire first.  The handle is
+        ``pending`` between ticks until it is cancelled.  An exception
+        out of the action ends the series.
 
         Raises:
             SchedulingError: if ``period_us`` is not positive.
         """
         if period_us <= 0:
             raise SchedulingError(f"non-positive period for {label!r}: {period_us}us")
-        heap = self._heap
-        heappush = heapq.heappush
-        event = ScheduledEvent(self._now_us + period_us, action, label)
-
-        def tick() -> None:
-            action()
-            if not event._cancelled:
-                event._fired = False
-                time_us = event.time_us = event.time_us + period_us
-                heappush(heap, (time_us, self._seq, event))
-                self._seq += 1
-
-        event.action = tick
-        heappush(heap, (event.time_us, self._seq, event))
+        event = ScheduledEvent(self._now_us + period_us, action, label, period_us)
+        heapq.heappush(self._heap, (event.time_us, self._seq, event))
         self._seq += 1
         return event
 
@@ -222,18 +222,38 @@ class Kernel:
             raise SchedulingError("kernel is not reentrant: run_until called from an action")
         self._running = True
         try:
+            # _fire_next's body inlined: this loop is the kernel's hot path.
             heap = self._heap
             heappop = heapq.heappop
+            heapreplace = heapq.heapreplace
             while heap:
-                if heap[0][0] > deadline_us:
+                time_us, _seq, event = heap[0]
+                if time_us > deadline_us:
                     break
-                time_us, _seq, event = heappop(heap)
                 if event._cancelled:
+                    heappop(heap)
                     continue
                 self._now_us = time_us
                 event._fired = True
                 self._events_fired += 1
-                event.action()
+                period_us = event.period_us
+                if not period_us:
+                    heappop(heap)
+                    event.action()
+                    continue
+                # A periodic head fires in place (see the module doc).
+                try:
+                    event.action()
+                except BaseException:
+                    heappop(heap)
+                    raise
+                if event._cancelled:
+                    heappop(heap)
+                else:
+                    event._fired = False
+                    time_us = event.time_us = time_us + period_us
+                    heapreplace(heap, (time_us, self._seq, event))
+                    self._seq += 1
             self._now_us = deadline_us
         finally:
             self._running = False
@@ -270,16 +290,35 @@ class Kernel:
         return fired
 
     def _fire_next(self) -> bool:
-        """Pop and fire the next live event (the caller holds the
-        re-entrancy guard)."""
-        while self._heap:
-            time_us, _seq, event = heapq.heappop(self._heap)
+        """Fire the next live event: a one-shot event is popped first, a
+        periodic head fires in place and is re-armed or dropped after its
+        action (the caller holds the re-entrancy guard)."""
+        heap = self._heap
+        while heap:
+            time_us, _seq, event = heap[0]
             if event._cancelled:
+                heapq.heappop(heap)
                 continue
             self._now_us = time_us
             event._fired = True
             self._events_fired += 1
-            event.action()
+            period_us = event.period_us
+            if not period_us:
+                heapq.heappop(heap)
+                event.action()
+                return True
+            try:
+                event.action()
+            except BaseException:
+                heapq.heappop(heap)
+                raise
+            if event._cancelled:
+                heapq.heappop(heap)
+            else:
+                event._fired = False
+                time_us = event.time_us = time_us + period_us
+                heapq.heapreplace(heap, (time_us, self._seq, event))
+                self._seq += 1
             return True
         return False
 

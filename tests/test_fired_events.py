@@ -1,4 +1,4 @@
-"""Pinned kernel-event counts for three sampler-heavy sessions.
+"""Pinned kernel-event counts for four sampler-heavy sessions.
 
 ``sim_events_per_s`` in the benchmark counts fired kernel events, so
 the number a session fires is part of what that metric means.  These
@@ -15,10 +15,6 @@ import pytest
 
 from repro.evaluation.runner import run_workload
 from repro.sim.kernel import Kernel
-
-
-#: fired ``scenario/NAME`` ticks of each pinned cell's scenario
-SCENARIO_TICKS = {"bgload": 240, "imperceptible": 0, "thermal": 2_400}
 
 
 def fired_events(monkeypatch, app, policy, scenario, trace_kind):
@@ -66,16 +62,19 @@ def fired_events(monkeypatch, app, policy, scenario, trace_kind):
 @pytest.mark.parametrize(
     "cell, trace_kind, total, sampler, ticks, applies",
     [
-        (("bbc", "ondemand", "bgload"), "micro", 5_543, "ondemand", 3_000, 2_021),
-        (("cnet", "interactive", "imperceptible"), "full", 5_513, "interactive", 2_454, 2),
-        (("bbc", "ondemand", "thermal"), "micro", 5_597, "ondemand", 3_000, 154),
+        # cell: app, policy, scenario and its fired ``scenario/NAME`` ticks
+        (("bbc", "ondemand", "bgload", 240), "micro", 5_543, "ondemand", 3_000, 2_021),
+        (("cnet", "interactive", "imperceptible", 0), "full", 5_513, "interactive", 2_454, 2),
+        (("bbc", "ondemand", "thermal", 2_400), "micro", 5_597, "ondemand", 3_000, 154),
+        (("camanjs", "ondemand", "bgload", 144), "micro", 3_363, "ondemand", 1_800, 1_225),
     ],
 )
 def test_fired_events_are_pinned(
     monkeypatch, cell, trace_kind, total, sampler, ticks, applies
 ):
-    events_fired, fired = fired_events(monkeypatch, *cell, trace_kind)
+    app, policy, scenario, scenario_ticks = cell
+    events_fired, fired = fired_events(monkeypatch, app, policy, scenario, trace_kind)
     assert events_fired == sum(fired.values()) == total
     assert fired[sampler] == ticks
-    assert fired[f"scenario/{cell[2]}"] == SCENARIO_TICKS[cell[2]]
+    assert fired[f"scenario/{scenario}"] == scenario_ticks
     assert fired["dvfs"] == applies

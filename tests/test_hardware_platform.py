@@ -14,6 +14,7 @@ from repro.hardware import (
 )
 from repro.hardware.core import big_cluster_spec, little_cluster_spec
 from repro.hardware.dvfs import FREQ_SWITCH_OVERHEAD_US, MIGRATION_OVERHEAD_US
+from repro.hardware.execution import ExecutionContext
 from repro.sim.tracing import TraceLog
 
 
@@ -273,6 +274,63 @@ class TestDvfs:
         platform.run_for(100)
         assert platform.trace.count(category="dvfs", name="migrate") == 1
 
+    def test_switch_freezes_only_the_busy_context(self, monkeypatch):
+        platform = odroid_xu_e()
+        busy, idle = platform.create_context("busy"), platform.create_context("idle")
+        frozen = []
+        freeze = ExecutionContext._freeze
+        monkeypatch.setattr(
+            ExecutionContext, "_freeze",
+            lambda context, task: (frozen.append(context.name), freeze(context, task)),
+        )
+        done = []
+        busy.submit(WorkUnit(cycles=1_800_000), on_complete=lambda t: done.append(t.completed_us))
+        platform.run_for(500)
+        platform.set_config(CpuConfig("big", 800))
+        assert frozen == ["busy"] and platform._paused_depth == 1
+        assert busy._current._completion_event is None
+        platform.run_for(10_000)
+        # As in test_running_task_slows_down_after_downswitch.
+        assert done == [1725]
+        assert frozen == ["busy"] and not idle.busy
+
+    def test_task_submitted_mid_switch_starts_at_the_apply_instant(self):
+        platform = odroid_xu_e()
+        context = platform.create_context("main")
+        platform.set_config(CpuConfig("big", 1000))
+        platform.kernel.run_for(10)
+        task = context.submit(WorkUnit(cycles=1_000_000))  # 1000 us at 1000 MHz
+        assert task.started_us is None and platform.busy_context_count == 0
+        platform.run_for(10_000)
+        assert task.started_us == FREQ_SWITCH_OVERHEAD_US
+        assert task.queueing_delay_us == FREQ_SWITCH_OVERHEAD_US - 10
+        assert task.completed_us == FREQ_SWITCH_OVERHEAD_US + 1_000
+
+    def test_re_pause_during_resume_stops_the_resume_loop(self):
+        # An idle-exit boost (as the interactive governor's) opens a new
+        # switch from inside the resume: the later context stays queued
+        # until that switch applies.
+        platform = odroid_xu_e()
+        first, second = platform.create_context("first"), platform.create_context("second")
+
+        def boost(busy_count, previous_count):
+            if previous_count == 0 and busy_count > 0:
+                platform.set_config(CpuConfig("big", 1800))
+
+        platform.add_busy_observer(boost)
+        platform.set_config(CpuConfig("big", 1000))
+        a = first.submit(WorkUnit(cycles=1_800_000))
+        b = second.submit(WorkUnit(cycles=1_800_000))
+        platform.kernel.run_until(FREQ_SWITCH_OVERHEAD_US)
+        assert platform.config == CpuConfig("big", 1000)
+        assert platform._paused_depth == 1 and platform.dvfs.in_flight
+        assert first._current is a and a._completion_event is None
+        assert second._current is None and second.queue_depth == 1
+        platform.run_for(10_000)
+        assert b.started_us == 2 * FREQ_SWITCH_OVERHEAD_US
+        # Both run their 1000 us at big@1800 from the second apply.
+        assert a.completed_us == b.completed_us == 2 * FREQ_SWITCH_OVERHEAD_US + 1_000
+
 
 def _platform_in(state):
     """An ODroid platform idle, mid-switch, or under a big-cluster cap,
@@ -345,12 +403,12 @@ class TestConfigTable:
 
     def test_mid_switch_retarget_to_applied_config_cancels_the_switch(self):
         platform = _platform_in("mid_switch")
-        context = platform.contexts[0]
-        assert context._paused
+        task = platform.contexts[0]._current
+        assert platform._paused_depth == 1 and task._completion_event is None
         assert platform.set_config(CpuConfig("big", 1800)) is False
         assert not platform.dvfs.in_flight
         assert platform.dvfs._pending_target is None
-        assert not context._paused
+        assert platform._paused_depth == 0 and task._completion_event is not None
         platform.run_for(1_000)
         assert platform.config == CpuConfig("big", 1800)
         assert platform.trace.count(category="config", name="applied") == 0

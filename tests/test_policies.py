@@ -405,3 +405,67 @@ class TestGovernorParity:
             "todo", governor, "imperceptible", "micro", 3
         )
         assert json.loads(json.dumps(result.to_dict())) == golden[governor]
+
+
+# ----------------------------------------------------------------------
+# Sampler periods: bounded below at every boundary, before any session
+# ----------------------------------------------------------------------
+#: (a spec at the bound, the same spec just below it), for each sampler
+SAMPLER_BOUNDS = [
+    ("ondemand(timer_rate_ms=1)", "ondemand(timer_rate_ms=0.999)"),
+    ("interactive(timer_rate_ms=1.0)", "interactive(timer_rate_ms=0.0001)"),
+    ("bgload(period_ms=1)", "bgload(period_ms=0.0001)"),
+]
+
+
+def _registry_of(spec):
+    return SCENARIOS if spec.startswith("bgload") else POLICIES
+
+
+def _mix_item(spec):
+    return f"todo:perf:{spec}" if spec.startswith("bgload") else f"todo:{spec}"
+
+
+class TestSamplerPeriodBounds:
+    @pytest.mark.parametrize("at_bound, below", SAMPLER_BOUNDS)
+    def test_spec_grammar(self, at_bound, below):
+        registry = _registry_of(below)
+        assert registry.normalize(at_bound).canonical().endswith("=1.0)")
+        with pytest.raises(EvaluationError, match=r"must be >= 1\.0, got"):
+            registry.normalize(below)
+
+    def test_constructors(self):
+        from repro.core.governors import InteractiveGovernor, OndemandGovernor
+        from repro.errors import HardwareError
+        from repro.scenarios.builtin import BgLoadScenario
+
+        platform = odroid_xu_e()
+        for governor in (InteractiveGovernor, OndemandGovernor):
+            governor(platform, timer_rate_ms=1.0)
+            with pytest.raises(HardwareError, match="timer_rate_ms must be >= 1.0 ms"):
+                governor(platform, timer_rate_ms=0.5)
+        BgLoadScenario(period_ms=1.0)
+        for period_ms in (0.5, 0.0, float("nan")):
+            with pytest.raises(EvaluationError, match="period_ms must be >= 1.0 ms"):
+                BgLoadScenario(period_ms=period_ms)
+
+    @pytest.mark.parametrize("at_bound, below", SAMPLER_BOUNDS)
+    def test_fleet_mix(self, at_bound, below):
+        from repro.fleet import parse_mix
+
+        assert len(parse_mix(_mix_item(at_bound))) == 1
+        with pytest.raises(EvaluationError, match="must be >= 1.0"):
+            parse_mix(_mix_item(below))
+
+    @pytest.mark.parametrize("_at_bound, below", SAMPLER_BOUNDS)
+    def test_repro_run_exits_2(self, monkeypatch, capsys, _at_bound, below):
+        from repro.cli import main
+
+        def explode(*_args, **_kwargs):
+            raise AssertionError("a session ran for an out-of-range period")
+
+        monkeypatch.setattr("repro.evaluation.runner.SessionExecution.run", explode)
+        flag = "--scenario" if below.startswith("bgload") else "--governor"
+        assert main(["run", "todo", flag, below]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be >= 1.0" in err

@@ -656,6 +656,9 @@ class TestServeHTTP:
             "POST", app.url + "/jobs", {"mix": "todo:ondemand(timer_rate_ms=nan)"}
         )
         assert status == 400 and "expects a finite number" in body["error"]
+        for mix in ("todo:ondemand(timer_rate_ms=0.5)", "todo:perf:bgload(period_ms=0.5)"):
+            status, body = http_json("POST", app.url + "/jobs", {"mix": mix})
+            assert status == 400 and "must be >= 1.0, got 0.5" in body["error"]
         status, body = http_json("POST", app.url + "/jobs", {"settle_s": float("nan")})
         assert status == 400 and "settle_s" in body["error"]
         status, _ = http_json("GET", app.url + "/jobs/job-9999")

@@ -296,6 +296,82 @@ class TestEvery:
             assert kernel.step() is True
         assert times == [3, 6, 9, 12]
 
+    def test_event_scheduled_at_now_fires_between_ticks(self):
+        # The tick's entry stays at the top of the heap while its action
+        # runs; an event at the same instant sorts behind it.
+        kernel = Kernel()
+        order = []
+
+        def tick():
+            order.append(("tick", kernel.now_us))
+            if kernel.now_us == 10:
+                kernel.schedule_in(0, lambda: order.append(("now", kernel.now_us)))
+
+        kernel.every(10, tick)
+        kernel.run_until(20)
+        assert order == [("tick", 10), ("now", 10), ("tick", 20)]
+        assert kernel.events_fired == 3
+
+    def test_action_cancelling_another_series(self):
+        kernel = Kernel()
+        fired = []
+        other = kernel.every(10, lambda: fired.append(("other", kernel.now_us)))
+
+        def tick():
+            fired.append(("tick", kernel.now_us))
+            if kernel.now_us == 15:
+                other.cancel()
+
+        handle = kernel.every(15, tick)
+        kernel.run_until(50)
+        assert fired == [("other", 10), ("tick", 15), ("tick", 30), ("tick", 45)]
+        assert other.cancelled and not other.pending
+        assert handle.pending and handle.time_us == 60
+        assert kernel.pending_count == 1
+
+    def test_pending_count_inside_an_action(self):
+        # The tick in progress is fired, not pending, while its action
+        # runs, and pending again once re-armed.
+        kernel = Kernel()
+        counts = []
+
+        def tick():
+            counts.append(kernel.pending_count)
+            if len(counts) == 1:
+                kernel.schedule_in(5, lambda: None)
+
+        handle = kernel.every(10, tick)
+        kernel.schedule_at(100, lambda: None)
+        kernel.run_until(20)
+        assert counts == [1, 1]
+        assert handle.pending and kernel.pending_count == 2
+
+    def test_step_on_a_periodic_head(self):
+        kernel = Kernel()
+        order = []
+        handle = kernel.every(10, lambda: order.append(("tick", kernel.now_us)))
+        kernel.schedule_at(10, lambda: order.append(("one-shot", kernel.now_us)))
+        assert kernel.step() is True
+        assert order == [("tick", 10)]
+        assert handle.pending and handle.time_us == 20
+        assert kernel.step() is True
+        assert order == [("tick", 10), ("one-shot", 10)]
+        assert kernel.events_fired == 2 and kernel.pending_count == 1
+
+    def test_exception_out_of_the_action_ends_the_series(self):
+        kernel = Kernel()
+
+        def tick():
+            raise RuntimeError("boom")
+
+        handle = kernel.every(10, tick)
+        with pytest.raises(RuntimeError, match="boom"):
+            kernel.run_until(30)
+        assert not handle.pending
+        assert kernel.pending_count == 0
+        kernel.run_until(100)
+        assert kernel.events_fired == 1
+
     def test_drain_hits_its_guard(self):
         kernel = Kernel()
         kernel.every(1, lambda: None)
