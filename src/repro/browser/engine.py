@@ -20,10 +20,8 @@ from typing import Optional
 from repro.browser.frame_tracker import FrameRecord, FrameTracker, InputRecord
 from repro.browser.messages import FrameContributor, InputMsg, UidAllocator
 from repro.browser.page import Page
-from repro.browser.stages import MAIN_THREAD_RENDER_STAGES, PipelineStage
 from repro.browser.vsync import VSYNC_PERIOD_US, VsyncSource
-from repro.hardware.core import WorkUnit
-from repro.hardware.execution import _ZERO_WORK
+from repro.hardware.core import ZERO_WORK, WorkUnit
 from repro.hardware.platform import MobilePlatform
 from repro.sim.clock import ms_to_us
 from repro.web.css.transitions import parse_animation_value, transition_for
@@ -132,6 +130,9 @@ class Browser:
         self._frame_in_flight = False
         self._frame_seq = 0
         self._current_frame_vsync = 0
+        #: the frame in the render stages and its per-stage work
+        self._frame: Optional[FrameRecord] = None
+        self._frame_work: tuple[WorkUnit, ...] = ()
 
         self.policy = policy if policy is not None else BrowserPolicy()
         self.policy.bind(self)
@@ -159,7 +160,7 @@ class Browser:
         frame latencies as the simulation progresses).
         """
         event_type = coerce_event_type(event_type)
-        now = self.kernel.now_us
+        now = self.kernel._now_us
         msg = InputMsg(
             uid=self._uids.next_uid(),
             start_us=now,
@@ -205,7 +206,7 @@ class Browser:
             # even without application listeners, unless a listener
             # called preventDefault().
             self._mark_dirty(msg, self.page.native_scroll_complexity, None)
-        self.tracker.release(msg.uid, self.kernel.now_us)
+        self.tracker.release(msg.uid, self.kernel._now_us)
 
     def _dispatch_internal(
         self, event_type: EventType, target: Element, msg: InputMsg
@@ -214,9 +215,9 @@ class Browser:
 
         No new UID: the callbacks remain part of the root input's
         transitive closure (Sec. 6.4)."""
-        event = Event(event_type, target, input_id=msg.uid, time_us=self.kernel.now_us)
+        event = Event(event_type, target, input_id=msg.uid, time_us=self.kernel._now_us)
         for _element, callback in dispatch_order(event):
-            self._run_callback(callback, msg, event, clock_start_us=self.kernel.now_us)
+            self._run_callback(callback, msg, event, clock_start_us=self.kernel._now_us)
 
     # ------------------------------------------------------------------
     # Callback execution (renderer main thread)
@@ -243,7 +244,7 @@ class Browser:
             self.stats.script_errors += 1
             if self.trace is not None:
                 self.trace.emit(
-                    self.kernel.now_us,
+                    self.kernel._now_us,
                     "console",
                     "error",
                     callback=effects.error.callback_name,
@@ -266,19 +267,19 @@ class Browser:
         # only the former; the paper argues it is insufficient).
         if self.trace is not None:
             self.trace.emit(
-                self.kernel.now_us,
+                self.kernel._now_us,
                 "callback",
                 "finished",
                 uid=msg.uid,
-                latency_us=self.kernel.now_us - msg.start_us,
+                latency_us=self.kernel._now_us - msg.start_us,
             )
         self._apply_effects(effects, msg, clock_start_us)
-        self.tracker.release(msg.uid, self.kernel.now_us)
+        self.tracker.release(msg.uid, self.kernel._now_us)
 
     def _apply_effects(
         self, effects: ScriptEffects, msg: InputMsg, clock_start_us: Optional[int]
     ) -> None:
-        now = self.kernel.now_us
+        now = self.kernel._now_us
         for write in effects.style_writes:
             write.element.style[write.property] = write.value
             if write.property == "animation":
@@ -334,8 +335,8 @@ class Browser:
             )
 
     def _fire_timeout(self, callback: Callback, msg: InputMsg) -> None:
-        self._run_callback(callback, msg, event=None, clock_start_us=self.kernel.now_us)
-        self.tracker.release(msg.uid, self.kernel.now_us)
+        self._run_callback(callback, msg, event=None, clock_start_us=self.kernel._now_us)
+        self.tracker.release(msg.uid, self.kernel._now_us)
 
     # ------------------------------------------------------------------
     # Intervals (setInterval / clearInterval)
@@ -365,7 +366,7 @@ class Browser:
         msg = record["msg"]
         self._run_callback(
             record["request"].callback, msg, event=None,
-            clock_start_us=self.kernel.now_us,
+            clock_start_us=self.kernel._now_us,
         )
         record["remaining"] -= 1
         if record["remaining"] <= 0:
@@ -379,7 +380,7 @@ class Browser:
             return
         if record["event"] is not None:
             record["event"].cancel()
-        self.tracker.release(record["msg"].uid, self.kernel.now_us)
+        self.tracker.release(record["msg"].uid, self.kernel._now_us)
 
     def _start_css_animation(
         self, element: Element, value: str, msg: InputMsg, complexity: float
@@ -399,7 +400,7 @@ class Browser:
                     msg=msg,
                     element=element,
                     name=spec.name,
-                    end_us=self.kernel.now_us + ms_to_us(total_ms),
+                    end_us=self.kernel._now_us + ms_to_us(total_ms),
                     complexity=complexity,
                     end_event=EventType.ANIMATIONEND,
                 )
@@ -411,7 +412,7 @@ class Browser:
         self.vsync.request()
         if self.trace is not None:
             self.trace.emit(
-                self.kernel.now_us,
+                self.kernel._now_us,
                 "animation",
                 "start",
                 kind=animation.kind,
@@ -481,7 +482,7 @@ class Browser:
 
         # Barrier: render stages begin only after every rAF callback
         # (and its effects) has executed on the main thread.
-        self.main.submit(_ZERO_WORK, on_complete=self._begin_render, label="begin-frame")
+        self.main.submit(ZERO_WORK, self._begin_render, "begin-frame")
 
     def _tick_animations(self, now: int) -> None:
         survivors: list[_ActiveAnimation] = []
@@ -497,7 +498,7 @@ class Browser:
                 self.main.submit(
                     WorkUnit(animation.script_cycles),
                     on_complete=lambda task, m=animation.msg: self.tracker.release(
-                        m.uid, self.kernel.now_us
+                        m.uid, self.kernel._now_us
                     ),
                     label=f"animate-tick:{animation.name}",
                 )
@@ -510,7 +511,7 @@ class Browser:
     def _finish_animation(self, animation: _ActiveAnimation) -> None:
         if self.trace is not None:
             self.trace.emit(
-                self.kernel.now_us,
+                self.kernel._now_us,
                 "animation",
                 "end",
                 kind=animation.kind,
@@ -519,16 +520,20 @@ class Browser:
             )
         if animation.end_event is not None and animation.element is not None:
             self._dispatch_internal(animation.end_event, animation.element, animation.msg)
-        self.tracker.release(animation.msg.uid, self.kernel.now_us)
+        self.tracker.release(animation.msg.uid, self.kernel._now_us)
 
+    # The frame pipeline after the callbacks (Fig. 7): style, layout and
+    # paint on the main thread, composite on the compositor.  At most
+    # one frame is in flight, so each stage's completion callback is a
+    # bound method that reads that frame's work off self.
     def _begin_render(self, _task) -> None:
         if not self._dirty:
             # rAF handlers ran but nothing was dirtied: no frame.
             self._frame_in_flight = False
             return
+        vsync_us = self._current_frame_vsync
         contributors = [
-            c if c.clock_start_us is not None
-            else FrameContributor(c.msg, self._current_frame_vsync)
+            c if c.clock_start_us is not None else FrameContributor(c.msg, vsync_us)
             for c in self._dirty.values()
         ]
         complexity = self._dirty_complexity
@@ -536,34 +541,29 @@ class Browser:
         self._dirty_complexity = 0.0
 
         self._frame_seq += 1
-        frame = FrameRecord(
+        self._frame = FrameRecord(
             seq=self._frame_seq,
-            vsync_us=self._current_frame_vsync,
+            vsync_us=vsync_us,
             complexity=complexity,
             contributors=contributors,
         )
-        self._submit_render_stage(frame, stage_index=0)
+        self._frame_work = self.page.render_cost.frame_work(complexity)
+        self.main.submit(self._frame_work[0], self._layout, "style")
 
-    def _submit_render_stage(self, frame: FrameRecord, stage_index: int) -> None:
-        if stage_index < len(MAIN_THREAD_RENDER_STAGES):
-            stage = MAIN_THREAD_RENDER_STAGES[stage_index]
-            work = self.page.render_cost.work_for(stage, frame.complexity)
-            self.main.submit(
-                work,
-                on_complete=lambda task: self._submit_render_stage(frame, stage_index + 1),
-                label=str(stage),
-            )
-            return
+    def _layout(self, _task) -> None:
+        self.main.submit(self._frame_work[1], self._paint, "layout")
+
+    def _paint(self, _task) -> None:
+        self.main.submit(self._frame_work[2], self._composite, "paint")
+
+    def _composite(self, _task) -> None:
         # Main-thread stages done; hand off to the compositor thread.
-        work = self.page.render_cost.work_for(PipelineStage.COMPOSITE, frame.complexity)
-        self.compositor.submit(
-            work,
-            on_complete=lambda task: self._display_frame(frame),
-            label="composite",
-        )
+        self.compositor.submit(self._frame_work[3], self._display_frame, "composite")
 
-    def _display_frame(self, frame: FrameRecord) -> None:
-        now = self.kernel.now_us
+    def _display_frame(self, _task) -> None:
+        frame = self._frame
+        self._frame = None
+        now = self.kernel._now_us
         self.tracker.frame_displayed(frame, now)
         self.stats.frames += 1
         self._frame_in_flight = False
@@ -572,7 +572,7 @@ class Browser:
         self.policy.on_frame_displayed(frame)
 
     def _input_completed(self, record: InputRecord) -> None:
-        now = self.kernel.now_us
+        now = self.kernel._now_us
         for observer in self._observers:
             observer.input_completed(now, record)
         self.policy.on_input_complete(record)
@@ -587,9 +587,9 @@ class Browser:
     def run_until_quiescent(self, max_extra_us: int = 60_000_000) -> None:
         """Run until no input has outstanding continuations (bounded by
         ``max_extra_us`` of additional simulated time)."""
-        deadline = self.kernel.now_us + max_extra_us
+        deadline = self.kernel._now_us + max_extra_us
         step = self.vsync.period_us
-        while self.kernel.now_us < deadline:
+        while self.kernel._now_us < deadline:
             if all(r.completed for r in self.tracker.records) and not self._frame_in_flight:
                 break
             self.platform.run_for(step)

@@ -143,11 +143,16 @@ class FrameTracker:
         try:
             return self._records[uid]
         except KeyError:
-            raise BrowserError(f"unknown input uid {uid}") from None
+            raise _unknown_uid(uid) from None
 
+    # retain and release run for every continuation of every input:
+    # they look the record up directly instead of through record().
     def retain(self, uid: int) -> None:
         """One more outstanding continuation for this input."""
-        record = self.record(uid)
+        try:
+            record = self._records[uid]
+        except KeyError:
+            raise _unknown_uid(uid) from None
         if record.completed:
             # A continuation appeared after completion (e.g. a very late
             # timer).  Reopen the record; completion will fire again.
@@ -157,7 +162,10 @@ class FrameTracker:
 
     def release(self, uid: int, now_us: int = 0) -> None:
         """One continuation finished; completes the input at zero."""
-        record = self.record(uid)
+        try:
+            record = self._records[uid]
+        except KeyError:
+            raise _unknown_uid(uid) from None
         if record.outstanding <= 0:
             raise BrowserError(f"release without retain for input {uid}")
         record.outstanding -= 1
@@ -201,3 +209,7 @@ class FrameTracker:
         for record in self._records.values():
             out.extend(record.frame_latencies_us)
         return out
+
+
+def _unknown_uid(uid: int) -> BrowserError:
+    return BrowserError(f"unknown input uid {uid}")

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import BrowserError
-from repro.hardware.core import WorkUnit
+from repro.hardware.core import WorkUnit, trusted_work
 
 
 class PipelineStage(enum.Enum):
@@ -32,10 +32,6 @@ class PipelineStage(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-#: Stages executed on the renderer main thread, in order.
-MAIN_THREAD_RENDER_STAGES = (PipelineStage.STYLE, PipelineStage.LAYOUT, PipelineStage.PAINT)
 
 
 @dataclass(frozen=True)
@@ -64,17 +60,19 @@ class RenderCostModel:
             if getattr(self, name) < 0:
                 raise BrowserError(f"negative render cost: {name}")
 
-    def work_for(self, stage: PipelineStage, complexity: float) -> WorkUnit:
-        """The :class:`WorkUnit` for ``stage`` at the given complexity."""
+    def frame_work(
+        self, complexity: float
+    ) -> tuple[WorkUnit, WorkUnit, WorkUnit, WorkUnit]:
+        """The style, layout, paint and composite :class:`WorkUnit` of
+        one frame at the given complexity (built once per frame)."""
         if complexity < 0:
             raise BrowserError(f"negative frame complexity: {complexity}")
-        if stage is PipelineStage.STYLE:
-            return WorkUnit(self.style_cycles * complexity)
-        if stage is PipelineStage.LAYOUT:
-            return WorkUnit(self.layout_cycles * complexity)
-        if stage is PipelineStage.PAINT:
-            return WorkUnit(self.paint_cycles * complexity)
-        if stage is PipelineStage.COMPOSITE:
-            fixed = self.composite_fixed_us * (1.0 + 0.2 * max(0.0, complexity - 1.0))
-            return WorkUnit(self.composite_cycles * complexity, fixed_us=fixed)
-        raise BrowserError(f"no render cost for stage {stage}")
+        # Non-negative costs times a non-negative complexity: no unit
+        # needs the constructor's check.
+        fixed = self.composite_fixed_us * (1.0 + 0.2 * max(0.0, complexity - 1.0))
+        return (
+            trusted_work((self.style_cycles * complexity, 0.0)),
+            trusted_work((self.layout_cycles * complexity, 0.0)),
+            trusted_work((self.paint_cycles * complexity, 0.0)),
+            trusted_work((self.composite_cycles * complexity, fixed)),
+        )

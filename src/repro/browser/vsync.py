@@ -67,7 +67,7 @@ class VsyncSource:
     @property
     def armed(self) -> bool:
         """Whether a tick is currently scheduled."""
-        return self._event is not None and self._event.pending
+        return self._event is not None
 
     @property
     def tick_count(self) -> int:
@@ -96,9 +96,11 @@ class VsyncSource:
         (dirty state, a rAF request, an animation).  No-op while a tick
         is already pending — in particular always in continuous mode.
         """
-        if not self._running or self.armed:
+        # _event is the pending tick or None (a tick clears it as it
+        # fires, stop() as it cancels), so it is the armed test.
+        if not self._running or self._event is not None:
             return
-        elapsed = self._kernel.now_us - self._origin_us
+        elapsed = self._kernel._now_us - self._origin_us
         self._arm_at(
             self._origin_us + (elapsed // self.period_us + 1) * self.period_us
         )
@@ -110,13 +112,17 @@ class VsyncSource:
         if not self._running:
             return
         self._tick_count += 1
-        self._event = None
+        now = self._kernel._now_us
+        demand = self._demand
         # Re-arm before the handler so a long handler cannot drift the
         # phase: ticks stay on the fixed 60 Hz grid.  In demand mode an
         # idle tick stops the chain; request() restarts it on-grid.
-        if self._demand is None or self._demand():
-            self._arm_at(self._kernel.now_us + self.period_us)
-        self._on_tick(self._kernel.now_us)
-        if self._event is None and self._demand is not None and self._demand():
+        if demand is None or demand():
+            self._arm_at(now + self.period_us)
+            self._on_tick(now)
+            return
+        self._event = None
+        self._on_tick(now)
+        if self._event is None and demand():
             # The handler itself created fresh demand on an idle tick.
-            self._arm_at(self._kernel.now_us + self.period_us)
+            self._arm_at(now + self.period_us)

@@ -164,8 +164,9 @@ class InteractiveGovernor(BrowserPolicy):
             self._boost()
 
     def _boost(self) -> None:
-        self._last_boost_us = self.platform.kernel.now_us
-        self.platform.set_config(self._hispeed)
+        platform = self.platform
+        self._last_boost_us = platform.kernel._now_us
+        platform.set_config(self._hispeed)
 
     def _timer(self) -> None:
         # A periodic tick: the sampling window is exactly timer_rate_us.
@@ -180,7 +181,7 @@ class InteractiveGovernor(BrowserPolicy):
         # frequency parks wherever the last busy period left it —
         # usually hispeed.  This is why the paper observes Interactive
         # "almost always operating at the peak performance" (Sec. 7.3).
-        if utilization < 0.02 and platform.busy_context_count == 0:
+        if utilization < 0.02 and not platform._busy:
             return
 
         boosted = (

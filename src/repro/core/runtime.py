@@ -179,7 +179,7 @@ class GreenWebRuntime(BrowserPolicy):
         observed_us = float(frame.max_latency_us)
         target_us = self.scenario.operative_target_ms(spec.target) * 1_000.0
 
-        now = self.platform.kernel.now_us
+        now = self.platform.kernel._now_us
         for observer in self.platform.observers:
             observer.observed(now, key, state.phase.value, int(observed_us), int(target_us),
                               observed_us > target_us)
@@ -230,7 +230,7 @@ class GreenWebRuntime(BrowserPolicy):
         requested = self._apply_boost(prediction.config, state.boost)
         predicted_at_requested = state.models.predict_us(requested)
         state.last_requested = (requested, predicted_at_requested)
-        now = self.platform.kernel.now_us
+        now = self.platform.kernel._now_us
         for observer in self.platform.observers:
             observer.predicted(now, key, target_ms, requested, round(predicted_at_requested, 1),
                                round(prediction.energy_j, 9), prediction.meets_target,

@@ -24,28 +24,39 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import HardwareError
 from repro.hardware.frequency import OperatingPoint, OppTable
 
 
-@dataclass(frozen=True)
-class WorkUnit:
+class _WorkFields(NamedTuple):
+    cycles: float
+    fixed_us: float = 0.0
+
+
+class WorkUnit(_WorkFields):
     """A quantum of CPU work (see module docstring for the model).
+
+    An immutable pair; equality and hashing are the plain tuple's.  The
+    constructor rejects negative amounts.  Units derived from checked
+    ones (:meth:`scaled`, ``+``, a render cost model's frame work) are
+    non-negative by construction and are built with
+    :func:`trusted_work`, which skips the check.
 
     Attributes:
         cycles: reference big-core cycles (>= 0).
         fixed_us: frequency-independent microseconds (>= 0).
     """
 
-    cycles: float
-    fixed_us: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise HardwareError(f"negative work cycles: {self.cycles}")
-        if self.fixed_us < 0:
-            raise HardwareError(f"negative fixed time: {self.fixed_us}")
+    def __new__(cls, cycles: float, fixed_us: float = 0.0) -> "WorkUnit":
+        if cycles < 0:
+            raise HardwareError(f"negative work cycles: {cycles}")
+        if fixed_us < 0:
+            raise HardwareError(f"negative fixed time: {fixed_us}")
+        return tuple.__new__(cls, (cycles, fixed_us))
 
     @property
     def is_empty(self) -> bool:
@@ -66,10 +77,19 @@ class WorkUnit:
         (used to compute remaining work after partial execution)."""
         if not 0.0 <= fraction <= 1.0:
             raise HardwareError(f"scale fraction out of [0, 1]: {fraction}")
-        return WorkUnit(self.cycles * fraction, self.fixed_us * fraction)
+        return trusted_work((self.cycles * fraction, self.fixed_us * fraction))
 
     def __add__(self, other: "WorkUnit") -> "WorkUnit":
-        return WorkUnit(self.cycles + other.cycles, self.fixed_us + other.fixed_us)
+        return trusted_work((self.cycles + other.cycles, self.fixed_us + other.fixed_us))
+
+
+#: ``trusted_work((cycles, fixed_us))`` builds a :class:`WorkUnit` from
+#: amounts already known to be non-negative, without the constructor's
+#: check (and without a Python-level call).
+trusted_work = functools.partial(tuple.__new__, WorkUnit)
+
+#: The empty unit (zero-work tasks, a callback that burned no CPU).
+ZERO_WORK = WorkUnit(0.0, 0.0)
 
 
 @dataclass(frozen=True)

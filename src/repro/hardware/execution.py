@@ -23,14 +23,12 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.hardware.core import WorkUnit
+from repro.hardware.core import ZERO_WORK, WorkUnit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hardware.platform import MobilePlatform
 
 CompletionCallback = Callable[["TaskHandle"], None]
-
-_ZERO_WORK = WorkUnit(0.0, 0.0)
 
 
 class TaskHandle:
@@ -117,10 +115,12 @@ class ExecutionContext:
         Zero-work tasks complete on the next kernel tick with zero
         duration (they still respect FIFO ordering).
         """
-        handle = TaskHandle(work, on_complete, label, self._platform.kernel._now_us)
-        self._queue.append(handle)
-        if self._current is None and not self._platform._paused_depth:
-            self._start_next()
+        platform = self._platform
+        handle = TaskHandle(work, on_complete, label, platform.kernel._now_us)
+        queue = self._queue
+        queue.append(handle)
+        if self._current is None and not platform._paused_depth:
+            self._start(queue.popleft())
         return handle
 
     # ------------------------------------------------------------------
@@ -129,11 +129,11 @@ class ExecutionContext:
     def _freeze(self, task: TaskHandle) -> None:
         """Cancel the running ``task``'s completion event, banking its
         remaining work; the platform calls this for each task with a
-        completion event when a switch pauses it, and resumes the task
-        with :meth:`_schedule_completion` after the apply."""
+        completion event when a switch pauses it, and restarts the task
+        with :meth:`_start` after the apply."""
         event = task._completion_event
         now = self._platform.kernel._now_us
-        started = task.started_us if task.started_us is not None else now
+        started = task.started_us
         total = event.time_us - started
         # Zero-duration tasks race the pause; they have nothing left.
         if total > 0:
@@ -143,72 +143,73 @@ class ExecutionContext:
         task._completion_event = None
 
     # ------------------------------------------------------------------
-    # Internals
+    # The start path and the finish path
     # ------------------------------------------------------------------
-    def _start_next(self) -> None:
-        if not self._queue:
-            return
-        task = self._queue.popleft()
-        task.started_us = self._platform.kernel._now_us
-        self._current = task
-        # Becoming busy may trigger an observer (e.g. the interactive
-        # governor's idle-exit boost) that initiates a DVFS switch and
-        # pauses the platform; in that case the platform's resume
-        # schedules completion at the new configuration instead.
-        self._platform._context_became_busy(self)
-        if not self._platform._paused_depth:
-            self._schedule_completion(task)
-
-    def _schedule_completion(self, task: TaskHandle) -> None:
+    def _start(self, task: TaskHandle) -> None:
+        """Run ``task`` from now: the one start path, for a task leaving
+        the queue and for a frozen task resuming after a switch (the
+        platform is not paused when either happens)."""
         platform = self._platform
+        kernel = platform.kernel
+        # Re-anchor started_us so a later freeze measures elapsed time
+        # from this (re)start.
+        task.started_us = kernel._now_us
+        self._current = task
+        if self not in platform._busy:
+            # Becoming busy may trigger an observer (e.g. the interactive
+            # governor's idle-exit boost) that initiates a DVFS switch and
+            # pauses the platform; in that case the platform's resume
+            # starts the task again at the new configuration.
+            platform._context_became_busy(self)
+            if platform._paused_depth:
+                return
         remaining = task.remaining
         active = platform._active_cluster
         # Inlined WorkUnit.duration_us (same expression, same floats).
         duration = remaining.fixed_us + remaining.cycles / (
             active.spec.ipc_factor * active._opp.freq_mhz
         )
-        ticks = max(0, round(duration))
-        # Re-anchor started_us so pause() measures elapsed time correctly
-        # across resumes.  Only one task runs per context, so the
-        # completion event can resolve it through self._current instead
-        # of closing over it.
-        task.started_us = platform.kernel._now_us
-        task._completion_event = platform.kernel.schedule_in(
-            ticks, self._finish_current, label=self.name
+        # Completions stay kernel events (one per task, labelled by the
+        # context); only one task runs per context, so the event's
+        # action finds it through self._current.
+        task._completion_event = kernel.schedule_in(
+            max(0, round(duration)), self._finish, self.name
         )
 
-    def _finish_current(self) -> None:
-        self._finish(self._current)
-
-    def _finish(self, task: TaskHandle) -> None:
-        now = self._platform.kernel._now_us
+    def _finish(self) -> None:
+        """Complete the running task: the one finish path, the action of
+        every completion event."""
+        task = self._current
+        platform = self._platform
+        now = platform.kernel._now_us
         task.completed_us = now
-        task.remaining = _ZERO_WORK
+        task.remaining = ZERO_WORK
         task._completion_event = None
         self._current = None
-        if self._platform.record_task_spans and self._platform.trace is not None:
-            self._platform.trace.emit(
+        if platform.record_task_spans and platform.trace is not None:
+            platform.trace.emit(
                 now,
                 "task",
                 "span",
                 context=self.name,
                 label=task.label,
                 start_us=task.submitted_us,
-                run_start_us=task.started_us if task.started_us is not None else now,
+                run_start_us=task.started_us,
                 duration_us=now - task.submitted_us,
             )
         # The completion callback runs before the next queued task
         # starts: a task's effects (style writes, dirty bits, config
         # decisions) must be visible to whatever executes next, exactly
         # as straight-line code on a real thread would behave.  The
-        # callback may submit new tasks or pause the platform.
+        # callback may submit new tasks (a submit to this idle context
+        # starts at once) or pause the platform.
         if task.on_complete is not None:
             task.on_complete(task)
         if self._current is None:
-            if self._queue and not self._platform._paused_depth:
-                self._start_next()
-            if self._current is None:
-                self._platform._context_became_idle(self)
+            if self._queue and not platform._paused_depth:
+                self._start(self._queue.popleft())
+            else:
+                platform._context_became_idle(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ExecutionContext {self.name} busy={self.busy} q={self.queue_depth}>"

@@ -257,7 +257,7 @@ class MobilePlatform:
                 task = context._current
                 if task is None:
                     if context._queue:
-                        context._start_next()
+                        context._start(context._queue.popleft())
                         # Starting a task can trigger observers (idle-exit
                         # boost) that open a NEW switch and re-pause the
                         # platform; stop resuming immediately in that case
@@ -265,7 +265,7 @@ class MobilePlatform:
                         if self._paused_depth:
                             break
                 elif task._completion_event is None:
-                    context._schedule_completion(task)
+                    context._start(task)
 
     # ------------------------------------------------------------------
     # Busy/power accounting
@@ -279,36 +279,37 @@ class MobilePlatform:
     # The two transitions inline any_busy_us() and current_power(): one
     # call reaches the meter per busy-count change.
     def _context_became_busy(self, context: ExecutionContext) -> None:
+        """``context`` (not yet in the busy set; the start path tests
+        membership before calling) starts running a task."""
         busy = self._busy
-        if context not in busy:
-            previous = len(busy)
-            now = self.kernel._now_us
-            if previous and now > self._util_last_us:
-                self._any_busy_integral_us += now - self._util_last_us
-            self._util_last_us = now
-            busy.add(context)
-            power = self._power_row[previous + 1]
-            if power is None:
-                power = self.current_power()
-            self.meter.on_power_change(now, power)
-            for observer in self._busy_observers:
-                observer(previous + 1, previous)
+        previous = len(busy)
+        now = self.kernel._now_us
+        if previous and now > self._util_last_us:
+            self._any_busy_integral_us += now - self._util_last_us
+        self._util_last_us = now
+        busy.add(context)
+        power = self._power_row[previous + 1]
+        if power is None:
+            power = self.current_power()
+        self.meter.on_power_change(now, power)
+        for observer in self._busy_observers:
+            observer(previous + 1, previous)
 
     def _context_became_idle(self, context: ExecutionContext) -> None:
+        """``context`` (in the busy set) finished its last task."""
         busy = self._busy
-        if context in busy:
-            previous = len(busy)
-            now = self.kernel._now_us
-            if now > self._util_last_us:
-                self._any_busy_integral_us += now - self._util_last_us
-            self._util_last_us = now
-            busy.discard(context)
-            power = self._power_row[previous - 1]
-            if power is None:
-                power = self.current_power()
-            self.meter.on_power_change(now, power)
-            for observer in self._busy_observers:
-                observer(previous - 1, previous)
+        previous = len(busy)
+        now = self.kernel._now_us
+        if now > self._util_last_us:
+            self._any_busy_integral_us += now - self._util_last_us
+        self._util_last_us = now
+        busy.discard(context)
+        power = self._power_row[previous - 1]
+        if power is None:
+            power = self.current_power()
+        self.meter.on_power_change(now, power)
+        for observer in self._busy_observers:
+            observer(previous - 1, previous)
 
     @property
     def busy_context_count(self) -> int:

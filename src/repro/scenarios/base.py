@@ -154,7 +154,7 @@ class Scenario:
         through this; violation accounting passes the event's dispatch
         time."""
         if at_us is None:
-            at_us = self.platform.kernel.now_us if self.platform is not None else 0
+            at_us = self.platform.kernel._now_us if self.platform is not None else 0
         return interpolate_target_ms(target, self.relax_at(at_us))
 
     def __str__(self) -> str:

@@ -135,15 +135,16 @@ def dispatch_order(event: Event) -> list[tuple[Element, "object"]]:
     """
     pairs: list[tuple[Element, object]] = []
     path = event.propagation_path
+    event_type = event.type.value
     # Capture: ancestors root-first, excluding the target itself.
     for element in reversed(path[1:]):
-        for callback in element.listeners(event.type.value, capture=True):
+        for callback in element.listeners(event_type, capture=True):
             pairs.append((element, callback))
     # Target (both phases fire at the target, capture-registered first).
-    for callback in event.target.listeners(event.type.value, capture=True):
+    for callback in event.target.listeners(event_type, capture=True):
         pairs.append((event.target, callback))
     # Bubble: target then ancestors.
     for element in path:
-        for callback in element.listeners(event.type.value):
+        for callback in element.listeners(event_type):
             pairs.append((element, callback))
     return pairs

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro.errors import BrowserError
-from repro.hardware.core import WorkUnit
+from repro.hardware.core import ZERO_WORK, WorkUnit, trusted_work
 from repro.web.dom import Document, Element
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -121,7 +121,7 @@ class ScriptError:
 class ScriptEffects:
     """Everything a callback did, as recorded by :class:`ScriptContext`."""
 
-    work: WorkUnit = field(default_factory=lambda: WorkUnit(0.0, 0.0))
+    work: WorkUnit = ZERO_WORK
     style_writes: list[StyleWrite] = field(default_factory=list)
     raf_requests: list[RafRequest] = field(default_factory=list)
     timeouts: list[TimeoutRequest] = field(default_factory=list)
@@ -198,7 +198,8 @@ class ScriptContext:
         big-core cycles plus frequency-independent microseconds)."""
         if cycles < 0 or fixed_us < 0:
             raise BrowserError("work amounts must be non-negative")
-        self.effects.work = self.effects.work + WorkUnit(cycles, fixed_us)
+        work = self.effects.work
+        self.effects.work = trusted_work((work.cycles + cycles, work.fixed_us + fixed_us))
 
     # ------------------------------------------------------------------
     # DOM / style effects

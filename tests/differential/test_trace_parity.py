@@ -6,9 +6,14 @@ analyze`` and the tracking ablation read.  Each pin is a SHA-256 over
 the canonical JSON of ``[(time_us, category, name, data)]`` for every
 record, with its record count.  The four cells cover eight of the ten
 categories (input, config, frame, dvfs, callback, greenweb, animation,
-scenario); console and task records are covered by
-``tests/test_browser_script_effects.py`` and
-``tests/test_cli_and_export.py``.
+scenario); console records are covered by
+``tests/test_browser_script_effects.py``.
+
+``TASK_SPAN_PINS`` pin the opt-in ``task/span`` stream (every task's
+context, label, submit time, run start and duration) of two cells run
+with ``record_task_spans``: the execution spine's task order and timing,
+stream-wide.  The ``camanjs:ondemand:bgload`` cell freezes and resumes
+tasks mid-switch.
 """
 
 import hashlib
@@ -36,20 +41,38 @@ PINS = {
     ),
 }
 
+#: the same key -> (task span count, sha256 of the task/span records)
+TASK_SPAN_PINS = {
+    ("paperjs", "greenweb", "imperceptible", "full", 1): (
+        3808, "0ac926eccaa71c2990b394c652d36d68ebce1531f5ddc3a55a46fa6a0a77498c"
+    ),
+    ("camanjs", "ondemand", "bgload", "micro", 1): (
+        173, "8c3fdb11699f50716e80f4f231c7cf9bc631dd6b007a6f55ca12cc453f22df94"
+    ),
+}
 
-def traced_stream(app, policy, scenario, trace_kind, seed):
+
+def traced_stream(app, policy, scenario, trace_kind, seed, task_spans=False):
     """The cell's retained records as (time_us, category, name, data)
-    tuples."""
+    tuples; with ``task_spans``, only its ``task/span`` records."""
     spec = POLICIES.normalize(policy)
     execution = SessionExecution(
         build_app(app, seed), spec.label(), scenario, trace_kind, seed, 4.0, True,
         lambda platform, registry, live: POLICIES.build(spec, platform, registry, live),
     )
+    execution.platform.record_task_spans = task_spans
     execution.run()
     return [
         (record.time_us, record.category, record.name, record.data)
         for record in execution.platform.trace
+        if not task_spans or record.category == "task"
     ]
+
+
+def pin_of(stream):
+    """(record count, sha256 of the canonical JSON) of a stream."""
+    blob = json.dumps(stream, sort_keys=True, separators=(",", ":"))
+    return len(stream), hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +83,14 @@ def streams():
 
 @pytest.mark.parametrize("cell", list(PINS), ids=lambda cell: ":".join(map(str, cell)))
 def test_retained_stream_matches_pin(streams, cell):
-    stream = streams[cell]
-    blob = json.dumps(stream, sort_keys=True, separators=(",", ":"))
-    assert (len(stream), hashlib.sha256(blob.encode("utf-8")).hexdigest()) == PINS[cell]
+    assert pin_of(streams[cell]) == PINS[cell]
+
+
+@pytest.mark.parametrize(
+    "cell", list(TASK_SPAN_PINS), ids=lambda cell: ":".join(map(str, cell))
+)
+def test_task_span_stream_matches_pin(cell):
+    assert pin_of(traced_stream(*cell, task_spans=True)) == TASK_SPAN_PINS[cell]
 
 
 def test_pins_cover_eight_categories(streams):

@@ -1,12 +1,15 @@
-"""Pinned kernel-event counts for four sampler-heavy sessions.
+"""Pinned kernel-event counts for four sampler-heavy sessions and one
+frame-heavy one.
 
 ``sim_events_per_s`` in the benchmark counts fired kernel events, so
-the number a session fires is part of what that metric means.  These
-cells pin the total and the fired sampler-tick, scenario-tick and
-DVFS-apply events, counting periodic (``Kernel.every``) ticks as well
-as one-shot events:
-a change that skips, coalesces or adds a tick or a switch must move
-this test on purpose, together with the metric.
+the number a session fires is part of what that metric means.  The
+sampler cells pin the total and the fired sampler-tick, scenario-tick
+and DVFS-apply events, counting periodic (``Kernel.every``) ticks as
+well as one-shot events; the frame cell (a ``frames`` workload cell)
+pins the total and the VSync ticks and task completions of the frame
+pipeline's two threads:
+a change that skips, coalesces or adds a tick, a switch or a task must
+move this test on purpose, together with the metric.
 """
 
 import collections
@@ -78,3 +81,17 @@ def test_fired_events_are_pinned(
     assert fired[sampler] == ticks
     assert fired[f"scenario/{scenario}"] == scenario_ticks
     assert fired["dvfs"] == applies
+
+
+@pytest.mark.parametrize(
+    "cell, trace_kind, total, labels",
+    [
+        # cell: app, policy, scenario; labels: fired count by label
+        (("paperjs", "greenweb", "imperceptible"), "full", 5_486,
+         {"vsync": 545, "renderer_main": 3_266, "compositor": 542}),
+    ],
+)
+def test_frame_pipeline_events_are_pinned(monkeypatch, cell, trace_kind, total, labels):
+    events_fired, fired = fired_events(monkeypatch, *cell, trace_kind)
+    assert events_fired == sum(fired.values()) == total
+    assert {label: fired[label] for label in labels} == labels

@@ -230,12 +230,13 @@ def test_keyed_policies_share_one_base():
 
 
 #: self-rescheduling methods that stay one-shot chains: vsync re-arms
-#: before its handler and stops when idle in demand mode; a finished
-#: task schedules the next queued task's completion; netdelay's delays
-#: are random draws, not a period
+#: before its handler and stops when idle in demand mode; a context's
+#: one start path schedules the task's completion, and the one finish
+#: path starts the next queued task; netdelay's delays are random
+#: draws, not a period
 ONE_SHOT_CHAINS = {
     "src/repro/browser/vsync.py:VsyncSource._arm_at",
-    "src/repro/hardware/execution.py:ExecutionContext._schedule_completion",
+    "src/repro/hardware/execution.py:ExecutionContext._start",
     "src/repro/scenarios/builtin.py:NetDelayScenario._schedule_next",
 }
 
