@@ -19,7 +19,7 @@ APPS = ("craigslist", "paperjs", "w3schools", "msn")
 def _accuracy_for(app: str):
     execution = greenweb_execution(app, "usable")
     accuracy = PredictionAccuracyFold()
-    execution.platform.observers.append(accuracy)
+    execution.platform.attach(accuracy)
     execution.run()
     return accuracy.result()
 

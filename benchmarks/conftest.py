@@ -50,7 +50,7 @@ def run_once(benchmark, fn):
 def greenweb_execution(app, scenario, trace=False, fast_voltage_regulators=False):
     """``app``'s micro trace under GreenWeb as a prepared
     :class:`SessionExecution` (seed 0, 4 s settle), not yet run, so
-    folds can join ``platform.observers`` first.  Ablations that scan
+    folds can ``platform.attach`` first.  Ablations that scan
     the trace ask for ``trace=True``."""
     return SessionExecution(
         build_app(app), "greenweb", scenario, "micro", 0, 4.0, trace,

@@ -113,7 +113,7 @@ class Browser:
         self.page = page
         self.kernel = platform.kernel
         self.trace = platform.trace
-        self._observers = platform.observers
+        self._hooks = platform._hooks  # filled in place by attach
         self.main = platform.create_context("renderer_main")
         self.compositor = platform.create_context("compositor")
         self.tracker = FrameTracker(on_input_complete=self._input_completed)
@@ -172,7 +172,7 @@ class Browser:
             event.detail.update(detail)
         self.tracker.input_received(msg)
         self.stats.inputs += 1
-        for observer in self._observers:
+        for observer in self._hooks["input_dispatched"]:
             observer.input_dispatched(now, msg)
         self.policy.on_input(msg, event)
         self.tracker.retain(msg.uid)  # released when renderer dispatch ends
@@ -567,13 +567,13 @@ class Browser:
         self.tracker.frame_displayed(frame, now)
         self.stats.frames += 1
         self._frame_in_flight = False
-        for observer in self._observers:
+        for observer in self._hooks["frame_displayed"]:
             observer.frame_displayed(now, frame)
         self.policy.on_frame_displayed(frame)
 
     def _input_completed(self, record: InputRecord) -> None:
         now = self.kernel._now_us
-        for observer in self._observers:
+        for observer in self._hooks["input_completed"]:
             observer.input_completed(now, record)
         self.policy.on_input_complete(record)
 

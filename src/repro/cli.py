@@ -173,7 +173,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     execution = _prepared_session(args, "analyze", trace=False)
     frames = FrameTimelineFold()
-    execution.platform.observers.append(frames)
+    execution.platform.attach(frames)
     execution.run()
 
     stats = frames.stats()

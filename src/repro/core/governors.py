@@ -38,6 +38,7 @@ from repro.errors import HardwareError
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import MobilePlatform
 from repro.sim.clock import MIN_SAMPLER_PERIOD_MS, ms_to_us
+from repro.sim.tracing import SessionObserver
 from repro.web.events import Event
 
 
@@ -116,8 +117,9 @@ class KeyedGovernor(BrowserPolicy):
             self.platform.set_config(self.idle_config)
 
 
-class InteractiveGovernor(BrowserPolicy):
-    """Android's default ``interactive`` governor (QoS-agnostic)."""
+class InteractiveGovernor(BrowserPolicy, SessionObserver):
+    """Android's default ``interactive`` governor (QoS-agnostic).  It
+    observes the session's busy transitions for its idle-exit boost."""
 
     def __init__(
         self,
@@ -148,7 +150,7 @@ class InteractiveGovernor(BrowserPolicy):
     # ------------------------------------------------------------------
     def bind(self, browser) -> None:
         super().bind(browser)
-        self.platform.add_busy_observer(self._busy_transition)
+        self.platform.attach(self)
         self._last_any_busy_us = self.platform.any_busy_us()
         self.platform.set_config(self._floor)
         self.platform.kernel.every(self.timer_rate_us, self._timer, label="interactive")
@@ -158,7 +160,7 @@ class InteractiveGovernor(BrowserPolicy):
             self._boost()
 
     # ------------------------------------------------------------------
-    def _busy_transition(self, busy_count: int, previous_count: int) -> None:
+    def busy_changed(self, time_us: int, busy_count: int, previous_count: int) -> None:
         # "Maximizes performance when the CPU recovers from idle."
         if previous_count == 0 and busy_count > 0:
             self._boost()

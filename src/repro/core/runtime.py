@@ -180,7 +180,7 @@ class GreenWebRuntime(BrowserPolicy):
         target_us = self.scenario.operative_target_ms(spec.target) * 1_000.0
 
         now = self.platform.kernel._now_us
-        for observer in self.platform.observers:
+        for observer in self.platform._hooks["observed"]:
             observer.observed(now, key, state.phase.value, int(observed_us), int(target_us),
                               observed_us > target_us)
         if not self.profiler.observe(state, spec, observed_us):
@@ -231,7 +231,7 @@ class GreenWebRuntime(BrowserPolicy):
         predicted_at_requested = state.models.predict_us(requested)
         state.last_requested = (requested, predicted_at_requested)
         now = self.platform.kernel._now_us
-        for observer in self.platform.observers:
+        for observer in self.platform._hooks["predicted"]:
             observer.predicted(now, key, target_ms, requested, round(predicted_at_requested, 1),
                                round(prediction.energy_j, 9), prediction.meets_target,
                                state.boost)

@@ -2,9 +2,9 @@
 
 A fold is a :class:`~repro.sim.tracing.SessionObserver` that
 accumulates one metric *while the run executes*, from the typed hooks
-it overrides; it attaches by joining ``MobilePlatform.observers``
-before the run.  No fold needs a trace, so the same fold gives the same
-answer on a results-only session and on a traced one, and the
+it overrides; ``MobilePlatform.attach``, before the run, subscribes it
+to those hooks only.  No fold needs a trace, so the same fold gives the
+same answer on a results-only session and on a traced one, and the
 per-session footprint stays constant however long the session runs.
 
 Folds are the only metric path: configuration residency (Fig. 11 and

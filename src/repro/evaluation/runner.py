@@ -10,10 +10,10 @@ power integrated over the real execution time of the interaction
 session, so a governor that idles at high power keeps paying for it.
 
 Every metric comes from session observers (the residency fold and the
-active-window accountant, see :mod:`repro.sim.tracing`) or from
-counters, so a session needs no trace to produce its result: only
-:class:`SessionExecution` callers that read ``platform.trace``
-afterwards (trace export, analysis) attach one.
+active-window accountant, joined through ``MobilePlatform.attach``, see
+:mod:`repro.sim.tracing`) or from counters, so a session needs no trace
+to produce its result: only :class:`SessionExecution` callers that read
+``platform.trace`` afterwards (trace export, analysis) attach one.
 """
 
 from __future__ import annotations
@@ -126,16 +126,6 @@ class RunResult:
     @property
     def mean_violation_pct(self) -> float:
         return mean_violation_pct(self.event_violations_pct)
-
-    @property
-    def switch_count(self) -> int:
-        return self.freq_switches + self.migrations
-
-    def energy_vs(self, baseline: "RunResult") -> float:
-        """This run's energy as a fraction of a baseline run's."""
-        if baseline.energy_j <= 0:
-            raise EvaluationError("baseline consumed no energy")
-        return self.energy_j / baseline.energy_j
 
     def active_energy_vs(self, baseline: "RunResult") -> float:
         """Active-window energy relative to a baseline run's."""
@@ -265,8 +255,9 @@ class SessionExecution:
     ``trace`` attaches a retaining :class:`~repro.sim.tracing.TraceLog`
     as ``platform.trace``, for callers that read it afterwards; without
     one ``platform.trace`` is None.  Results are identical either way.
-    Further observers (folds) join ``platform.observers`` before
-    :meth:`run`.
+    Further observers (folds) join through ``platform.attach`` before
+    :meth:`run`; the runner's own fold and accountant attach after the
+    trace.
     ``fast_voltage_regulators`` selects the platform's IVR variant
     (5 us frequency switches instead of 100 us; see
     :func:`~repro.hardware.platform.odroid_xu_e`).
@@ -309,7 +300,8 @@ class SessionExecution:
         self.scenario.attach(self.browser)
         self._config_fold = ConfigTimelineFold()
         self._accountant = _ActiveWindowAccountant(self.platform)
-        self.platform.observers += [self._config_fold, self._accountant]
+        self.platform.attach(self._config_fold)
+        self.platform.attach(self._accountant)
         driver = InteractionDriver(self.browser)
 
         # Pre-resolve each trace event's QoS spec (annotation state is

@@ -26,9 +26,7 @@ class EnergyMeter:
     def __init__(self, start_us: int = 0) -> None:
         self._last_change_us = start_us
         self._current_power_w = 0.0
-        self._current_dynamic_w = 0.0
         self._total_j = 0.0
-        self._dynamic_j = 0.0
 
     # ------------------------------------------------------------------
     # Driving
@@ -45,10 +43,8 @@ class EnergyMeter:
                 )
             dt_us = now_us - last_us
             self._total_j += self._current_power_w * dt_us * 1e-6
-            self._dynamic_j += self._current_dynamic_w * dt_us * 1e-6
             self._last_change_us = now_us
         self._current_power_w = breakdown.total_w
-        self._current_dynamic_w = breakdown.dynamic_w
 
     def finalize(self, now_us: int) -> None:
         """Integrate the trailing interval up to ``now_us``."""
@@ -62,7 +58,6 @@ class EnergyMeter:
         dt_us = now_us - self._last_change_us
         if dt_us > 0:
             self._total_j += self._current_power_w * dt_us * 1e-6
-            self._dynamic_j += self._current_dynamic_w * dt_us * 1e-6
         self._last_change_us = now_us
 
     # ------------------------------------------------------------------
@@ -72,11 +67,6 @@ class EnergyMeter:
     def total_j(self) -> float:
         """Total integrated energy (joules) up to the last change/finalize."""
         return self._total_j
-
-    @property
-    def dynamic_j(self) -> float:
-        """The dynamic (switching) component of the total."""
-        return self._dynamic_j
 
     @property
     def current_power_w(self) -> float:

@@ -27,7 +27,7 @@ from repro.hardware.energy import EnergyMeter
 from repro.hardware.execution import ExecutionContext
 from repro.hardware.power import PowerBreakdown, PowerModel
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import SessionObserver, TraceLog
+from repro.sim.tracing import HOOKS, SessionObserver, TraceLog
 
 
 class MobilePlatform:
@@ -46,9 +46,11 @@ class MobilePlatform:
         self.kernel = kernel if kernel is not None else Kernel()
         #: the retained trace, or None (the default: no records built)
         self.trace = trace
-        #: every hook of a session fact goes to each of these in order;
-        #: the session builder appends its folds after the trace
-        self.observers: list[SessionObserver] = [] if trace is None else [trace]
+        #: hook name -> the attached observers overriding it, in attach
+        #: order; only attach() writes these lists, and none is rebound
+        self._hooks: dict[str, list[SessionObserver]] = {hook: [] for hook in HOOKS}
+        if trace is not None:
+            self.attach(trace)
         self.power_model = power_model if power_model is not None else PowerModel()
 
         specs = cluster_specs if cluster_specs is not None else [
@@ -95,7 +97,6 @@ class MobilePlatform:
         #: open DVFS switches pausing the platform; the one pause state:
         #: no context starts or runs a task while it is non-zero
         self._paused_depth = 0
-        self._busy_observers: list = []
         #: opt-in, with a trace: emit a "task/span" record for every
         #: completed task (start, duration, context, label) — the
         #: per-thread timeline view for chrome-trace exports.  Off by
@@ -142,10 +143,6 @@ class MobilePlatform:
             raise HardwareError(
                 f"unknown cluster {name!r}; have {list(self._clusters)}"
             ) from None
-
-    @property
-    def active_cluster_name(self) -> str:
-        return self._active_name
 
     @property
     def active_cluster(self) -> Cluster:
@@ -206,7 +203,7 @@ class MobilePlatform:
         self._config = config
         row = self._power_row = self._power_rows[config]
         now = self.kernel._now_us
-        for observer in self.observers:
+        for observer in self._hooks["config_applied"]:
             observer.config_applied(now, config)
         power = row[len(self._busy)]
         if power is None:
@@ -268,13 +265,17 @@ class MobilePlatform:
                     context._start(task)
 
     # ------------------------------------------------------------------
-    # Busy/power accounting
+    # Session observers and busy/power accounting
     # ------------------------------------------------------------------
-    def add_busy_observer(self, callback) -> None:
-        """Register ``callback(busy_count, previous_count)`` to fire on
-        every busy-context-count transition (idle-exit detection for
-        the interactive governor)."""
-        self._busy_observers.append(callback)
+    def attach(self, observer: SessionObserver) -> None:
+        """Observe this session: ``observer`` joins the list of each
+        hook its class overrides, after the observers already there."""
+        if not isinstance(observer, SessionObserver):
+            raise HardwareError(f"{observer!r} is not a SessionObserver")
+        cls = type(observer)
+        for hook, observers in self._hooks.items():
+            if getattr(cls, hook) is not getattr(SessionObserver, hook):
+                observers.append(observer)
 
     # The two transitions inline any_busy_us() and current_power(): one
     # call reaches the meter per busy-count change.
@@ -292,8 +293,8 @@ class MobilePlatform:
         if power is None:
             power = self.current_power()
         self.meter.on_power_change(now, power)
-        for observer in self._busy_observers:
-            observer(previous + 1, previous)
+        for observer in self._hooks["busy_changed"]:
+            observer.busy_changed(now, previous + 1, previous)
 
     def _context_became_idle(self, context: ExecutionContext) -> None:
         """``context`` (in the busy set) finished its last task."""
@@ -308,8 +309,8 @@ class MobilePlatform:
         if power is None:
             power = self.current_power()
         self.meter.on_power_change(now, power)
-        for observer in self._busy_observers:
-            observer(previous - 1, previous)
+        for observer in self._hooks["busy_changed"]:
+            observer.busy_changed(now, previous - 1, previous)
 
     @property
     def busy_context_count(self) -> int:

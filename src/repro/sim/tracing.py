@@ -2,16 +2,17 @@
 
 A session reports the facts its metrics are computed from through the
 typed hooks of :class:`SessionObserver`: an input dispatched and
-completed, a configuration applied, a frame displayed, and the GreenWeb
-runtime's predictions and observations.  Each emit site calls the hook
-on every observer in ``MobilePlatform.observers``, in list order.  The
-streaming folds (:mod:`repro.evaluation.folds`) and the runner's
-active-window accountant override only the hooks they read.
+completed, a configuration applied, a frame displayed, the GreenWeb
+runtime's predictions and observations, and busy-context transitions.
+``MobilePlatform.attach`` puts an observer on the list of each hook its
+class overrides; each emit site walks only its hook's list, in attach
+order.  Folds, the runner's accountant and the ``interactive`` governor
+override only the hooks they read.
 
 :class:`TraceLog` is one more observer, the retaining one: each hook
-becomes a :class:`TraceRecord`, kept in emission order and indexed per
-``(category, name)`` so :meth:`~TraceLog.filter`/:meth:`~TraceLog.count`
-touch only matching records.  Facts that only a trace reads (console
+but ``busy_changed`` becomes a :class:`TraceRecord`, kept in emission
+order and indexed per ``(category, name)`` so :meth:`~TraceLog.filter`/
+:meth:`~TraceLog.count` touch only matching records.  Facts that only a trace reads (console
 errors, callback completions, animations, DVFS requests, scenario
 events, task spans) are emitted straight to ``platform.trace`` under
 ``if trace is not None``.
@@ -62,6 +63,15 @@ class SessionObserver:
                  target_us: int, violated: bool) -> None:
         """The GreenWeb runtime judged a displayed frame of event
         ``key`` in ``phase`` (a profiling phase or ``"stable"``)."""
+
+    def busy_changed(self, time_us: int, busy_count: int, previous_count: int) -> None:
+        """The number of busy execution contexts went from
+        ``previous_count`` to ``busy_count``; fires after the energy
+        meter has switched to the new power."""
+
+
+#: every hook of :class:`SessionObserver`, one observer list each on the platform
+HOOKS = tuple(name for name in vars(SessionObserver) if not name.startswith("_"))
 
 
 class TraceRecord:
@@ -131,7 +141,7 @@ class TraceLog(SessionObserver):
             by_key = self._by_key[key] = []
         by_key.append(record)
 
-    # Each typed hook becomes one record; a dispatch is named by its
+    # Each fact hook becomes one record; a dispatch is named by its
     # event type.
     def input_dispatched(self, time_us, msg):
         self.emit(time_us, "input", msg.event_type.value, uid=msg.uid, target=msg.target_key)

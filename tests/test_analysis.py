@@ -228,7 +228,7 @@ class TestTradeoffSpace:
         bundle = build_app("cnet")
         platform = odroid_xu_e()
         frames = FrameTimelineFold()
-        platform.observers.append(frames)
+        platform.attach(frames)
         browser = Browser(platform, bundle.page)
         InteractionDriver(browser).run(bundle.micro_trace)
         stats = frames.stats()
@@ -267,7 +267,7 @@ class TestPredictionAccuracy:
         bundle = build_app("craigslist")  # low-variance scroll frames
         platform = odroid_xu_e()
         fold = PredictionAccuracyFold()
-        platform.observers.append(fold)
+        platform.attach(fold)
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         runtime = GreenWebRuntime(platform, registry, build_live_scenario("usable", platform))
         browser = Browser(platform, bundle.page, policy=runtime)

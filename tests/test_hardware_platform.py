@@ -15,7 +15,7 @@ from repro.hardware import (
 from repro.hardware.core import big_cluster_spec, little_cluster_spec
 from repro.hardware.dvfs import FREQ_SWITCH_OVERHEAD_US, MIGRATION_OVERHEAD_US
 from repro.hardware.execution import ExecutionContext
-from repro.sim.tracing import TraceLog
+from repro.sim.tracing import SessionObserver, TraceLog
 
 
 class TestWorkUnit:
@@ -313,11 +313,12 @@ class TestDvfs:
         platform = odroid_xu_e()
         first, second = platform.create_context("first"), platform.create_context("second")
 
-        def boost(busy_count, previous_count):
-            if previous_count == 0 and busy_count > 0:
-                platform.set_config(CpuConfig("big", 1800))
+        class Boost(SessionObserver):
+            def busy_changed(self, time_us, busy_count, previous_count):
+                if previous_count == 0 and busy_count > 0:
+                    platform.set_config(CpuConfig("big", 1800))
 
-        platform.add_busy_observer(boost)
+        platform.attach(Boost())
         platform.set_config(CpuConfig("big", 1000))
         a = first.submit(WorkUnit(cycles=1_800_000))
         b = second.submit(WorkUnit(cycles=1_800_000))
@@ -507,7 +508,17 @@ class TestStoredControlState:
         platform = odroid_xu_e()
         configs = platform.all_configs()
         contexts = [platform.create_context(f"ctx{i}") for i in range(4)]
-        platform.add_busy_observer(lambda busy, previous: self._check_state(platform))
+        check_state = self._check_state
+
+        class Checker(SessionObserver):
+            def busy_changed(self, time_us, busy_count, previous_count):
+                assert time_us == platform.kernel.now_us
+                assert busy_count == platform.busy_context_count == previous_count + (
+                    1 if busy_count > previous_count else -1
+                )
+                check_state(platform)
+
+        platform.attach(Checker())
         same_config_checks = {"in_flight": 0, "over_cap": 0}
 
         for _ in range(600):

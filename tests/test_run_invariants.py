@@ -48,7 +48,7 @@ def run_observed(app, policy, scenario):
         lambda platform, registry, live: POLICIES.build(policy, platform, registry, live),
     )
     initial = execution.platform.config
-    execution.platform.observers.append(fold)
+    execution.platform.attach(fold)
     execution.run()
     return execution, execution.finish(), initial, fold
 

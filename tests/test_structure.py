@@ -10,7 +10,10 @@ constructs a ``Browser``, and nothing imports the deleted
 ``bgload`` scenario).  APIs that return only results take no trace
 switch: ``SessionExecution(..., trace=...)`` is the only place a caller
 attaches a trace.  Folds and the active-window accountant are typed
-session observers; none reads a trace record.
+session observers; none reads a trace record.  Observers join a session
+only through ``MobilePlatform.attach``, the one writer of the
+platform's per-hook lists, and each emit loop walks the list of the
+hook it calls.
 
 Configurations are ranked by capacity in one place: the platform's
 configuration table (``hardware/dvfs.py``'s ``ConfigTable``); the
@@ -51,14 +54,14 @@ from repro.evaluation.folds import (
     PredictionAccuracyFold,
 )
 from repro.evaluation.runner import _ActiveWindowAccountant
-from repro.sim.tracing import SessionObserver, TraceLog
+from repro.sim.tracing import HOOKS, SessionObserver, TraceLog
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BROWSER_BUILDERS = {"src/repro/evaluation/runner.py", "src/repro/session.py"}
 
 
-def _modules():
-    for top in ("src", "benchmarks"):
+def _modules(tops=("src", "benchmarks")):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text())
 
@@ -298,3 +301,106 @@ def test_no_sampler_re_arms_itself():
     assert not offenders, f"re-armed through schedule_*, not Kernel.every: {offenders}"
     for sampler in ("core/governors.py", "scenarios/builtin.py"):
         assert ".every(" in (ROOT / "src/repro" / sampler).read_text(), sampler
+
+
+#: where an observer could be joined to a session
+OBSERVER_SCAN = ("src", "tests", "benchmarks", "examples")
+#: list methods that change a list in place
+LIST_WRITES = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+
+
+def _hook_read(node):
+    """``"hook"`` for an ``<expr>._hooks["hook"]`` read; ``""`` for any
+    other read of a ``_hooks`` member; None otherwise."""
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+        if node.value.attr == "_hooks":
+            return node.slice.value if isinstance(node.slice, ast.Constant) else ""
+    return None
+
+
+def _functions(tree):
+    """``(Class.method or function name, node)`` for every function."""
+    for parent in ast.walk(tree):
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(child, ast.FunctionDef):
+                prefix = f"{parent.name}." if isinstance(parent, ast.ClassDef) else ""
+                yield prefix + child.name, child
+
+
+def test_nothing_joins_a_session_but_attach():
+    gone = {"observers", "_observers", "add_busy_observer", "_busy_observers"}
+    offenders = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _modules(OBSERVER_SCAN)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in gone
+    )
+    assert not offenders, f"the deleted observer registries: {offenders}"
+    assert not hasattr(odroid_xu_e(), "observers")
+
+
+def test_only_attach_writes_a_hook_list():
+    writers, rebinds = [], []
+    for name, tree in _modules(OBSERVER_SCAN):
+        for function, body in _functions(tree):
+            # Names bound to a hook list: loop targets over the
+            # ``_hooks`` dict and plain aliases of one of its lists.
+            lists = set()
+            for node in ast.walk(body):
+                if (
+                    isinstance(node, ast.For)
+                    and isinstance(node.iter, ast.Call)
+                    and isinstance(node.iter.func, ast.Attribute)
+                    and isinstance(node.iter.func.value, ast.Attribute)
+                    and node.iter.func.value.attr == "_hooks"
+                ):
+                    lists |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+                elif isinstance(node, ast.Assign) and _hook_read(node.value) is not None:
+                    lists |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(body):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in LIST_WRITES
+                    and (
+                        _hook_read(node.func.value) is not None
+                        or isinstance(node.func.value, ast.Name) and node.func.value.id in lists
+                    )
+                ):
+                    writers.append(f"{name}:{function}")
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target] if isinstance(node, ast.AugAssign) else []
+                )
+                for target in targets:
+                    if _hook_read(target) is not None or (
+                        isinstance(target, ast.Attribute) and target.attr == "_hooks"
+                        and function not in ("MobilePlatform.__init__", "Browser.__init__")
+                    ):
+                        rebinds.append(f"{name}:{node.lineno}")
+    assert writers == ["src/repro/hardware/platform.py:MobilePlatform.attach"], writers
+    assert not rebinds, f"hook lists rebound: {rebinds}"
+
+
+def test_each_emit_loop_calls_the_hook_it_walks():
+    walked = []
+    for name, tree in _modules(("src",)):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.For) or not isinstance(node.target, ast.Name):
+                continue
+            called = {
+                call.func.attr
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == node.target.id
+            }
+            hook = _hook_read(node.iter)
+            if hook is None and not called & set(HOOKS):
+                continue
+            assert hook and called == {hook}, f"{name}:{node.lineno} walks {hook!r}, calls {called}"
+            walked.append(hook)
+    # Three engine sites, apply, predict and observe, and both busy
+    # transitions.
+    assert sorted(walked) == sorted([*HOOKS, "busy_changed"]), walked

@@ -47,7 +47,8 @@ def session(traced, governor="greenweb", *observers, app="todo", scenario=I):
             governor, platform, registry, live
         ),
     )
-    execution.platform.observers.extend(observers)
+    for observer in observers:
+        execution.platform.attach(observer)
     execution.run()
     return execution
 
@@ -98,17 +99,22 @@ class TestTraceLevels:
     @pytest.mark.parametrize("level", ("full", "gated"))
     def test_every_declared_level_constructs(self, level):
         """Both legs build a session; only the full leg has a trace, and
-        it observes first, ahead of the runner's fold and accountant."""
+        it observes each fact hook first, ahead of the runner's fold and
+        accountant."""
         execution = SessionExecution(
             build_app("todo", seed=0), "perf", I, "micro", 0, 1.0, level == "full",
             lambda platform, registry, live: POLICIES.build("perf", platform, registry, live),
         )
-        trace, observers = execution.platform.trace, execution.platform.observers
-        if level == "full":
-            assert isinstance(trace, TraceLog) and observers[0] is trace
-        else:
-            assert trace is None
-        assert len(observers) == (3 if level == "full" else 2)
+        trace, hooks = execution.platform.trace, execution.platform._hooks
+        fold, accountant = execution._config_fold, execution._accountant
+        leading = [trace] if level == "full" else []
+        assert (trace is not None) == (level == "full")
+        assert hooks["config_applied"] == leading + [fold]
+        assert hooks["input_dispatched"] == leading + [accountant]
+        assert hooks["input_completed"] == leading + [accountant]
+        for hook in ("frame_displayed", "predicted", "observed"):
+            assert hooks[hook] == leading, hook
+        assert hooks["busy_changed"] == []
 
     def test_gated_gates_and_does_not_retain(self, monkeypatch):
         """A results-only session (the gated leg) has no trace and
