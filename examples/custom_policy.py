@@ -8,7 +8,7 @@ Everything the evaluation harness accepts as a "governor" is a policy
 spec resolved through ``repro.policies.POLICIES``, so plugging in your
 own scheduler is three steps: write a ``BrowserPolicy``, register a
 factory for it, and name it (with parameters) anywhere a spec string
-goes — ``run_workload``, ``Session``, sweeps, or a fleet ``--mix``.
+goes — ``run_workload``, ``Session``, a fleet ``MixEntry``, or ``--mix``.
 
 The example policy is a deliberately simple "two-gear" scheduler: big
 cluster while any input is in flight, the slowest config otherwise.

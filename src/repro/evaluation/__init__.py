@@ -35,7 +35,6 @@ from repro.evaluation.experiments import (
     run_fig12_switching,
     run_table3_characteristics,
 )
-from repro.evaluation.sweeps import SweepSpec, run_sweep, seed_variation, write_csv
 
 __all__ = [
     "violation_pct",
@@ -54,8 +53,4 @@ __all__ = [
     "PredictionAccuracyFold",
     "run_tradeoff_space",
     "pareto_frontier",
-    "SweepSpec",
-    "run_sweep",
-    "write_csv",
-    "seed_variation",
 ]

@@ -17,20 +17,13 @@ from typing import Optional
 from repro.core.qos import QoSType
 from repro.errors import EvaluationError
 from repro.evaluation.metrics import cluster_residency, switching_per_frame_pct
-from repro.evaluation.runner import RunResult, _resolve_targets, run_workload
-from repro.fleet.pool import WorkerPool
+from repro.evaluation.runner import RunResult, _resolve_targets, run_result_from_dict
 from repro.hardware.dvfs import CpuConfig
 from repro.workloads.registry import APP_NAMES, app_spec
 
 #: the paper's two usage scenarios (Sec. 7.1), as scenario spec strings
 I = "imperceptible"
 U = "usable"
-
-
-def _run_cell(cell: tuple) -> RunResult:
-    """Module-level (hence picklable) runner for one experiment cell."""
-    app, governor, scenario, trace_kind, seed = cell
-    return run_workload(app, governor, scenario, trace_kind, seed)
 
 
 def _run_matrix(
@@ -40,25 +33,27 @@ def _run_matrix(
     seed: int,
     jobs: int,
 ) -> dict[str, list[RunResult]]:
-    """Run apps x variants, inline for one job or on a
-    :class:`~repro.fleet.pool.WorkerPool` of ``jobs`` processes, and
-    return the per-app result rows in variant order."""
-    if jobs < 1:
-        raise EvaluationError(f"figures need >= 1 job, got {jobs}")
-    cells = [
-        (app, governor, scenario, trace_kind, seed)
+    """Run apps x variants as a one-seed grid fleet on ``jobs`` workers
+    (1 runs inline) and return the per-app result rows in variant
+    order."""
+    # Imported here: the fleet's worker imports the runner, which loads
+    # this package.
+    from repro.fleet import Fleet, FleetSpec, MixEntry
+
+    mix = [
+        MixEntry(app, governor, scenario, trace_kind)
         for app in apps
         for governor, scenario in variants
     ]
-    if jobs == 1:
-        results = [_run_cell(cell) for cell in cells]
-    else:
-        pool = WorkerPool(min(jobs, len(cells)))
-        try:
-            futures = [pool.submit(_run_cell, cell) for cell in cells]
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown()
+    spec = FleetSpec(sessions=len(mix), mix=mix, shard_size=1, seeds=(seed,))
+    fleet = Fleet(spec, jobs=jobs).run()
+    if not fleet.ok:
+        raise EvaluationError(
+            f"figure matrix stopped after {fleet.sessions_completed}/{fleet.sessions} "
+            f"sessions (failed shards: {[f.to_dict() for f in fleet.failures]}, "
+            f"signal: {fleet.interrupted})"
+        )
+    results = [run_result_from_dict(run) for run in fleet.runs]
     stride = len(variants)
     return {
         app: results[index * stride : (index + 1) * stride]

@@ -433,6 +433,23 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
+def _parse_config(key: str) -> CpuConfig:
+    cluster, _, freq = key.partition("@")
+    return CpuConfig(cluster, int(freq.removesuffix("MHz")))
+
+
+def run_result_from_dict(data: dict) -> RunResult:
+    """The inverse of :func:`run_result_to_dict`: rebuild the
+    :class:`RunResult`, parsing the ``"cluster@MHz"`` residency keys back
+    into :class:`~repro.hardware.dvfs.CpuConfig`.  The derived
+    ``mean_violation_pct`` is recomputed, not read."""
+    fields = dict(data)
+    fields.pop("mean_violation_pct")
+    for key in ("config_residency", "active_config_residency"):
+        fields[key] = {_parse_config(config): share for config, share in data[key].items()}
+    return RunResult(**fields)
+
+
 def run_workload_job(spec: dict) -> dict:
     """Worker-safe :func:`run_workload`: plain dict in, plain dict out.
 

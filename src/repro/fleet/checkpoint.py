@@ -21,6 +21,10 @@ File format — line-oriented JSON (JSONL), append-only:
 
       {"kind": "shard", "shard": 3, "sessions": 8, "aggregate": {...}}
 
+  plus, for a grid fleet, the shard's per-session rows under ``"runs"``,
+  each as its own JSON text so that it keeps its key order through the
+  sorted-key record (Fig. 11 sums residency in key order).
+
 Durability: records are written as whole lines, flushed, and fsync'd
 before the driver accepts (or reports) any shard they carry, so a crash
 loses at most the shards that were in flight.  A fresh checkpoint's
@@ -87,13 +91,16 @@ def scan_checkpoint(path: str) -> tuple[Optional[dict], dict[int, dict], int]:
             header = record
         elif record.get("kind") == "shard":
             try:
-                completed[int(record["shard"])] = {
+                partial = {
                     "shard": int(record["shard"]),
                     "sessions": int(record["sessions"]),
                     "aggregate": record["aggregate"],
                 }
+                if "runs" in record:
+                    partial["runs"] = [json.loads(run) for run in record["runs"]]
             except (KeyError, TypeError, ValueError):
                 break  # structurally damaged shard record: treat as torn
+            completed[partial["shard"]] = partial
         # records of unknown kind are skipped but kept (forward compat)
         intact_bytes += len(raw)
     return header, completed, intact_bytes
@@ -198,17 +205,13 @@ class CheckpointStore:
         """Durably append accepted shard partials (dicts returned by
         :func:`repro.fleet.worker.run_shard_job`), one line each, with
         one fsync for the batch."""
-        self._append(
-            [
-                {
-                    "kind": "shard",
-                    "shard": partial["shard"],
-                    "sessions": partial["sessions"],
-                    "aggregate": partial["aggregate"],
-                }
-                for partial in partials
-            ]
-        )
+        records = []
+        for partial in partials:
+            record = {**partial, "kind": "shard"}
+            if "runs" in partial:
+                record["runs"] = [json.dumps(run) for run in partial["runs"]]
+            records.append(record)
+        self._append(records)
 
     def close(self) -> None:
         if self._handle is not None:

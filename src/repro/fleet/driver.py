@@ -12,7 +12,9 @@ Execution model:
   not when it joins a queue; a crashed or hung shard is retried within
   a bounded budget and then recorded in the result, never fatal;
 * partial aggregates merge in shard-index order, so the aggregate is
-  bit-identical across job counts;
+  bit-identical across job counts; a grid fleet's shards also return
+  their sessions' result rows, concatenated in the same order into
+  ``FleetResult.runs``;
 * with a checkpoint attached, every partial is durably appended
   before it is accepted or reported (the pooled backend first refills
   the pool, then journals what landed with one fsync, then accepts
@@ -40,7 +42,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import EvaluationError
@@ -95,6 +97,10 @@ class FleetResult:
     #: (job cancellation, daemon drain).  Execution fact only, like
     #: ``interrupted`` — never serialised.
     stopped: bool = False
+    #: a grid fleet's ``run_workload_job`` dicts, population order (the
+    #: rows of completed shards only); empty for a mix fleet.  Never
+    #: serialised: :meth:`to_dict` stays the aggregate's.
+    runs: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -237,6 +243,9 @@ class Fleet:
 
         aggregate = merge_partials(results)
         sessions_completed = sum(partial["sessions"] for partial in results.values())
+        runs = [
+            run for index in sorted(results) for run in results[index].get("runs", ())
+        ]
 
         return FleetResult(
             sessions=self.spec.sessions,
@@ -252,6 +261,7 @@ class Fleet:
             resumed_shards=len(preloaded),
             interrupted=interrupted,
             stopped=stopped,
+            runs=runs,
         )
 
     # ------------------------------------------------------------------
@@ -272,6 +282,8 @@ class Fleet:
             "attempt": attempt,
             "sessions": [spec.to_job(self.spec.settle_s) for spec in shard.sessions],
         }
+        if self.spec.seeds:
+            payload["runs"] = True
         if self.spec.inject_crash is not None:
             payload["inject_crash"] = self.spec.inject_crash
         return payload
@@ -352,7 +364,8 @@ class Fleet:
         pool instead of racing abandoned work.
         """
         owned = self.pool is None
-        pool = self.pool if self.pool is not None else WorkerPool(self.jobs)
+        # An owned pool forks no more workers than there are shards.
+        pool = self.pool if self.pool is not None else WorkerPool(min(self.jobs, len(shards)))
         cap = 2 * pool.workers
         by_index = {shard.index: shard for shard in shards}
         results: dict[int, dict] = {}

@@ -5,9 +5,9 @@ processes, each fed over one duplex :mod:`multiprocessing` pipe, that
 can *outlive a single fleet run*.  The fleet driver uses a private one
 per run by default; the ``repro serve`` daemon owns one per lane and
 hands it to every job's :class:`repro.fleet.Fleet`, so warm worker
-processes persist across jobs; figure regeneration
-(``python -m repro figures --jobs N``) maps its experiment cells over a
-private one.
+processes persist across jobs.  Figure regeneration
+(``python -m repro figures --jobs N``) runs its experiment cells as a
+grid fleet, so it too gets the driver's private pool.
 
 A call travels as one pickled ``(fn, args)`` message straight onto an
 idle worker's pipe (or into the pool's FIFO queue while every worker is

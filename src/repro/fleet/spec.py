@@ -1,7 +1,9 @@
 """Fleet population specs: what a simulated user population looks like.
 
 A :class:`FleetSpec` describes a *population* of sessions as a weighted
-mix of (application, governor, scenario, trace) cells plus a root seed.
+mix of (application, governor, scenario, trace) cells plus a root seed,
+or, when it names explicit ``seeds``, as the grid of every mix cell
+under every seed (the figure matrices and seed spreads).
 Expansion is fully deterministic: session ``i`` of a fleet rooted at
 seed ``s`` always gets the same cell and the same derived workload seed,
 independent of how many worker processes later execute it.  Sharding is
@@ -209,6 +211,10 @@ class FleetSpec:
     max_retries: int = 1
     shard_timeout_s: float = 300.0
     settle_s: float = 4.0
+    #: explicit workload seeds: when set, the population is the grid
+    #: ``mix x seeds`` in that order (weights unused, no seeds derived)
+    #: and the run keeps every session's result row
+    seeds: tuple[int, ...] = ()
     #: test-only fault injection, e.g. ``{"shard": 2, "attempts": 1}``
     #: (fail the first attempt of shard 2) with optional ``"mode"`` of
     #: ``"raise"`` (default), ``"sleep"`` (hang past the timeout) or
@@ -231,6 +237,11 @@ class FleetSpec:
             )
         if not self.mix:
             raise EvaluationError("fleet mix must not be empty")
+        if self.seeds and self.sessions != len(self.mix) * len(self.seeds):
+            raise EvaluationError(
+                f"a grid of {len(self.mix)} cells x {len(self.seeds)} seeds has "
+                f"{len(self.mix) * len(self.seeds)} sessions, got {self.sessions}"
+            )
         # validate() canonicalizes governor specs, so re-bind the list:
         # the fingerprint below must hash canonical strings, never the
         # caller's spelling.
@@ -254,7 +265,7 @@ class FleetSpec:
         an interrupted run with a longer timeout is exactly the
         situation resume exists for.
         """
-        return {
+        fingerprint = {
             "version": FINGERPRINT_VERSION,
             "sessions": self.sessions,
             "seed": self.seed,
@@ -266,34 +277,47 @@ class FleetSpec:
             "shard_size": self.shard_size,
             "settle_s": self.settle_s,
         }
+        if self.seeds:
+            # Only grids carry the key, so every mix fleet's fingerprint
+            # (and checkpoint header) keeps its bytes.
+            fingerprint["seeds"] = list(self.seeds)
+        return fingerprint
 
     # ------------------------------------------------------------------
     # Deterministic expansion
     # ------------------------------------------------------------------
     def expand(self) -> list[SessionSpec]:
-        """Resolve the weighted mix into one spec per session.
+        """Resolve the population into one spec per session.
 
-        Session ``i`` draws its cell from the ``fleet/mix`` RNG stream of
-        the root seed and derives its own workload seed, so the expansion
-        depends only on (sessions, seed, mix) — never on job count.
+        A grid is every mix cell under every explicit seed, cell-major.
+        Otherwise session ``i`` draws its cell from the ``fleet/mix`` RNG
+        stream of the root seed and derives its own workload seed, so
+        the expansion depends only on (sessions, seed, mix) — never on
+        job count.
         """
-        weights = np.array([entry.weight for entry in self.mix], dtype=float)
-        rng = RngStreams(self.seed).stream("fleet/mix")
-        choices = rng.choice(len(self.mix), size=self.sessions, p=weights / weights.sum())
-        specs = []
-        for index, choice in enumerate(choices):
-            entry = self.mix[int(choice)]
-            specs.append(
-                SessionSpec(
-                    index=index,
-                    app=entry.app,
-                    governor=entry.governor,
-                    scenario=entry.scenario,
-                    trace_kind=entry.trace_kind,
-                    seed=derive_seed(self.seed, "fleet-session", index),
-                )
+        if self.seeds:
+            cells = [(entry, seed) for entry in self.mix for seed in self.seeds]
+        else:
+            weights = np.array([entry.weight for entry in self.mix], dtype=float)
+            rng = RngStreams(self.seed).stream("fleet/mix")
+            choices = rng.choice(
+                len(self.mix), size=self.sessions, p=weights / weights.sum()
             )
-        return specs
+            cells = [
+                (self.mix[int(choice)], derive_seed(self.seed, "fleet-session", index))
+                for index, choice in enumerate(choices)
+            ]
+        return [
+            SessionSpec(
+                index=index,
+                app=entry.app,
+                governor=entry.governor,
+                scenario=entry.scenario,
+                trace_kind=entry.trace_kind,
+                seed=seed,
+            )
+            for index, (entry, seed) in enumerate(cells)
+        ]
 
     def shards(self) -> list[Shard]:
         """Partition the expanded population into fixed-size shards."""

@@ -7,8 +7,9 @@ future RPC backend could call it over the wire unchanged.  Each shard
 runs its sessions sequentially in population order and folds them into
 one partial
 :class:`~repro.fleet.aggregate.FleetAggregate`, which is all that
-crosses back to the driver: memory per shard is constant in the number
-of sessions.
+crosses back to the driver for a mix fleet: memory per shard is
+constant in the number of sessions.  A grid fleet is small and
+enumerated, so its shards also return each session's result row.
 """
 
 from __future__ import annotations
@@ -82,15 +83,24 @@ def run_shard_job(payload: dict) -> dict:
 
     Payload keys: ``shard`` (index), ``sessions`` (list of
     ``run_workload_job`` argument dicts, population order), ``attempt``
-    (0-based retry counter, driver-provided), and the optional
-    test-only ``inject_crash``.
+    (0-based retry counter, driver-provided), ``runs`` (true for a grid
+    fleet: the partial then also carries each session's
+    ``run_workload_job`` dict under ``"runs"``, population order), and
+    the optional test-only ``inject_crash``.
     """
     _maybe_inject_crash(payload)
     aggregate = FleetAggregate()
+    runs = [] if payload.get("runs") else None
     for job in payload["sessions"]:
-        aggregate.add_run(run_workload_job(job))
-    return {
+        run = run_workload_job(job)
+        aggregate.add_run(run)
+        if runs is not None:
+            runs.append(run)
+    partial = {
         "shard": payload["shard"],
         "sessions": len(payload["sessions"]),
         "aggregate": aggregate.to_dict(),
     }
+    if runs is not None:
+        partial["runs"] = runs
+    return partial

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import EvaluationError
-from repro.evaluation.runner import run_workload_job
+from repro.evaluation.runner import (
+    run_result_from_dict,
+    run_result_to_dict,
+    run_workload,
+    run_workload_job,
+)
 from repro.fleet import (
     Accumulator,
     Fleet,
@@ -70,6 +75,27 @@ class TestMix:
         with pytest.raises(EvaluationError):
             parse_mix(bad)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [(dict(app="netscape"), "unknown application 'netscape'"),
+         (dict(app="todo", governor="warp"), "unknown policy 'warp'"),
+         (dict(app="todo", scenario="usabel"), "unknown scenario 'usabel'")],
+        ids=["app", "governor", "scenario"],
+    )
+    def test_entry_rejects(self, kwargs, match):
+        with pytest.raises(EvaluationError, match=match):
+            FleetSpec(sessions=1, mix=[MixEntry(**kwargs)])
+
+    @pytest.mark.parametrize(
+        "scenario, canonical",
+        [("usable", "usable"),
+         ("thermal(trip_ms=2e3, cap_mhz=900)", "thermal(cap_mhz=900,trip_ms=2000.0)")],
+        ids=["static", "parameterized"],
+    )
+    def test_entry_scenarios_stored_canonically(self, scenario, canonical):
+        spec = FleetSpec(sessions=1, mix=[MixEntry("todo", scenario=scenario)])
+        assert spec.mix[0].scenario == canonical
+
     def test_default_mix_covers_all_apps(self):
         entries = default_mix()
         assert len({e.app for e in entries}) == 12
@@ -117,6 +143,105 @@ class TestExpansion:
     def test_spec_validation(self, kwargs):
         with pytest.raises(EvaluationError):
             FleetSpec(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# Grid fleets: explicit cells x explicit seeds, rows kept
+# ----------------------------------------------------------------------
+#: The mix fleet ``TestFleetDriver.SPEC`` fingerprint, pinned: adding
+#: the grid form must not move a mix fleet's fingerprint or checkpoint
+#: header.
+MIX_FINGERPRINT = {
+    "version": 2,
+    "sessions": 8,
+    "seed": 7,
+    "mix": [["todo", "greenweb", "imperceptible", "micro", 1.0],
+            ["cnet", "perf", "imperceptible", "micro", 1.0]],
+    "shard_size": 3,
+    "settle_s": 4.0,
+}
+
+
+class TestGrid:
+    SPEC = dict(sessions=6, mix=FAST_MIX, seeds=(3, 1, 4), shard_size=4)
+
+    def test_expansion_is_cells_by_explicit_seeds(self):
+        specs = FleetSpec(**self.SPEC).expand()
+        assert [(s.index, s.app, s.governor, s.seed) for s in specs] == [
+            (0, "todo", "greenweb", 3), (1, "todo", "greenweb", 1),
+            (2, "todo", "greenweb", 4), (3, "cnet", "perf", 3),
+            (4, "cnet", "perf", 1), (5, "cnet", "perf", 4),
+        ]
+        # The root seed derives nothing in a grid.
+        assert FleetSpec(**self.SPEC, seed=99).expand() == specs
+
+    @pytest.mark.parametrize("sessions", [1, 5, 7, 12])
+    def test_mismatched_sessions_refused(self, sessions):
+        with pytest.raises(EvaluationError, match="2 cells x 3 seeds has 6 sessions"):
+            FleetSpec(**{**self.SPEC, "sessions": sessions})
+
+    def test_mix_fingerprint_unchanged(self):
+        fingerprint = FleetSpec(sessions=8, seed=7, mix=FAST_MIX, shard_size=3).fingerprint()
+        assert "seeds" not in fingerprint
+        assert fingerprint == MIX_FINGERPRINT
+
+    def test_grid_fingerprint_names_its_seeds(self):
+        fingerprint = FleetSpec(**self.SPEC).fingerprint()
+        assert fingerprint["seeds"] == [3, 1, 4]
+        assert fingerprint != FleetSpec(**{**self.SPEC, "seeds": (3, 1, 5)}).fingerprint()
+
+    def test_runs_in_population_order_at_any_job_count(self):
+        spec = FleetSpec(**self.SPEC)
+        expected = [run_workload_job(s.to_job()) for s in spec.expand()]
+        for jobs in (1, 2):
+            result = Fleet(FleetSpec(**self.SPEC), jobs=jobs).run()
+            assert result.ok
+            assert result.runs == expected
+
+    def test_checkpoint_resumes_to_the_same_runs(self, tmp_path):
+        path = str(tmp_path / "grid.jsonl")
+        crashing = FleetSpec(
+            **self.SPEC, max_retries=0, inject_crash={"shard": 1, "attempts": 99}
+        )
+        failed = Fleet(crashing, jobs=1, checkpoint=path).run()
+        assert not failed.ok
+        assert [run["app"] for run in failed.runs] == ["todo"] * 3 + ["cnet"]
+        resumed = Fleet(FleetSpec(**self.SPEC), jobs=2, checkpoint=path, resume=True).run()
+        assert resumed.ok and resumed.resumed_shards == 1
+        # Key order too: residency sums (Fig. 11) follow it.
+        clean = Fleet(FleetSpec(**self.SPEC)).run()
+        assert json.dumps(resumed.runs) == json.dumps(clean.runs)
+
+    def test_mix_journal_refused_for_a_grid_resume(self, tmp_path):
+        path = str(tmp_path / "mix.jsonl")
+        assert Fleet(FleetSpec(sessions=6, mix=FAST_MIX, shard_size=4),
+                     checkpoint=path).run().ok
+        with pytest.raises(EvaluationError, match="mismatched: seeds"):
+            Fleet(FleetSpec(**self.SPEC), checkpoint=path, resume=True).run()
+
+    def test_mix_partials_carry_no_runs(self, tmp_path):
+        path = str(tmp_path / "mix.jsonl")
+        partials = []
+        result = Fleet(
+            FleetSpec(sessions=4, seed=7, mix=FAST_MIX, shard_size=3), checkpoint=path,
+            on_shard=lambda partial, accepted, total: partials.append(partial),
+        ).run()
+        assert result.ok and result.runs == []
+        assert [sorted(partial) for partial in partials] == [
+            ["aggregate", "sessions", "shard"]
+        ] * 2
+        with open(path) as handle:
+            assert all('"runs"' not in line for line in handle)
+
+
+class TestRunResultFromDict:
+    def test_round_trip(self):
+        result = run_workload("amazon", "greenweb", "imperceptible", "full", seed=0)
+        assert result.runtime_stats["predictions"] > 0
+        data = run_result_to_dict(result)
+        assert run_result_from_dict(data) == result
+        # Through JSON too, as a checkpointed grid row travels.
+        assert run_result_from_dict(json.loads(json.dumps(data))) == result
 
 
 # ----------------------------------------------------------------------
@@ -448,6 +573,22 @@ class TestFleetDriver:
             FleetSpec(sessions=4, seed=7, mix=FAST_MIX, shard_size=1), jobs=1
         ).run()
         assert result.aggregate.to_dict() == clean.aggregate.to_dict()
+
+    def test_owned_pool_sized_to_the_work(self, monkeypatch):
+        import repro.fleet.driver as driver
+
+        sizes = []
+
+        class SpyPool(driver.WorkerPool):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(driver, "WorkerPool", SpyPool)
+        result = Fleet(FleetSpec(**self.SPEC), jobs=8).run()  # 3 shards
+        assert result.ok
+        assert sizes == [3]
+        assert result.jobs == 8
 
     def test_rejects_zero_jobs(self):
         with pytest.raises(EvaluationError):

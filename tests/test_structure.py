@@ -32,6 +32,10 @@ and the oracle's replay policy supply only ``config_for``.
 Periodic samplers tick through ``Kernel.every``: no method under
 ``src/`` re-arms itself through ``schedule_in``/``schedule_at``, apart
 from the listed one-shot chains (vsync, task completion, netdelay).
+
+Populations of sessions run through one engine, ``Fleet``: under
+``src/`` only the fleet driver and the ``repro serve`` daemon construct
+a ``WorkerPool``; the figure matrices run as grid fleets and build none.
 """
 
 import ast
@@ -86,6 +90,17 @@ def test_only_the_session_builders_construct_a_browser():
     assert not offenders, f"Browser(...) outside the session builders: {offenders}"
     # The scan does see the runner's own construction.
     assert "src/repro/evaluation/runner.py" in sites.values()
+
+
+def test_only_the_fleet_driver_and_the_daemon_construct_a_worker_pool():
+    sites = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _modules(("src",))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "WorkerPool"
+    )
+    owners = {site.split(":")[0] for site in sites}
+    assert owners == {"src/repro/fleet/driver.py", "src/repro/serve/server.py"}, sites
 
 
 def _imports_background(node: ast.AST) -> bool:

@@ -1,6 +1,7 @@
-"""Tests for the sweep utilities."""
+"""Tests for the target sweep (``run_target_sweep``): the one sweep that
+re-annotates the stylesheet per point, so it cannot run as a grid fleet
+cell."""
 
-import csv
 from dataclasses import astuple
 
 import pytest
@@ -9,88 +10,7 @@ from repro.core.language import extract_annotations
 from repro.core.qos import QoSTarget
 from repro.errors import EvaluationError
 from repro.evaluation import target_sweep
-from repro.evaluation.sweeps import (
-    CSV_COLUMNS,
-    SweepSpec,
-    result_row,
-    run_sweep,
-    seed_variation,
-    write_csv,
-)
 from repro.web.css.parser import parse_stylesheet
-
-
-class TestSweepSpec:
-    def test_cell_count(self):
-        spec = SweepSpec(apps=("todo",), governors=("perf", "greenweb"),
-                         seeds=(0, 1))
-        assert spec.cell_count == 2 * 2 * 2  # governors x scenarios x seeds
-
-    def test_unknown_app_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepSpec(apps=("netscape",))
-
-    def test_unknown_governor_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepSpec(governors=("warp",))
-
-    def test_unknown_scenario_rejected_at_construction(self):
-        with pytest.raises(EvaluationError, match="unknown scenario 'usabel'"):
-            SweepSpec(apps=("todo",), scenarios=("imperceptible", "usabel"))
-
-    def test_scenarios_stored_canonically(self):
-        spec = SweepSpec(apps=("todo",), scenarios=("usable", "thermal(trip_ms=2e3, cap_mhz=900)"))
-        assert spec.scenarios == ("usable", "thermal(cap_mhz=900,trip_ms=2000.0)")
-
-
-class TestRunSweep:
-    def test_grid_and_progress(self):
-        spec = SweepSpec(
-            apps=("todo",),
-            governors=("perf",),
-            scenarios=("imperceptible",),
-            seeds=(0, 1),
-        )
-        ticks = []
-        results = run_sweep(spec, progress=lambda done, total: ticks.append((done, total)))
-        assert len(results) == 2
-        assert ticks == [(1, 2), (2, 2)]
-        assert {r.app for r in results} == {"todo"}
-
-    def test_csv_round_trip(self, tmp_path):
-        spec = SweepSpec(
-            apps=("todo",),
-            governors=("perf", "greenweb"),
-            scenarios=("imperceptible",),
-        )
-        results = run_sweep(spec)
-        path = tmp_path / "sweep.csv"
-        count = write_csv(results, str(path))
-        assert count == 2
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 2
-        assert set(rows[0]) == set(CSV_COLUMNS)
-        assert {row["governor"] for row in rows} == {"perf", "greenweb"}
-        assert float(rows[0]["energy_j"]) > 0
-
-    def test_result_row_is_flat_scalars(self):
-        spec = SweepSpec(apps=("todo",), governors=("perf",),
-                         scenarios=("imperceptible",))
-        row = result_row(run_sweep(spec)[0])
-        assert all(isinstance(v, (str, int, float)) for v in row.values())
-
-
-class TestSeedVariation:
-    def test_summary(self):
-        variation = seed_variation("todo", seeds=(0, 1))
-        assert len(variation.energies_j) == 2
-        assert variation.energy_median_j > 0
-        assert variation.energy_rel_spread_pct >= 0
-
-    def test_needs_two_seeds(self):
-        with pytest.raises(EvaluationError):
-            seed_variation("todo", seeds=(0,))
 
 
 #: ``run_target_sweep(app, (8.0, 33.3), seed=0)`` on every sweepable app:
