@@ -2,24 +2,23 @@
 
 Mobile displays refresh at 60 Hz; browsers only produce frames on
 VSync to avoid tearing (paper Sec. 6.3).  The source fires a callback
-every period; the browser decides at each tick whether a frame is
-needed (dirty bit set, rAF handlers pending, animations active).
+on a fixed phase grid (``start_time + k * period``); the browser
+decides at each tick whether a frame is needed (dirty bit set, rAF
+handlers pending, animations active).
 
-Demand-driven mode
-------------------
-A long interaction session is mostly idle: thousands of ticks find no
-dirty state, no rAF handlers, and no animations, yet each one costs a
-kernel heap push/pop.  Passing a ``demand`` predicate makes the source
-stop re-arming after an idle tick and resume — via :meth:`request` —
-when the browser next creates work for it.  Resumed ticks land on the
-same fixed phase grid (``start_time + k * period``) the continuous
-source would have used, so frame timing is unchanged; only the no-op
-ticks in between disappear.
+Ticks are demand-driven.  A long interaction session is mostly idle:
+thousands of ticks would find no dirty state, no rAF handlers, and no
+animations, yet each one would cost a kernel heap push/pop.  The
+``demand`` predicate makes the source stop re-arming after an idle
+tick and resume — via :meth:`request` — when the browser next creates
+work for it.  Resumed ticks land on the same grid, so frame timing is
+that of a source ticking every period; only the no-op ticks in between
+are never scheduled.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import BrowserError
 from repro.sim.kernel import Kernel
@@ -36,10 +35,9 @@ class VsyncSource:
         kernel: the simulation kernel.
         on_tick: tick callback, receives the current time in us.
         period_us: refresh period (default 60 Hz).
-        demand: optional predicate; when given, an idle tick (one after
-            which ``demand()`` is false) does not re-arm, and the
-            browser must call :meth:`request` when new work appears.
-            ``None`` keeps the classic always-ticking behaviour.
+        demand: predicate; an idle tick (one after which ``demand()``
+            is false) does not re-arm, and the browser must call
+            :meth:`request` when new work appears.
     """
 
     def __init__(
@@ -47,7 +45,8 @@ class VsyncSource:
         kernel: Kernel,
         on_tick: Callable[[int], None],
         period_us: int = VSYNC_PERIOD_US,
-        demand: Optional[Callable[[], bool]] = None,
+        *,
+        demand: Callable[[], bool],
     ) -> None:
         if period_us <= 0:
             raise BrowserError(f"non-positive VSync period: {period_us}")
@@ -90,11 +89,11 @@ class VsyncSource:
             self._event = None
 
     def request(self) -> None:
-        """Ensure the next grid-aligned tick is armed (demand mode).
+        """Ensure the next grid-aligned tick is armed.
 
         Called by the browser when it creates work a tick must service
         (dirty state, a rAF request, an animation).  No-op while a tick
-        is already pending — in particular always in continuous mode.
+        is already pending.
         """
         # _event is the pending tick or None (a tick clears it as it
         # fires, stop() as it cancels), so it is the armed test.
@@ -115,9 +114,9 @@ class VsyncSource:
         now = self._kernel._now_us
         demand = self._demand
         # Re-arm before the handler so a long handler cannot drift the
-        # phase: ticks stay on the fixed 60 Hz grid.  In demand mode an
-        # idle tick stops the chain; request() restarts it on-grid.
-        if demand is None or demand():
+        # phase: ticks stay on the fixed 60 Hz grid.  An idle tick
+        # stops the chain; request() restarts it on-grid.
+        if demand():
             self._arm_at(now + self.period_us)
             self._on_tick(now)
             return

@@ -34,6 +34,7 @@ import time
 
 from repro.errors import EvaluationError, ReproError
 from repro.evaluation.runner import run_workload
+from repro.fleet import FLEET_DEFAULTS, Fleet, FleetSpec, default_mix, parse_mix
 from repro.ioutil import probe_writable, write_file_atomic
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS
@@ -244,8 +245,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     checkpoint fingerprint mismatch), and 128+signum (130 for SIGINT,
     143 for SIGTERM) when a signal stopped the run gracefully.
     """
-    from repro.fleet import Fleet, FleetSpec, default_mix, parse_mix
-
     if args.resume and not args.checkpoint:
         raise EvaluationError("--resume requires --checkpoint PATH")
     # Test-only fault injection for the checkpoint/signal smoke tests:
@@ -461,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes (default: 1)"
     )
-    fleet_parser.add_argument("--seed", type=int, default=0, help="root seed")
+    fleet_parser.add_argument(
+        "--seed", type=int, default=FLEET_DEFAULTS["seed"], help="root seed"
+    )
     fleet_parser.add_argument(
         "--mix",
         help="population mix: comma-separated "
@@ -474,16 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-out", metavar="PATH", help="write the deterministic JSON summary"
     )
     fleet_parser.add_argument(
-        "--shard-size", type=int, default=8,
-        help="sessions per shard (default: 8; independent of --jobs)",
+        "--shard-size", type=int, default=FLEET_DEFAULTS["shard_size"],
+        help="sessions per shard (default: %(default)s; independent of --jobs)",
     )
     fleet_parser.add_argument(
-        "--max-retries", type=int, default=1,
-        help="retry budget per failed shard (default: 1)",
+        "--max-retries", type=int, default=FLEET_DEFAULTS["max_retries"],
+        help="retry budget per failed shard (default: %(default)s)",
     )
     fleet_parser.add_argument(
-        "--shard-timeout", type=float, default=300.0,
-        help="per-shard wall-clock deadline in seconds (default: 300)",
+        "--shard-timeout", type=float, default=FLEET_DEFAULTS["shard_timeout_s"],
+        help="per-shard wall-clock deadline in seconds (default: %(default)g)",
     )
     fleet_parser.add_argument(
         "--checkpoint", metavar="PATH",

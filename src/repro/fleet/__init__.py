@@ -50,6 +50,7 @@ from repro.fleet.pool import WorkerPool
 from repro.fleet.spec import (
     DEFAULT_SHARD_SIZE,
     FINGERPRINT_VERSION,
+    FLEET_DEFAULTS,
     FleetSpec,
     MixEntry,
     SessionSpec,
@@ -65,6 +66,7 @@ __all__ = [
     "CheckpointStore",
     "DEFAULT_SHARD_SIZE",
     "FINGERPRINT_VERSION",
+    "FLEET_DEFAULTS",
     "Fleet",
     "FleetAggregate",
     "FleetResult",

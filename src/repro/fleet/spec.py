@@ -15,7 +15,7 @@ the population identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -326,3 +326,13 @@ class FleetSpec:
             Shard(index=shard_index, sessions=tuple(specs[start : start + self.shard_size]))
             for shard_index, start in enumerate(range(0, len(specs), self.shard_size))
         ]
+
+
+#: FleetSpec's plain field defaults, read off the dataclass: the one
+#: source of the ``repro fleet`` flag defaults and the ``POST /jobs``
+#: payload defaults (``mix`` has a factory and is not listed).
+FLEET_DEFAULTS: dict = {
+    spec_field.name: spec_field.default
+    for spec_field in fields(FleetSpec)
+    if spec_field.default is not MISSING
+}

@@ -94,40 +94,6 @@ class OppTable:
                 f"available: {list(self.frequencies)}"
             ) from None
 
-    def at_least(self, freq_mhz: float) -> OperatingPoint:
-        """The slowest OPP whose frequency is >= ``freq_mhz``.
-
-        Raises:
-            FrequencyError: if even the fastest OPP is below ``freq_mhz``.
-        """
-        for point in self._points:
-            if point.freq_mhz >= freq_mhz:
-                return point
-        raise FrequencyError(
-            f"no operating point at or above {freq_mhz} MHz (max is {self.max.freq_mhz})"
-        )
-
-    def at_most(self, freq_mhz: float) -> OperatingPoint:
-        """The fastest OPP whose frequency is <= ``freq_mhz``."""
-        for point in reversed(self._points):
-            if point.freq_mhz <= freq_mhz:
-                return point
-        raise FrequencyError(
-            f"no operating point at or below {freq_mhz} MHz (min is {self.min.freq_mhz})"
-        )
-
-    def step_up(self, freq_mhz: int) -> OperatingPoint:
-        """The next-faster OPP (clamped at the top)."""
-        current = self.at(freq_mhz)
-        index = self._points.index(current)
-        return self._points[min(index + 1, len(self._points) - 1)]
-
-    def step_down(self, freq_mhz: int) -> OperatingPoint:
-        """The next-slower OPP (clamped at the bottom)."""
-        current = self.at(freq_mhz)
-        index = self._points.index(current)
-        return self._points[max(index - 1, 0)]
-
 
 def _linear_voltage_curve(
     freqs_mhz: Sequence[int], v_min: float, v_max: float

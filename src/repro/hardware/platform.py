@@ -353,10 +353,6 @@ class MobilePlatform:
         self.kernel.run_for(duration_us)
         self.meter.finalize(self.kernel.now_us)
 
-    def run_until(self, deadline_us: int) -> None:
-        self.kernel.run_until(deadline_us)
-        self.meter.finalize(self.kernel.now_us)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MobilePlatform {self.config} busy={len(self._busy)}>"
 

@@ -17,18 +17,18 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import EvaluationError
-from repro.fleet import FleetSpec, default_mix, parse_mix
+from repro.fleet import FLEET_DEFAULTS, FleetSpec, default_mix, parse_mix
 
-#: Recognised ``POST /jobs`` payload keys and their defaults (matching
-#: the ``repro fleet`` CLI defaults field for field).
+#: The FleetSpec fields a payload carries as they are (``sessions`` and
+#: ``mix`` have payload-only defaults).
+_SPEC_KEYS = ("seed", "shard_size", "max_retries", "shard_timeout_s", "settle_s")
+
+#: Recognised ``POST /jobs`` payload keys and their defaults (the
+#: ``repro fleet`` CLI defaults, both read off :class:`FleetSpec`).
 PAYLOAD_DEFAULTS: dict = {
     "sessions": 100,
-    "seed": 0,
     "mix": None,  # None -> default_mix()
-    "shard_size": 8,
-    "max_retries": 1,
-    "shard_timeout_s": 300.0,
-    "settle_s": 4.0,
+    **{key: FLEET_DEFAULTS[key] for key in _SPEC_KEYS},
     # Scheduling priority: higher claims a lane sooner; ties run in
     # admission order.  Never part of the FleetSpec (or its
     # fingerprint) — it orders execution, it cannot change results.
@@ -111,11 +111,7 @@ def build_fleet_spec(payload: dict, inject_crash: Optional[dict] = None) -> Flee
     mix = payload["mix"]
     return FleetSpec(
         sessions=payload["sessions"],
-        seed=payload["seed"],
         mix=parse_mix(mix) if mix else default_mix(),
-        shard_size=payload["shard_size"],
-        max_retries=payload["max_retries"],
-        shard_timeout_s=payload["shard_timeout_s"],
-        settle_s=payload["settle_s"],
         inject_crash=inject_crash,
+        **{key: payload[key] for key in _SPEC_KEYS},
     )

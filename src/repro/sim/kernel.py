@@ -3,8 +3,9 @@
 A :class:`Kernel` owns a priority queue of timestamped callbacks and a
 monotonically advancing integer clock (microseconds).  Components
 schedule work with :meth:`Kernel.schedule_at` / :meth:`Kernel.schedule_in`
-and the driver advances the simulation with :meth:`Kernel.run_until` /
-:meth:`Kernel.run_for` / :meth:`Kernel.step`.
+and the driver advances the simulation with :meth:`Kernel.run_until`
+(or :meth:`Kernel.run_for`, which calls it).  ``run_until`` is the one
+loop that pops the heap, runs an action and moves the clock.
 
 Periodic events
 ---------------
@@ -190,23 +191,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the single next live event.
-
-        Returns:
-            True if an event fired, False if the queue was empty.
-
-        Raises:
-            SchedulingError: if called from an action.
-        """
-        if self._running:
-            raise SchedulingError("kernel is not reentrant: step called from an action")
-        self._running = True
-        try:
-            return self._fire_next()
-        finally:
-            self._running = False
-
     def run_until(self, deadline_us: int) -> None:
         """Run all events with timestamp <= ``deadline_us``, then advance
         the clock to exactly ``deadline_us``.
@@ -222,7 +206,7 @@ class Kernel:
             raise SchedulingError("kernel is not reentrant: run_until called from an action")
         self._running = True
         try:
-            # _fire_next's body inlined: this loop is the kernel's hot path.
+            # The only firing loop, and the kernel's hot path.
             heap = self._heap
             heappop = heapq.heappop
             heapreplace = heapq.heapreplace
@@ -261,66 +245,6 @@ class Kernel:
     def run_for(self, duration_us: int) -> None:
         """Run the simulation forward by ``duration_us`` microseconds."""
         self.run_until(self._now_us + duration_us)
-
-    def drain(self, max_events: int = 10_000_000) -> int:
-        """Run until the event queue is empty.
-
-        Args:
-            max_events: safety valve against runaway self-rescheduling
-                components (e.g. a VSync source that re-arms forever,
-                or any live :meth:`every` series).
-
-        Returns:
-            The number of events fired.
-
-        Raises:
-            SchedulingError: if ``max_events`` is exceeded.
-        """
-        if self._running:
-            raise SchedulingError("kernel is not reentrant: drain called from an action")
-        fired = 0
-        self._running = True
-        try:
-            while self._fire_next():
-                fired += 1
-                if fired > max_events:
-                    raise SchedulingError(f"drain exceeded {max_events} events; runaway loop?")
-        finally:
-            self._running = False
-        return fired
-
-    def _fire_next(self) -> bool:
-        """Fire the next live event: a one-shot event is popped first, a
-        periodic head fires in place and is re-armed or dropped after its
-        action (the caller holds the re-entrancy guard)."""
-        heap = self._heap
-        while heap:
-            time_us, _seq, event = heap[0]
-            if event._cancelled:
-                heapq.heappop(heap)
-                continue
-            self._now_us = time_us
-            event._fired = True
-            self._events_fired += 1
-            period_us = event.period_us
-            if not period_us:
-                heapq.heappop(heap)
-                event.action()
-                return True
-            try:
-                event.action()
-            except BaseException:
-                heapq.heappop(heap)
-                raise
-            if event._cancelled:
-                heapq.heappop(heap)
-            else:
-                event._fired = False
-                time_us = event.time_us = time_us + period_us
-                heapq.heapreplace(heap, (time_us, self._seq, event))
-                self._seq += 1
-            return True
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel t={self._now_us}us pending={self.pending_count}>"

@@ -422,6 +422,12 @@ class TestRunWorkloadJob:
         assert via_job["energy_j"] == direct.energy_j
         assert via_job["mean_violation_pct"] == direct.mean_violation_pct
 
+    def test_unknown_keys_are_ignored(self):
+        # perfbench's frames ops still send the retired "trace_level" key.
+        job = {"app": "todo", "governor": "greenweb", "scenario": "imperceptible",
+               "trace_kind": "full", "seed": 3}
+        assert run_workload_job(dict(job, trace_level="gated")) == run_workload_job(job)
+
     def test_session_as_job(self):
         session = Session.for_application("todo", governor="perf", seed=5)
         job = session.as_job(trace_kind="micro")

@@ -57,26 +57,6 @@ class TestOppTable:
         assert 400 in table
         assert 500 not in table
 
-    def test_at_least(self):
-        table = self.make()
-        assert table.at_least(300).freq_mhz == 400
-        assert table.at_least(400).freq_mhz == 400
-        with pytest.raises(FrequencyError):
-            table.at_least(601)
-
-    def test_at_most(self):
-        table = self.make()
-        assert table.at_most(500).freq_mhz == 400
-        with pytest.raises(FrequencyError):
-            table.at_most(100)
-
-    def test_step_up_down_and_clamping(self):
-        table = self.make()
-        assert table.step_up(200).freq_mhz == 400
-        assert table.step_up(600).freq_mhz == 600
-        assert table.step_down(400).freq_mhz == 200
-        assert table.step_down(200).freq_mhz == 200
-
 
 class TestPaperTables:
     """The paper's Sec. 7.1 hardware description."""

@@ -3,6 +3,7 @@ scheduling (priorities, concurrency, backpressure), retention GC,
 metrics, cancellation, and restart/resume byte-parity with the batch
 CLI."""
 
+import dataclasses
 import json
 import os
 import socket
@@ -13,8 +14,9 @@ import urllib.request
 
 import pytest
 
+from repro.cli import build_parser
 from repro.errors import EvaluationError
-from repro.fleet import Fleet
+from repro.fleet import Fleet, FleetSpec
 from repro.serve import (
     Job,
     JobStore,
@@ -27,6 +29,7 @@ from repro.serve import (
     merge_partials,
     normalize_job_payload,
 )
+from repro.serve.schemas import PAYLOAD_DEFAULTS
 
 #: Small-but-real population: 4 shards, two governors, ~15 ms/session.
 FAST_JOB = {"sessions": 8, "shard_size": 2, "seed": 11,
@@ -117,13 +120,36 @@ class TestSSE:
 class TestNormalizePayload:
     def test_defaults_match_cli(self):
         canonical = normalize_job_payload({})
-        assert canonical["sessions"] == 100
-        assert canonical["seed"] == 0
-        assert canonical["shard_size"] == 8
+        assert canonical == PAYLOAD_DEFAULTS
         assert set(canonical) == {
             "sessions", "seed", "mix", "shard_size", "max_retries",
             "shard_timeout_s", "settle_s", "priority",
         }
+        # The parsed `repro fleet` defaults and FleetSpec's field
+        # defaults agree with the payload's, value and type.
+        args = build_parser().parse_args(["fleet"])
+        cli = {
+            "sessions": args.sessions,
+            "mix": args.mix,
+            "seed": args.seed,
+            "shard_size": args.shard_size,
+            "max_retries": args.max_retries,
+            "shard_timeout_s": args.shard_timeout,
+        }
+        spec_defaults = {
+            spec_field.name: spec_field.default
+            for spec_field in dataclasses.fields(FleetSpec)
+        }
+        for key, value in cli.items():
+            assert PAYLOAD_DEFAULTS[key] == value, key
+            assert type(PAYLOAD_DEFAULTS[key]) is type(value), key
+        for key in ("seed", "shard_size", "max_retries", "shard_timeout_s", "settle_s"):
+            assert PAYLOAD_DEFAULTS[key] == spec_defaults[key], key
+            assert type(PAYLOAD_DEFAULTS[key]) is type(spec_defaults[key]), key
+        assert (
+            build_fleet_spec(canonical).fingerprint()
+            == FleetSpec(sessions=PAYLOAD_DEFAULTS["sessions"]).fingerprint()
+        )
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(EvaluationError, match="unknown job field"):

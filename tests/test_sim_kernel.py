@@ -38,9 +38,10 @@ class TestScheduling:
     def test_zero_delay_event_fires(self):
         kernel = Kernel()
         fired = []
-        kernel.schedule_in(0, lambda: fired.append(True))
-        kernel.step()
-        assert fired == [True]
+        kernel.schedule_in(0, lambda: fired.append(kernel.now_us))
+        kernel.run_until(0)
+        assert fired == [0]
+        assert kernel.events_fired == 1
 
 
 class TestOrdering:
@@ -123,28 +124,6 @@ class TestRunControl:
         kernel.run_for(1234)
         assert kernel.now_us == 1234
 
-    def test_step_returns_false_on_empty(self):
-        assert Kernel().step() is False
-
-    def test_drain_runs_everything(self):
-        kernel = Kernel()
-        hits = []
-        for t in (5, 15, 25):
-            kernel.schedule_at(t, (lambda tt: lambda: hits.append(tt))(t))
-        fired = kernel.drain()
-        assert fired == 3
-        assert hits == [5, 15, 25]
-
-    def test_drain_detects_runaway(self):
-        kernel = Kernel()
-
-        def rearm():
-            kernel.schedule_in(1, rearm)
-
-        kernel.schedule_in(1, rearm)
-        with pytest.raises(SchedulingError):
-            kernel.drain(max_events=100)
-
     def test_not_reentrant(self):
         kernel = Kernel()
         errors = []
@@ -160,15 +139,15 @@ class TestRunControl:
         assert len(errors) == 1
 
     def test_step_not_reentrant(self):
-        """An action that calls step() must not fire a later event
-        inside itself and resume with the clock moved under it."""
+        """An action that steps the clock with run_for must not fire a
+        later event inside itself and resume with the clock moved under it."""
         kernel = Kernel()
         errors = []
         seen = []
 
         def bad():
             try:
-                kernel.step()
+                kernel.run_for(10)
             except SchedulingError as exc:
                 errors.append(exc)
             seen.append(kernel.now_us)
@@ -179,18 +158,8 @@ class TestRunControl:
         assert len(errors) == 1
         assert seen == [10]
         assert kernel.pending_count == 1
-        assert kernel.step() is True
+        kernel.run_for(5)
         assert seen == [10, ("late", 20)]
-
-    def test_drain_and_step_release_the_guard(self):
-        kernel = Kernel()
-        kernel.schedule_at(5, lambda: None)
-        kernel.schedule_at(6, lambda: None)
-        assert kernel.step() is True
-        assert kernel.drain() == 1
-        kernel.schedule_at(7, lambda: None)
-        kernel.run_until(10)
-        assert kernel.events_fired == 3
 
     def test_events_beyond_deadline_stay_queued(self):
         kernel = Kernel()
@@ -288,14 +257,6 @@ class TestEvery:
         assert not handle.pending
         assert kernel.pending_count == 0
 
-    def test_step_re_arms(self):
-        kernel = Kernel()
-        times = []
-        kernel.every(3, lambda: times.append(kernel.now_us))
-        for _ in range(4):
-            assert kernel.step() is True
-        assert times == [3, 6, 9, 12]
-
     def test_event_scheduled_at_now_fires_between_ticks(self):
         # The tick's entry stays at the top of the heap while its action
         # runs; an event at the same instant sorts behind it.
@@ -346,16 +307,21 @@ class TestEvery:
         assert counts == [1, 1]
         assert handle.pending and kernel.pending_count == 2
 
-    def test_step_on_a_periodic_head(self):
+    def test_one_shot_queued_behind_a_periodic_head(self):
+        # A one-shot scheduled after the series for the same instant
+        # sorts behind the tick, and fires while the tick is re-armed.
         kernel = Kernel()
         order = []
         handle = kernel.every(10, lambda: order.append(("tick", kernel.now_us)))
-        kernel.schedule_at(10, lambda: order.append(("one-shot", kernel.now_us)))
-        assert kernel.step() is True
-        assert order == [("tick", 10)]
+
+        def one_shot():
+            order.append(("one-shot", kernel.now_us))
+            order.append(("re-armed at", handle.time_us))
+
+        kernel.schedule_at(10, one_shot)
+        kernel.run_until(10)
+        assert order == [("tick", 10), ("one-shot", 10), ("re-armed at", 20)]
         assert handle.pending and handle.time_us == 20
-        assert kernel.step() is True
-        assert order == [("tick", 10), ("one-shot", 10)]
         assert kernel.events_fired == 2 and kernel.pending_count == 1
 
     def test_exception_out_of_the_action_ends_the_series(self):
@@ -371,12 +337,6 @@ class TestEvery:
         assert kernel.pending_count == 0
         kernel.run_until(100)
         assert kernel.events_fired == 1
-
-    def test_drain_hits_its_guard(self):
-        kernel = Kernel()
-        kernel.every(1, lambda: None)
-        with pytest.raises(SchedulingError, match="exceeded 100 events"):
-            kernel.drain(max_events=100)
 
     def test_each_tick_counts_once(self):
         kernel = Kernel()

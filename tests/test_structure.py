@@ -1,6 +1,6 @@
 """Structure guards: one session builder, one background-load path,
 one place to choose trace retention, one profiling path, one periodic
-primitive.
+primitive, one stepping engine.
 
 Measured sessions are built by ``evaluation/runner.py``'s
 ``SessionExecution``; ``session.py``'s ``Session.for_page`` is the
@@ -36,6 +36,10 @@ from the listed one-shot chains (vsync, task completion, netdelay).
 Populations of sessions run through one engine, ``Fleet``: under
 ``src/`` only the fleet driver and the ``repro serve`` daemon construct
 a ``WorkerPool``; the figure matrices run as grid fleets and build none.
+
+Simulated time moves through one stepping engine: under ``src/`` only
+``Kernel.run_until`` pops the event heap, runs an event's action or
+moves the kernel clock (``Kernel.__init__`` sets the start time).
 """
 
 import ast
@@ -419,3 +423,43 @@ def test_each_emit_loop_calls_the_hook_it_walks():
     # Three engine sites, apply, predict and observe, and both busy
     # transitions.
     assert sorted(walked) == sorted([*HOOKS, "busy_changed"]), walked
+
+
+#: the kernel's one firing loop
+FIRING_LOOP = "src/repro/sim/kernel.py:Kernel.run_until"
+
+
+def _firing_rule(node):
+    """Which firing step ``node`` is: a heap pop, an event's action
+    call, or a write of the kernel clock; None for anything else."""
+    if isinstance(node, ast.Name) and node.id in ("heappop", "heapreplace") or (
+        isinstance(node, ast.Attribute) and node.attr in ("heappop", "heapreplace")
+    ):
+        return "pops the heap"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "action"
+    ):
+        return "runs an action"
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if any(isinstance(t, ast.Attribute) and t.attr == "_now_us" for t in targets):
+            return "moves the clock"
+    return None
+
+
+def test_only_run_until_fires_events():
+    sites = {"pops the heap": set(), "runs an action": set(), "moves the clock": set()}
+    for name, tree in _modules(("src",)):
+        for function, body in _functions(tree):
+            for node in ast.walk(body):
+                rule = _firing_rule(node)
+                if rule:
+                    sites[rule].add(f"{name}:{function}")
+    assert sites == {
+        "pops the heap": {FIRING_LOOP},
+        "runs an action": {FIRING_LOOP},
+        # The constructor sets the start time.
+        "moves the clock": {FIRING_LOOP, "src/repro/sim/kernel.py:Kernel.__init__"},
+    }

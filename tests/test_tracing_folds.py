@@ -355,9 +355,10 @@ class TestDemandDrivenVsync:
         assert not source.armed
 
     def test_continuous_mode_unchanged(self):
+        # Under constant demand the source ticks every period.
         kernel = Kernel()
         ticks = []
-        source = VsyncSource(kernel, ticks.append, self.PERIOD)
+        source = VsyncSource(kernel, ticks.append, self.PERIOD, demand=lambda: True)
         source.start()
         kernel.run_until(55_000)
         assert ticks == [10_000, 20_000, 30_000, 40_000, 50_000]
