@@ -60,7 +60,6 @@ import sys
 import time
 
 from repro.evaluation.runner import SessionExecution
-from repro.policies import POLICIES
 from repro.workloads.registry import build_app
 
 APP = "cnet"
@@ -100,8 +99,8 @@ def calibration_slice(rows: int = 36_000) -> float:
 def run_session(variant: str, seed: int) -> None:
     app, governor, scenario, trace_kind, traced = VARIANTS[variant]
     execution = SessionExecution(
-        build_app(app, seed), governor, scenario, trace_kind, seed, 4.0, traced,
-        lambda platform, registry, live: POLICIES.build(governor, platform, registry, live),
+        build_app(app, seed), governor, scenario, trace_kind=trace_kind, seed=seed,
+        trace=traced,
     )
     execution.run()
     execution.finish()

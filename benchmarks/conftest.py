@@ -13,7 +13,6 @@ import pytest
 
 from repro.evaluation.experiments import run_fig10_full_interactions
 from repro.evaluation.runner import SessionExecution
-from repro.policies import POLICIES
 from repro.workloads.registry import build_app
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -53,10 +52,7 @@ def greenweb_execution(app, scenario, trace=False, fast_voltage_regulators=False
     folds can ``platform.attach`` first.  Ablations that scan
     the trace ask for ``trace=True``."""
     return SessionExecution(
-        build_app(app), "greenweb", scenario, "micro", 0, 4.0, trace,
-        lambda platform, registry, live: POLICIES.build(
-            "greenweb", platform, registry, live
-        ),
+        build_app(app), "greenweb", scenario, trace_kind="micro", trace=trace,
         fast_voltage_regulators=fast_voltage_regulators,
     )
 

@@ -29,7 +29,6 @@ from repro.evaluation.runner import (  # noqa: E402
     run_result_to_dict,
     run_workload_job,
 )
-from repro.policies import POLICIES  # noqa: E402
 from repro.scenarios import SCENARIOS  # noqa: E402
 from repro.workloads.registry import APP_NAMES, build_app  # noqa: E402
 
@@ -72,13 +71,10 @@ def run_cell(job: dict, leg: str) -> dict:
     """One cell's result dict on golden leg ``leg``."""
     if leg == "gated":
         return run_workload_job(job)
-    governor = job["governor"]
     execution = SessionExecution(
-        build_app(job["app"], SEED), POLICIES.normalize(governor).label(),
-        job.get("scenario", "imperceptible"), TRACE_KIND, SEED, SETTLE_S, True,
-        lambda platform, registry, scenario: POLICIES.build(
-            governor, platform, registry, scenario
-        ),
+        build_app(job["app"], SEED), job["governor"],
+        job.get("scenario", "imperceptible"), trace_kind=TRACE_KIND, seed=SEED,
+        settle_s=SETTLE_S, trace=True,
     )
     execution.run()
     return run_result_to_dict(execution.finish())

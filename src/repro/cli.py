@@ -112,11 +112,8 @@ def _prepared_session(args: argparse.Namespace, command: str, trace: bool = True
             "(it replays whole runs)"
         )
     return SessionExecution(
-        build_app(args.app, args.seed), spec.label(), args.scenario, args.trace,
-        args.seed, 4.0, trace,
-        lambda platform, registry, scenario: POLICIES.build(
-            spec, platform, registry, scenario
-        ),
+        build_app(args.app, args.seed), spec, args.scenario,
+        trace_kind=args.trace, seed=args.seed, trace=trace,
     )
 
 

@@ -141,10 +141,11 @@ def run_tradeoff_space(
     points = []
     for config in odroid_xu_e().all_configs():
         execution = SessionExecution(
-            build_app(app, seed), str(config), scenario, "micro", seed, 6.0, False,
+            build_app(app, seed),
             lambda platform, registry, live, config=config: PinnedGovernor(
                 platform, config
             ),
+            scenario, trace_kind="micro", seed=seed, settle_s=6.0, label=str(config),
         )
         execution.run()
         result = execution.finish()

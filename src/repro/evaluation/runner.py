@@ -19,7 +19,8 @@ to produce its result: only :class:`SessionExecution` callers that read
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.browser.engine import Browser, event_key, target_key
 from repro.browser.frame_tracker import InputRecord
@@ -33,7 +34,7 @@ from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
 from repro.scenarios import SCENARIOS, Scenario, ScenarioSpec, build_live_scenario
-from repro.sim.clock import s_to_us
+from repro.sim.clock import SETTLE_S, s_to_us
 from repro.sim.tracing import SessionObserver, TraceLog
 from repro.workloads.base import AppBundle
 from repro.web.dom import Element
@@ -190,7 +191,7 @@ def run_workload(
     scenario: "ScenarioSpec | str" = "imperceptible",
     trace_kind: str = "full",
     seed: int = 0,
-    settle_s: float = 4.0,
+    settle_s: float = SETTLE_S,
 ) -> RunResult:
     """Run one experiment cell and return its measurements.
 
@@ -211,10 +212,12 @@ def run_workload(
         seed: workload seed.
         settle_s: wall-clock tail after the last input.
 
-    The session runs without a trace: nobody could read one, and every
-    metric in the returned :class:`RunResult` comes from session
-    observers or counters.  Callers that want the trace build a
-    :class:`SessionExecution` with ``trace=True``.
+    A live policy runs as one :class:`SessionExecution` without a
+    trace: nobody could read one, and every metric in the returned
+    :class:`RunResult` comes from session observers or counters.
+    Callers that want the trace build a :class:`SessionExecution` with
+    ``trace=True``.  A post-hoc policy (the oracle) gets the same run
+    context and returns its own finished result.
     """
     spec = POLICIES.normalize(governor)
     scenario_spec = SCENARIOS.normalize(scenario)
@@ -228,17 +231,12 @@ def run_workload(
             seed=seed,
             settle_s=settle_s,
         )
-    return execute_run(
-        app,
-        spec.label(),
-        scenario_spec,
-        trace_kind,
-        seed,
-        settle_s,
-        lambda platform, registry, live_scenario: POLICIES.build(
-            spec, platform, registry, live_scenario
-        ),
+    execution = SessionExecution(
+        build_app(app, seed), spec, scenario_spec,
+        trace_kind=trace_kind, seed=seed, settle_s=settle_s,
     )
+    execution.run()
+    return execution.finish()
 
 
 class SessionExecution:
@@ -249,8 +247,17 @@ class SessionExecution:
     platform, live scenario, policy, browser and folds, and schedules
     the trace; :meth:`run` advances the session's own kernel through
     the fixed measurement window; :meth:`finish` collects the
-    :class:`RunResult`.  :func:`execute_run` is the usual caller and
+    :class:`RunResult`.  :func:`run_workload` is the usual caller and
     runs the three steps back to back.
+
+    ``policy`` is a policy spec (a :class:`PolicySpec` or spec string),
+    built through ``POLICIES.build`` against the session's platform,
+    annotation registry and live scenario; the result's ``governor`` is
+    the spec's label.  A post-hoc spec (the oracle) is refused there: it
+    replays whole runs through :func:`run_workload`.  ``policy`` may
+    instead be a ``(platform, registry, scenario)`` factory for a policy
+    no spec names (the pinned replays of the oracle and the trade-off
+    space); a factory needs an explicit ``label``.
 
     ``trace`` attaches a retaining :class:`~repro.sim.tracing.TraceLog`
     as ``platform.trace``, for callers that read it afterwards; without
@@ -266,17 +273,27 @@ class SessionExecution:
     def __init__(
         self,
         bundle: AppBundle,
-        governor_label: str,
-        scenario: "ScenarioSpec | str",
-        trace_kind: str,
-        seed: int,
-        settle_s: float,
-        trace: bool,
-        policy_factory,
+        policy: "PolicySpec | str | Callable",
+        scenario: "ScenarioSpec | str" = "imperceptible",
+        *,
+        trace_kind: str = "full",
+        seed: int = 0,
+        settle_s: float = SETTLE_S,
+        trace: bool = False,
         fast_voltage_regulators: bool = False,
+        label: Optional[str] = None,
     ) -> None:
+        if not callable(policy):
+            spec = POLICIES.normalize(policy)
+            policy = partial(POLICIES.build, spec)
+            label = spec.label() if label is None else label
+        elif label is None:
+            raise EvaluationError(
+                "a policy factory needs an explicit label; a policy spec "
+                "is labelled by its spec"
+            )
         self.app = bundle.spec.name
-        self.governor_label = governor_label
+        self.label = label
         self.scenario_spec = SCENARIOS.normalize(scenario)
         self.trace_kind = trace_kind
 
@@ -295,7 +312,7 @@ class SessionExecution:
             self.scenario_spec, self.platform, seed=seed
         )
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-        self.policy = policy_factory(self.platform, registry, self.scenario)
+        self.policy = policy(self.platform, registry, self.scenario)
         self.browser = Browser(self.platform, bundle.page, policy=self.policy)
         self.scenario.attach(self.browser)
         self._config_fold = ConfigTimelineFold()
@@ -350,7 +367,7 @@ class SessionExecution:
 
         return RunResult(
             app=self.app,
-            governor=self.governor_label,
+            governor=self.label,
             scenario=self.scenario_spec.canonical(),
             trace_kind=self.trace_kind,
             duration_s=platform.kernel.now_us / 1e6,
@@ -368,33 +385,6 @@ class SessionExecution:
             annotated_events=sum(1 for s in self._specs if s is not None),
             runtime_stats=None if stats is None else asdict(stats),
         )
-
-
-def execute_run(
-    app: str,
-    governor_label: str,
-    scenario: "ScenarioSpec | str",
-    trace_kind: str,
-    seed: int,
-    settle_s: float,
-    policy_factory,
-) -> RunResult:
-    """The measurement core shared by live-policy runs and post-hoc
-    replays: build the world (including a fresh bound scenario), let
-    ``policy_factory(platform, registry, scenario)`` supply the policy,
-    replay the trace for the fixed window, collect metrics.
-    :func:`run_workload` is the spec-aware front door; the oracle calls
-    this directly with its pinned-replay policies — each replay gets
-    its own scenario instance, so thermal state never leaks between
-    replays.  The session runs without a trace, as in
-    :func:`run_workload`.
-    """
-    execution = SessionExecution(
-        build_app(app, seed), governor_label, scenario, trace_kind, seed, settle_s,
-        False, policy_factory,
-    )
-    execution.run()
-    return execution.finish()
 
 
 def run_result_to_dict(result: RunResult) -> dict:
@@ -466,6 +456,6 @@ def run_workload_job(spec: dict) -> dict:
         spec.get("scenario", "imperceptible"),
         trace_kind=spec.get("trace_kind", "full"),
         seed=int(spec.get("seed", 0)),
-        settle_s=float(spec.get("settle_s", 4.0)),
+        settle_s=float(spec.get("settle_s", SETTLE_S)),
     )
     return run_result_to_dict(result)

@@ -85,12 +85,7 @@ def run_target_sweep(
         bundle.page.stylesheet.extend(parse_stylesheet(
             f"{selector}:QoS {{ {prop}-qos: continuous, {value}, {value}; }}"
         ))
-        execution = SessionExecution(
-            bundle, governor_spec.label(), "imperceptible", "micro", seed, 4.0, False,
-            lambda platform, registry, scenario: POLICIES.build(
-                governor_spec, platform, registry, scenario
-            ),
-        )
+        execution = SessionExecution(bundle, governor_spec, trace_kind="micro", seed=seed)
         execution.run()
         result = execution.finish()
         points.append(

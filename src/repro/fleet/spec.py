@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS
+from repro.sim.clock import SETTLE_S
 from repro.sim.random import RngStreams, derive_seed
 from repro.workloads.registry import APP_NAMES
 
@@ -176,7 +177,7 @@ class SessionSpec:
     trace_kind: str
     seed: int
 
-    def to_job(self, settle_s: float = 4.0) -> dict:
+    def to_job(self, settle_s: float = SETTLE_S) -> dict:
         """The picklable :func:`repro.evaluation.runner.run_workload_job`
         argument for this session."""
         return {
@@ -210,7 +211,7 @@ class FleetSpec:
     shard_size: int = DEFAULT_SHARD_SIZE
     max_retries: int = 1
     shard_timeout_s: float = 300.0
-    settle_s: float = 4.0
+    settle_s: float = SETTLE_S
     #: explicit workload seeds: when set, the population is the grid
     #: ``mix x seeds`` in that order (weights unused, no seeds derived)
     #: and the run keeps every session's result row

@@ -80,34 +80,34 @@ def run_oracle(spec, *, app, scenario, trace_kind, seed, settle_s):
     final replay under the minimum-energy feasible assignment; the
     chosen per-key configurations are reported in ``runtime_stats``.
 
-    ``scenario`` is a scenario spec, not a live object: every replay
-    goes through :func:`~repro.evaluation.runner.execute_run`, which
-    builds a *fresh* bound scenario instance per replay — the sweep
-    therefore experiences the same time-varying targets and frequency
-    caps as a live policy (over-cap pins clamp through the DVFS
-    controller), and thermal state never leaks between replays.
+    ``scenario`` is a scenario spec, not a live object: every replay is
+    its own :class:`~repro.evaluation.runner.SessionExecution` over a
+    freshly built app, with a *fresh* bound scenario instance — the
+    sweep therefore experiences the same time-varying targets and
+    frequency caps as a live policy (over-cap pins clamp through the
+    DVFS controller), and thermal state never leaks between replays.
     """
     # Imported lazily: the runner imports repro.policies for the
     # registry, so a module-level import here would be circular.
-    from repro.evaluation.runner import execute_run, trace_event_keys
+    from repro.evaluation.runner import SessionExecution, trace_event_keys
     from repro.hardware.platform import odroid_xu_e
+    from repro.workloads.registry import build_app
 
     configs = odroid_xu_e().all_configs()  # performance order
     fastest, idle = configs[-1], configs[0]
     keys = trace_event_keys(app, seed, trace_kind)
 
     def replay(assignments: dict[str, CpuConfig]):
-        return execute_run(
-            app,
-            spec.label(),
-            scenario,
-            trace_kind,
-            seed,
-            settle_s,
+        execution = SessionExecution(
+            build_app(app, seed),
             lambda platform, registry, live_scenario: KeyPinnedPolicy(
                 platform, assignments, fastest, idle
             ),
+            scenario, trace_kind=trace_kind, seed=seed, settle_s=settle_s,
+            label=spec.label(),
         )
+        execution.run()
+        return execution.finish()
 
     baseline = replay({})
     # Per-event allowance: what the fastest configuration achieves.

@@ -30,7 +30,8 @@ def build_live_scenario(spec, platform, seed: int = 0) -> Scenario:
     never perturbs workload streams.  The lane is derived on first use,
     so the static scenarios, which never draw, never derive it.
 
-    Every session builder binds through here: the measurement runner's
+    Every session builder binds through here, before it builds the
+    policy from its spec: the measurement runner's
     :class:`~repro.evaluation.runner.SessionExecution` and
     :meth:`repro.session.Session.for_page`.  Remember to call
     ``scenario.attach(browser)`` once the browser exists.

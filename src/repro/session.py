@@ -25,6 +25,7 @@ from repro.evaluation.runner import RunResult, run_workload
 from repro.hardware.platform import MobilePlatform, odroid_xu_e
 from repro.policies import POLICIES
 from repro.scenarios import SCENARIOS, ScenarioSpec, build_live_scenario
+from repro.sim.clock import SETTLE_S
 from repro.sim.tracing import TraceLog
 from repro.workloads.registry import APP_NAMES
 
@@ -93,7 +94,7 @@ class Session:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run_micro_interaction(self, settle_s: float = 4.0) -> RunResult:
+    def run_micro_interaction(self, settle_s: float = SETTLE_S) -> RunResult:
         """Run the application's micro-benchmark trace (Sec. 7.2)."""
         return run_workload(
             self.app_name,
@@ -104,7 +105,7 @@ class Session:
             settle_s=settle_s,
         )
 
-    def run_full_interaction(self, settle_s: float = 4.0) -> RunResult:
+    def run_full_interaction(self, settle_s: float = SETTLE_S) -> RunResult:
         """Run the application's full interaction trace (Sec. 7.3)."""
         return run_workload(
             self.app_name,
@@ -114,24 +115,6 @@ class Session:
             seed=self.seed,
             settle_s=settle_s,
         )
-
-    # ------------------------------------------------------------------
-    # Fleet / worker interop
-    # ------------------------------------------------------------------
-    def as_job(self, trace_kind: str = "full", settle_s: float = 4.0) -> dict:
-        """This session as a plain picklable
-        :func:`repro.evaluation.runner.run_workload_job` payload — the
-        form process pools, :mod:`repro.fleet` shards, and future RPC
-        backends consume.
-        """
-        return {
-            "app": self.app_name,
-            "governor": self.governor,
-            "scenario": self.scenario.canonical(),
-            "trace_kind": trace_kind,
-            "seed": self.seed,
-            "settle_s": settle_s,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,6 +28,11 @@ SECOND: int = 1_000_000
 #: session at 0.1 us would fire millions of them.
 MIN_SAMPLER_PERIOD_MS: float = 1.0
 
+#: The default settle tail, in seconds: how long a measured session
+#: keeps running after its trace's last input, so the frames and idle
+#: power that input causes land inside the fixed measurement window.
+SETTLE_S: float = 4.0
+
 
 def ms_to_us(milliseconds: float) -> int:
     """Convert milliseconds to integer microseconds, rounding up.

@@ -19,7 +19,7 @@ events, task spans) are emitted straight to ``platform.trace`` under
 
 A session has a trace or has none.  Results-only sessions run with
 none and build no records; trace export and analysis attach one
-(``SessionExecution(..., trace=True, ...)``).
+(``SessionExecution(bundle, policy, trace=True)``).
 """
 
 from __future__ import annotations

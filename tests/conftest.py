@@ -27,7 +27,6 @@ from repro.evaluation.runner import (
 )
 from repro.fleet import parse_mix
 from repro.hardware import odroid_xu_e
-from repro.policies import POLICIES
 from repro.scenarios import build_live_scenario
 from repro.web import Callback, parse_html
 from repro.workloads.registry import build_app
@@ -98,14 +97,10 @@ def run_cell(job: dict, leg: str) -> dict:
     if leg == "gated":
         return run_workload_job(job)
     assert leg == "full", leg
-    governor = job["governor"]
     execution = SessionExecution(
-        build_app(job["app"], job["seed"]), POLICIES.normalize(governor).label(),
-        job.get("scenario", "imperceptible"), job["trace_kind"], job["seed"],
-        job["settle_s"], True,
-        lambda platform, registry, scenario: POLICIES.build(
-            governor, platform, registry, scenario
-        ),
+        build_app(job["app"], job["seed"]), job["governor"],
+        job.get("scenario", "imperceptible"), trace_kind=job["trace_kind"],
+        seed=job["seed"], settle_s=job["settle_s"], trace=True,
     )
     execution.run()
     assert len(execution.platform.trace) > 0

@@ -22,7 +22,6 @@ import json
 import pytest
 
 from repro.evaluation.runner import SessionExecution
-from repro.policies import POLICIES
 from repro.workloads.registry import build_app
 
 #: (app, policy, scenario, trace kind, seed) -> (record count, sha256)
@@ -55,10 +54,8 @@ TASK_SPAN_PINS = {
 def traced_stream(app, policy, scenario, trace_kind, seed, task_spans=False):
     """The cell's retained records as (time_us, category, name, data)
     tuples; with ``task_spans``, only its ``task/span`` records."""
-    spec = POLICIES.normalize(policy)
     execution = SessionExecution(
-        build_app(app, seed), spec.label(), scenario, trace_kind, seed, 4.0, True,
-        lambda platform, registry, live: POLICIES.build(spec, platform, registry, live),
+        build_app(app, seed), policy, scenario, trace_kind=trace_kind, seed=seed, trace=True
     )
     execution.platform.record_task_spans = task_spans
     execution.run()

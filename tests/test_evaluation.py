@@ -18,10 +18,17 @@ from repro.evaluation.metrics import (
     violation_pct,
 )
 from repro.evaluation.folds import ConfigTimelineFold
-from repro.evaluation.runner import GOVERNORS, run_workload
+from repro.evaluation.runner import (
+    GOVERNORS,
+    SessionExecution,
+    run_result_to_dict,
+    run_workload,
+    run_workload_job,
+)
 from repro.hardware.dvfs import CpuConfig
 from repro.scenarios import SCENARIOS
 from repro.web.events import EventType
+from repro.workloads.registry import build_app
 
 I = "imperceptible"
 U = "usable"
@@ -200,6 +207,32 @@ class TestRunner:
     def test_every_governor_runs(self, governor):
         result = run_workload("todo", governor, I, "micro")
         assert result.frames >= 1
+
+    def test_a_policy_factory_needs_a_label(self):
+        with pytest.raises(EvaluationError, match="label"):
+            SessionExecution(
+                build_app("todo"), lambda platform, registry, scenario: None,
+                trace_kind="micro",
+            )
+
+    def test_a_post_hoc_spec_builds_no_session(self):
+        with pytest.raises(EvaluationError, match="is post-hoc: it replays whole runs"):
+            SessionExecution(build_app("todo"), "oracle", trace_kind="micro")
+
+    def test_a_spec_session_runs_the_job_cell(self):
+        """A session built from a spec with default keywords is the cell
+        ``run_workload_job`` runs, labelled by the canonical spec."""
+        governor, scenario = "greenweb( ewma_alpha = 0.25 )", "thermal(cap_mhz=1100)"
+        execution = SessionExecution(
+            build_app("todo", 1), governor, scenario, trace_kind="micro", seed=1
+        )
+        execution.run()
+        result = run_result_to_dict(execution.finish())
+        assert result["governor"] == "greenweb(ewma_alpha=0.25)"
+        assert result == run_workload_job({
+            "app": "todo", "governor": governor, "scenario": scenario,
+            "trace_kind": "micro", "seed": 1,
+        })
 
     def test_table3_rejects_trace_naming_missing_element(self, monkeypatch):
         from repro.evaluation.experiments import run_table3_characteristics

@@ -19,6 +19,7 @@ from repro.fleet import (
     FleetSpec,
     Histogram,
     MixEntry,
+    SessionSpec,
     default_mix,
     parse_mix,
     run_shard_job,
@@ -428,12 +429,16 @@ class TestRunWorkloadJob:
                "trace_kind": "full", "seed": 3}
         assert run_workload_job(dict(job, trace_level="gated")) == run_workload_job(job)
 
-    def test_session_as_job(self):
-        session = Session.for_application("todo", governor="perf", seed=5)
-        job = session.as_job(trace_kind="micro")
+    def test_session_spec_job_matches_session(self):
+        """A fleet session's job runs the same cell as the Session facade."""
+        job = SessionSpec(
+            index=0, app="todo", governor="perf", scenario="imperceptible",
+            trace_kind="micro", seed=5,
+        ).to_job()
         out = run_workload_job(job)
         assert out["governor"] == "perf"
-        assert out["energy_j"] == session.run_micro_interaction().energy_j
+        session = Session.for_application("todo", governor="perf", seed=5)
+        assert out == run_result_to_dict(session.run_micro_interaction())
 
 
 class TestRunShardJob:

@@ -14,7 +14,6 @@ from repro.errors import HardwareError
 from repro.evaluation.folds import FrameTimelineFold
 from repro.evaluation.runner import SessionExecution
 from repro.hardware.platform import odroid_xu_e
-from repro.policies import POLICIES
 from repro.sim.tracing import HOOKS, SessionObserver, TraceLog
 from repro.workloads.registry import build_app
 
@@ -24,9 +23,8 @@ FACT_HOOKS = tuple(hook for hook in HOOKS if hook != "busy_changed")
 def execution(app, governor, scenario, trace_kind, seed, traced=False):
     """A built, not yet run, session of one cell (4 s settle)."""
     return SessionExecution(
-        build_app(app, seed), POLICIES.normalize(governor).label(), scenario, trace_kind,
-        seed, 4.0, traced,
-        lambda platform, registry, live: POLICIES.build(governor, platform, registry, live),
+        build_app(app, seed), governor, scenario, trace_kind=trace_kind, seed=seed,
+        trace=traced,
     )
 
 

@@ -42,11 +42,7 @@ def run_observed(app, policy, scenario):
     """The finished session, its result, the configuration in force at
     the start, and a residency fold that observed it."""
     fold = ConfigTimelineFold()
-    execution = SessionExecution(
-        build_app(app, 0), POLICIES.normalize(policy).label(), scenario, "micro", 0,
-        4.0, False,
-        lambda platform, registry, live: POLICIES.build(policy, platform, registry, live),
-    )
+    execution = SessionExecution(build_app(app, 0), policy, scenario, trace_kind="micro")
     initial = execution.platform.config
     execution.platform.attach(fold)
     execution.run()

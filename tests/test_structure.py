@@ -1,13 +1,15 @@
-"""Structure guards: one session builder, one background-load path,
-one place to choose trace retention, one profiling path, one periodic
-primitive, one stepping engine.
+"""Structure guards: one session builder, one session signature, one
+background-load path, one place to choose trace retention, one
+profiling path, one periodic primitive, one stepping engine.
 
 Measured sessions are built by ``evaluation/runner.py``'s
 ``SessionExecution``; ``session.py``'s ``Session.for_page`` is the
 custom-page API.  No other module under ``src/`` or ``benchmarks/``
 constructs a ``Browser``, and nothing imports the deleted
 ``repro.workloads.background`` module (background load is the
-``bgload`` scenario).  APIs that return only results take no trace
+``bgload`` scenario).  A session takes its policy as a spec and builds
+it itself: under ``src/`` only those two builders reference
+``POLICIES.build``.  APIs that return only results take no trace
 switch: ``SessionExecution(..., trace=...)`` is the only place a caller
 attaches a trace.  Folds and the active-window accountant are typed
 session observers; none reads a trace record.  Observers join a session
@@ -51,7 +53,7 @@ import re
 from repro.core.ebs import EbsGovernor
 from repro.core.governors import InteractiveGovernor, KeyedGovernor, OndemandGovernor
 from repro.core.runtime import GreenWebRuntime
-from repro.evaluation.runner import SessionExecution, execute_run, run_workload
+from repro.evaluation.runner import SessionExecution, run_workload
 from repro.fleet import FleetSpec
 from repro.hardware import odroid_xu_e
 from repro.policies.oracle import KeyPinnedPolicy
@@ -107,6 +109,27 @@ def test_only_the_fleet_driver_and_the_daemon_construct_a_worker_pool():
     assert owners == {"src/repro/fleet/driver.py", "src/repro/serve/server.py"}, sites
 
 
+#: the functions that build a live policy from its spec
+POLICY_BUILDERS = {
+    "src/repro/evaluation/runner.py:SessionExecution.__init__",
+    "src/repro/session.py:Session.for_page",
+}
+
+
+def test_only_the_session_builders_build_a_policy_from_its_spec():
+    sites = sorted(
+        f"{name}:{function}"
+        for name, tree in _modules(("src",))
+        for function, body in _functions(tree)
+        for node in ast.walk(body)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "build"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "POLICIES"
+    )
+    assert set(sites) == POLICY_BUILDERS, f"POLICIES.build outside the session builders: {sites}"
+
+
 def _imports_background(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(
@@ -134,7 +157,7 @@ def test_nothing_imports_the_background_module():
 
 def test_trace_level_is_chosen_only_where_the_trace_is_read():
     switches = {"trace", "trace_level"}
-    for api in (run_workload, execute_run, Session.__init__):
+    for api in (run_workload, Session.__init__):
         assert not switches & set(inspect.signature(api).parameters), api
     assert not switches & {field.name for field in dataclasses.fields(FleetSpec)}
     parameters = inspect.signature(SessionExecution).parameters

@@ -19,7 +19,6 @@ from repro.evaluation.folds import (
 from repro.fleet import Fleet, FleetAggregate, FleetSpec, parse_mix
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
-from repro.policies import POLICIES
 from repro.sim import tracing
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import SessionObserver, TraceLog
@@ -42,10 +41,8 @@ def session(traced, governor="greenweb", *observers, app="todo", scenario=I):
     """One micro session of ``app`` (seed 0, 2 s settle), run with
     ``observers`` attached; ``traced`` attaches a trace."""
     execution = SessionExecution(
-        build_app(app, seed=0), governor, scenario, "micro", 0, 2.0, traced,
-        lambda platform, registry, live: POLICIES.build(
-            governor, platform, registry, live
-        ),
+        build_app(app, seed=0), governor, scenario, trace_kind="micro", settle_s=2.0,
+        trace=traced,
     )
     for observer in observers:
         execution.platform.attach(observer)
@@ -102,8 +99,8 @@ class TestTraceLevels:
         it observes each fact hook first, ahead of the runner's fold and
         accountant."""
         execution = SessionExecution(
-            build_app("todo", seed=0), "perf", I, "micro", 0, 1.0, level == "full",
-            lambda platform, registry, live: POLICIES.build("perf", platform, registry, live),
+            build_app("todo", seed=0), "perf", I, trace_kind="micro", settle_s=1.0,
+            trace=level == "full",
         )
         trace, hooks = execution.platform.trace, execution.platform._hooks
         fold, accountant = execution._config_fold, execution._accountant

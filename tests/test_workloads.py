@@ -292,14 +292,8 @@ class TestAppTemplates:
 def execute_bundle(bundle):
     """Run ``bundle``'s micro trace under greenweb/imperceptible."""
     from repro.evaluation.runner import SessionExecution
-    from repro.policies import POLICIES
 
-    execution = SessionExecution(
-        bundle, "greenweb", "imperceptible", "micro", 0, 1.0, False,
-        lambda platform, registry, scenario: POLICIES.build(
-            "greenweb", platform, registry, scenario
-        ),
-    )
+    execution = SessionExecution(bundle, "greenweb", trace_kind="micro", settle_s=1.0)
     execution.run()
     return execution.finish()
 
