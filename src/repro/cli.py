@@ -193,6 +193,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             unit=" fps",
             max_value=60.0,
         ))
+    # An execution fact, not part of the report: stderr keeps stdout's
+    # bytes the same whatever the kernel elides.
+    kernel = execution.platform.kernel
+    elided = ", ".join(
+        f"{label} {count:,}" for label, count in sorted(kernel.events_elided.items())
+    )
+    print(f"kernel: {kernel.events_fired:,} simulated events; "
+          f"elided ticks: {elided or 'none'}", file=sys.stderr)
     return 0
 
 

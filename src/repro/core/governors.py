@@ -38,6 +38,7 @@ from repro.errors import HardwareError
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import MobilePlatform
 from repro.sim.clock import MIN_SAMPLER_PERIOD_MS, ms_to_us
+from repro.sim.kernel import QUIET_UNTIL_WOKEN
 from repro.sim.tracing import SessionObserver
 from repro.web.events import Event
 
@@ -153,7 +154,9 @@ class InteractiveGovernor(BrowserPolicy, SessionObserver):
         self.platform.attach(self)
         self._last_any_busy_us = self.platform.any_busy_us()
         self.platform.set_config(self._floor)
-        self.platform.kernel.every(self.timer_rate_us, self._timer, label="interactive")
+        self.platform.kernel.every(
+            self.timer_rate_us, self._timer, label="interactive", closed_form=self
+        )
 
     def on_input(self, msg: InputMsg, event: Event) -> None:
         if self.input_boost:
@@ -198,6 +201,17 @@ class InteractiveGovernor(BrowserPolicy, SessionObserver):
                 target_capacity = current_capacity * utilization / self.target_load
                 platform.set_config(self._lowest_with_capacity(target_capacity))
 
+    def quiet_ticks(self) -> int:
+        # Idle with no busy time since the last tick: every tick reads a
+        # zero load and returns at the deferrable-timer test.
+        platform = self.platform
+        if platform._busy or platform._any_busy_integral_us != self._last_any_busy_us:
+            return 0
+        return QUIET_UNTIL_WOKEN
+
+    def skip_ticks(self, ticks: int) -> None:
+        self.timer_fires += ticks
+
     def _lowest_with_capacity(self, capacity: float) -> CpuConfig:
         ladder = self._table.ladder
         return ladder[min(bisect_left(self._table.capacities, capacity), len(ladder) - 1)]
@@ -222,13 +236,16 @@ class OndemandGovernor(BrowserPolicy):
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
         self._table = platform.config_table
+        self._floor = self._table.ladder[0]
         self._last_any_busy_us = 0.0
 
     def bind(self, browser) -> None:
         super().bind(browser)
         self._last_any_busy_us = self.platform.any_busy_us()
-        self.platform.set_config(self._table.ladder[0])
-        self.platform.kernel.every(self.timer_rate_us, self._timer, label="ondemand")
+        self.platform.set_config(self._floor)
+        self.platform.kernel.every(
+            self.timer_rate_us, self._timer, label="ondemand", closed_form=self
+        )
 
     def _timer(self) -> None:
         # A periodic tick: the sampling window is exactly timer_rate_us.
@@ -245,3 +262,19 @@ class OndemandGovernor(BrowserPolicy):
             index = self._table.rank[platform._config]
             if index > 0:
                 platform.set_config(self._table.ladder[index - 1])
+
+    def quiet_ticks(self) -> int:
+        # Idle at the ladder floor with no busy time since the last
+        # tick: every tick reads a zero load and has no level to step
+        # down to.
+        platform = self.platform
+        if (
+            platform._config is not self._floor
+            or platform._busy
+            or platform._any_busy_integral_us != self._last_any_busy_us
+        ):
+            return 0
+        return QUIET_UNTIL_WOKEN
+
+    def skip_ticks(self, ticks: int) -> None:
+        pass

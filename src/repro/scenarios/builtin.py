@@ -24,6 +24,7 @@ All dynamics are driven off virtual time and the session's forked
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional
 
 from repro.errors import EvaluationError
@@ -31,6 +32,7 @@ from repro.hardware.core import WorkUnit
 from repro.scenarios.base import Scenario
 from repro.scenarios.registry import SCENARIOS
 from repro.sim.clock import MIN_SAMPLER_PERIOD_MS
+from repro.sim.kernel import QUIET_UNTIL_WOKEN
 
 #: Thermal model sampling period.  A few vsyncs long: coarse enough to
 #: stay cheap, fine enough that trip/hysteresis windows of hundreds of
@@ -117,7 +119,9 @@ class ThermalScenario(Scenario):
         platform = self.platform
         self._cap_cluster = platform.config_table.fastest_cluster
         self._last_any_busy = platform.any_busy_us()
-        platform.kernel.every(THERMAL_TICK_US, self._tick, label="scenario/thermal")
+        platform.kernel.every(
+            THERMAL_TICK_US, self._tick, label="scenario/thermal", closed_form=self
+        )
 
     def _tick(self) -> None:
         # A periodic tick: the sampling window is exactly THERMAL_TICK_US.
@@ -139,6 +143,34 @@ class ThermalScenario(Scenario):
                     self._set_engaged(True, self.platform.kernel._now_us)
             else:
                 self._hot_us = 0
+
+    def quiet_ticks(self) -> int:
+        # Idle with no busy time since the last tick, every window is
+        # cool (load 0 < hot_load): disengaged with no hot streak a tick
+        # changes nothing; engaged, each tick adds to the cool streak
+        # and the one reaching the hysteresis lifts the cap, so only
+        # the ticks before that one are quiet.
+        platform = self.platform
+        if (
+            self.hot_load <= 0.0
+            or platform._busy
+            or platform._any_busy_integral_us != self._last_any_busy
+        ):
+            return 0
+        if not self.engaged:
+            return QUIET_UNTIL_WOKEN if self._hot_us == 0 else 0
+        hysteresis_us = self.hysteresis_ms * 1_000.0
+        if not math.isfinite(hysteresis_us):
+            return QUIET_UNTIL_WOKEN
+        # The lifting tick is the first n >= 1 with _cool_us + n * tick
+        # >= hysteresis_us; an int reaches a float exactly when it
+        # reaches its ceiling, so integer division finds n.
+        shortfall_us = math.ceil(hysteresis_us) - self._cool_us
+        return max(1, -(-shortfall_us // THERMAL_TICK_US)) - 1
+
+    def skip_ticks(self, ticks: int) -> None:
+        if self.engaged:
+            self._cool_us += ticks * THERMAL_TICK_US
 
     def _set_engaged(self, engaged: bool, now_us: int) -> None:
         self.engaged = engaged

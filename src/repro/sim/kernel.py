@@ -17,8 +17,28 @@ sequence number, so it sorts behind), and afterwards one
 action cancelled it.  The re-armed entry takes its sequence number
 after the action, which is where a self-rescheduling callback would
 schedule its next tick, so the heap order is the same as if the action
-re-armed itself.  Each tick is one fired event; the handle stays
-``pending`` until it is cancelled.
+re-armed itself.  The handle stays ``pending`` until it is cancelled.
+
+Quiet ticks
+-----------
+A series registered with a ``closed_form`` (see :class:`ClosedForm`)
+can be *elided*: when such a head is about to fire and says it is
+quiet, the kernel scans the heap once for the window end W, the
+minimum of ``deadline + 1``, the time of every live entry that is not
+a quiet series, and each quiet series' first tick that is not closed
+form.  Every quiet-series tick strictly before W is applied through
+``skip_ticks`` instead of its action; nothing else fires inside the
+window, so every sampler's quiet predicate holds throughout it.  A
+tick at exactly W sorts after the real event at W (its re-armed
+sequence number is fresh), so it fires for real.  The elided series
+take fresh sequence numbers in the order fired ticks would have
+re-armed them (see :meth:`Kernel._elide`).  The jump neither moves the
+clock nor runs an action, and it never changes a result.
+
+``events_fired`` counts *simulated* events: fired plus elided, so it
+reads the same whether a tick fired or was applied in closed form.
+``events_elided`` holds the elided part by label, an execution fact
+that never enters a result.
 
 Ordering guarantees
 -------------------
@@ -38,7 +58,8 @@ anywhere else, ends the series.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+import sys
+from typing import Callable, Optional, Protocol
 
 from repro.errors import SchedulingError
 
@@ -50,6 +71,27 @@ Action = Callable[[], None]
 # generated __lt__ — the heap push/pop pair is the kernel's hot path.
 _HeapEntry = tuple[int, int, "ScheduledEvent"]
 
+#: ``ClosedForm.quiet_ticks`` for a sampler that stays quiet until some
+#: other event fires: every upcoming tick is a no-op or closed form.
+QUIET_UNTIL_WOKEN = sys.maxsize
+
+
+class ClosedForm(Protocol):
+    """A periodic sampler's closed form, passed to :meth:`Kernel.every`.
+
+    Only the kernel's firing loop calls them, and it calls
+    ``skip_ticks(k)`` only for ticks ``quiet_ticks`` covered, with no
+    other event fired in between.
+    """
+
+    def quiet_ticks(self) -> int:
+        """How many upcoming ticks are provably no-ops or closed form if
+        no other event fires in between (0: the sampler is not quiet;
+        :data:`QUIET_UNTIL_WOKEN`: no limit)."""
+
+    def skip_ticks(self, ticks: int) -> None:
+        """Apply ``ticks`` quiet ticks at once."""
+
 
 class ScheduledEvent:
     """Handle for a scheduled callback.
@@ -57,23 +99,32 @@ class ScheduledEvent:
     Attributes:
         time_us: absolute firing time in microseconds.
         label: optional human-readable tag, shown in the handle's repr
-            (a debugging aid; the kernel keeps no per-label counts).
+            and keying :attr:`Kernel.events_elided`.
         period_us: the series period of a :meth:`Kernel.every` handle,
             0 for a one-shot event.
+        closed_form: the series' :class:`ClosedForm`, or None.
 
     A periodic handle reads ``fired`` only while its action runs;
     ``time_us`` is then the tick in progress.
     """
 
-    __slots__ = ("time_us", "action", "label", "period_us", "_cancelled", "_fired")
+    __slots__ = (
+        "time_us", "action", "label", "period_us", "closed_form", "_cancelled", "_fired"
+    )
 
     def __init__(
-        self, time_us: int, action: Action, label: str = "", period_us: int = 0
+        self,
+        time_us: int,
+        action: Action,
+        label: str = "",
+        period_us: int = 0,
+        closed_form: Optional[ClosedForm] = None,
     ) -> None:
         self.time_us = time_us
         self.action = action
         self.label = label
         self.period_us = period_us
+        self.closed_form = closed_form
         self._cancelled = False
         self._fired = False
 
@@ -113,6 +164,7 @@ class Kernel:
         self._heap: list[_HeapEntry] = []
         self._seq = 0
         self._events_fired = 0
+        self._events_elided: dict[str, int] = {}
         self._running = False
 
     # ------------------------------------------------------------------
@@ -130,8 +182,15 @@ class Kernel:
 
     @property
     def events_fired(self) -> int:
-        """Total number of callbacks executed so far."""
+        """Simulated events so far: callbacks run plus quiet ticks
+        applied in closed form (see the module doc)."""
         return self._events_fired
+
+    @property
+    def events_elided(self) -> dict[str, int]:
+        """Quiet periodic ticks applied in closed form so far, by label
+        (a copy; part of :attr:`events_fired`)."""
+        return dict(self._events_elided)
 
     @property
     def pending_count(self) -> int:
@@ -168,7 +227,14 @@ class Kernel:
         self._seq += 1
         return event
 
-    def every(self, period_us: int, action: Action, label: str = "") -> ScheduledEvent:
+    def every(
+        self,
+        period_us: int,
+        action: Action,
+        label: str = "",
+        *,
+        closed_form: Optional[ClosedForm] = None,
+    ) -> ScheduledEvent:
         """Fire ``action`` at now + k * ``period_us`` for k = 1, 2, ...
 
         Each tick fires in place at the top of the heap; after its
@@ -176,14 +242,18 @@ class Kernel:
         (unless the action cancelled it), so events the action scheduled
         for the next tick's timestamp fire first.  The handle is
         ``pending`` between ticks until it is cancelled.  An exception
-        out of the action ends the series.
+        out of the action ends the series.  With a ``closed_form``,
+        quiet ticks may be applied through it instead of the action
+        (see the module doc); every result is the same either way.
 
         Raises:
             SchedulingError: if ``period_us`` is not positive.
         """
         if period_us <= 0:
             raise SchedulingError(f"non-positive period for {label!r}: {period_us}us")
-        event = ScheduledEvent(self._now_us + period_us, action, label, period_us)
+        event = ScheduledEvent(
+            self._now_us + period_us, action, label, period_us, closed_form
+        )
         heapq.heappush(self._heap, (event.time_us, self._seq, event))
         self._seq += 1
         return event
@@ -217,14 +287,24 @@ class Kernel:
                 if event._cancelled:
                     heappop(heap)
                     continue
-                self._now_us = time_us
-                event._fired = True
-                self._events_fired += 1
                 period_us = event.period_us
                 if not period_us:
+                    self._now_us = time_us
+                    event._fired = True
+                    self._events_fired += 1
                     heappop(heap)
                     event.action()
                     continue
+                closed_form = event.closed_form
+                if (
+                    closed_form is not None
+                    and closed_form.quiet_ticks()
+                    and self._elide(deadline_us)
+                ):
+                    continue
+                self._now_us = time_us
+                event._fired = True
+                self._events_fired += 1
                 # A periodic head fires in place (see the module doc).
                 try:
                     event.action()
@@ -241,6 +321,64 @@ class Kernel:
             self._now_us = deadline_us
         finally:
             self._running = False
+
+    def _elide(self, deadline_us: int) -> bool:
+        """Apply, in closed form, every quiet-series tick before the
+        window end (see the module doc); False when the head's own tick
+        is not before it, so the head fires as usual.
+
+        Re-arm order: fired ticks re-arm each series when its last tick
+        in the window fires, so the series are ordered by that tick's
+        time, then by when its entry was armed.  An entry with one
+        elided tick was armed before the window (its old sequence number
+        is smaller than any fresh one); one with more was armed by its
+        previous tick, at ``last - period``.  Two series that also tie
+        there share the period and tick in lockstep, and the one whose
+        first elided tick is later leads, because its entry at that tick
+        was armed before the window and the other's inside it; a full
+        tie falls back to the old sequence numbers.
+        """
+        heap = self._heap
+        window_end = deadline_us + 1
+        quiet = []
+        for index, entry in enumerate(heap):
+            time_us, _seq, event = entry
+            # An entry at or past the window end can neither lower it
+            # nor have a tick before it.
+            if time_us >= window_end or event._cancelled:
+                continue
+            closed_form = event.closed_form
+            if closed_form is not None:
+                ticks = closed_form.quiet_ticks()
+                if ticks:
+                    quiet.append((index, entry))
+                    if ticks == QUIET_UNTIL_WOKEN:
+                        continue
+                    time_us += ticks * event.period_us
+            if time_us < window_end:
+                window_end = time_us
+        if window_end <= heap[0][0]:
+            return False
+        rearm = []
+        for index, (first_us, seq, event) in quiet:
+            if first_us < window_end:
+                period_us = event.period_us
+                ticks = (window_end - 1 - first_us) // period_us + 1
+                last_us = first_us + (ticks - 1) * period_us
+                armed_us = last_us - period_us if ticks > 1 else -1
+                rearm.append((last_us, armed_us, -first_us, seq, index, ticks))
+        rearm.sort()
+        elided = self._events_elided
+        for last_us, _armed, _first, _seq, index, ticks in rearm:
+            event = heap[index][2]
+            event.closed_form.skip_ticks(ticks)
+            time_us = event.time_us = last_us + event.period_us
+            heap[index] = (time_us, self._seq, event)
+            self._seq += 1
+            self._events_fired += ticks
+            elided[event.label] = elided.get(event.label, 0) + ticks
+        heapq.heapify(heap)
+        return True
 
     def run_for(self, duration_us: int) -> None:
         """Run the simulation forward by ``duration_us`` microseconds."""

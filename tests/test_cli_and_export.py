@@ -150,6 +150,18 @@ class TestCli:
         assert main(argv + ["--seed", "1"]) == 0
         assert capsys.readouterr().out == ANALYZE_REPORT
 
+    def test_analyze_reports_simulated_and_elided_events_on_stderr(self, capsys):
+        """The kernel's execution fact: simulated events (fired plus
+        elided) and the elided sampler ticks by label, kept off stdout."""
+        argv = ["analyze", "cnet", "--governor", "ondemand", "--scenario", "thermal"]
+        assert main(argv + ["--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ANALYZE_REPORT
+        assert captured.err == (
+            "kernel: 3,431 simulated events; "
+            "elided ticks: ondemand 697, scenario/thermal 591\n"
+        )
+
     def test_run_with_trace_export(self, tmp_path, capsys):
         path = tmp_path / "out.json"
         assert main(["run", "todo", "--export-trace", str(path)]) == 0
